@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -65,8 +64,23 @@ def _enc_ring(ring):
     return out
 
 
-def _dec_ring(obj):
-    return Ring(obj["kind"],
+def _field(obj, key, path):
+    """``obj[key]`` for a required key; a missing one is named by its JSON path."""
+    if not isinstance(obj, dict):
+        raise InvalidInstanceError(f"{path} is not a JSON object")
+    if key not in obj:
+        raise InvalidInstanceError(f"missing required field {path}.{key}")
+    return obj[key]
+
+
+def _items(obj, key, path):
+    """(path, entry) for each entry of the required list ``obj[key]``."""
+    return ((f"{path}.{key}[{k}]", entry)
+            for k, entry in enumerate(_field(obj, key, path)))
+
+
+def _dec_ring(obj, path):
+    return Ring(_field(obj, "kind", path),
                 p=int(obj["p"]) if "p" in obj else None,
                 m=int(obj["m"]) if "m" in obj else None)
 
@@ -104,12 +118,15 @@ def _enc_label(label):
     raise TemplikitError(f"unserializable vertex label {label!r}")
 
 
-def _dec_label(obj):
-    if "s" in obj:
-        return obj["s"]
-    if "i" in obj:
-        return int(obj["i"])
-    return tuple(_dec_label(x) for x in obj["t"])
+def _dec_label(obj, path):
+    if isinstance(obj, dict):
+        if "s" in obj:
+            return obj["s"]
+        if "i" in obj:
+            return int(obj["i"])
+        if "t" in obj:
+            return tuple(_dec_label(x, p) for p, x in _items(obj, "t", path))
+    raise InvalidInstanceError(f"{path} is not a vertex label")
 
 
 def _enc_elt(ring, x):
@@ -147,11 +164,12 @@ def _enc_quiver(quiver):
     }
 
 
-def _dec_quiver(ring, vertices, obj):
+def _dec_quiver(ring, vertices, obj, path):
     homs = {}
-    for entry in obj["homs"]:
-        a, b = _dec_label(entry["source"]), _dec_label(entry["target"])
-        homs[(a, b)] = _dec_factors(ring, entry["factors"])
+    for p, entry in _items(obj, "homs", path):
+        a = _dec_label(_field(entry, "source", p), f"{p}.source")
+        b = _dec_label(_field(entry, "target", p), f"{p}.target")
+        homs[(a, b)] = _dec_factors(ring, _field(entry, "factors", p))
     return Quiver.build(ring, vertices, homs)
 
 
@@ -165,12 +183,14 @@ def _enc_qmorphism(f):
     ]
 
 
-def _dec_qmorphism(ring, dom, cod, obj):
+def _dec_qmorphism(ring, dom, cod, obj, path):
     comps = {}
-    for entry in obj:
-        a, b = _dec_label(entry["source"]), _dec_label(entry["target"])
-        rows, cols = entry["rows"], entry["cols"]
-        mat = tuple(tuple(_dec_elt(ring, x) for x in row) for row in entry["entries"])
+    for p, entry in _items(obj, "components", path):
+        a = _dec_label(_field(entry, "source", p), f"{p}.source")
+        b = _dec_label(_field(entry, "target", p), f"{p}.target")
+        rows, cols = _field(entry, "rows", p), _field(entry, "cols", p)
+        mat = tuple(tuple(_dec_elt(ring, x) for x in row)
+                    for row in _field(entry, "entries", p))
         if len(mat) != rows or any(len(r) != cols for r in mat):
             raise TemplikitError(f"matrix dimensions inconsistent at ({a},{b})")
         comps[(a, b)] = Morphism(dom.hom(a, b), cod.hom(a, b), mat)
@@ -198,11 +218,11 @@ def _enc_templicial(x):
     }
 
 
-def _dec_templicial(obj):
-    ring = _dec_ring(obj["ring"])
-    vertices = tuple(_dec_label(v) for v in obj["vertices"])
-    max_level = obj["max_level"]
-    levels = tuple(_dec_quiver(ring, vertices, q) for q in obj["levels"])
+def _dec_templicial(obj, path):
+    ring = _dec_ring(_field(obj, "ring", path), f"{path}.ring")
+    vertices = tuple(_dec_label(v, p) for p, v in _items(obj, "vertices", path))
+    max_level = _field(obj, "max_level", path)
+    levels = tuple(_dec_quiver(ring, vertices, q, p) for p, q in _items(obj, "levels", path))
 
     def level_quiver(n):
         from .quiver import unit_quiver
@@ -210,21 +230,18 @@ def _dec_templicial(obj):
         return unit_quiver(ring, vertices) if n == 0 else levels[n - 1]
 
     faces = {}
-    for entry in obj["faces"]:
-        n, j = entry["n"], entry["j"]
-        faces[(n, j)] = _dec_qmorphism(ring, level_quiver(n), level_quiver(n - 1),
-                                       entry["components"])
+    for p, entry in _items(obj, "faces", path):
+        n, j = _field(entry, "n", p), _field(entry, "j", p)
+        faces[(n, j)] = _dec_qmorphism(ring, level_quiver(n), level_quiver(n - 1), entry, p)
     degens = {}
-    for entry in obj["degeneracies"]:
-        n, i = entry["n"], entry["i"]
-        degens[(n, i)] = _dec_qmorphism(ring, level_quiver(n), level_quiver(n + 1),
-                                        entry["components"])
+    for p, entry in _items(obj, "degeneracies", path):
+        n, i = _field(entry, "n", p), _field(entry, "i", p)
+        degens[(n, i)] = _dec_qmorphism(ring, level_quiver(n), level_quiver(n + 1), entry, p)
     comults = {}
-    for entry in obj["comultiplications"]:
-        k, l = entry["k"], entry["l"]
+    for p, entry in _items(obj, "comultiplications", path):
+        k, l = _field(entry, "k", p), _field(entry, "l", p)
         layout = tensor_layout(ring, vertices, (level_quiver(k), level_quiver(l)))
-        comults[(k, l)] = _dec_qmorphism(ring, level_quiver(k + l), layout.quiver,
-                                         entry["components"])
+        comults[(k, l)] = _dec_qmorphism(ring, level_quiver(k + l), layout.quiver, entry, p)
     return TemplicialModule.build(ring, vertices, max_level, levels,
                                   faces, degens, comults)
 
@@ -244,17 +261,25 @@ def serialize_instance(instance):
 
 
 def parse_instance(obj):
+    """Decode an instance file; a missing required field raises
+    InvalidInstanceError naming its JSON path ($ is the file's root)."""
+    if not isinstance(obj, dict):
+        raise InvalidInstanceError("$ is not a JSON object")
     version = obj.get("format_version")
     if version != FORMAT_VERSION:
         raise TemplikitError(f"unsupported format_version {version!r}")
     kind = obj.get("kind")
     if kind == "templicial":
-        return _dec_templicial(obj)
+        return _dec_templicial(obj, "$")
     if kind == "deformation":
-        theta = RingExtension(_dec_ring(obj["extension"]["source"]),
-                              _dec_ring(obj["extension"]["target"]))
-        return DeformationPair(theta, _dec_templicial(obj["deformed"]),
-                               _dec_templicial(obj["special_fiber"]))
+        ext = _field(obj, "extension", "$")
+        source = _dec_ring(_field(ext, "source", "$.extension"), "$.extension.source")
+        target = _dec_ring(_field(ext, "target", "$.extension"), "$.extension.target")
+        theta = RingExtension(source, target)
+        return DeformationPair(theta,
+                               _dec_templicial(_field(obj, "deformed", "$"), "$.deformed"),
+                               _dec_templicial(_field(obj, "special_fiber", "$"),
+                                               "$.special_fiber"))
     raise TemplikitError(f"unknown instance kind {kind!r}")
 
 
@@ -494,13 +519,6 @@ def build_parser():
 
 
 def main(argv=None):
-    threads = os.environ.get("TEMPLIKIT_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(f"ignoring invalid TEMPLIKIT_THREADS={threads!r}", file=sys.stderr)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

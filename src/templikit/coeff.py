@@ -391,6 +391,15 @@ def mat_neg(ring, a):
     return tuple(tuple(neg(x) for x in row) for row in a)
 
 
+def change_basis(ring, left, a, right):
+    """left * a * right, where a None factor stands for the identity."""
+    if left is not None:
+        a = mat_mul(ring, left, a)
+    if right is not None:
+        a = mat_mul(ring, a, right)
+    return a
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
@@ -876,8 +885,23 @@ class Morphism:
 
     ``matrix[i][j]`` is the coefficient of codomain generator i in the image
     of domain generator j.  Entries are stored reduced modulo the codomain
-    generator orders; construction verifies the congruence condition making
-    the map well defined on cyclic generators.
+    generator orders.
+
+    Invariants are checked once, at the trust boundary.  ``Morphism(...)``
+    validates: it checks that both modules share the ring and that the shape
+    matches, reduces every entry, and verifies the congruence condition
+    making the map well defined on cyclic generators.  Instance parsing, the
+    constructors, the validators and every map read off a Smith normal form
+    (kernels, cokernels, images, solutions of linear systems and the
+    factorizations through limits and colimits) go through it.
+
+    Results that are valid whenever their operands are skip those checks:
+    ``identity``, ``zero``, ``compose``, ``+``, ``-``, ``scale``, tensor
+    products of morphisms, the block witnesses of a direct sum that is a
+    plain concatenation, and the difference maps of finite limits and
+    colimits.  Sums, products and composites of congruence-valid entries
+    stay congruence-valid and ring operations return canonical elements, so
+    these only reduce the rows of torsion generators (see ``_trusted``).
     """
 
     domain: Module
@@ -910,17 +934,48 @@ class Morphism:
                         f"({self.domain.factors[j]} -> {self.codomain.factors[i]})"
                     )
 
+    @staticmethod
+    def _trusted(domain, codomain, matrix):
+        """A morphism whose matrix is congruence-valid by construction.
+
+        ``matrix`` must be a tuple of row tuples of the right shape holding
+        canonical ring elements.  Only the rows of torsion generators are
+        reduced, because products and sums over Z or a chain ring can leave
+        them above the generator order; free rows are kept as they are.
+        """
+        ntors = codomain.ngens - codomain.rank
+        if ntors:
+            ring = domain.ring
+            rows = list(matrix)
+            for i in range(ntors):
+                f = codomain.factors[i]
+                if ring.kind == INTEGERS:
+                    rows[i] = tuple(x % f for x in rows[i])
+                elif ring.kind == CHAIN:
+                    q = ring._pows[f]
+                    rows[i] = tuple(x % q for x in rows[i])
+                else:
+                    pad = (0,) * (ring.m - f)
+                    rows[i] = tuple(x[:f] + pad if any(x[f:]) else x for x in rows[i])
+            matrix = tuple(rows)
+        out = object.__new__(Morphism)
+        object.__setattr__(out, "domain", domain)
+        object.__setattr__(out, "codomain", codomain)
+        object.__setattr__(out, "matrix", matrix)
+        return out
+
     @property
     def ring(self):
         return self.domain.ring
 
     @staticmethod
     def identity(module):
-        return Morphism(module, module, mat_identity(module.ring, module.ngens))
+        return Morphism._trusted(module, module, mat_identity(module.ring, module.ngens))
 
     @staticmethod
     def zero(domain, codomain):
-        return Morphism(domain, codomain, mat_zero(domain.ring, codomain.ngens, domain.ngens))
+        return Morphism._trusted(domain, codomain,
+                                 mat_zero(domain.ring, codomain.ngens, domain.ngens))
 
     def compose(self, other):
         """self o other."""
@@ -928,22 +983,24 @@ class Morphism:
             raise ShapeError("composition mismatch")
         if self.domain.ngens == 0:
             return Morphism.zero(other.domain, self.codomain)
-        return Morphism(other.domain, self.codomain, mat_mul(self.ring, self.matrix, other.matrix))
+        return Morphism._trusted(other.domain, self.codomain,
+                                 mat_mul(self.ring, self.matrix, other.matrix))
 
     def __add__(self, other):
         if self.domain != other.domain or self.codomain != other.codomain:
             raise ShapeError("morphism sum mismatch")
-        return Morphism(self.domain, self.codomain, mat_add(self.ring, self.matrix, other.matrix))
+        return Morphism._trusted(self.domain, self.codomain,
+                                 mat_add(self.ring, self.matrix, other.matrix))
 
     def __sub__(self, other):
         if self.domain != other.domain or self.codomain != other.codomain:
             raise ShapeError("morphism difference mismatch")
-        return Morphism(self.domain, self.codomain,
-                        mat_add(self.ring, self.matrix, mat_neg(self.ring, other.matrix)))
+        return Morphism._trusted(self.domain, self.codomain,
+                                 mat_add(self.ring, self.matrix, mat_neg(self.ring, other.matrix)))
 
     def scale(self, c):
         mul = self.ring.mul
-        return Morphism(
+        return Morphism._trusted(
             self.domain, self.codomain,
             tuple(tuple(mul(c, x) for x in row) for row in self.matrix),
         )
@@ -995,16 +1052,15 @@ def normalize_orders(ring, raw_factors):
 
     Raw indicators use the Module conventions (0 = free); trivial factors
     must already be removed by the caller.  Returns (module, to_norm,
-    from_norm) like :func:`_presentation`.
+    from_norm) like :func:`_presentation`, except that both transforms are
+    None when the raw generators already are the normal form.
     """
     n = len(raw_factors)
     canonical = [_canonical_factor(ring, f) for f in raw_factors]
     if any(c is None for c in canonical):
         raise ShapeError("normalize_orders received a trivial factor")
     try:
-        module = Module(ring, tuple(canonical))
-        ident = mat_identity(ring, n)
-        return module, ident, ident
+        return Module(ring, tuple(canonical)), None, None
     except ShapeError:
         pass
     # permutation path: sort factors; over Z also require a divisibility chain
@@ -1036,9 +1092,14 @@ def normalize_orders(ring, raw_factors):
 
 @dataclass(frozen=True)
 class DirectSum:
+    """Biproduct with witnesses; ``to_norm``/``from_norm`` change basis
+    between the concatenated generators and ``module`` (None: identity)."""
+
     module: Module
     injections: tuple
     projections: tuple
+    to_norm: tuple | None
+    from_norm: tuple | None
 
 
 def direct_sum(ring, modules):
@@ -1050,37 +1111,31 @@ def direct_sum(ring, modules):
             raise RingMismatchError("direct_sum over mixed rings")
         blocks.append((len(raw), m.ngens))
         raw.extend(m.factors)
-    total = len(raw)
-    zero, one = ring.zero(), ring.one()
-    try:
-        module = Module(ring, tuple(raw))
-    except ShapeError:
-        module = None
-    if module is not None:
-        # concatenation already canonical: block unit witnesses, no transforms
-        injections = []
-        projections = []
+    module, to_n, from_n = normalize_orders(ring, raw)
+    injections = []
+    projections = []
+    if to_n is None:
+        # concatenation already canonical: block unit witnesses
+        total = len(raw)
+        zero, one = ring.zero(), ring.one()
         for (start, size), m in zip(blocks, modules):
             inj = tuple(
                 tuple(one if r == start + c else zero for c in range(size))
                 for r in range(total)
             )
-            injections.append(Morphism(m, module, inj))
+            injections.append(Morphism._trusted(m, module, inj))
             proj = tuple(
                 tuple(one if start + r == c else zero for c in range(total))
                 for r in range(size)
             )
+            projections.append(Morphism._trusted(module, m, proj))
+    else:
+        for (start, size), m in zip(blocks, modules):
+            inj = tuple(tuple(row[start:start + size]) for row in to_n)
+            injections.append(Morphism(m, module, inj))
+            proj = tuple(from_n[start + i] for i in range(size))
             projections.append(Morphism(module, m, proj))
-        return DirectSum(module, tuple(injections), tuple(projections))
-    module, to_n, from_n = normalize_orders(ring, raw)
-    injections = []
-    projections = []
-    for (start, size), m in zip(blocks, modules):
-        inj = tuple(tuple(row[start:start + size]) for row in to_n)
-        injections.append(Morphism(m, module, inj))
-        proj = tuple(from_n[start + i] for i in range(size))
-        projections.append(Morphism(module, m, proj))
-    return DirectSum(module, tuple(injections), tuple(projections))
+    return DirectSum(module, tuple(injections), tuple(projections), to_n, from_n)
 
 
 @dataclass(frozen=True)
@@ -1262,7 +1317,8 @@ def _tensor_factor(ring, a, b):
 
 @lru_cache(maxsize=None)
 def _tensor_layout(m, n):
-    """Raw generator pairs with nontrivial tensor order, plus normalization."""
+    """Raw generator pairs with nontrivial tensor order, plus normalization
+    (None transforms when the raw pairs already are the normal form)."""
     ring = m.ring
     pairs = []
     raw = []
@@ -1296,8 +1352,7 @@ def tensor_morphisms(f, g):
         tuple(ring.mul(f.matrix[ic][idx], g.matrix[jc][jdx]) for (idx, jdx) in dpairs)
         for (ic, jc) in cpairs
     )
-    mat = mat_mul(ring, mat_mul(ring, cto, raw), dfrom)
-    return Morphism(dom, cod, mat)
+    return Morphism._trusted(dom, cod, change_basis(ring, cto, raw, dfrom))
 
 
 # ---------------------------------------------------------------------------
@@ -1450,51 +1505,71 @@ class ColimitResult:
     nodes_sum: DirectSum
 
 
-def _accumulate_block(ring, target, left, block):
-    """target += left @ block, in place, exploiting sparsity of ``left``."""
-    is_zero, mul, add = ring.is_zero, ring.mul, ring.add
-    cols = len(block[0]) if block else 0
-    for r, lrow in enumerate(left):
-        trow = target[r]
-        for k, x in enumerate(lrow):
-            if is_zero(x):
-                continue
-            brow = block[k]
-            for c in range(cols):
-                y = brow[c]
-                if not is_zero(y):
-                    trow[c] = add(trow[c], mul(x, y))
+def _block_starts(modules):
+    """Offset of each module's generators in their concatenation, and the
+    concatenation's length."""
+    starts, total = [], 0
+    for m in modules:
+        starts.append(total)
+        total += m.ngens
+    return starts, total
 
 
 def finite_limit(diagram):
-    """Limit as the kernel of the difference map prod(nodes) -> prod(arrows)."""
+    """Limit as the kernel of the difference map prod(nodes) -> prod(arrows).
+
+    In raw coordinates, the block row of arrow a: src -> tgt holds f in the
+    columns of node src and -id in those of node tgt.
+    """
     ring = diagram.ring
     nodes_sum = direct_sum(ring, diagram.nodes)
-    arr_sum = direct_sum(ring, tuple(diagram.nodes[tgt] for _, tgt, _ in diagram.arrows))
-    rows, cols = arr_sum.module.ngens, nodes_sum.module.ngens
-    delta_rows = [[ring.zero()] * cols for _ in range(rows)]
+    node_at, nodes_raw = _block_starts(diagram.nodes)
+    targets = [diagram.nodes[tgt] for _, tgt, _ in diagram.arrows]
+    arrow_at, arrows_raw = _block_starts(targets)
+    arr_mod, arr_to, _ = normalize_orders(ring, [f for m in targets for f in m.factors])
+    zero, minus_one, add = ring.zero(), ring.neg(ring.one()), ring.add
+    raw = [[zero] * nodes_raw for _ in range(arrows_raw)]
     for a, (src, tgt, f) in enumerate(diagram.arrows):
-        leg = f.compose(nodes_sum.projections[src]) - nodes_sum.projections[tgt]
-        _accumulate_block(ring, delta_rows, arr_sum.injections[a].matrix, leg.matrix)
-    delta = Morphism(nodes_sum.module, arr_sum.module,
-                     tuple(tuple(r) for r in delta_rows))
+        r0, c0 = arrow_at[a], node_at[src]
+        for r, row in enumerate(f.matrix):
+            raw[r0 + r][c0:c0 + len(row)] = row
+        c0 = node_at[tgt]
+        for k in range(f.codomain.ngens):
+            line = raw[r0 + k]
+            line[c0 + k] = add(line[c0 + k], minus_one)
+    delta = Morphism._trusted(
+        nodes_sum.module, arr_mod,
+        change_basis(ring, arr_to, tuple(map(tuple, raw)), nodes_sum.from_norm))
     kernel, incl, _ = kernel_data(delta)
     cone = tuple(p.compose(incl) for p in nodes_sum.projections)
     return LimitResult(kernel, cone, incl, nodes_sum)
 
 
 def finite_colimit(diagram):
-    """Colimit as the cokernel of the difference map prod(arrows) -> prod(nodes)."""
+    """Colimit as the cokernel of the difference map prod(arrows) -> prod(nodes).
+
+    In raw coordinates, the block column of arrow a: src -> tgt holds f in
+    the rows of node tgt and -id in those of node src.
+    """
     ring = diagram.ring
     nodes_sum = direct_sum(ring, diagram.nodes)
-    arr_sum = direct_sum(ring, tuple(diagram.nodes[src] for src, _, _ in diagram.arrows))
-    rows, cols = nodes_sum.module.ngens, arr_sum.module.ngens
-    delta_rows = [[ring.zero()] * cols for _ in range(rows)]
+    node_at, nodes_raw = _block_starts(diagram.nodes)
+    sources = [diagram.nodes[src] for src, _, _ in diagram.arrows]
+    arrow_at, arrows_raw = _block_starts(sources)
+    arr_mod, _, arr_from = normalize_orders(ring, [f for m in sources for f in m.factors])
+    zero, minus_one, add = ring.zero(), ring.neg(ring.one()), ring.add
+    raw = [[zero] * arrows_raw for _ in range(nodes_raw)]
     for a, (src, tgt, f) in enumerate(diagram.arrows):
-        leg = nodes_sum.injections[tgt].compose(f) - nodes_sum.injections[src]
-        _accumulate_block(ring, delta_rows, leg.matrix, arr_sum.projections[a].matrix)
-    delta = Morphism(arr_sum.module, nodes_sum.module,
-                     tuple(tuple(r) for r in delta_rows))
+        c0, r0 = arrow_at[a], node_at[tgt]
+        for r, row in enumerate(f.matrix):
+            raw[r0 + r][c0:c0 + len(row)] = row
+        r0 = node_at[src]
+        for k in range(f.domain.ngens):
+            line = raw[r0 + k]
+            line[c0 + k] = add(line[c0 + k], minus_one)
+    delta = Morphism._trusted(
+        arr_mod, nodes_sum.module,
+        change_basis(ring, nodes_sum.to_norm, tuple(map(tuple, raw)), arr_from))
     coker, proj = cokernel_data(delta)
     cocone = tuple(proj.compose(inj) for inj in nodes_sum.injections)
     return ColimitResult(coker, cocone, proj, nodes_sum)
@@ -1549,32 +1624,22 @@ def factor_through_epi(projection, given):
     return u
 
 
-def _stack_legs_into(ring, ds, legs, domain):
-    rows = ds.module.ngens
-    cols = domain.ngens
-    out = [[ring.zero()] * cols for _ in range(rows)]
-    for inj, leg in zip(ds.injections, legs):
-        _accumulate_block(ring, out, inj.matrix, leg.matrix)
-    return Morphism(domain, ds.module, tuple(tuple(r) for r in out))
-
-
 def factor_through_limit(limit, legs, domain):
     """The unique u: domain -> limit with cone_i o u = legs[i]."""
     ds = limit.nodes_sum
-    stacked = _stack_legs_into(limit.module.ring, ds, legs, domain)
+    rows = tuple(row for leg in legs for row in leg.matrix)
+    stacked = Morphism(domain, ds.module,
+                       change_basis(limit.module.ring, ds.to_norm, rows, None))
     return factor_through_mono(limit.inclusion, stacked)
 
 
 def factor_through_colimit(colimit, legs, codomain):
     """The unique u: colimit -> codomain with u o cocone_i = legs[i]."""
-    ring = colimit.module.ring
     ds = colimit.nodes_sum
-    rows = codomain.ngens
-    cols = ds.module.ngens
-    out = [[ring.zero()] * cols for _ in range(rows)]
-    for proj, leg in zip(ds.projections, legs):
-        _accumulate_block(ring, out, leg.matrix, proj.matrix)
-    stacked = Morphism(ds.module, codomain, tuple(tuple(r) for r in out))
+    rows = tuple(tuple(x for leg in legs for x in leg.matrix[r])
+                 for r in range(codomain.ngens))
+    stacked = Morphism(ds.module, codomain,
+                       change_basis(colimit.module.ring, None, rows, ds.from_norm))
     u = factor_through_epi(colimit.projection, stacked)
     for coc, leg in zip(colimit.cocone, legs):
         if u.compose(coc).matrix != leg.matrix:

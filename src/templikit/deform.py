@@ -34,6 +34,7 @@ from .coeff import (
 from .kan import (
     CheckItem,
     CheckReport,
+    _limit_over_diagram,
     check_deg_projective,
     check_levelwise,
     check_quasicategory,
@@ -407,7 +408,7 @@ def _wedge_square_maps(y, n, i):
     mid = Necklace((0, i, n))
     a_mod = y.value(mid)
     c_diag = build_diagram("wedge_intersection", n, i)
-    c_lim = _limit_for(y, c_diag)
+    c_lim = _limit_over_diagram(y, c_diag)
     ident = fint_identity(n)
     a_to_c = factor_through_limit(
         c_lim, [y.action(NecklaceMap(obj.source, mid, ident)) for obj in c_diag.objects],
@@ -427,12 +428,6 @@ def _wedge_square_maps(y, n, i):
         [p_wing.limit.cone[p_index[obj.source.points]] for obj in b_wing.diagram.objects],
         p_wing.module)
     return p_wing, b_wing, a_mod, c_lim, a_to_c, b_to_c, p_to_a, p_to_b
-
-
-def _limit_for(y, diagram):
-    nodes = tuple(y.value(obj.source) for obj in diagram.objects)
-    arrows = tuple((k, i, y.action(g)) for (i, k, g) in diagram.arrows)
-    return finite_limit(ModuleDiagram(y.ring, nodes, arrows))
 
 
 def verify_wings_tensor(x, module, max_level=None, *, diagnostics=True):
@@ -653,17 +648,13 @@ def _colimit_comparison(theta, upper, lower, n, a, b):
     nodes_lo = tuple(lower.level_quiver(s.target_dim).hom(a, b) for s in diagram.objects)
     arrows_lo = tuple((k, i, ev_lo.fint_morphism(tau).comp(a, b))
                       for (i, k, tau) in diagram.arrows)
-    colim_lo = _colimit(ModuleDiagram(lower.ring, nodes_lo, arrows_lo))
+    colim_lo = finite_colimit(ModuleDiagram(lower.ring, nodes_lo, arrows_lo))
     nodes_up = tuple(upper.level_quiver(s.target_dim).hom(a, b) for s in diagram.objects)
     arrows_up = tuple((k, i, ev_up.fint_morphism(tau).comp(a, b))
                       for (i, k, tau) in diagram.arrows)
-    colim_up = _colimit(ModuleDiagram(upper.ring, nodes_up, arrows_up))
+    colim_up = finite_colimit(ModuleDiagram(upper.ring, nodes_up, arrows_up))
     legs = [theta.base_change_morphism(coc) for coc in colim_up.cocone]
     try:
         return factor_through_colimit(colim_lo, legs, theta.base_change(colim_up.module))
     except ShapeError:
         return None
-
-
-def _colimit(diagram):
-    return finite_colimit(diagram)

@@ -23,9 +23,9 @@ from .coeff import (
     RingMismatchError,
     ShapeError,
     _tensor_factor,
+    change_basis,
     finite_colimit,
     finite_limit,
-    mat_mul,
     normalize_orders,
 )
 
@@ -220,10 +220,17 @@ class TensorLayout:
         return self._data[(a, c)][2]
 
     def to_norm(self, a, c):
+        """Raw -> normal change of basis; None when it is the identity."""
         return self._data[(a, c)][3]
 
     def from_norm(self, a, c):
+        """Normal -> raw change of basis; None when it is the identity."""
         return self._data[(a, c)][4]
+
+    def normalize(self, a, c, raw, source):
+        """``raw``, a matrix from the raw generators of ``source`` at (a, c)
+        to this layout's, rewritten between the two normal forms."""
+        return change_basis(self.ring, self.to_norm(a, c), raw, source.from_norm(a, c))
 
     def basis_column(self, a, c, path, gens):
         """Normal-form coordinates of a raw basis generator (as a column)."""
@@ -231,6 +238,10 @@ class TensorLayout:
         if i is None:
             raise ShapeError(f"no raw generator {path},{gens} in hom ({a},{c})")
         to_n = self.to_norm(a, c)
+        if to_n is None:
+            ring = self.ring
+            return tuple((ring.one() if r == i else ring.zero(),)
+                         for r in range(self.hom(a, c).ngens))
         return tuple((row[i],) for row in to_n)
 
 
@@ -294,8 +305,7 @@ def tensor_quiver_morphisms(ring, vertices, fs):
                             break
                     row.append(x)
                 rows.append(tuple(row))
-            mat = mat_mul(ring, mat_mul(ring, cod.to_norm(a, c), tuple(rows)), dom.from_norm(a, c))
-            comps[(a, c)] = Morphism(dmod, cmod, mat)
+            comps[(a, c)] = Morphism._trusted(dmod, cmod, cod.normalize(a, c, tuple(rows), dom))
     return QuiverMorphism.build(dom.quiver, cod.quiver, comps)
 
 
@@ -345,7 +355,10 @@ def _flatten_iso_impl(ring, vertices, items):
                 for idx, it in enumerate(items):
                     va, vb = ofull[idx], ofull[idx + 1]
                     g = ogens[idx]
-                    if isinstance(it, TensorLayout):
+                    if isinstance(it, TensorLayout) and it.to_norm(va, vb) is None:
+                        ipath, igens = it.raw_gens(va, vb)[g]
+                        choices.append([(ipath, igens, one, one)])
+                    elif isinstance(it, TensorLayout):
                         from_n = it.from_norm(va, vb)
                         to_n = it.to_norm(va, vb)
                         opts = []
@@ -377,12 +390,8 @@ def _flatten_iso_impl(ring, vertices, items):
                         expand[fi][oi] = ring.add(expand[fi][oi], ce_total)
                     if not ring.is_zero(cc_total):
                         collapse[oi][fi] = ring.add(collapse[oi][fi], cc_total)
-            fwd_mat = mat_mul(ring, mat_mul(
-                ring, flat.to_norm(a, c), tuple(tuple(r) for r in expand)),
-                outer.from_norm(a, c))
-            bwd_mat = mat_mul(ring, mat_mul(
-                ring, outer.to_norm(a, c), tuple(tuple(r) for r in collapse)),
-                flat.from_norm(a, c))
+            fwd_mat = flat.normalize(a, c, tuple(map(tuple, expand)), outer)
+            bwd_mat = outer.normalize(a, c, tuple(map(tuple, collapse)), flat)
             fwd_comps[(a, c)] = Morphism(omod, fmod, fwd_mat)
             bwd_comps[(a, c)] = Morphism(fmod, omod, bwd_mat)
     fwd = QuiverMorphism.build(outer.quiver, flat.quiver, fwd_comps)
@@ -442,10 +451,9 @@ def _unit_insertion_impl(ring, vertices, factors, unit_positions):
                 if ti is None:
                     raise ShapeError("unit insertion misalignment")
                 perm[ti][si] = ring.one()
-            fwd_mat = mat_mul(ring, mat_mul(
-                ring, tgt.to_norm(a, c), tuple(tuple(r) for r in perm)), src.from_norm(a, c))
+            fwd_mat = tgt.normalize(a, c, tuple(map(tuple, perm)), src)
             tperm = tuple(tuple(perm[i][j] for i in range(len(traw))) for j in range(len(sraw)))
-            bwd_mat = mat_mul(ring, mat_mul(ring, src.to_norm(a, c), tperm), tgt.from_norm(a, c))
+            bwd_mat = src.normalize(a, c, tperm, tgt)
             fwd_comps[(a, c)] = Morphism(smod, tmod, fwd_mat)
             bwd_comps[(a, c)] = Morphism(tmod, smod, bwd_mat)
     return (

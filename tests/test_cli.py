@@ -153,3 +153,52 @@ def test_report_determinism(tmp_path, capsys):
     main(["check", str(inst), "--property", "kan", "--format", "json"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def _key_paths(obj, path=()):
+    """Every key of a JSON tree, entering the first entry of each list."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield path + (key,)
+            yield from _key_paths(value, path + (key,))
+    elif isinstance(obj, list) and obj:
+        yield from _key_paths(obj[0], path + (0,))
+
+
+_EXAMPLES = {name: canonical_json(serialize_instance(builtin(name)))
+             for name in ("paper_P", "paper_P_deformed")}
+
+
+def _validate_without(tmp_path, capsys, name, path):
+    """Exit code and stderr of `validate` on example ``name`` minus one key."""
+    data = json.loads(_EXAMPLES[name])
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    file = tmp_path / "x.json"
+    file.write_text(json.dumps(data))
+    code = main(["validate", str(file)])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,path", [
+    pytest.param(name, path, id=f"{name}:{'.'.join(map(str, path))}")
+    for name, blob in _EXAMPLES.items() for path in _key_paths(json.loads(blob))
+])
+def test_missing_key_is_invalid_input(tmp_path, capsys, name, path):
+    code, err = _validate_without(tmp_path, capsys, name, path)
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("path,named", [
+    (("ring",), "$.ring"),
+    (("faces", 0, "n"), "$.faces[0].n"),
+    (("levels", 0, "homs", 0, "source", "s"), "$.levels[0].homs[0].source"),
+])
+def test_missing_key_names_json_path(tmp_path, capsys, path, named):
+    code, err = _validate_without(tmp_path, capsys, "paper_P", path)
+    assert code == 2
+    assert named in err
