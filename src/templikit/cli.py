@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -76,13 +77,41 @@ def _field(obj, key, path):
 def _items(obj, key, path):
     """(path, entry) for each entry of the required list ``obj[key]``."""
     return ((f"{path}.{key}[{k}]", entry)
-            for k, entry in enumerate(_field(obj, key, path)))
+            for k, entry in enumerate(_list(_field(obj, key, path), f"{path}.{key}")))
+
+
+def _list(value, path):
+    if not isinstance(value, list):
+        raise InvalidInstanceError(f"{path} is not a JSON list")
+    return value
+
+
+def _count(obj, key, path, minimum=0):
+    """The required JSON integer ``obj[key]``, at least ``minimum``."""
+    value = _field(obj, key, path)
+    if type(value) is not int or value < minimum:
+        raise InvalidInstanceError(
+            f"{path}.{key} is not an integer >= {minimum}: {value!r}")
+    return value
+
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _decimal(value, path):
+    """An integer stored as a decimal string."""
+    if not (isinstance(value, str) and _DECIMAL.fullmatch(value)):
+        raise InvalidInstanceError(f"{path} is not a decimal integer string: {value!r}")
+    return int(value)
 
 
 def _dec_ring(obj, path):
-    return Ring(_field(obj, "kind", path),
-                p=int(obj["p"]) if "p" in obj else None,
-                m=int(obj["m"]) if "m" in obj else None)
+    kind = _field(obj, "kind", path)
+    if not isinstance(kind, str):
+        raise InvalidInstanceError(f"{path}.kind is not a string: {kind!r}")
+    return Ring(kind,
+                p=_decimal(obj["p"], f"{path}.p") if "p" in obj else None,
+                m=_decimal(obj["m"], f"{path}.m") if "m" in obj else None)
 
 
 def parse_ring_spec(text):
@@ -121,9 +150,11 @@ def _enc_label(label):
 def _dec_label(obj, path):
     if isinstance(obj, dict):
         if "s" in obj:
+            if not isinstance(obj["s"], str):
+                raise InvalidInstanceError(f"{path}.s is not a string: {obj['s']!r}")
             return obj["s"]
         if "i" in obj:
-            return int(obj["i"])
+            return _decimal(obj["i"], f"{path}.i")
         if "t" in obj:
             return tuple(_dec_label(x, p) for p, x in _items(obj, "t", path))
     raise InvalidInstanceError(f"{path} is not a vertex label")
@@ -137,21 +168,27 @@ def _enc_elt(ring, x):
     return str(x)
 
 
-def _dec_elt(ring, obj):
+def _dec_elt(ring, obj, path):
     if ring.kind == "rationals":
-        num, den = obj.split("/")
-        return Fraction(int(num), int(den))
+        num, sep, den = obj.partition("/") if isinstance(obj, str) else ("", "", "")
+        if not sep:
+            raise InvalidInstanceError(f"{path} is not a fraction string: {obj!r}")
+        den = _decimal(den, path)
+        if den == 0:
+            raise InvalidInstanceError(f"{path} has denominator 0")
+        return Fraction(_decimal(num, path), den)
     if ring.kind == "dual-chain":
-        return ring.reduce(tuple(int(c) for c in obj))
-    return ring.reduce(int(obj))
+        return ring.reduce(tuple(_decimal(c, path) for c in _list(obj, path)))
+    return ring.reduce(_decimal(obj, path))
 
 
 def _enc_factors(module):
     return ["free" if f == FREE else str(f) for f in module.factors]
 
 
-def _dec_factors(ring, obj):
-    return Module(ring, tuple(FREE if f == "free" else int(f) for f in obj))
+def _dec_factors(ring, obj, path):
+    return Module(ring, tuple(FREE if f == "free" else _decimal(f, f"{path}[{k}]")
+                              for k, f in enumerate(_list(obj, path))))
 
 
 def _enc_quiver(quiver):
@@ -169,7 +206,7 @@ def _dec_quiver(ring, vertices, obj, path):
     for p, entry in _items(obj, "homs", path):
         a = _dec_label(_field(entry, "source", p), f"{p}.source")
         b = _dec_label(_field(entry, "target", p), f"{p}.target")
-        homs[(a, b)] = _dec_factors(ring, _field(entry, "factors", p))
+        homs[(a, b)] = _dec_factors(ring, _field(entry, "factors", p), f"{p}.factors")
     return Quiver.build(ring, vertices, homs)
 
 
@@ -188,9 +225,9 @@ def _dec_qmorphism(ring, dom, cod, obj, path):
     for p, entry in _items(obj, "components", path):
         a = _dec_label(_field(entry, "source", p), f"{p}.source")
         b = _dec_label(_field(entry, "target", p), f"{p}.target")
-        rows, cols = _field(entry, "rows", p), _field(entry, "cols", p)
-        mat = tuple(tuple(_dec_elt(ring, x) for x in row)
-                    for row in _field(entry, "entries", p))
+        rows, cols = _count(entry, "rows", p), _count(entry, "cols", p)
+        mat = tuple(tuple(_dec_elt(ring, x, f"{q}[{c}]") for c, x in enumerate(_list(row, q)))
+                    for q, row in _items(entry, "entries", p))
         if len(mat) != rows or any(len(r) != cols for r in mat):
             raise TemplikitError(f"matrix dimensions inconsistent at ({a},{b})")
         comps[(a, b)] = Morphism(dom.hom(a, b), cod.hom(a, b), mat)
@@ -221,27 +258,31 @@ def _enc_templicial(x):
 def _dec_templicial(obj, path):
     ring = _dec_ring(_field(obj, "ring", path), f"{path}.ring")
     vertices = tuple(_dec_label(v, p) for p, v in _items(obj, "vertices", path))
-    max_level = _field(obj, "max_level", path)
+    max_level = _count(obj, "max_level", path)
     levels = tuple(_dec_quiver(ring, vertices, q, p) for p, q in _items(obj, "levels", path))
 
-    def level_quiver(n):
+    def level_quiver(n, p):
         from .quiver import unit_quiver
 
+        if n > len(levels):
+            raise InvalidInstanceError(f"{p} refers to level {n} of {len(levels)}")
         return unit_quiver(ring, vertices) if n == 0 else levels[n - 1]
 
     faces = {}
     for p, entry in _items(obj, "faces", path):
-        n, j = _field(entry, "n", p), _field(entry, "j", p)
-        faces[(n, j)] = _dec_qmorphism(ring, level_quiver(n), level_quiver(n - 1), entry, p)
+        n, j = _count(entry, "n", p, 1), _count(entry, "j", p)
+        faces[(n, j)] = _dec_qmorphism(ring, level_quiver(n, p), level_quiver(n - 1, p),
+                                       entry, p)
     degens = {}
     for p, entry in _items(obj, "degeneracies", path):
-        n, i = _field(entry, "n", p), _field(entry, "i", p)
-        degens[(n, i)] = _dec_qmorphism(ring, level_quiver(n), level_quiver(n + 1), entry, p)
+        n, i = _count(entry, "n", p), _count(entry, "i", p)
+        degens[(n, i)] = _dec_qmorphism(ring, level_quiver(n, p), level_quiver(n + 1, p),
+                                        entry, p)
     comults = {}
     for p, entry in _items(obj, "comultiplications", path):
-        k, l = _field(entry, "k", p), _field(entry, "l", p)
-        layout = tensor_layout(ring, vertices, (level_quiver(k), level_quiver(l)))
-        comults[(k, l)] = _dec_qmorphism(ring, level_quiver(k + l), layout.quiver, entry, p)
+        k, l = _count(entry, "k", p), _count(entry, "l", p)
+        layout = tensor_layout(ring, vertices, (level_quiver(k, p), level_quiver(l, p)))
+        comults[(k, l)] = _dec_qmorphism(ring, level_quiver(k + l, p), layout.quiver, entry, p)
     return TemplicialModule.build(ring, vertices, max_level, levels,
                                   faces, degens, comults)
 

@@ -342,10 +342,13 @@ def mat_zero(ring, rows, cols):
     return tuple((zero,) * cols for _ in range(rows))
 
 
-def mat_mul(ring, a, b):
+def mat_mul(ring, a, b, cols=None):
+    """a * b.  ``cols`` is the width of b: a b without rows cannot show it,
+    so callers pass it where the inner dimension may be 0 (default: 0)."""
     rows = len(a)
     inner = len(b)
-    cols = len(b[0]) if inner else 0
+    if cols is None:
+        cols = len(b[0]) if inner else 0
     if rows and len(a[0]) != inner:
         raise ShapeError(f"cannot multiply {rows}x{len(a[0])} by {inner}x{cols}")
     zero = ring.zero()
@@ -879,6 +882,27 @@ def _order_columns(module):
     return tuple(tuple(col[i] for col in cols) for i in range(n))
 
 
+def _reduce_torsion_rows(module, matrix):
+    """``matrix`` with the rows of ``module``'s torsion generators reduced
+    modulo their orders; the rows of free generators are kept as they are."""
+    ntors = module.ngens - module.rank
+    if not ntors:
+        return matrix
+    ring = module.ring
+    rows = list(matrix)
+    for i in range(ntors):
+        f = module.factors[i]
+        if ring.kind == INTEGERS:
+            rows[i] = tuple(x % f for x in rows[i])
+        elif ring.kind == CHAIN:
+            q = ring._pows[f]
+            rows[i] = tuple(x % q for x in rows[i])
+        else:
+            pad = (0,) * (ring.m - f)
+            rows[i] = tuple(x[:f] + pad if any(x[f:]) else x for x in rows[i])
+    return tuple(rows)
+
+
 @dataclass(frozen=True)
 class Morphism:
     """Matrix morphism between presented modules.
@@ -943,25 +967,10 @@ class Morphism:
         reduced, because products and sums over Z or a chain ring can leave
         them above the generator order; free rows are kept as they are.
         """
-        ntors = codomain.ngens - codomain.rank
-        if ntors:
-            ring = domain.ring
-            rows = list(matrix)
-            for i in range(ntors):
-                f = codomain.factors[i]
-                if ring.kind == INTEGERS:
-                    rows[i] = tuple(x % f for x in rows[i])
-                elif ring.kind == CHAIN:
-                    q = ring._pows[f]
-                    rows[i] = tuple(x % q for x in rows[i])
-                else:
-                    pad = (0,) * (ring.m - f)
-                    rows[i] = tuple(x[:f] + pad if any(x[f:]) else x for x in rows[i])
-            matrix = tuple(rows)
         out = object.__new__(Morphism)
         object.__setattr__(out, "domain", domain)
         object.__setattr__(out, "codomain", codomain)
-        object.__setattr__(out, "matrix", matrix)
+        object.__setattr__(out, "matrix", _reduce_torsion_rows(codomain, matrix))
         return out
 
     @property
@@ -981,10 +990,9 @@ class Morphism:
         """self o other."""
         if other.codomain != self.domain:
             raise ShapeError("composition mismatch")
-        if self.domain.ngens == 0:
-            return Morphism.zero(other.domain, self.codomain)
         return Morphism._trusted(other.domain, self.codomain,
-                                 mat_mul(self.ring, self.matrix, other.matrix))
+                                 mat_mul(self.ring, self.matrix, other.matrix,
+                                         other.domain.ngens))
 
     def __add__(self, other):
         if self.domain != other.domain or self.codomain != other.codomain:
@@ -1491,18 +1499,31 @@ class ModuleDiagram:
 
 @dataclass(frozen=True)
 class LimitResult:
+    """A limit presented on the free nodes of a spanning forest.
+
+    ``free`` lists the free nodes (ascending), ``nodes_sum`` is their direct
+    sum and ``inclusion`` embeds the limit into it; every other node is
+    determined by a free one along the forest.  ``cone`` has one leg per
+    node of the diagram.
+    """
+
     module: Module
-    cone: tuple            # projections limit -> node_i
-    inclusion: Morphism    # into the direct sum of the nodes
-    nodes_sum: DirectSum
+    cone: tuple            # projections limit -> node_i, for every node
+    inclusion: Morphism    # into the direct sum of the free nodes
+    nodes_sum: DirectSum   # of the free nodes
+    free: tuple
 
 
 @dataclass(frozen=True)
 class ColimitResult:
+    """A colimit presented on the free nodes (the sinks) of a spanning forest;
+    the dual of :class:`LimitResult`."""
+
     module: Module
-    cocone: tuple          # injections node_i -> colimit
-    projection: Morphism   # from the direct sum of the nodes
-    nodes_sum: DirectSum
+    cocone: tuple          # injections node_i -> colimit, for every node
+    projection: Morphism   # from the direct sum of the free nodes
+    nodes_sum: DirectSum   # of the free nodes
+    free: tuple
 
 
 def _block_starts(modules):
@@ -1515,64 +1536,189 @@ def _block_starts(modules):
     return starts, total
 
 
-def finite_limit(diagram):
-    """Limit as the kernel of the difference map prod(nodes) -> prod(arrows).
+def _spanning_forest(size, arrows, reverse=False):
+    """A spanning forest of a diagram, grown along its arrows (against them
+    when ``reverse``).
 
-    In raw coordinates, the block row of arrow a: src -> tgt holds f in the
-    columns of node src and -id in those of node tgt.
+    The roots, called free nodes, are the nodes no arrow from another node
+    reaches; when a cycle leaves nodes unreached, the lowest-index one is
+    freed as well.  Returns ``(free, tree, order)``: the free nodes in
+    ascending order, ``tree[t]`` the index of the arrow that reaches t (None
+    for a free node), and all nodes in breadth-first order, each after the
+    node its tree arrow comes from.
     """
-    ring = diagram.ring
-    nodes_sum = direct_sum(ring, diagram.nodes)
-    node_at, nodes_raw = _block_starts(diagram.nodes)
-    targets = [diagram.nodes[tgt] for _, tgt, _ in diagram.arrows]
-    arrow_at, arrows_raw = _block_starts(targets)
-    arr_mod, arr_to, _ = normalize_orders(ring, [f for m in targets for f in m.factors])
-    zero, minus_one, add = ring.zero(), ring.neg(ring.one()), ring.add
-    raw = [[zero] * nodes_raw for _ in range(arrows_raw)]
-    for a, (src, tgt, f) in enumerate(diagram.arrows):
-        r0, c0 = arrow_at[a], node_at[src]
-        for r, row in enumerate(f.matrix):
-            raw[r0 + r][c0:c0 + len(row)] = row
-        c0 = node_at[tgt]
-        for k in range(f.codomain.ngens):
+    succ = [[] for _ in range(size)]
+    seen = [True] * size
+    for a, (src, tgt, _) in enumerate(arrows):
+        if src != tgt:
+            if reverse:
+                src, tgt = tgt, src
+            succ[src].append((a, tgt))
+            seen[tgt] = False
+    free = [i for i in range(size) if seen[i]]
+    tree = [None] * size
+    order = list(free)
+    done, lowest = 0, 0
+    while True:
+        while done < len(order):
+            for a, t in succ[order[done]]:
+                if not seen[t]:
+                    seen[t] = True
+                    tree[t] = a
+                    order.append(t)
+            done += 1
+        while lowest < size and seen[lowest]:
+            lowest += 1
+        if lowest == size:
+            return sorted(free), tree, order
+        seen[lowest] = True
+        free.append(lowest)
+        order.append(lowest)
+
+
+def _forest_paths(ring, nodes, arrows, tree, order, reverse=False):
+    """Root of every node and the composite along its tree path.
+
+    ``path[t]`` is the raw matrix of the composite root -> t (t -> root when
+    ``reverse``), reduced modulo the torsion of its codomain; None stands
+    for the identity of a root.
+    """
+    root = list(range(len(nodes)))
+    path = [None] * len(nodes)
+    for t in order:
+        a = tree[t]
+        if a is None:
+            continue
+        src, tgt, f = arrows[a]
+        if reverse:
+            r = root[tgt]
+            path[t] = f.matrix if path[tgt] is None else _reduce_torsion_rows(
+                nodes[r], mat_mul(ring, path[tgt], f.matrix, nodes[t].ngens))
+        else:
+            r = root[src]
+            path[t] = f.matrix if path[src] is None else _reduce_torsion_rows(
+                nodes[t], mat_mul(ring, f.matrix, path[src], nodes[r].ngens))
+        root[t] = r
+    return root, path
+
+
+def _subtract_block(ring, raw, r0, c0, block, size):
+    """raw[r0 + r][c0 + c] -= block[r][c]; a None block is the identity of
+    the given size."""
+    add = ring.add
+    if block is None:
+        minus_one = ring.neg(ring.one())
+        for k in range(size):
             line = raw[r0 + k]
             line[c0 + k] = add(line[c0 + k], minus_one)
+        return
+    neg, is_zero = ring.neg, ring.is_zero
+    for r, row in enumerate(block):
+        line = raw[r0 + r]
+        for c, x in enumerate(row):
+            if not is_zero(x):
+                line[c0 + c] = add(line[c0 + c], neg(x))
+
+
+def finite_limit(diagram):
+    """Limit of a finite diagram, solved on a spanning forest.
+
+    A node t that is not free is reached by a tree arrow s -> t, so on the
+    limit x_t = f(x_s); unwinding the forest gives x_t = P_t(x) for a
+    composite P_t out of the direct sum of the free nodes.  Eliminating t is
+    exact and needs no Smith run, because its block in the difference map is
+    -id.  The tree arrows' equations then hold by construction, and the limit
+    is the kernel of the difference map whose block row for every other
+    arrow a: src -> tgt is f_a o P_src - P_tgt.  The cone to t is
+    P_t o inclusion.
+
+    The arrows need only generate the diagram's equations: for a functor on
+    a poset the covering arrows suffice, since every composite's equation
+    follows from those of its factors.
+    """
+    ring = diagram.ring
+    nodes, arrows = diagram.nodes, diagram.arrows
+    free, tree, order = _spanning_forest(len(nodes), arrows)
+    root, path = _forest_paths(ring, nodes, arrows, tree, order)
+    free_sum = direct_sum(ring, [nodes[i] for i in free])
+    starts, width = _block_starts(nodes[i] for i in free)
+    at = dict(zip(free, starts))
+    equations = [(src, tgt, f) for a, (src, tgt, f) in enumerate(arrows) if tree[tgt] != a]
+    targets = [nodes[tgt] for _, tgt, _ in equations]
+    arrow_at, height = _block_starts(targets)
+    arr_mod, arr_to, _ = normalize_orders(ring, [f for m in targets for f in m.factors])
+    zero = ring.zero()
+    raw = [[zero] * width for _ in range(height)]
+    for r0, (src, tgt, f) in zip(arrow_at, equations):
+        r = root[src]
+        lhs = f.matrix if path[src] is None else mat_mul(ring, f.matrix, path[src],
+                                                         nodes[r].ngens)
+        c0 = at[r]
+        for k, row in enumerate(lhs):
+            raw[r0 + k][c0:c0 + len(row)] = row
+        _subtract_block(ring, raw, r0, at[root[tgt]], path[tgt], nodes[tgt].ngens)
     delta = Morphism._trusted(
-        nodes_sum.module, arr_mod,
-        change_basis(ring, arr_to, tuple(map(tuple, raw)), nodes_sum.from_norm))
+        free_sum.module, arr_mod,
+        change_basis(ring, arr_to, tuple(map(tuple, raw)), free_sum.from_norm))
     kernel, incl, _ = kernel_data(delta)
-    cone = tuple(p.compose(incl) for p in nodes_sum.projections)
-    return LimitResult(kernel, cone, incl, nodes_sum)
+    k = kernel.ngens
+    into_free = (incl.matrix if free_sum.from_norm is None
+                 else mat_mul(ring, free_sum.from_norm, incl.matrix, k))
+    cone = []
+    for t, node in enumerate(nodes):
+        r = root[t]
+        block = into_free[at[r]:at[r] + nodes[r].ngens]
+        if path[t] is not None:
+            block = mat_mul(ring, path[t], block, k)
+        cone.append(Morphism._trusted(kernel, node, block))
+    return LimitResult(kernel, tuple(cone), incl, free_sum, tuple(free))
 
 
 def finite_colimit(diagram):
-    """Colimit as the cokernel of the difference map prod(arrows) -> prod(nodes).
+    """Colimit of a finite diagram, solved on a spanning forest.
 
-    In raw coordinates, the block column of arrow a: src -> tgt holds f in
-    the rows of node tgt and -id in those of node src.
+    The dual of :func:`finite_limit`: the forest grows against the arrows
+    from the free nodes, which are the sinks.  A node s that is not free
+    leaves along a tree arrow s -> t, so on the colimit its injection is
+    P_s = P_t o f; the colimit is the cokernel of the difference map whose
+    block column for every other arrow a: src -> tgt is P_tgt o f_a - P_src,
+    and the cocone at s is projection o P_s.
     """
     ring = diagram.ring
-    nodes_sum = direct_sum(ring, diagram.nodes)
-    node_at, nodes_raw = _block_starts(diagram.nodes)
-    sources = [diagram.nodes[src] for src, _, _ in diagram.arrows]
-    arrow_at, arrows_raw = _block_starts(sources)
+    nodes, arrows = diagram.nodes, diagram.arrows
+    free, tree, order = _spanning_forest(len(nodes), arrows, reverse=True)
+    root, path = _forest_paths(ring, nodes, arrows, tree, order, reverse=True)
+    free_sum = direct_sum(ring, [nodes[i] for i in free])
+    starts, height = _block_starts(nodes[i] for i in free)
+    at = dict(zip(free, starts))
+    relations = [(src, tgt, f) for a, (src, tgt, f) in enumerate(arrows) if tree[src] != a]
+    sources = [nodes[src] for src, _, _ in relations]
+    arrow_at, width = _block_starts(sources)
     arr_mod, _, arr_from = normalize_orders(ring, [f for m in sources for f in m.factors])
-    zero, minus_one, add = ring.zero(), ring.neg(ring.one()), ring.add
-    raw = [[zero] * arrows_raw for _ in range(nodes_raw)]
-    for a, (src, tgt, f) in enumerate(diagram.arrows):
-        c0, r0 = arrow_at[a], node_at[tgt]
-        for r, row in enumerate(f.matrix):
-            raw[r0 + r][c0:c0 + len(row)] = row
-        r0 = node_at[src]
-        for k in range(f.domain.ngens):
-            line = raw[r0 + k]
-            line[c0 + k] = add(line[c0 + k], minus_one)
+    zero = ring.zero()
+    raw = [[zero] * width for _ in range(height)]
+    for c0, (src, tgt, f) in zip(arrow_at, relations):
+        rhs = f.matrix if path[tgt] is None else mat_mul(ring, path[tgt], f.matrix,
+                                                         nodes[src].ngens)
+        r0 = at[root[tgt]]
+        for k, row in enumerate(rhs):
+            raw[r0 + k][c0:c0 + len(row)] = row
+        _subtract_block(ring, raw, at[root[src]], c0, path[src], nodes[src].ngens)
     delta = Morphism._trusted(
-        arr_mod, nodes_sum.module,
-        change_basis(ring, nodes_sum.to_norm, tuple(map(tuple, raw)), arr_from))
+        arr_mod, free_sum.module,
+        change_basis(ring, free_sum.to_norm, tuple(map(tuple, raw)), arr_from))
     coker, proj = cokernel_data(delta)
-    cocone = tuple(proj.compose(inj) for inj in nodes_sum.injections)
-    return ColimitResult(coker, cocone, proj, nodes_sum)
+    from_free = (proj.matrix if free_sum.to_norm is None
+                 else mat_mul(ring, proj.matrix, free_sum.to_norm, height))
+    cocone = []
+    for s, node in enumerate(nodes):
+        r = root[s]
+        c0 = at[r]
+        block = tuple(row[c0:c0 + nodes[r].ngens] for row in from_free)
+        if path[s] is not None:
+            block = mat_mul(ring, block, path[s], node.ngens)
+        cocone.append(Morphism._trusted(node, coker, block))
+    return ColimitResult(coker, tuple(cocone), proj, free_sum, tuple(free))
 
 
 def factor_through_mono(inclusion, given):
@@ -1625,18 +1771,34 @@ def factor_through_epi(projection, given):
 
 
 def factor_through_limit(limit, legs, domain):
-    """The unique u: domain -> limit with cone_i o u = legs[i]."""
+    """The unique u: domain -> limit with cone_i o u = legs[i].
+
+    u is solved on the legs to the free nodes and then checked against every
+    leg, so a family that is not a cone raises ShapeError.
+    """
+    if len(legs) != len(limit.cone):
+        raise ShapeError("factor_through_limit needs one leg per node")
     ds = limit.nodes_sum
-    rows = tuple(row for leg in legs for row in leg.matrix)
+    rows = tuple(row for i in limit.free for row in legs[i].matrix)
     stacked = Morphism(domain, ds.module,
                        change_basis(limit.module.ring, ds.to_norm, rows, None))
-    return factor_through_mono(limit.inclusion, stacked)
+    u = factor_through_mono(limit.inclusion, stacked)
+    for cone, leg in zip(limit.cone, legs):
+        if cone.compose(u).matrix != leg.matrix:
+            raise ShapeError("limit factorization verification failed")
+    return u
 
 
 def factor_through_colimit(colimit, legs, codomain):
-    """The unique u: colimit -> codomain with u o cocone_i = legs[i]."""
+    """The unique u: colimit -> codomain with u o cocone_i = legs[i].
+
+    u is solved on the legs from the free nodes and then checked against
+    every leg, so a family that is not a cocone raises ShapeError.
+    """
+    if len(legs) != len(colimit.cocone):
+        raise ShapeError("factor_through_colimit needs one leg per node")
     ds = colimit.nodes_sum
-    rows = tuple(tuple(x for leg in legs for x in leg.matrix[r])
+    rows = tuple(tuple(x for i in colimit.free for x in legs[i].matrix[r])
                  for r in range(codomain.ngens))
     stacked = Morphism(ds.module, codomain,
                        change_basis(colimit.module.ring, None, rows, ds.from_norm))

@@ -2,9 +2,11 @@
 
 Surjectivity of a module map implements "regular epimorphism": over module
 categories the underlying-set functor preserves and reflects regular epis.
-Horn and wing objects are computed as finite limits over the full index
-diagrams (every commuting necklace map over the simplex), so no presentation
-argument is needed for correctness.
+Horn and wing objects are computed as finite limits over the index posets of
+necklace maps into the simplex, and degenerate parts as colimits over the
+poset of surjections.  The diagrams keep only the covering arrows: Y is
+validated functorial at the trust boundary, so the equation of every other
+arrow, a composite of covering ones, follows from theirs.
 """
 
 from __future__ import annotations
@@ -216,7 +218,15 @@ def check_templicial_wings(x, max_level=None, *, assume_valid=False):
 
 
 def degenerate_subobject(x, n):
-    """(X^deg_n, can_n, X^nd_n) via the colimit over non-identity surjections."""
+    """(X^deg_n, can_n, X^nd_n, X_n -> X^nd_n) via the colimit over
+    non-identity surjections."""
+    deg, _, can, nd_quiver, nd_proj = _degenerate_parts(x, n)
+    return deg, can, nd_quiver, nd_proj
+
+
+def _degenerate_parts(x, n):
+    """Like :func:`degenerate_subobject`, with the hom-wise colimits as a
+    dict {(a, b): ColimitResult} after X^deg_n."""
     ev = evaluator(x)
     diagram = build_diagram("degeneracy", n)
     nodes = tuple(x.level_quiver(s.target_dim) for s in diagram.objects)
@@ -238,7 +248,7 @@ def degenerate_subobject(x, n):
     nd_quiver = Quiver.build(x.ring, x.vertices, nd_homs)
     can = QuiverMorphism.build(colim.quiver, level_n, can_comps)
     nd_proj = QuiverMorphism.build(level_n, nd_quiver, nd_proj_comps)
-    return colim.quiver, can, nd_quiver, nd_proj
+    return colim.quiver, dict(colim.hom_colimits), can, nd_quiver, nd_proj
 
 
 def check_deg_projective(x, max_level=None, *, assume_valid=False):

@@ -325,7 +325,9 @@ class IndexDiagram:
     For horn/wing kinds the objects are necklace maps f_i into Delta^n and an
     arrow (i, k, g) satisfies f_k o g = f_i.  For the degeneracy kind the
     objects are surjections s_i out of [n] and an arrow (i, k, t) satisfies
-    s_k = t o s_i.
+    s_k = t o s_i.  Either way the objects form a poset, and only its
+    covering arrows are kept: every other arrow is a composite of them, so
+    for a functor its equation follows from theirs.
     """
 
     kind: str
@@ -349,6 +351,16 @@ def _arrow_between(fi, fk):
         return None
 
 
+def _covering(arrows):
+    """The covering (Hasse) arrows among all arrows (i, k, g) of a finite
+    poset: those with no object m strictly between i and k."""
+    above = {}
+    for i, k, _ in arrows:
+        above.setdefault(i, set()).add(k)
+    return tuple((i, k, g) for i, k, g in arrows
+                 if not any(k in above.get(m, ()) for m in above[i] if m != k))
+
+
 def _slice_arrows(objects):
     arrows = []
     for i, fi in enumerate(objects):
@@ -358,7 +370,7 @@ def _slice_arrows(objects):
             g = _arrow_between(fi, fk)
             if g is not None:
                 arrows.append((i, k, g))
-    return tuple(arrows)
+    return _covering(arrows)
 
 
 @lru_cache(maxsize=None)
@@ -434,5 +446,5 @@ def build_diagram(kind, n, extra=None):
                     continue
                 if tau.compose(si) == sk:
                     arrows.append((i, k, tau))
-        return IndexDiagram(kind, objects, tuple(arrows))
+        return IndexDiagram(kind, objects, _covering(arrows))
     raise ShapeError(f"unknown diagram kind {kind!r}")

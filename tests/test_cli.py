@@ -202,3 +202,60 @@ def test_missing_key_names_json_path(tmp_path, capsys, path, named):
     code, err = _validate_without(tmp_path, capsys, "paper_P", path)
     assert code == 2
     assert named in err
+
+
+# keys holding integers: JSON numbers, except the decimal strings of the ring
+_INT_KEYS = ("max_level", "n", "j", "i", "k", "l", "rows", "cols")
+_DECIMAL_KEYS = ("p", "m")
+
+
+def _wrong_values(key, value):
+    """A string, a list and a negative value in place of an integer ``value``."""
+    if key in _DECIMAL_KEYS:
+        return {"string": "x", "list": [value], "negative": "-" + value}
+    return {"string": str(value), "list": [value], "negative": -1}
+
+
+def _integer_paths(obj, path=()):
+    for key_path in _key_paths(obj, path):
+        if key_path[-1] in _INT_KEYS + _DECIMAL_KEYS:
+            yield key_path
+
+
+@pytest.mark.parametrize("name,path,kind", [
+    pytest.param(name, path, kind, id=f"{name}:{'.'.join(map(str, path))}:{kind}")
+    for name, blob in _EXAMPLES.items() for path in _integer_paths(json.loads(blob))
+    for kind in ("string", "list", "negative")
+])
+def test_wrong_typed_integer_is_invalid_input(tmp_path, capsys, name, path, kind):
+    data = json.loads(_EXAMPLES[name])
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = _wrong_values(path[-1], parent[path[-1]])[kind]
+    file = tmp_path / "x.json"
+    file.write_text(json.dumps(data))
+    code = main(["validate", str(file)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("path,value,named", [
+    (("degeneracies", 0, "n"), "2", "$.degeneracies[0].n"),
+    (("ring", "p"), "x", "$.ring.p"),
+    (("faces", 0, "n"), 99, "$.faces[0]"),
+    (("levels", 0, "homs", 0, "factors", 0), "q", "$.levels[0].homs[0].factors[0]"),
+    (("faces", 0, "components", 0, "entries", 0, 0), 1, "$.faces[0].components[0].entries[0][0]"),
+])
+def test_wrong_typed_value_names_json_path(tmp_path, capsys, path, value, named):
+    data = json.loads(_EXAMPLES["paper_P"])
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    file = tmp_path / "x.json"
+    file.write_text(json.dumps(data))
+    assert main(["validate", str(file)]) == 2
+    assert named in capsys.readouterr().err

@@ -23,6 +23,7 @@ from templikit.coeff import (
     invariant_factors,
     mat_identity,
     mat_mul,
+    mat_zero,
     normal_form,
     smith,
     solve_linear,
@@ -137,6 +138,18 @@ def test_normal_form_reconstructs(ring):
         # successive divisibility
         for x, y in zip(d, d[1:]):
             assert ring.divides(x, y)
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS)
+def test_mat_mul_with_empty_inner_dimension(ring):
+    # an r x 0 matrix times a 0 x c one is the r x c zero matrix; a right
+    # factor without rows cannot show its width, so it is passed
+    assert mat_mul(ring, ((), ()), (), 3) == mat_zero(ring, 2, 3)
+    assert mat_mul(ring, (), (), 3) == ()
+    empty = Module.zero(ring)
+    m, n = Module.free(ring, 2), Module.free(ring, 3)
+    composite = Morphism.zero(empty, m).compose(Morphism.zero(n, empty))
+    assert composite.matrix == mat_zero(ring, 2, 3)
 
 
 def test_smith_transforms_track_inverses():
@@ -506,6 +519,23 @@ def rand_diagram(ring, rng, max_nodes=6):
         tgt = rng.randrange(len(nodes))
         arrows.append((src, tgt, rand_morphism(ring, nodes[src], nodes[tgt], rng)))
     return ModuleDiagram(ring, nodes, tuple(arrows))
+
+
+def test_spanning_forest_frees_sources_then_cycles():
+    # 0 -> 1 -> 2 -> 3 -> 2 and 4 -> 5 -> 4: node 0 reaches the first
+    # cycle, the second has no source and frees its lowest node; the
+    # colimit of the opposite diagram is the dual
+    zz = Module.free(Z, 1)
+    ident = Morphism.identity(zz)
+    pairs = ((0, 1), (1, 2), (2, 3), (3, 2), (4, 5), (5, 4))
+    diag = ModuleDiagram(Z, (zz,) * 6, tuple((s, t, ident) for s, t in pairs))
+    lim = finite_limit(diag)
+    assert lim.free == (0, 4)
+    assert lim.module.factors == (FREE, FREE)
+    op = ModuleDiagram(Z, (zz,) * 6, tuple((t, s, ident) for s, t in pairs))
+    colim = finite_colimit(op)
+    assert colim.free == (0, 4)
+    assert colim.module.factors == (FREE, FREE)
 
 
 @pytest.mark.parametrize("ring", [Z, F3, Z8, D2])

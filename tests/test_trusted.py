@@ -1,17 +1,20 @@
-"""Property tests: trusted internal results equal the validated ones.
+"""Oracle tests for the trusted internal paths.
 
 Operations whose results are valid by construction (compose, +, -, scale,
 tensor products, limit and colimit difference maps) skip the checks of
 ``Morphism(...)``.  Here each is compared, on random valid morphisms over Z
 with torsion, Z/p^m, F_p[e]/(e^m), F_p and Q, with the same result built
-through the validating constructor.  Limits and colimits are compared with a
-dense reference that forms the difference map from the full direct-sum
-witnesses.
+through the validating constructor.  Limits and colimits, which are solved on
+a spanning forest, are compared up to their unique isomorphism with a dense
+reference that has one equation block per arrow over the sum of all nodes.
+Index diagrams, which keep only covering arrows, are compared with their
+full order relation.
 """
 
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,9 +24,13 @@ from templikit.coeff import (
     ModuleDiagram,
     Morphism,
     Ring,
+    ShapeError,
     _tensor_layout,
+    analyze,
     cokernel_data,
     direct_sum,
+    factor_through_colimit,
+    factor_through_limit,
     finite_colimit,
     finite_limit,
     kernel_data,
@@ -34,8 +41,19 @@ from templikit.coeff import (
     mat_zero,
     tensor_morphisms,
 )
+from templikit.constructors import (
+    nerve,
+    paper_p,
+    paper_p_deformed,
+    s0_times_2,
+    truncated_polynomial_category,
+)
+from templikit.kan import _canonical_into_limit, _limit_over_diagram
+from templikit.necklace import IndexDiagram, build_diagram, fint_maps, necklace_maps_between
+from templikit.templicial import evaluator, hom_necklicial, tensor_external
 
 Z = Ring.integers()
+F3 = Ring.prime_field(3)
 RINGS = [Z, Ring.chain(2, 3), Ring.chain(3, 2), Ring.dual_chain(3, 2),
          Ring.dual_chain(2, 3), Ring.prime_field(5), Ring.rationals()]
 
@@ -113,8 +131,7 @@ def morphism_data(draw):
 def test_operations_equal_validated_constructor(data):
     ring, f, g, h, c = data
     a, b = f.domain, f.codomain
-    product = (mat_mul(ring, h.matrix, f.matrix) if b.ngens
-               else mat_zero(ring, h.codomain.ngens, a.ngens))
+    product = mat_mul(ring, h.matrix, f.matrix, a.ngens)
     assert_same(h.compose(f), Morphism(a, h.codomain, product))
     assert_same(f + g, Morphism(a, b, mat_add(ring, f.matrix, g.matrix)))
     assert_same(f - g, Morphism(a, b, mat_add(ring, f.matrix, mat_neg(ring, g.matrix))))
@@ -148,28 +165,44 @@ def test_tensor_morphisms_equal_dense_tensor(data):
     assert_same(tensor_morphisms(h, g), dense_tensor(h, g))
 
 
+# shapes every diagram strategy draws from, on top of random arrows: the
+# spanning forest must handle self-loops, cycles without a free node and
+# parallel arrows
+SHAPES = ("random", "self-loop", "cycle", "parallel")
+
+
 @st.composite
-def diagrams(draw):
-    ring = draw(st.sampled_from(RINGS))
-    nodes = tuple(draw(st.lists(modules(ring), min_size=1, max_size=3)))
-    ends = st.integers(0, len(nodes) - 1)
-    arrows = []
-    for src, tgt in draw(st.lists(st.tuples(ends, ends), max_size=4)):
-        arrows.append((src, tgt, draw(morphisms(nodes[src], nodes[tgt]))))
-    return ModuleDiagram(ring, nodes, tuple(arrows))
+def diagrams(draw, ring=None):
+    ring = ring or draw(st.sampled_from(RINGS))
+    nodes = draw(st.lists(modules(ring), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        nodes.insert(draw(st.integers(0, len(nodes))), Module.zero(ring))
+    last = len(nodes) - 1
+    ends = st.integers(0, last)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=4))
+    shape = draw(st.sampled_from(SHAPES))
+    if shape == "self-loop":
+        pairs.append((last, last))
+    elif shape == "cycle":
+        pairs.extend((i, (i + 1) % len(nodes)) for i in range(len(nodes)))
+    elif shape == "parallel":
+        pairs.extend([(0, last), (0, last)])
+    arrows = tuple((src, tgt, draw(morphisms(nodes[src], nodes[tgt]))) for src, tgt in pairs)
+    return ModuleDiagram(ring, tuple(nodes), arrows)
 
 
 def _dense_sum_map(ring, domain, codomain, terms):
     """Validated morphism with matrix sum(left @ middle @ right) over terms."""
     total = mat_zero(ring, codomain.ngens, domain.ngens)
     for left, middle, right in terms:
-        if middle and middle[0]:  # an empty inner dimension contributes zero
-            total = mat_add(ring, total, mat_mul(ring, mat_mul(ring, left, middle), right))
+        product = mat_mul(ring, mat_mul(ring, left, middle, len(right)), right, domain.ngens)
+        total = mat_add(ring, total, product)
     return Morphism(domain, codomain, total)
 
 
 def dense_limit(diagram):
-    """Kernel of sum_a inj_a o (f o pi_src - pi_tgt), from full witnesses."""
+    """Kernel of sum_a inj_a o (f o pi_src - pi_tgt) over all nodes and
+    arrows, from full direct-sum witnesses."""
     ring = diagram.ring
     nodes_sum = direct_sum(ring, diagram.nodes)
     arr_sum = direct_sum(ring, tuple(diagram.nodes[tgt] for _, tgt, _ in diagram.arrows))
@@ -181,13 +214,14 @@ def dense_limit(diagram):
         terms.append((inj, mat_neg(ring, mat_identity(ring, f.codomain.ngens)), p_tgt))
     delta = _dense_sum_map(ring, nodes_sum.module, arr_sum.module, terms)
     kernel, incl, _ = kernel_data(delta)
-    cone = tuple(Morphism(kernel, p.codomain, mat_mul(ring, p.matrix, incl.matrix))
+    cone = tuple(Morphism(kernel, p.codomain, mat_mul(ring, p.matrix, incl.matrix, kernel.ngens))
                  for p in nodes_sum.projections)
-    return kernel, incl, cone
+    return kernel, cone
 
 
 def dense_colimit(diagram):
-    """Cokernel of sum_a (inj_tgt o f - inj_src) o pi_a, from full witnesses."""
+    """Cokernel of sum_a (inj_tgt o f - inj_src) o pi_a over all nodes and
+    arrows, from full direct-sum witnesses."""
     ring = diagram.ring
     nodes_sum = direct_sum(ring, diagram.nodes)
     arr_sum = direct_sum(ring, tuple(diagram.nodes[src] for src, _, _ in diagram.arrows))
@@ -199,30 +233,178 @@ def dense_colimit(diagram):
         terms.append((i_src, mat_neg(ring, mat_identity(ring, f.domain.ngens)), proj))
     delta = _dense_sum_map(ring, arr_sum.module, nodes_sum.module, terms)
     coker, proj = cokernel_data(delta)
-    cocone = tuple(Morphism(i.domain, coker, mat_mul(ring, proj.matrix, i.matrix))
+    cocone = tuple(Morphism(i.domain, coker, mat_mul(ring, proj.matrix, i.matrix, i.domain.ngens))
                    for i in nodes_sum.injections)
-    return coker, proj, cocone
+    return coker, cocone
 
 
-@PROPERTY
+def assert_limit_matches_dense(diagram):
+    """The limit equals the dense one up to the unique iso of their cones."""
+    lim = finite_limit(diagram)
+    kernel, cone = dense_limit(diagram)
+    assert lim.module == kernel
+    assert len(lim.cone) == len(cone) == len(diagram.nodes)
+    for src, tgt, f in diagram.arrows:
+        assert f.compose(lim.cone[src]) == lim.cone[tgt]
+    u = factor_through_limit(lim, cone, kernel)
+    assert analyze(u).is_iso
+    for got, want in zip(lim.cone, cone):
+        assert_same(got.compose(u), want)
+
+
+def assert_colimit_matches_dense(diagram):
+    """The colimit equals the dense one up to the unique iso of their cocones."""
+    colim = finite_colimit(diagram)
+    coker, cocone = dense_colimit(diagram)
+    assert colim.module == coker
+    assert len(colim.cocone) == len(cocone) == len(diagram.nodes)
+    for src, tgt, f in diagram.arrows:
+        assert colim.cocone[tgt].compose(f) == colim.cocone[src]
+    u = factor_through_colimit(colim, cocone, coker)
+    assert analyze(u).is_iso
+    for got, want in zip(colim.cocone, cocone):
+        assert_same(u.compose(got), want)
+
+
+LIMITS = settings(PROPERTY, max_examples=150)
+
+
+@LIMITS
 @given(diagrams())
 def test_finite_limit_equals_dense_reference(diagram):
-    lim = finite_limit(diagram)
-    kernel, incl, cone = dense_limit(diagram)
-    assert lim.module == kernel
-    assert_same(lim.inclusion, incl)
-    assert len(lim.cone) == len(cone)
-    for got, want in zip(lim.cone, cone):
-        assert_same(got, want)
+    assert_limit_matches_dense(diagram)
 
 
-@PROPERTY
+@LIMITS
 @given(diagrams())
 def test_finite_colimit_equals_dense_reference(diagram):
+    assert_colimit_matches_dense(diagram)
+
+
+@LIMITS
+@given(diagrams(Z))
+def test_limits_over_integers_equal_dense_reference(diagram):
+    """Over Z, where torsion orders need not be prime powers."""
+    assert_limit_matches_dense(diagram)
+    assert_colimit_matches_dense(diagram)
+
+
+def test_factorization_rejects_non_cones():
+    """Legs that agree on the free nodes but break an arrow are rejected."""
+    zz = Module.free(Z, 1)
+    double = Morphism(zz, zz, ((2,),))
+    diagram = ModuleDiagram(Z, (zz, zz), ((0, 1, double),))
+    ident, zero = Morphism.identity(zz), Morphism.zero(zz, zz)
+    lim = finite_limit(diagram)
+    assert lim.free == (0,)
+    assert factor_through_limit(lim, [ident, double], zz) == ident
+    with pytest.raises(ShapeError):
+        factor_through_limit(lim, [ident, zero], zz)
+    with pytest.raises(ShapeError):
+        factor_through_limit(lim, [ident], zz)
     colim = finite_colimit(diagram)
-    coker, proj, cocone = dense_colimit(diagram)
-    assert colim.module == coker
-    assert_same(colim.projection, proj)
-    assert len(colim.cocone) == len(cocone)
-    for got, want in zip(colim.cocone, cocone):
-        assert_same(got, want)
+    assert colim.free == (1,)
+    assert factor_through_colimit(colim, [double, ident], zz) == ident
+    with pytest.raises(ShapeError):
+        factor_through_colimit(colim, [ident, ident], zz)
+    with pytest.raises(ShapeError):
+        factor_through_colimit(colim, [ident], zz)
+
+
+# index diagrams kept to their covering arrows, against their full relation
+COVERED = [("horn", 4, 1), ("horn", 4, 2), ("horn", 4, 3), ("wings", 5, None),
+           ("degeneracy", 4, None)]
+
+
+def full_closure(index):
+    """Every composite of the covering arrows, in (source, target) order."""
+    arrows = {(i, k): g for i, k, g in index.arrows}
+    leaving = {}
+    for i, k, g in index.arrows:
+        leaving.setdefault(i, []).append((k, g))
+    frontier = list(arrows)
+    while frontier:
+        i, k = frontier.pop()
+        for m, h in leaving.get(k, ()):
+            composite = h.compose(arrows[(i, k)])
+            if (i, m) in arrows:
+                assert arrows[(i, m)] == composite  # a poset: parallel paths agree
+            else:
+                arrows[(i, m)] = composite
+                frontier.append((i, m))
+    return tuple((i, k, arrows[(i, k)]) for i, k in sorted(arrows))
+
+
+def brute_force_relation(index):
+    """Every arrow between two objects, found by enumerating all maps."""
+    if index.kind == "degeneracy":
+        def between(si, sk):
+            return [t for t in fint_maps(si.target_dim, sk.target_dim) if t.compose(si) == sk]
+    else:
+        def between(fi, fk):
+            return [g for g in necklace_maps_between(fi.source, fk.source)
+                    if fk.compose(g) == fi]
+    out = []
+    for i, oi in enumerate(index.objects):
+        for k, ok in enumerate(index.objects):
+            found = between(oi, ok) if i != k else []
+            assert len(found) <= 1
+            out.extend((i, k, g) for g in found)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("kind,n,extra", COVERED)
+def test_covering_arrows_generate_the_index_poset(kind, n, extra):
+    index = build_diagram(kind, n, extra)
+    closure = full_closure(index)
+    assert closure == brute_force_relation(index)
+    assert (len(index.arrows), len(closure)) == {"horn": (44, 64)}.get(kind, (28, 50))
+
+
+@pytest.fixture(scope="module")
+def necklicial_corpus():
+    """Hom necklicial modules over F3, F2 and Z/6 (the last up to level 5)."""
+    dual = nerve(truncated_polynomial_category(F3, (F3.zero(), F3.zero())), 4)
+    return [hom_necklicial(dual, "*", "*"),
+            hom_necklicial(paper_p(4), "a", "c"),
+            tensor_external(hom_necklicial(s0_times_2(5), "*", "*"), Module(Z, (6,)))]
+
+
+@pytest.mark.parametrize("kind,n,extra", COVERED[:4])
+def test_covering_limits_equal_full_closure_limits(necklicial_corpus, kind, n, extra):
+    index = build_diagram(kind, n, extra)
+    full = IndexDiagram(kind, index.objects, full_closure(index))
+    for y in necklicial_corpus:
+        if n > y.max_level:
+            continue
+        covering, closed = _limit_over_diagram(y, index), _limit_over_diagram(y, full)
+        assert covering.module == closed.module
+        u = factor_through_limit(closed, covering.cone, covering.module)
+        assert analyze(u).is_iso
+        assert u.compose(_canonical_into_limit(y, index, covering, n)) == \
+            _canonical_into_limit(y, full, closed, n)
+
+
+def degeneracy_colimits(x, n, index):
+    """(colimit, canonical map to X_n(a, b)) per hom over a degeneracy diagram."""
+    ev = evaluator(x)
+    for a in x.vertices:
+        for b in x.vertices:
+            nodes = tuple(x.level_quiver(s.target_dim).hom(a, b) for s in index.objects)
+            arrows = tuple((k, i, ev.fint_morphism(tau).comp(a, b))
+                           for i, k, tau in index.arrows)
+            colim = finite_colimit(ModuleDiagram(x.ring, nodes, arrows))
+            legs = [ev.fint_morphism(s).comp(a, b) for s in index.objects]
+            yield colim, factor_through_colimit(colim, legs, x.level_quiver(n).hom(a, b))
+
+
+def test_covering_colimits_equal_full_closure_colimits():
+    index = build_diagram("degeneracy", 4)
+    full = IndexDiagram("degeneracy", index.objects, full_closure(index))
+    for x in (paper_p(4), paper_p_deformed(4)[1], s0_times_2(4)):
+        for (covering, can), (closed, can_closed) in zip(degeneracy_colimits(x, 4, index),
+                                                         degeneracy_colimits(x, 4, full)):
+            assert covering.module == closed.module
+            u = factor_through_colimit(covering, closed.cocone, closed.module)
+            assert analyze(u).is_iso
+            assert can_closed.compose(u) == can
