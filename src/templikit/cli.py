@@ -24,7 +24,9 @@ from .coeff import (
     Morphism,
     Ring,
     RingExtension,
+    ShapeError,
     TemplikitError,
+    UnsupportedRingError,
 )
 from .constructors import builtin
 from .deform import (
@@ -130,7 +132,7 @@ def parse_ring_spec(text):
             return Ring.chain(int(parts[1]), int(parts[2]))
         if kind == "dual-chain":
             return Ring.dual_chain(int(parts[1]), int(parts[2]))
-    except (IndexError, ValueError) as exc:
+    except (IndexError, ValueError, UnsupportedRingError) as exc:
         raise UsageError(f"bad ring descriptor {text!r}") from exc
     raise UsageError(f"unknown ring kind {kind!r}")
 
@@ -410,6 +412,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int_at_least(minimum):
+    """argparse type of an integer flag value >= ``minimum``."""
+    def parse(text):
+        if not _DECIMAL.fullmatch(text) or int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {minimum}")
+        return int(text)
+    return parse
+
+
 def _default_level(instance, requested):
     x = instance.deformed if isinstance(instance, DeformationPair) else instance
     return min(requested, x.max_level) if requested else min(4, x.max_level)
@@ -484,9 +495,11 @@ def _cmd_verify(args):
         n = _default_level(instance, args.max_level)
         ring = instance.ring
         if args.module:
-            factors = tuple(FREE if f == "free" else int(f)
-                            for f in args.module.split(","))
-            module = Module(ring, factors)
+            try:
+                module = Module(ring, tuple(FREE if f == "free" else int(f)
+                                            for f in args.module.split(",")))
+            except (ValueError, ShapeError, UnsupportedRingError) as exc:
+                raise UsageError(f"bad module spec {args.module!r}: {exc}") from exc
         else:
             module = Module.free(ring, args.module_rank)
         report = verify_wings_tensor(instance, module, n)
@@ -524,7 +537,7 @@ def build_parser():
     p = sub.add_parser("check", help="check a structural property")
     p.add_argument("file")
     p.add_argument("--property", required=True, choices=sorted(_PROPERTIES))
-    p.add_argument("--max-level", type=int, default=None)
+    p.add_argument("--max-level", type=_int_at_least(1), default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_check)
 
@@ -537,15 +550,15 @@ def build_parser():
     p = sub.add_parser("example", help="materialize a built-in example")
     p.add_argument("name", choices=("s0_times_2", "paper_P", "paper_P_deformed"))
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--max-level", type=int, default=None)
+    p.add_argument("--max-level", type=_int_at_least(1), default=None)
     p.set_defaults(func=_cmd_example)
 
     p = sub.add_parser("verify", help="verify a deformation theorem on an instance")
     p.add_argument("file")
     p.add_argument("--theorem", required=True,
                    choices=("main", "degproj-lift", "wings-tensor"))
-    p.add_argument("--max-level", type=int, default=None)
-    p.add_argument("--module-rank", type=int, default=1)
+    p.add_argument("--max-level", type=_int_at_least(1), default=None)
+    p.add_argument("--module-rank", type=_int_at_least(0), default=1)
     p.add_argument("--module", default=None,
                    help="comma-separated factors, e.g. free,free,2")
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -378,12 +378,6 @@ def mat_hstack(a, b):
     return tuple(ra + rb for ra, rb in zip(a, b))
 
 
-def mat_transpose(a):
-    if not a:
-        return ()
-    return tuple(zip(*a))
-
-
 def mat_add(ring, a, b):
     add = ring.add
     return tuple(tuple(add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
@@ -827,21 +821,6 @@ class Module:
     def order_elt(self, i):
         return _factor_order_elt(self.ring, self.factors[i])
 
-    def reduce_entry(self, i, x):
-        """Canonical representative of x modulo the i-th generator order."""
-        f = self.factors[i]
-        r = self.ring
-        x = r.reduce(x)
-        if f == FREE:
-            return x
-        if r.kind == INTEGERS:
-            return x % f
-        if r.kind == CHAIN:
-            return x % r._pows[f]
-        if not any(x[f:]):
-            return x
-        return x[:f] + (0,) * (len(x) - f)
-
     def is_flat(self):
         """Flat = projective = free for f.g. modules over the supported rings."""
         return all(f == FREE for f in self.factors)
@@ -860,13 +839,6 @@ class Module:
             else:
                 parts.append(f"F{self.ring.p}[e]-span/(e^{f})")
         return " + ".join(parts)
-
-
-def is_flat(module):
-    return module.is_flat()
-
-
-is_projective = is_flat
 
 
 def _order_columns(module):
@@ -939,10 +911,8 @@ class Morphism:
         if len(self.matrix) != rows or any(len(r) != cols for r in self.matrix):
             raise ShapeError(f"matrix shape mismatch, expected {rows}x{cols}")
         ring = self.ring
-        reduced = tuple(
-            tuple(self.codomain.reduce_entry(i, x) for x in row)
-            for i, row in enumerate(self.matrix)
-        )
+        reduced = _reduce_torsion_rows(
+            self.codomain, tuple(tuple(map(ring.reduce, row)) for row in self.matrix))
         object.__setattr__(self, "matrix", reduced)
         for j in range(cols):
             od = self.domain.order_elt(j)
@@ -1019,6 +989,26 @@ class Morphism:
         return all(z(x) for row in self.matrix for x in row)
 
 
+def _diagonal_factors(ring, d, n):
+    """The quotient of R^n by a Smith diagonal ``d`` (missing entries are 0).
+
+    Returns (kept, module): the generators i < n whose d_i is not a unit,
+    ordered like the factors of ``module``, the quotient in normal form.
+    """
+    kept, factors = [], []
+    for i in range(n):
+        di = d[i] if i < len(d) else ring.zero()
+        if ring.is_zero(di):
+            factors.append(FREE)
+        elif ring.is_unit(di):
+            continue
+        else:
+            factors.append(abs(di) if ring.kind == INTEGERS else ring.valuation(di))
+        kept.append(i)
+    order = sorted(range(len(factors)), key=lambda k: _factor_sort_key(factors[k]))
+    return [kept[k] for k in order], Module(ring, tuple(factors[k] for k in order))
+
+
 def _presentation(ring, ngens, relations):
     """Normal form of the module <ngens | relations> with witnessing isos.
 
@@ -1028,30 +1018,9 @@ def _presentation(ring, ngens, relations):
     if ngens == 0:
         return Module.zero(ring), (), ()
     res = smith(ring, relations, left=True, row_t=True)
-    d = res.d
-    kept = []
-    factors = []
-    for i in range(ngens):
-        di = d[i] if i < len(d) else ring.zero()
-        if ring.is_zero(di):
-            kept.append(i)
-            factors.append(FREE)
-            continue
-        if ring.is_unit(di):
-            continue
-        cf = _canonical_factor(ring, abs(di) if ring.kind == INTEGERS else ring.valuation(di))
-        if cf is None:
-            continue
-        kept.append(i)
-        factors.append(cf)
-    order = sorted(range(len(factors)), key=lambda k: _factor_sort_key(factors[k]))
-    kept = [kept[k] for k in order]
-    factors = [factors[k] for k in order]
-    module = Module(ring, tuple(factors))
-    u = res.row_transform
-    el = res.left
-    to_norm = tuple(u[i] for i in kept)
-    from_norm = tuple(tuple(el[i][k] for k in kept) for i in range(ngens))
+    kept, module = _diagonal_factors(ring, res.d, ngens)
+    to_norm = tuple(res.row_transform[i] for i in kept)
+    from_norm = tuple(tuple(row[k] for k in kept) for row in res.left)
     return module, to_norm, from_norm
 
 
@@ -1182,32 +1151,6 @@ def _kernel_columns(ring, w, res):
     return gens
 
 
-def _coker_from_smith(ring, codomain, res):
-    d = res.d
-    t = codomain.ngens
-    kept, factors = [], []
-    for i in range(t):
-        di = d[i] if i < len(d) else ring.zero()
-        if ring.is_zero(di):
-            kept.append(i)
-            factors.append(FREE)
-            continue
-        if ring.is_unit(di):
-            continue
-        cf = _canonical_factor(ring, abs(di) if ring.kind == INTEGERS else ring.valuation(di))
-        if cf is None:
-            continue
-        kept.append(i)
-        factors.append(cf)
-    order = sorted(range(len(factors)), key=lambda k: _factor_sort_key(factors[k]))
-    kept = [kept[k] for k in order]
-    factors = [factors[k] for k in order]
-    coker = Module(ring, tuple(factors))
-    u = res.row_transform
-    proj = Morphism(codomain, coker, tuple(u[i] for i in kept))
-    return coker, proj
-
-
 def _kernel_generator_columns(ring, f):
     """Columns over R^s generating {x : f(x) = 0 in the presented codomain}."""
     s, t = f.domain.ngens, f.codomain.ngens
@@ -1249,7 +1192,8 @@ def cokernel_data(f):
         return coker, Morphism.zero(n, coker)
     w = mat_hstack(f.matrix, _order_columns(n))
     res = smith(ring, w, row_t=True)
-    return _coker_from_smith(ring, n, res)
+    kept, coker = _diagonal_factors(ring, res.d, n.ngens)
+    return coker, Morphism(n, coker, tuple(res.row_transform[i] for i in kept))
 
 
 def analyze(f):
@@ -1279,24 +1223,7 @@ def cokernel_module(f):
     if n.ngens == 0:
         return Module.zero(ring)
     w = mat_hstack(f.matrix, _order_columns(n))
-    d = smith(ring, w).d
-    factors = []
-    for i in range(n.ngens):
-        di = d[i] if i < len(d) else ring.zero()
-        if ring.is_zero(di):
-            factors.append(FREE)
-            continue
-        if ring.is_unit(di):
-            continue
-        cf = _canonical_factor(ring, abs(di) if ring.kind == INTEGERS else ring.valuation(di))
-        if cf is not None:
-            factors.append(cf)
-    torsion = sorted(f_ for f_ in factors if f_ != FREE)
-    return Module(ring, tuple(torsion) + (FREE,) * (len(factors) - len(torsion)))
-
-
-def is_surjective(f):
-    return cokernel_module(f).is_zero
+    return _diagonal_factors(ring, smith(ring, w).d, n.ngens)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -1737,36 +1664,27 @@ def factor_through_mono(inclusion, given):
 
 
 def factor_through_epi(projection, given):
-    """u with u o projection = given (exact, unique when projection is epi)."""
+    """u with u o projection = given (exact, unique), for a surjective
+    ``projection``; the dual of :func:`factor_through_mono`.
+
+    One linear solve gives a section S of the projection on generators
+    (projection o S = id modulo the orders of its codomain), and u = given o S.
+    Raises ShapeError when the projection is not surjective or ``given``
+    does not factor through it.
+    """
     ring = projection.ring
     if given.domain != projection.domain:
         raise ShapeError("factor_through_epi: domain mismatch")
-    codomain = given.codomain
     mid = projection.codomain
-    nds = projection.domain.ngens
-    ncol = mid.ngens
-    qmat = projection.matrix
-    q_t = tuple(tuple(qmat[r][i] for r in range(ncol)) for i in range(nds))
-    rows_of_u = []
-    for jrow in range(codomain.ngens):
-        b_col = tuple((given.matrix[jrow][i],) for i in range(nds))
-        factor = codomain.factors[jrow]
-        if factor == FREE:
-            amat = q_t
-        else:
-            o = codomain.order_elt(jrow)
-            extra = tuple(
-                tuple(o if i == r else ring.zero() for r in range(nds))
-                for i in range(nds)
-            )
-            amat = mat_hstack(q_t, extra)
-        x = solve_linear(ring, amat, b_col)
-        if x is None:
-            raise ShapeError("map does not factor through the projection")
-        rows_of_u.append(tuple(x[i][0] for i in range(ncol)))
-    u = Morphism(mid, codomain, tuple(rows_of_u))
+    amat = mat_hstack(projection.matrix, _order_columns(mid))
+    x = solve_linear(ring, amat, mat_identity(ring, mid.ngens))
+    if x is None:
+        raise ShapeError("factor_through_epi: the projection is not surjective")
+    n = projection.domain.ngens
+    section = x[:n] if mid.ngens else ((),) * n
+    u = Morphism(mid, given.codomain, mat_mul(ring, given.matrix, section, mid.ngens))
     if u.compose(projection).matrix != given.matrix:
-        raise ShapeError("epi factorization verification failed")
+        raise ShapeError("map does not factor through the projection")
     return u
 
 

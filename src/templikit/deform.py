@@ -35,6 +35,7 @@ from .kan import (
     CheckReport,
     _degenerate_parts,
     _limit_over_diagram,
+    _require_valid_templicial,
     check_deg_projective,
     check_levelwise,
     check_quasicategory,
@@ -432,9 +433,7 @@ def _wedge_square_maps(y, n, i):
 def verify_wings_tensor(x, module, max_level=None, *, diagnostics=True):
     """Weak Kan of X_.(a,b) (x) M for a levelwise flat quasi-category X."""
     n_max = min(max_level or x.max_level, x.max_level)
-    report = validate_templicial(x)
-    if not report.ok:
-        raise InvalidInstanceError("instance failed validation", report)
+    _require_valid_templicial(x)
     if module.ring != x.ring:
         raise RingMismatchError("coefficient module over the wrong ring")
     hyp_kan = check_quasicategory(x, n_max, assume_valid=True)

@@ -117,17 +117,23 @@ def _canonical_into_limit(y, diagram, limit, n):
     return factor_through_limit(limit, legs, y.level(n))
 
 
+def _limit_object(y, n, kind, *extra):
+    """(limit, canonical map Y_n -> limit, index diagram) for the ``kind``
+    index diagram at n (``extra`` is its j or i, if it takes one)."""
+    diagram = build_diagram(kind, n, *extra)
+    limit = _limit_over_diagram(y, diagram)
+    return limit, _canonical_into_limit(y, diagram, limit, n), diagram
+
+
 def horn_object(y, n, j):
     """(Lambda^j_n Y, canonical map Y_n -> Lambda) as a finite limit."""
-    diagram = build_diagram("horn", n, j)
-    limit = _limit_over_diagram(y, diagram)
-    return limit.module, _canonical_into_limit(y, diagram, limit, n)
+    limit, canonical, _ = _limit_object(y, n, "horn", j)
+    return limit.module, canonical
 
 
 def wing_object(y, n):
-    diagram = build_diagram("wings", n)
-    limit = _limit_over_diagram(y, diagram)
-    return limit.module, _canonical_into_limit(y, diagram, limit, n)
+    limit, canonical, _ = _limit_object(y, n, "wings")
+    return limit.module, canonical
 
 
 @dataclass(frozen=True)
@@ -140,10 +146,8 @@ class TruncatedWing:
 
 def truncated_wing_object(y, n, i):
     """W_n^{<=i} Y with its canonical map and limit data (0 <= i < n)."""
-    diagram = build_diagram("truncated_wings", n, i)
-    limit = _limit_over_diagram(y, diagram)
-    return TruncatedWing(limit.module, _canonical_into_limit(y, diagram, limit, n),
-                         limit, diagram)
+    limit, canonical, diagram = _limit_object(y, n, "truncated_wings", i)
+    return TruncatedWing(limit.module, canonical, limit, diagram)
 
 
 # ---------------------------------------------------------------------------
@@ -151,65 +155,58 @@ def truncated_wing_object(y, n, i):
 # ---------------------------------------------------------------------------
 
 
-def check_weak_kan(y, max_level=None, *, assume_valid=False, label=()):
-    """Surjectivity of Y_n -> Lambda^j_n Y for all 0 < j < n <= max_level."""
+def _surjectivity_report(prop, y, max_level, assume_valid, label, kind, extras):
+    """Whether Y_n maps onto the limit object of the ``kind`` index diagram,
+    at every 2 <= n <= max_level and every ``extra`` in ``extras(n)``."""
     if not assume_valid:
         _require_valid_necklicial(y)
     n_max = min(max_level or y.max_level, y.max_level)
     items = []
     for n in range(2, n_max + 1):
-        for j in range(1, n):
-            _, canonical = horn_object(y, n, j)
+        for extra in extras(n):
+            _, canonical, _ = _limit_object(y, n, kind, *extra)
             coker = cokernel_module(canonical)
             if coker.is_zero:
-                items.append(CheckItem(label + (n, j), True))
+                items.append(CheckItem(label + (n,) + extra, True))
             else:
-                items.append(CheckItem(label + (n, j), False,
+                items.append(CheckItem(label + (n,) + extra, False,
                                        "canonical map not surjective", coker))
-    return CheckReport.from_items("weak-kan", items)
+    return CheckReport.from_items(prop, items)
+
+
+def check_weak_kan(y, max_level=None, *, assume_valid=False, label=()):
+    """Surjectivity of Y_n -> Lambda^j_n Y for all 0 < j < n <= max_level."""
+    return _surjectivity_report("weak-kan", y, max_level, assume_valid, label, "horn",
+                                lambda n: ((j,) for j in range(1, n)))
 
 
 def check_lifts_wings(y, max_level=None, *, assume_valid=False, label=()):
     """Surjectivity of Y_n -> W_n Y for all 2 <= n <= max_level."""
+    return _surjectivity_report("lifts-wings", y, max_level, assume_valid, label, "wings",
+                                lambda n: ((),))
+
+
+def _per_hom_report(prop, x, max_level, assume_valid, check):
+    """The items of ``check`` on every hom necklicial module X_.(a, b)."""
     if not assume_valid:
-        _require_valid_necklicial(y)
-    n_max = min(max_level or y.max_level, y.max_level)
+        _require_valid_templicial(x)
     items = []
-    for n in range(2, n_max + 1):
-        _, canonical = wing_object(y, n)
-        coker = cokernel_module(canonical)
-        if coker.is_zero:
-            items.append(CheckItem(label + (n,), True))
-        else:
-            items.append(CheckItem(label + (n,), False,
-                                   "canonical map not surjective", coker))
-    return CheckReport.from_items("lifts-wings", items)
+    for a in x.vertices:
+        for b in x.vertices:
+            y = hom_necklicial(x, a, b)
+            items.extend(check(y, max_level, assume_valid=True, label=(a, b)).items)
+    return CheckReport.from_items(prop, items)
 
 
 def check_quasicategory(x, max_level=None, *, assume_valid=False):
     """Weak Kan for every hom necklicial module X_.(a, b)."""
-    if not assume_valid:
-        _require_valid_templicial(x)
-    items = []
-    for a in x.vertices:
-        for b in x.vertices:
-            y = hom_necklicial(x, a, b)
-            report = check_weak_kan(y, max_level, assume_valid=True, label=(a, b))
-            items.extend(report.items)
-    return CheckReport.from_items("quasi-category", items)
+    return _per_hom_report("quasi-category", x, max_level, assume_valid, check_weak_kan)
 
 
 def check_templicial_wings(x, max_level=None, *, assume_valid=False):
     """Lifts-wings for every hom necklicial module X_.(a, b)."""
-    if not assume_valid:
-        _require_valid_templicial(x)
-    items = []
-    for a in x.vertices:
-        for b in x.vertices:
-            y = hom_necklicial(x, a, b)
-            report = check_lifts_wings(y, max_level, assume_valid=True, label=(a, b))
-            items.extend(report.items)
-    return CheckReport.from_items("templicial-lifts-wings", items)
+    return _per_hom_report("templicial-lifts-wings", x, max_level, assume_valid,
+                           check_lifts_wings)
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +252,16 @@ def check_deg_projective(x, max_level=None, *, assume_valid=False):
     """can_n split mono with projective cokernel for all n <= max_level."""
     if not assume_valid:
         _require_valid_templicial(x)
-    n_max = min(max_level or x.max_level, x.max_level)
+    return _deg_projective(x, min(max_level or x.max_level, x.max_level))[0]
+
+
+def _deg_projective(x, n_max):
+    """The deg-projectivity report through level n_max, and the
+    nondegenerate quivers {n: X^nd_n} it computed on the way."""
     items = []
+    nd = {}
     for n in range(1, n_max + 1):
-        _, can, _, _ = degenerate_subobject(x, n)
+        _, can, nd[n], _ = degenerate_subobject(x, n)
         for a in x.vertices:
             for b in x.vertices:
                 ana = analyze(can.comp(a, b))
@@ -271,7 +274,7 @@ def check_deg_projective(x, max_level=None, *, assume_valid=False):
                     items.append(CheckItem((n, a, b), False,
                                            "nondegenerate part not projective",
                                            ana.cokernel))
-    return CheckReport.from_items("deg-projective", items)
+    return CheckReport.from_items("deg-projective", items), nd
 
 
 def ez_check(x, max_level=None, *, assume_valid=False):
@@ -279,14 +282,10 @@ def ez_check(x, max_level=None, *, assume_valid=False):
     if not assume_valid:
         _require_valid_templicial(x)
     n_max = min(max_level or x.max_level, x.max_level)
-    dp = check_deg_projective(x, n_max, assume_valid=True)
+    dp, nd = _deg_projective(x, n_max)
     if not dp.passed:
         return CheckReport("eilenberg-zilber", False, (), "not-applicable",
                            "instance is not deg-projective", (dp,))
-    nd = {}
-    for m in range(1, n_max + 1):
-        _, _, nd_quiver, _ = degenerate_subobject(x, m)
-        nd[m] = nd_quiver
     items = []
     for n in range(1, n_max + 1):
         surjections = fint_surjections(n)

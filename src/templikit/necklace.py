@@ -84,11 +84,6 @@ def fint_sigma(n, i):
     return FintMap(tuple(x if x <= i else x - 1 for x in range(n + 2)))
 
 
-def fint_collapse(p):
-    """The unique map [p] -> [0]."""
-    return FintMap((0,) * (p + 1))
-
-
 def fint_factorize(f):
     """Canonical word for f: all codegeneracies first, then inner cofaces.
 
@@ -164,10 +159,6 @@ class Necklace:
         """Bead dimensions, left to right (all positive)."""
         pts = self.points
         return tuple(b - a for a, b in zip(pts, pts[1:]))
-
-    @property
-    def is_simplex(self):
-        return len(self.points) <= 2
 
     def __str__(self):
         return "({" + ",".join(map(str, self.points)) + "}," + str(self.dim) + ")"

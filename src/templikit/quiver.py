@@ -70,15 +70,9 @@ class Quiver:
                 return mod
         return Module.zero(self.ring)
 
-    def hom_pairs(self):
-        return tuple(k for k, _ in self.homs)
-
     @property
     def is_zero(self):
         return not self.homs
-
-    def total_rank(self):
-        return sum(m.ngens for _, m in self.homs)
 
 
 @lru_cache(maxsize=None)
@@ -489,48 +483,37 @@ class QuiverColimitResult:
     hom_colimits: tuple
 
 
-def quiver_limit(diagram):
-    """Hom-wise finite limit; the empty diagram yields the zero quiver."""
+def _solve_homwise(diagram, solve):
+    """Apply ``solve`` (finite_limit or finite_colimit) to the module diagram
+    at every vertex pair: (quiver of the solved modules, ((a, b), result))."""
     ring, vertices = diagram.ring, diagram.vertices
     homs = {}
-    hom_limits = []
-    cone_comps = [dict() for _ in diagram.nodes]
+    results = []
     for a in vertices:
         for b in vertices:
             nodes = tuple(q.hom(a, b) for q in diagram.nodes)
             arrows = tuple((s, t, f.comp(a, b)) for s, t, f in diagram.arrows)
-            lim = finite_limit(ModuleDiagram(ring, nodes, arrows))
-            hom_limits.append(((a, b), lim))
-            if not lim.module.is_zero:
-                homs[(a, b)] = lim.module
-            for i in range(len(diagram.nodes)):
-                cone_comps[i][(a, b)] = lim.cone[i]
-    quiver = Quiver.build(ring, vertices, homs)
+            result = solve(ModuleDiagram(ring, nodes, arrows))
+            results.append(((a, b), result))
+            if not result.module.is_zero:
+                homs[(a, b)] = result.module
+    return Quiver.build(ring, vertices, homs), tuple(results)
+
+
+def quiver_limit(diagram):
+    """Hom-wise finite limit; the empty diagram yields the zero quiver."""
+    quiver, hom_limits = _solve_homwise(diagram, finite_limit)
     cone = tuple(
-        QuiverMorphism.build(quiver, diagram.nodes[i], cone_comps[i])
-        for i in range(len(diagram.nodes))
+        QuiverMorphism.build(quiver, node, {ab: lim.cone[i] for ab, lim in hom_limits})
+        for i, node in enumerate(diagram.nodes)
     )
-    return QuiverLimitResult(quiver, cone, tuple(hom_limits))
+    return QuiverLimitResult(quiver, cone, hom_limits)
 
 
 def quiver_colimit(diagram):
-    ring, vertices = diagram.ring, diagram.vertices
-    homs = {}
-    hom_colimits = []
-    cocone_comps = [dict() for _ in diagram.nodes]
-    for a in vertices:
-        for b in vertices:
-            nodes = tuple(q.hom(a, b) for q in diagram.nodes)
-            arrows = tuple((s, t, f.comp(a, b)) for s, t, f in diagram.arrows)
-            colim = finite_colimit(ModuleDiagram(ring, nodes, arrows))
-            hom_colimits.append(((a, b), colim))
-            if not colim.module.is_zero:
-                homs[(a, b)] = colim.module
-            for i in range(len(diagram.nodes)):
-                cocone_comps[i][(a, b)] = colim.cocone[i]
-    quiver = Quiver.build(ring, vertices, homs)
+    quiver, hom_colimits = _solve_homwise(diagram, finite_colimit)
     cocone = tuple(
-        QuiverMorphism.build(diagram.nodes[i], quiver, cocone_comps[i])
-        for i in range(len(diagram.nodes))
+        QuiverMorphism.build(node, quiver, {ab: colim.cocone[i] for ab, colim in hom_colimits})
+        for i, node in enumerate(diagram.nodes)
     )
-    return QuiverColimitResult(quiver, cocone, tuple(hom_colimits))
+    return QuiverColimitResult(quiver, cocone, hom_colimits)

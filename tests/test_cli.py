@@ -140,6 +140,29 @@ def test_usage_errors():
     assert main(["check"]) == 64
 
 
+@pytest.mark.parametrize("name,argv", [
+    ("paper_P", ("verify", "{file}", "--theorem", "wings-tensor", "--module", "free,x")),
+    ("paper_P", ("verify", "{file}", "--theorem", "wings-tensor", "--module", "2")),
+    ("paper_P", ("verify", "{file}", "--theorem", "wings-tensor", "--module-rank", "-1")),
+    ("paper_P_deformed", ("verify", "{file}", "--theorem", "main", "--max-level", "-2")),
+    ("paper_P", ("check", "{file}", "--property", "kan", "--max-level", "-1")),
+    ("paper_P", ("check", "{file}", "--property", "kan", "--max-level", "0")),
+    ("paper_P", ("example", "paper_P", "-o", "{out}", "--max-level", "-1")),
+    ("paper_P", ("basechange", "{file}", "--to", "prime-field:4", "-o", "{out}")),
+], ids=lambda v: v if isinstance(v, str) else " ".join(v))
+def test_bad_flag_value_is_usage_error(tmp_path, capsys, name, argv):
+    """``argv`` runs on the example ``name`` written to {file}."""
+    paths = {"{file}": str(tmp_path / "x.json"), "{out}": str(tmp_path / "out.json")}
+    main(["example", name, "-o", paths["{file}"]])
+    capsys.readouterr()
+    code = main([paths.get(a, a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("usage error: ")
+
+
 def test_missing_file_is_invalid_input():
     assert main(["check", "/nonexistent.json", "--property", "kan"]) == 2
 

@@ -14,9 +14,11 @@ from templikit.coeff import (
     ShapeError,
     UnsupportedRingError,
     analyze,
+    cokernel_data,
     cokernel_module,
     direct_sum,
     factor_through_colimit,
+    factor_through_epi,
     factor_through_limit,
     finite_colimit,
     finite_limit,
@@ -286,6 +288,7 @@ def _pi_power(ring, e):
 @pytest.mark.parametrize("ring", [Z, F3, Z4, Z8, D2])
 def test_analyze_exactness_properties(ring):
     rng = random.Random(31)
+    targets = random.Random(32)
     for _ in range(20):
         dom = rand_module(ring, rng)
         cod = rand_module(ring, rng)
@@ -300,6 +303,22 @@ def test_analyze_exactness_properties(ring):
         assert analyze(ana.cokernel_projection).surjective
         # cokernel of the image inclusion is the cokernel of f
         assert cokernel_module(ana.image_inclusion).factors == ana.cokernel.factors
+        assert cokernel_data(f)[0] == cokernel_module(f) == ana.cokernel
+        # a map out of the cokernel is recovered from its composite with
+        # the projection; a map that is not surjective is refused even when
+        # a factorization exists (f = id o f)
+        q = ana.cokernel_projection
+        u0 = rand_morphism(ring, q.codomain, rand_module(ring, targets), targets)
+        assert factor_through_epi(q, u0.compose(q)) == u0
+        if not ana.image.is_zero:
+            # the identity does not vanish on the image of f
+            with pytest.raises(ShapeError):
+                factor_through_epi(q, Morphism.identity(cod))
+        if ana.surjective:
+            assert factor_through_epi(f, f) == Morphism.identity(cod)
+        else:
+            with pytest.raises(ShapeError):
+                factor_through_epi(f, f)
         if ring.is_field:
             assert ana.image.rank + ana.kernel.rank == dom.rank
 

@@ -1,0 +1,59 @@
+"""The names other code depends on: the package's public imports and every
+function and method that the benchmark's per-layer trace patches."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import templikit
+
+LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+
+# every name templikit/__init__.py imports
+PUBLIC = (
+    "FREE", "Module", "Morphism", "Ring", "RingExtension", "analyze", "base_change",
+    "finite_colimit", "finite_limit", "invariant_factors", "normal_form", "tensor",
+    "tensor_morphisms",
+    "LinearCategory", "SimplicialSetTrunc", "builtin", "free_templicial", "generate",
+    "nerve", "sset_build",
+    "DeformationPair", "NecklicialExtension", "base_change_templicial", "build_extension",
+    "check_extension_weak_kan", "extension_sequence", "ideal_tensor",
+    "validate_deformation", "verify_degproj_lift", "verify_thm_main", "verify_wings_tensor",
+    "CheckItem", "CheckReport", "check_deg_projective", "check_levelwise",
+    "check_lifts_wings", "check_quasicategory", "check_templicial_wings", "check_weak_kan",
+    "degenerate_subobject", "ez_check", "horn_object", "truncated_wing_object",
+    "wing_object",
+    "FintMap", "Necklace", "NecklaceMap", "build_diagram", "classify_and_factor",
+    "enumerate_kind", "fint_factorize", "wedge",
+    "Quiver", "QuiverMorphism", "quiver_colimit", "quiver_limit", "tensor_s", "unit_quiver",
+    "NecklicialModule", "TemplicialModule", "ValidationReport", "eval_map", "eval_necklace",
+    "hom_necklicial", "tensor_external", "validate_necklicial", "validate_templicial",
+)
+
+
+def _layers_constant(name):
+    """The literal value of a module-level constant of perfbench/layers.py,
+    read from its source."""
+    for node in ast.parse(LAYERS.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{name} not found in {LAYERS}")
+
+
+@pytest.mark.parametrize("name", PUBLIC)
+def test_public_name_resolves(name):
+    assert hasattr(templikit, name)
+
+
+@pytest.mark.parametrize("module,attr", _layers_constant("FUNCTIONS"))
+def test_traced_function_resolves(module, attr):
+    assert callable(getattr(importlib.import_module(f"templikit.{module}"), attr))
+
+
+@pytest.mark.parametrize("module,cls,method,span", _layers_constant("METHODS"))
+def test_traced_method_resolves(module, cls, method, span):
+    owner = getattr(importlib.import_module(f"templikit.{module}"), cls)
+    assert callable(getattr(owner, method))
