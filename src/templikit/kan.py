@@ -217,13 +217,14 @@ def check_templicial_wings(x, max_level=None, *, assume_valid=False):
 def degenerate_subobject(x, n):
     """(X^deg_n, can_n, X^nd_n, X_n -> X^nd_n) via the colimit over
     non-identity surjections."""
-    deg, _, can, nd_quiver, nd_proj = _degenerate_parts(x, n)
+    deg, _, can, nd_quiver, nd_proj, _ = _degenerate_parts(x, n)
     return deg, can, nd_quiver, nd_proj
 
 
 def _degenerate_parts(x, n):
     """Like :func:`degenerate_subobject`, with the hom-wise colimits as a
-    dict {(a, b): ColimitResult} after X^deg_n."""
+    dict {(a, b): ColimitResult} after X^deg_n, and the analyses of the
+    components of can_n as a dict {(a, b): Analysis} at the end."""
     ev = evaluator(x)
     diagram = build_diagram("degeneracy", n)
     nodes = tuple(x.level_quiver(s.target_dim) for s in diagram.objects)
@@ -231,6 +232,7 @@ def _degenerate_parts(x, n):
     colim = quiver_colimit(QuiverDiagram(x.ring, x.vertices, nodes, arrows))
     legs = [ev.fint_morphism(s) for s in diagram.objects]
     can_comps = {}
+    analyses = {}
     nd_homs = {}
     nd_proj_comps = {}
     level_n = x.level_quiver(n)
@@ -238,14 +240,14 @@ def _degenerate_parts(x, n):
         hom_legs = [leg.comp(a, b) for leg in legs]
         can_ab = factor_through_colimit(hom_colim, hom_legs, level_n.hom(a, b))
         can_comps[(a, b)] = can_ab
-        ana = analyze(can_ab)
+        ana = analyses[(a, b)] = analyze(can_ab)
         if not ana.cokernel.is_zero:
             nd_homs[(a, b)] = ana.cokernel
         nd_proj_comps[(a, b)] = ana.cokernel_projection
     nd_quiver = Quiver.build(x.ring, x.vertices, nd_homs)
     can = QuiverMorphism.build(colim.quiver, level_n, can_comps)
     nd_proj = QuiverMorphism.build(level_n, nd_quiver, nd_proj_comps)
-    return colim.quiver, dict(colim.hom_colimits), can, nd_quiver, nd_proj
+    return colim.quiver, dict(colim.hom_colimits), can, nd_quiver, nd_proj, analyses
 
 
 def check_deg_projective(x, max_level=None, *, assume_valid=False):
@@ -261,10 +263,10 @@ def _deg_projective(x, n_max):
     items = []
     nd = {}
     for n in range(1, n_max + 1):
-        _, can, nd[n], _ = degenerate_subobject(x, n)
+        _, _, _, nd[n], _, analyses = _degenerate_parts(x, n)
         for a in x.vertices:
             for b in x.vertices:
-                ana = analyze(can.comp(a, b))
+                ana = analyses[(a, b)]
                 if ana.injective and ana.cokernel.is_flat():
                     items.append(CheckItem((n, a, b), True))
                 elif not ana.injective:

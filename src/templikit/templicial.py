@@ -8,6 +8,10 @@ factorization, the active part by face/degeneracy words and the inert part
 by comultiplication words.  Strong unitality is built in: the counit and the
 comultiplications with a zero index are not stored, they are the canonical
 unit insertions.
+
+A necklicial module stores its values and computes the action of each
+necklace map the first time it is asked for: the action is checked once
+then and kept on the module, so a check evaluates only the maps it reads.
 """
 
 from __future__ import annotations
@@ -436,51 +440,88 @@ def validate_templicial(x):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _map_order(f):
+    return (f.source.points, f.target.points, f.fint.values)
+
+
 class NecklicialModule:
-    """Contravariant assignment of modules to necklaces of dimension <= N."""
+    """Contravariant assignment of modules to necklaces of dimension <= N.
 
-    ring: object
-    max_level: int
-    values: tuple   # sorted ((Necklace, Module)) for every necklace dim <= N
-    actions: tuple  # ((NecklaceMap, Morphism Y_U -> Y_T)) for every map
+    The values Y_T are stored for every necklace.  The action
+    Y(f): Y_U -> Y_T of a necklace map f: T -> U is computed by ``source`` the
+    first time it is asked for; its endpoints are checked then, once
+    (``ShapeError``), and it is kept on this module.  So a check pays only
+    for the maps of the index diagrams it reads.  ``maps`` holds the maps that
+    have an action (None: every necklace map up to the truncation).
+    ``actions``, ``==`` and ``hash`` read every action.
+    """
 
-    def __post_init__(self):
-        vals = dict(self.values)
-        expect = {t for p in range(self.max_level + 1) for t in necklaces(p)}
+    def __init__(self, ring, max_level, values, source, maps=None):
+        vals = dict(values)
+        expect = {t for p in range(max_level + 1) for t in necklaces(p)}
         if set(vals) != expect:
             raise ShapeError("necklicial values must cover all necklaces up to truncation")
-        for t, mod in self.values:
-            if mod.ring != self.ring:
+        for mod in vals.values():
+            if mod.ring != ring:
                 raise RingMismatchError("necklicial value over wrong ring")
-        for f, mor in self.actions:
-            if mor.domain != vals[f.target] or mor.codomain != vals[f.source]:
-                raise ShapeError(f"action of {f} has wrong endpoints")
-        object.__setattr__(self, "_values_dict", vals)
-        object.__setattr__(self, "_actions_dict", dict(self.actions))
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.ring, self.max_level, self.values, self.actions))
-            object.__setattr__(self, "_hash", h)
-        return h
+        self.ring = ring
+        self.max_level = max_level
+        self.values = tuple(sorted(vals.items(), key=lambda kv: kv[0].points))
+        self._values_dict = vals
+        self._source = source
+        self._maps = maps
+        self._memo = {}
+        self._actions = None
+        self._hash = None
 
     @staticmethod
     def build(ring, max_level, values, actions):
-        vals = tuple(sorted(values.items(), key=lambda kv: kv[0].points))
-        acts = tuple(sorted(actions.items(),
-                            key=lambda kv: (kv[0].source.points, kv[0].target.points,
-                                            kv[0].fint.values)))
-        return NecklicialModule(ring, max_level, vals, acts)
+        """A module with the given actions, each checked here."""
+        actions = dict(actions)
+        y = NecklicialModule(ring, max_level, values, actions.__getitem__, actions)
+        for f in sorted(actions, key=_map_order):
+            y.action(f)
+        return y
+
+    @property
+    def actions(self):
+        """((NecklaceMap, Morphism Y_U -> Y_T)) for every map, sorted."""
+        if self._actions is None:
+            maps = all_necklace_maps(self.max_level) if self._maps is None else self._maps
+            self._actions = tuple((f, self.action(f)) for f in sorted(maps, key=_map_order))
+        return self._actions
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, NecklicialModule):
+            return NotImplemented
+        return (self.ring == other.ring and self.max_level == other.max_level
+                and self.values == other.values and self.actions == other.actions)
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.ring, self.max_level, self.values, self.actions))
+        return self._hash
 
     def value(self, necklace):
         return self._values_dict[necklace]
 
+    def _has_action(self, f):
+        if self._maps is None:
+            return f.source.dim <= self.max_level and f.target.dim <= self.max_level
+        return f in self._maps
+
     def action(self, f):
-        mor = self._actions_dict.get(f)
+        mor = self._memo.get(f)
         if mor is None:
-            raise ShapeError(f"no action stored for {f}")
+            if not self._has_action(f):
+                raise ShapeError(f"no action stored for {f}")
+            mor = self._source(f)
+            vals = self._values_dict
+            if mor.domain != vals.get(f.target) or mor.codomain != vals.get(f.source):
+                raise ShapeError(f"action of {f} has wrong endpoints")
+            self._memo[f] = mor
         return mor
 
     def level(self, n):
@@ -488,18 +529,15 @@ class NecklicialModule:
 
 
 def hom_necklicial(x, a, b):
-    """The necklicial module X_.(a, b) of a templicial module."""
+    """The necklicial module X_.(a, b) of a templicial module; the action of
+    f is the (a, b) component of X(f)."""
     if a not in x.vertices or b not in x.vertices:
         raise ShapeError(f"unknown vertices ({a},{b})")
     ev = evaluator(x)
-    values = {}
-    for p in range(x.max_level + 1):
-        for t in necklaces(p):
-            values[t] = ev.layout(t).hom(a, b)
-    actions = {}
-    for f in all_necklace_maps(x.max_level):
-        actions[f] = ev.eval_map(f).comp(a, b)
-    return NecklicialModule.build(x.ring, x.max_level, values, actions)
+    values = {t: ev.layout(t).hom(a, b)
+              for p in range(x.max_level + 1) for t in necklaces(p)}
+    return NecklicialModule(x.ring, x.max_level, values,
+                            lambda f: ev.eval_map(f).comp(a, b))
 
 
 def validate_necklicial(y):
@@ -546,11 +584,11 @@ def tensor_external(y, module):
         raise RingMismatchError("tensor_external over mixed rings")
     ident = Morphism.identity(module)
     values = {t: tensor(mod, module) for t, mod in y.values}
-    actions = {f: tensor_morphisms(mor, ident) for f, mor in y.actions}
-    return NecklicialModule.build(y.ring, y.max_level, values, actions)
+    return NecklicialModule(y.ring, y.max_level, values,
+                            lambda f: tensor_morphisms(y.action(f), ident), y._maps)
 
 
 def base_change_necklicial(theta, y):
     values = {t: theta.base_change(mod) for t, mod in y.values}
-    actions = {f: theta.base_change_morphism(mor) for f, mor in y.actions}
-    return NecklicialModule.build(theta.target, y.max_level, values, actions)
+    return NecklicialModule(theta.target, y.max_level, values,
+                            lambda f: theta.base_change_morphism(y.action(f)), y._maps)

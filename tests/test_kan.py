@@ -144,6 +144,26 @@ def test_s0_times_2_degenerate_part():
     assert first.cokernel.factors == (2,)
 
 
+def test_deg_projective_reuses_degenerate_part_analyses(monkeypatch):
+    from templikit import coeff
+
+    calls = []
+    smith = coeff.smith
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return smith(*args, **kwargs)
+
+    monkeypatch.setattr(coeff, "smith", counted)
+    x = paper_p(3)
+    check_deg_projective(x, 3, assume_valid=True)
+    checker = len(calls)
+    calls.clear()
+    for n in (1, 2, 3):
+        degenerate_subobject(x, n)
+    assert 0 < checker <= len(calls)
+
+
 def test_free_delta1_degenerate_part():
     x = free_templicial(sset_simplex(1, 2), F2, 2)
     deg, can, nd, _ = degenerate_subobject(x, 2)
