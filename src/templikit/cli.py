@@ -330,18 +330,28 @@ def canonical_json(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def load_instance(path):
+def _read_json(path, what):
+    """The JSON document in the file ``path``, or on standard input for None."""
     try:
+        if path is None:
+            return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise TemplikitError(f"cannot read instance file {path}: {exc}") from exc
-    return parse_instance(data)
+            return json.load(handle)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise TemplikitError(f"cannot read {what} file {path or '<stdin>'}: {exc}") from exc
+
+
+def load_instance(path):
+    return parse_instance(_read_json(path, "instance"))
 
 
 def save_instance(path, instance):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(canonical_json(serialize_instance(instance)))
+    text = canonical_json(serialize_instance(instance))
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise TemplikitError(f"cannot write instance file {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +395,36 @@ def render_report_text(obj, indent=0):
     for child in obj.get("children", ()):
         lines.append(render_report_text(child, indent + 1))
     return "\n".join(lines)
+
+
+def _typed(value, path, kind):
+    if not isinstance(value, kind):
+        raise InvalidInstanceError(f"{path} has the wrong type: {value!r}")
+
+
+def _check_fields(obj, path, required, optional):
+    for key, kind in required:
+        _typed(_field(obj, key, path), f"{path}.{key}", kind)
+    for key, kind in optional:
+        if key in obj:
+            _typed(obj[key], f"{path}.{key}", kind)
+
+
+def _check_item(item, path):
+    _check_fields(item, path, (("indices", list), ("passed", bool)),
+                  (("detail", (str, type(None))), ("cokernel", (str, type(None)))))
+    for k, index in enumerate(item["indices"]):
+        _typed(index, f"{path}.indices[{k}]", str)
+
+
+def _check_report(obj, path):
+    """Check the fields of a stored report that ``render_report_text`` reads;
+    a missing or wrong-typed one is named by its JSON path."""
+    _check_fields(obj, path, (("prop", str), ("passed", bool)),
+                  (("status", str), ("note", str)))
+    for key, check in (("items", _check_item), ("children", _check_report)):
+        for k, entry in enumerate(_list(obj.get(key, []), f"{path}.{key}")):
+            check(entry, f"{path}.{key}[{k}]")
 
 
 def emit_report(report, fmt, out=None):
@@ -508,14 +548,12 @@ def _cmd_verify(args):
 
 
 def _cmd_report(args):
-    if args.file:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
-    else:
-        obj = json.load(sys.stdin)
-    if "report" not in obj:
-        raise TemplikitError("not a report file")
-    body = obj["report"]
+    obj = _read_json(args.file, "report")
+    try:
+        body = _field(obj, "report", "$")
+        _check_report(body, "$.report")
+    except InvalidInstanceError as exc:
+        raise TemplikitError(f"invalid report: {exc}") from exc
     if args.format == "json":
         sys.stdout.write(canonical_json(obj))
     else:

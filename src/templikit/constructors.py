@@ -25,7 +25,6 @@ from .quiver import (
     flatten_iso,
     tensor_layout,
     tensor_quiver_morphisms,
-    unit_insertion_iso,
     unit_quiver,
 )
 from .templicial import NecklicialModule, TemplicialModule
@@ -463,9 +462,10 @@ class LinearCategory:
         rhs = m.compose(right_t.compose(bwd_r))
         if lhs != rhs:
             raise ShapeError("composition is not associative")
-        ins_l, _ = unit_insertion_iso(ring, vertices, (c,), {0})
+        unit = tensor_layout(ring, vertices, ())
+        _, ins_l = flatten_iso(ring, vertices, (unit, c))
         lu = m.compose(tensor_quiver_morphisms(ring, vertices, (self.units, ident)).compose(ins_l))
-        ins_r, _ = unit_insertion_iso(ring, vertices, (c,), {1})
+        _, ins_r = flatten_iso(ring, vertices, (c, unit))
         ru = m.compose(tensor_quiver_morphisms(ring, vertices, (ident, self.units)).compose(ins_r))
         if lu != ident or ru != ident:
             raise ShapeError("units are not two-sided identities")
@@ -539,23 +539,19 @@ def nerve(category, max_level):
     u = category.units
     layouts = {n: tensor_layout(ring, vertices, (c,) * n) for n in range(1, max_level + 1)}
     levels = tuple(layouts[n].quiver for n in range(1, max_level + 1))
-
-    def level_quiver(n):
-        return unit_quiver(ring, vertices) if n == 0 else levels[n - 1]
-
+    unit = tensor_layout(ring, vertices, ())
     pair = tensor_layout(ring, vertices, (c, c))
     faces = {}
     for n in range(2, max_level + 1):
         for j in range(1, n):
-            items = [c] * (j - 1) + [pair] + [c] * (n - j - 1)
-            _, bwd = flatten_iso(ring, vertices, tuple(items))
+            _, bwd = flatten_iso(ring, vertices, (c,) * (j - 1) + (pair,) + (c,) * (n - j - 1))
             parts = ([QuiverMorphism.identity(c)] * (j - 1) + [m]
                      + [QuiverMorphism.identity(c)] * (n - j - 1))
             faces[(n, j)] = tensor_quiver_morphisms(ring, vertices, tuple(parts)).compose(bwd)
     degens = {}
     for n in range(0, max_level):
         for i in range(0, n + 1):
-            ins, _ = unit_insertion_iso(ring, vertices, (c,) * n, {i})
+            _, ins = flatten_iso(ring, vertices, (c,) * i + (unit,) + (c,) * (n - i))
             parts = ([QuiverMorphism.identity(c)] * i + [u]
                      + [QuiverMorphism.identity(c)] * (n - i))
             degens[(n, i)] = tensor_quiver_morphisms(ring, vertices, tuple(parts)).compose(ins)

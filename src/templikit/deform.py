@@ -27,6 +27,7 @@ from .coeff import (
     factor_through_mono,
     finite_limit,
     image_equals_kernel,
+    mat_identity,
     tensor,
     tensor_morphisms,
 )
@@ -43,7 +44,7 @@ from .kan import (
     truncated_wing_object,
 )
 from .necklace import Necklace, NecklaceMap, build_diagram, fint_identity
-from .quiver import Quiver, QuiverMorphism
+from .quiver import Quiver, QuiverMorphism, tensor_quiver_morphisms
 from .templicial import (
     NecklicialModule,
     TemplicialModule,
@@ -131,8 +132,6 @@ def _transport_by_witness(bc, witness):
               for (n, i), f in bc.degeneracies}
     comults = {}
     for (k, l), f in bc.comults:
-        from .quiver import tensor_quiver_morphisms
-
         paired = tensor_quiver_morphisms(ring, vertices, (fw[k], fw[l]))
         comults[(k, l)] = paired.compose(f.compose(bw[k + l]))
     return TemplicialModule.build(ring, vertices, bc.max_level,
@@ -264,9 +263,7 @@ def extension_sequence(theta, ybar):
             tuple(pi_mt if i == j else ring.zero() for j in range(r)) for i in range(r)
         )
         inclusions[t] = Morphism(sub_values[t], mod, scale)
-        projections[t] = Morphism(mod, quot_values[t],
-                                  tuple(tuple(ring.one() if i == j else ring.zero()
-                                              for j in range(r)) for i in range(r)))
+        projections[t] = Morphism(mod, quot_values[t], mat_identity(ring, r))
     for f, act in ybar.actions:
         sub_actions[f] = Morphism(sub_values[f.target], sub_values[f.source], act.matrix)
         quot_actions[f] = Morphism(quot_values[f.target], quot_values[f.source], act.matrix)
@@ -304,7 +301,7 @@ def build_extension(sub, quotient, cocycle=None):
         raise RingMismatchError("extension terms must share ring and truncation")
     ring = sub.ring
     cocycle = dict(cocycle or {})
-    sums = {t: direct_sum(ring, (mod, dict(quotient.values)[t]))
+    sums = {t: direct_sum(ring, (mod, quotient.value(t)))
             for t, mod in sub.values}
     values = {t: ds.module for t, ds in sums.items()}
     actions = {}
@@ -567,11 +564,7 @@ def _three_by_three_report(theta, upper, lower, n_max, step_idx):
                                        "" if ok else f"{bc_deg} != {x_deg}"))
                 if not ok:
                     continue
-                rho_n = Morphism(
-                    xbar_n, theta.view_module_over_source(x_n),
-                    tuple(tuple(theta.source.one() if i == j else theta.source.zero()
-                                for j in range(xbar_n.ngens))
-                          for i in range(xbar_n.ngens)))
+                rho_n = _reduction_morphism(theta, xbar_n)
                 u_deg = _colimit_comparison(theta, homs_r.pop((a, b)), homs_k.pop((a, b)))
                 ok = u_deg is not None and analyze(u_deg).is_iso
                 items.append(CheckItem(tag + ("deg-colimit-comparison",), ok))
@@ -631,11 +624,7 @@ def _three_by_three_report(theta, upper, lower, n_max, step_idx):
 def _reduction_morphism(theta, module):
     """Entrywise reduction M -> view(k (x)_R M) as an R-linear map."""
     target = theta.view_module_over_source(theta.base_change(module))
-    ident = tuple(
-        tuple(theta.source.one() if i == j else theta.source.zero()
-              for j in range(module.ngens))
-        for i in range(module.ngens))
-    return Morphism(module, target, ident)
+    return Morphism(module, target, mat_identity(theta.source, module.ngens))
 
 
 def _colimit_comparison(theta, colim_up, colim_lo):

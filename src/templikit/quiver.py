@@ -6,7 +6,8 @@ a = b_0, b_1, ..., b_r = c of the module tensors Q_1(b_0,b_1) (x) ... (x)
 Q_r(b_{r-1},b_r), with raw generators ordered lexicographically by
 (path, generator indices) and then normalized to invariant-factor form.
 The layout objects returned here retain the raw/normal change of basis so
-that structure matrices can be moved between different bracketings exactly.
+that structure matrices can be moved exactly between different bracketings
+and across inserted units I_S (``flatten_iso``).
 """
 
 from __future__ import annotations
@@ -240,12 +241,9 @@ class TensorLayout:
 
 
 @lru_cache(maxsize=None)
-def tensor_quivers(factors):
-    """Cached n-ary tensor layout of a tuple of quivers."""
-    if not factors:
-        raise ShapeError("tensor_quivers needs the vertex data; use unit_layout")
-    ring = factors[0].ring
-    vertices = factors[0].vertices
+def tensor_layout(ring, vertices, factors):
+    """Cached n-ary tensor layout of a tuple of quivers; no factors gives
+    the unit layout, whose quiver is I_S."""
     for q in factors:
         if q.ring != ring:
             raise RingMismatchError("tensor over mixed rings")
@@ -254,26 +252,15 @@ def tensor_quivers(factors):
     return TensorLayout(ring, vertices, factors)
 
 
-@lru_cache(maxsize=None)
-def unit_layout(ring, vertices):
-    return TensorLayout(ring, vertices, ())
-
-
-def tensor_layout(ring, vertices, factors):
-    if factors:
-        return tensor_quivers(tuple(factors))
-    return unit_layout(ring, tuple(vertices))
-
-
 def tensor_s(p, q):
     """Binary quiver tensor P (x)_S Q."""
-    return tensor_quivers((p, q)).quiver
+    return tensor_layout(p.ring, p.vertices, (p, q)).quiver
 
 
 def tensor_quiver_morphisms(ring, vertices, fs):
     """Tensor of quiver morphisms between the canonical n-ary layouts."""
-    dom = tensor_layout(ring, vertices, [f.domain for f in fs])
-    cod = tensor_layout(ring, vertices, [f.codomain for f in fs])
+    dom = tensor_layout(ring, vertices, tuple(f.domain for f in fs))
+    cod = tensor_layout(ring, vertices, tuple(f.codomain for f in fs))
     r = len(fs)
     comps = {}
     for a in vertices:
@@ -308,29 +295,21 @@ def _atoms_of(item):
 
 
 @lru_cache(maxsize=None)
-def _flatten_iso_cached(ring, vertices, items):
-    return _flatten_iso_impl(ring, vertices, items)
-
-
 def flatten_iso(ring, vertices, items):
-    return _flatten_iso_cached(ring, tuple(vertices), tuple(items))
+    """The coherence isomorphism between a nested tensor and its flat form.
 
-
-def _flatten_iso_impl(ring, vertices, items):
-    """Isomorphism between a nested tensor and its flattened form.
-
-    ``items`` lists quivers and/or TensorLayouts; the source is the layout of
-    the items' quivers (a layout item contributing its normalized quiver) and
-    the target the layout of the concatenated atomic factors.  Returns
-    (forward, backward) quiver morphisms, mutually inverse.
+    ``items`` is a tuple of quivers and/or TensorLayouts; the source is the
+    layout of the items' quivers (a layout item contributing its normalized
+    quiver) and the target the layout of the concatenated atomic factors.
+    A layout with no factors stands for I_S and adds no atom, so the
+    backward map of ``items`` with such unit layouts is the unit insertion
+    TL(atoms) -> TL(items).  Returns (forward, backward) quiver morphisms,
+    mutually inverse.
     """
-    from itertools import product as _product
-
-    outer = tensor_layout(ring, vertices, [
+    outer = tensor_layout(ring, vertices, tuple(
         it.quiver if isinstance(it, TensorLayout) else it for it in items
-    ])
-    flat_factors = tuple(atom for it in items for atom in _atoms_of(it))
-    flat = tensor_layout(ring, vertices, flat_factors)
+    ))
+    flat = tensor_layout(ring, vertices, tuple(atom for it in items for atom in _atoms_of(it)))
     one = ring.one()
     fwd_comps = {}
     bwd_comps = {}
@@ -365,16 +344,19 @@ def _flatten_iso_impl(ring, vertices, items):
                         choices.append(opts)
                     else:
                         choices.append([((), (g,), one, one)])
-                for combo in _product(*choices):
+                for combo in product(*choices):
                     interior = []
                     fgens = []
                     ce_total = one
                     cc_total = one
                     for idx, (ipath, igens, ce, cc) in enumerate(combo):
-                        interior.extend(ipath)
-                        if idx < len(items) - 1:
-                            interior.append(ofull[idx + 1])
-                        fgens.extend(igens)
+                        if igens:
+                            # a boundary vertex before each item with atoms
+                            # but the first; a unit item adds none
+                            if fgens:
+                                interior.append(ofull[idx])
+                            interior.extend(ipath)
+                            fgens.extend(igens)
                         ce_total = ring.mul(ce_total, ce)
                         cc_total = ring.mul(cc_total, cc)
                     fi = flat.raw_index(a, c, tuple(interior), tuple(fgens))
@@ -391,69 +373,6 @@ def _flatten_iso_impl(ring, vertices, items):
     fwd = QuiverMorphism.build(outer.quiver, flat.quiver, fwd_comps)
     bwd = QuiverMorphism.build(flat.quiver, outer.quiver, bwd_comps)
     return fwd, bwd
-
-
-@lru_cache(maxsize=None)
-def _unit_insertion_cached(ring, vertices, factors, unit_positions):
-    return _unit_insertion_impl(ring, vertices, factors, unit_positions)
-
-
-def unit_insertion_iso(ring, vertices, factors, unit_positions):
-    return _unit_insertion_cached(ring, tuple(vertices), tuple(factors),
-                                  frozenset(unit_positions))
-
-
-def _unit_insertion_impl(ring, vertices, factors, unit_positions):
-    """Isomorphism TL(factors) -> TL(factors with I_S inserted).
-
-    ``unit_positions`` are indices in the *target* factor list that hold the
-    unit quiver.  Returns (forward, backward).
-    """
-    unit = unit_quiver(ring, vertices)
-    unit_positions = set(unit_positions)
-    total = len(factors) + len(unit_positions)
-    with_units = []
-    it = iter(factors)
-    for pos in range(total):
-        with_units.append(unit if pos in unit_positions else next(it))
-    src = tensor_layout(ring, vertices, factors)
-    tgt = tensor_layout(ring, vertices, tuple(with_units))
-    fwd_comps = {}
-    bwd_comps = {}
-    for a in vertices:
-        for c in vertices:
-            smod, tmod = src.hom(a, c), tgt.hom(a, c)
-            if smod.is_zero and tmod.is_zero:
-                continue
-            sraw = src.raw_gens(a, c)
-            traw = tgt.raw_gens(a, c)
-            perm = [[ring.zero()] * len(sraw) for _ in range(len(traw))]
-            for si, (spath, sgens) in enumerate(sraw):
-                sfull = (a,) + spath + (c,)
-                full = [a]
-                tgens = []
-                k = 0
-                for pos in range(total):
-                    if pos in unit_positions:
-                        full.append(full[-1])
-                        tgens.append(0)
-                    else:
-                        full.append(sfull[k + 1])
-                        tgens.append(sgens[k])
-                        k += 1
-                ti = tgt.raw_index(a, c, tuple(full[1:-1]), tuple(tgens))
-                if ti is None:
-                    raise ShapeError("unit insertion misalignment")
-                perm[ti][si] = ring.one()
-            fwd_mat = tgt.normalize(a, c, tuple(map(tuple, perm)), src)
-            tperm = tuple(tuple(perm[i][j] for i in range(len(traw))) for j in range(len(sraw)))
-            bwd_mat = src.normalize(a, c, tperm, tgt)
-            fwd_comps[(a, c)] = Morphism(smod, tmod, fwd_mat)
-            bwd_comps[(a, c)] = Morphism(tmod, smod, bwd_mat)
-    return (
-        QuiverMorphism.build(src.quiver, tgt.quiver, fwd_comps),
-        QuiverMorphism.build(tgt.quiver, src.quiver, bwd_comps),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ then and kept on the module, so a check evaluates only the maps it reads.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 from .coeff import Module, Morphism, RingMismatchError, ShapeError, tensor, tensor_morphisms
@@ -36,7 +35,6 @@ from .quiver import (
     flatten_iso,
     tensor_layout,
     tensor_quiver_morphisms,
-    unit_insertion_iso,
     unit_quiver,
 )
 
@@ -181,6 +179,12 @@ class TemplicialModule:
                                 self.levels, self.faces, self.degeneracies, comults)
 
 
+def _tensor_item(x, n):
+    """X_n as an item of ``flatten_iso``: level 0 is the unit layout, so
+    the slots it fills are unit insertions."""
+    return tensor_layout(x.ring, x.vertices, ()) if n == 0 else x.level_quiver(n)
+
+
 class TemplicialEvaluator:
     """Cached evaluation of a templicial module on necklaces and their maps."""
 
@@ -282,11 +286,9 @@ class TemplicialEvaluator:
         if bead_maps:
             word_morphs = tuple(self.fint_morphism(g) for g in bead_maps)
             tensored = tensor_quiver_morphisms(x.ring, x.vertices, word_morphs)
-            unit_slots = {i for i, g in enumerate(bead_maps) if g.target_dim == 0}
-            nonunit = tuple(x.level_quiver(g.target_dim) for g in bead_maps
-                            if g.target_dim > 0)
-            ins_fwd, _ = unit_insertion_iso(x.ring, x.vertices, nonunit, unit_slots)
-            active_eval = tensored.compose(ins_fwd)
+            _, ins = flatten_iso(x.ring, x.vertices,
+                                 tuple(_tensor_item(x, g.target_dim) for g in bead_maps))
+            active_eval = tensored.compose(ins)
         else:
             active_eval = QuiverMorphism.identity(self.layout(active.source).quiver)
 
@@ -295,14 +297,13 @@ class TemplicialEvaluator:
         return result
 
 
-_evaluators = weakref.WeakKeyDictionary()
-
-
 def evaluator(x):
-    ev = _evaluators.get(x)
+    """The evaluator of ``x``, kept on the instance (as its hash is), so
+    its caches live and die with it."""
+    ev = x.__dict__.get("_evaluator")
     if ev is None:
         ev = TemplicialEvaluator(x)
-        _evaluators[x] = ev
+        object.__setattr__(x, "_evaluator", ev)
     return ev
 
 
@@ -394,14 +395,8 @@ def validate_templicial(x):
     def mu_general(k, l):
         if k >= 1 and l >= 1:
             return x.comult(k, l)
-        if k == 0 and l == 0:
-            fwd, _ = unit_insertion_iso(x.ring, x.vertices, (), {0, 1})
-            return fwd
-        if k == 0:
-            fwd, _ = unit_insertion_iso(x.ring, x.vertices, (x.level_quiver(l),), {0})
-            return fwd
-        fwd, _ = unit_insertion_iso(x.ring, x.vertices, (x.level_quiver(k),), {1})
-        return fwd
+        _, ins = flatten_iso(x.ring, x.vertices, (_tensor_item(x, k), _tensor_item(x, l)))
+        return ins
 
     def generators_into(k):
         gens = []

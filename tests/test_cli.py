@@ -12,6 +12,7 @@ from templikit.cli import (
     main,
     parse_instance,
     parse_ring_spec,
+    save_instance,
     serialize_instance,
 )
 from templikit.coeff import Ring
@@ -163,8 +164,94 @@ def test_bad_flag_value_is_usage_error(tmp_path, capsys, name, argv):
     assert captured.err.startswith("usage error: ")
 
 
+_GOOD_REPORT = {"prop": "p", "passed": True,
+                "items": [{"indices": ["1"], "passed": True, "detail": "", "cokernel": None}],
+                "children": [{"prop": "q", "passed": False}]}
+
+
+def _report_with(path, value):
+    report = json.loads(json.dumps(_GOOD_REPORT))
+    parent = report
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return json.dumps({"format_version": "1", "report": report})
+
+
+_MALFORMED_REPORTS = {
+    "missing-file": (None, "missing.json"),
+    "not-json": ("{not json", "cannot read report file"),
+    "not-utf8": (b"\xff\xfe", "cannot read report file"),
+    "too-deep": ("[" * 100000 + "]" * 100000, "cannot read report file"),
+    "scalar": ("5", "$ is not a JSON object"),
+    "report-scalar": ('{"report": 5}', "$.report is not a JSON object"),
+    "report-empty": ('{"report": {}}', "$.report.prop"),
+    "no-report": ('{"other": {}}', "$.report"),
+    "passed-string": (_report_with(("passed",), "yes"), "$.report.passed"),
+    "status-number": (_report_with(("status",), 3), "$.report.status"),
+    "items-object": (_report_with(("items",), {}), "$.report.items"),
+    "indices-string": (_report_with(("items", 0, "indices"), "1"), "$.report.items[0].indices"),
+    "index-number": (_report_with(("items", 0, "indices", 0), 1), "$.report.items[0].indices[0]"),
+    "cokernel-number": (_report_with(("items", 0, "cokernel"), 2), "$.report.items[0].cokernel"),
+    "child-list": (_report_with(("children", 0), []), "$.report.children[0]"),
+    "child-passed-null": (_report_with(("children", 0, "passed"), None),
+                          "$.report.children[0].passed"),
+}
+
+
+@pytest.mark.parametrize("content,named", list(_MALFORMED_REPORTS.values()),
+                         ids=list(_MALFORMED_REPORTS))
+def test_malformed_report_is_invalid_input(tmp_path, capsys, content, named):
+    file = tmp_path / "missing.json"
+    if isinstance(content, bytes):
+        file.write_bytes(content)
+    elif content is not None:
+        file.write_text(content)
+    code = main(["report", str(file)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert named in captured.err
+
+
+def test_well_formed_report_renders(tmp_path, capsys):
+    file = tmp_path / "r.json"
+    file.write_text(_report_with(("note",), "n"))
+    assert main(["report", str(file)]) == 0
+    assert capsys.readouterr().out == "p: PASS -- n\n  (1): pass\n  q: FAIL\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("example", "s0_times_2", "-o", "{out}"),
+    ("basechange", "{file}", "--to", "prime-field:2", "-o", "{out}"),
+], ids=lambda v: v[0])
+def test_unwritable_output_is_invalid_input(tmp_path, capsys, argv):
+    paths = {"{file}": str(tmp_path / "x.json"),
+             "{out}": str(tmp_path / "no-such-dir" / "out.json")}
+    save_instance(paths["{file}"], free_templicial(sset_simplex(1, 2), Ring.chain(2, 3), 2))
+    code = main([paths.get(a, a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: cannot write instance file ")
+
+
 def test_missing_file_is_invalid_input():
     assert main(["check", "/nonexistent.json", "--property", "kan"]) == 2
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 100000 + b"]" * 100000],
+                         ids=("not-utf8", "too-deep"))
+def test_unreadable_instance_is_invalid_input(tmp_path, capsys, content):
+    file = tmp_path / "x.json"
+    file.write_bytes(content)
+    assert main(["check", str(file), "--property", "kan"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: cannot read instance file ")
 
 
 def test_report_determinism(tmp_path, capsys):

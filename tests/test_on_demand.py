@@ -7,6 +7,7 @@ a weak Kan / wings check evaluates only the maps of its index diagrams, and
 that reports do not depend on what the caches already hold.
 """
 
+import gc
 import re
 import weakref
 
@@ -51,9 +52,9 @@ Z = Ring.integers()
 
 
 @pytest.fixture
-def fresh_caches(monkeypatch):
-    """Empty evaluator registry and ``lru_cache``s for the test."""
-    monkeypatch.setattr(templicial, "_evaluators", weakref.WeakKeyDictionary())
+def fresh_caches():
+    """Empty ``lru_cache``s for the test; fresh instances already get fresh
+    evaluators."""
     for mod in (coeff, necklace, quiver):
         for fn in vars(mod).values():
             if hasattr(fn, "cache_clear") and fn.__module__ == mod.__name__:
@@ -74,7 +75,7 @@ CASES = (
 
 
 def _eager_hom(x, a, b):
-    ev = templicial.TemplicialEvaluator(x)  # its own caches, apart from the registry
+    ev = templicial.TemplicialEvaluator(x)  # its own caches, apart from the instance's
     n = x.max_level
     values = {t: ev.layout(t).hom(a, b) for p in range(n + 1) for t in necklaces(p)}
     actions = {f: ev.eval_map(f).comp(a, b) for f in all_necklace_maps(n)}
@@ -233,7 +234,17 @@ def test_report_independent_of_cache_state(make, report, tensor_with, fresh_cach
     x = make()
     _fill_caches(x)
     assert report(x) == fresh
-    templicial._evaluators.clear()
     x = make()
     _reverse_homs(x, tensor_with)
     assert report(x) == fresh
+
+
+def test_dropped_instances_free_their_evaluator():
+    xs = [s0_times_2(n) for n in (2, 3, 4)] + [paper_p(3)]
+    for x in xs:
+        check_quasicategory(x)
+    assert all(evaluator(x)._maps for x in xs)
+    refs = [weakref.ref(x) for x in xs]
+    del xs, x
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from templikit.coeff import (
     FREE,
     Module,
@@ -20,7 +22,6 @@ from templikit.quiver import (
     tensor_layout,
     tensor_quiver_morphisms,
     tensor_s,
-    unit_insertion_iso,
     unit_quiver,
 )
 
@@ -104,6 +105,39 @@ def test_tensor_associativity_up_to_reindexing():
             assert right.hom(a, c).factors == flat.hom(a, c).factors
 
 
+def _z_mixed_torsion():
+    # hom (a, b) of p (x) q sums Z/2 (through a) and Z/3 (through b)
+    s = ("a", "b")
+    p = Quiver.build(Z, s, {("a", "a"): Module(Z, (2,)), ("a", "b"): Module(Z, (3,)),
+                            ("b", "b"): Module.free(Z, 1)})
+    q = Quiver.build(Z, s, {("a", "b"): Module.free(Z, 1), ("b", "b"): Module(Z, (3, FREE))})
+    return p, q
+
+
+def _z4_mixed():
+    s = ("a", "b")
+    p = Quiver.build(Z4, s, {("a", "b"): Module(Z4, (1, FREE)), ("b", "b"): Module.free(Z4, 1)})
+    q = Quiver.build(Z4, s, {("b", "a"): Module.free(Z4, 2), ("b", "b"): Module(Z4, (1,)),
+                             ("a", "a"): Module(Z4, (1,))})
+    return p, q
+
+
+def _f3_free():
+    s = ("a", "b")
+    p = Quiver.build(F3, s, {("a", "b"): Module.free(F3, 2), ("b", "b"): Module.free(F3, 1)})
+    q = Quiver.build(F3, s, {("b", "a"): Module.free(F3, 1), ("a", "a"): Module.free(F3, 2)})
+    return p, q
+
+
+def _assert_mutually_inverse(ring, fwd, bwd):
+    for a in fwd.domain.vertices:
+        for c in fwd.domain.vertices:
+            f = fwd.comp(a, c)
+            g = bwd.comp(a, c)
+            assert g.compose(f).matrix == mat_identity(ring, f.domain.ngens)
+            assert f.compose(g).matrix == mat_identity(ring, f.codomain.ngens)
+
+
 def test_flatten_iso_roundtrip():
     s = ("a", "b")
     p = Quiver.build(Z4, s, {("a", "b"): Module(Z4, (1, FREE)), ("b", "b"): Module.free(Z4, 1)})
@@ -113,28 +147,94 @@ def test_flatten_iso_roundtrip():
     fwd, bwd = flatten_iso(Z4, s, (p, inner))
     flat = tensor_layout(Z4, s, (p, q, r)).quiver
     assert fwd.codomain == flat
-    for a in s:
-        for c in s:
-            f = fwd.comp(a, c)
-            g = bwd.comp(a, c)
-            assert g.compose(f).matrix == mat_identity(Z4, f.domain.ngens)
-            assert f.compose(g).matrix == mat_identity(Z4, f.codomain.ngens)
+    _assert_mutually_inverse(Z4, fwd, bwd)
+
+
+def test_flatten_iso_roundtrip_through_normalized_layouts():
+    # the nested layout's raw -> normal change of basis is not the identity
+    p, q = _z_mixed_torsion()
+    inner = tensor_layout(Z, p.vertices, (p, q))
+    assert inner.to_norm("a", "b") is not None
+    for items in ((inner, q), (p, inner), (inner, inner)):
+        fwd, bwd = flatten_iso(Z, p.vertices, items)
+        _assert_mutually_inverse(Z, fwd, bwd)
 
 
 def test_unit_insertion_roundtrip():
     s = ("a", "b")
     p = Quiver.build(F3, s, {("a", "b"): Module.free(F3, 2), ("b", "b"): Module.free(F3, 1)})
     q = Quiver.build(F3, s, {("b", "a"): Module.free(F3, 1)})
-    fwd, bwd = unit_insertion_iso(F3, s, (p, q), {1, 3})
+    unit = tensor_layout(F3, s, ())
+    bwd, fwd = flatten_iso(F3, s, (p, unit, q, unit))
     assert len(fwd.codomain.vertices) == 2
+    _assert_mutually_inverse(F3, fwd, bwd)
     for a in s:
         for c in s:
-            f = fwd.comp(a, c)
-            g = bwd.comp(a, c)
-            assert g.compose(f).matrix == mat_identity(F3, f.domain.ngens)
-            assert f.compose(g).matrix == mat_identity(F3, f.codomain.ngens)
             # inserting units preserves the hom up to iso
-            assert f.domain.factors == f.codomain.factors
+            assert fwd.comp(a, c).domain.factors == fwd.comp(a, c).codomain.factors
+
+
+def _with_units(factors, slots, unit):
+    """``factors`` with ``unit`` at the indices ``slots`` of the result."""
+    rest = iter(factors)
+    return tuple(unit if i in slots else next(rest)
+                 for i in range(len(factors) + len(slots)))
+
+
+def _unit_inserted_generator(a, c, path, gens, slots, total):
+    """The raw generator (path, gens) with the vertex repeated and generator
+    0 inserted at each unit slot."""
+    full = (a,) + tuple(path) + (c,)
+    verts, tgens, k = [a], [], 0
+    for pos in range(total):
+        if pos in slots:
+            verts.append(verts[-1])
+            tgens.append(0)
+        else:
+            k += 1
+            verts.append(full[k])
+            tgens.append(gens[k - 1])
+    return tuple(verts[1:-1]), tuple(tgens)
+
+
+# (name, unit slots, keep the factors): "every" inserts units into the empty tensor
+SLOTS = (("first", {0}, True), ("last", {2}, True), ("adjacent", {1, 2}, True),
+         ("every", {0, 1}, False))
+UNITOR_CASES = [(make, slots, keep) for make in (_z_mixed_torsion, _z4_mixed, _f3_free)
+                for _, slots, keep in SLOTS]
+
+
+@pytest.mark.parametrize(
+    "make,slots,keep", UNITOR_CASES,
+    ids=[f"{make.__name__}-{name}" for make in (_z_mixed_torsion, _z4_mixed, _f3_free)
+         for name, _, _ in SLOTS])
+def test_flatten_unit_insertion_is_canonical_unitor(make, slots, keep):
+    factors = make() if keep else ()
+    ring = make()[0].ring
+    s = ("a", "b")
+    total = len(factors) + len(slots)
+    unit = tensor_layout(ring, s, ())
+    _, ins = flatten_iso(ring, s, _with_units(factors, slots, unit))
+    src = tensor_layout(ring, s, factors)
+    tgt = tensor_layout(ring, s, _with_units(factors, slots, unit_quiver(ring, s)))
+    assert ins.domain == src.quiver and ins.codomain == tgt.quiver
+    if ring == Z and factors:
+        assert src.to_norm("a", "b") is not None
+        assert tgt.to_norm("a", "b") is not None
+    free1 = Module.free(ring, 1)
+    hit = 0
+    for a in s:
+        for c in s:
+            f = ins.comp(a, c)
+            for path, gens in src.raw_gens(a, c):
+                tpath, tgens = _unit_inserted_generator(a, c, path, gens, slots, total)
+                got = f.compose(Morphism(free1, src.hom(a, c),
+                                         src.basis_column(a, c, path, gens)))
+                want = Morphism(free1, tgt.hom(a, c), tgt.basis_column(a, c, tpath, tgens))
+                assert got == want, (a, c, path, gens)
+                hit += 1
+            assert len(src.raw_gens(a, c)) == len(tgt.raw_gens(a, c))
+    assert hit > 0
 
 
 def test_tensor_quiver_morphisms_functorial():
