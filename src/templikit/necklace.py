@@ -265,6 +265,32 @@ def all_necklace_maps(max_dim):
     return tuple(out)
 
 
+def _is_generator(f):
+    if f.is_inert:
+        return len(f.source.points) == len(f.target.points) + 1
+    if not f.is_active:
+        return False
+    collapsed, missed = fint_factorize(f.fint)
+    return len(collapsed) + len(missed) == 1
+
+
+@lru_cache(maxsize=None)
+def necklace_generators(max_dim):
+    """Necklace maps of dimension <= max_dim that generate all of them under
+    composition, together with the identities, in ``all_necklace_maps`` order.
+
+    They are the inert maps that drop exactly one point and the active maps
+    whose fint part is one inner coface or one codegeneracy.  Every map is
+    inert after active (``classify_and_factor``): the active part follows its
+    fint word (``fint_factorize``) one letter at a time and the inert part
+    drops its extra points one at a time, so no intermediate necklace of a
+    map (T,p) -> (U,q) has a dimension above max(p, q).  Two functors on the
+    truncated necklace category that agree on these maps therefore agree on
+    every map.
+    """
+    return tuple(f for f in all_necklace_maps(max_dim) if _is_generator(f))
+
+
 @lru_cache(maxsize=None)
 def injective_into_simplex(n):
     """All injective necklace maps (T,p) -> Delta^n, deterministic order."""

@@ -62,7 +62,9 @@ class Quiver:
             for (a, b), mod in mapping.items()
             if not mod.is_zero
         ]
-        items.sort(key=lambda kv: (index[kv[0][0]], index[kv[0][1]]))
+        # an unknown vertex sorts last, and the constructor rejects it
+        last = len(index)
+        items.sort(key=lambda kv: (index.get(kv[0][0], last), index.get(kv[0][1], last)))
         return Quiver(ring, tuple(vertices), tuple(items))
 
     def hom(self, a, b):

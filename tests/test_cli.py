@@ -369,3 +369,13 @@ def test_wrong_typed_value_names_json_path(tmp_path, capsys, path, value, named)
     file.write_text(json.dumps(data))
     assert main(["validate", str(file)]) == 2
     assert named in capsys.readouterr().err
+
+
+def test_hom_on_unknown_vertex_is_invalid_input(tmp_path, capsys):
+    data = json.loads(_EXAMPLES["paper_P"])
+    data["levels"][0]["homs"][0]["source"] = {"s": "nowhere"}
+    file = tmp_path / "x.json"
+    file.write_text(json.dumps(data))
+    assert main(["validate", str(file)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "unknown vertex" in line

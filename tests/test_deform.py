@@ -2,6 +2,7 @@
 
 import pytest
 
+from templikit import deform
 from templikit.coeff import (
     FREE,
     InvalidInstanceError,
@@ -9,7 +10,11 @@ from templikit.coeff import (
     Morphism,
     Ring,
     RingExtension,
+    ShapeError,
     UnsupportedRingError,
+    analyze,
+    direct_sum,
+    image_equals_kernel,
 )
 from templikit.constructors import (
     builtin,
@@ -35,9 +40,11 @@ from templikit.deform import (
     verify_wings_tensor,
 )
 from templikit.kan import check_quasicategory, check_weak_kan
-from templikit.necklace import Necklace, all_necklace_maps, necklaces
+from templikit.necklace import Necklace, all_necklace_maps, necklace_generators, necklaces
 from templikit.templicial import (
     NecklicialModule,
+    base_change_necklicial,
+    evaluator,
     hom_necklicial,
     validate_templicial,
 )
@@ -157,7 +164,9 @@ def test_ideal_tensor_shapes():
     for t, mod in y.values:
         assert it.value(t).rank == mod.rank  # I = k as a k-module
     theta2 = RingExtension(Z4, Ring.prime_field(2))
-    it2 = ideal_tensor(theta2, y) if False else None
+    it2 = ideal_tensor(theta2, y)
+    for t, mod in y.values:
+        assert it2.value(t).rank == mod.rank  # I = 2Z/4 = F2 as an F2-module
     assert theta2.kernel_as_target_module().factors == (FREE,)
 
 
@@ -200,6 +209,144 @@ def test_extension_sequence_zero_module():
     ext = extension_sequence(theta, y)
     assert all(mod.is_zero for _, mod in ext.sub.values)
     assert all(mod.is_zero for _, mod in ext.quotient.values)
+
+
+def _full_map_comparison(theta, ybar):
+    """Reference for ``extension_sequence``: sub and quotient actions built
+    eagerly from every action of ybar by the validating constructor, and the
+    ideal-tensor comparison checked on every necklace map.  Returns (sub
+    actions, quotient actions, maps where the comparison fails)."""
+    ring = theta.source
+    e_i = ring.m - theta.target_nilpotency
+    sub_values = {t: Module(ring, (e_i,) * mod.ngens) for t, mod in ybar.values}
+    quot_values = {t: theta.view_module_over_source(theta.base_change(mod))
+                   for t, mod in ybar.values}
+    sub_actions, quot_actions = {}, {}
+    for f, act in ybar.actions:
+        sub_actions[f] = Morphism(sub_values[f.target], sub_values[f.source], act.matrix)
+        quot_actions[f] = Morphism(quot_values[f.target], quot_values[f.source], act.matrix)
+    ideal = ideal_tensor(theta, base_change_necklicial(theta, ybar))
+    failing = [f for f, act in ideal.actions
+               if theta.view_morphism_over_source(act).matrix != sub_actions[f].matrix]
+    return sub_actions, quot_actions, failing
+
+
+def _dual_nerve_homs():
+    pair = nerve_pair(3)
+    return [(pair.extension, hom_necklicial(pair.deformed, "*", "*"))]
+
+
+def _paper_p_deformed_homs():
+    theta, deformed, _ = paper_p_deformed(3)
+    return [(theta, hom_necklicial(deformed, a, b))
+            for a in deformed.vertices for b in deformed.vertices]
+
+
+def _free_z4_homs():
+    x = free_templicial(sset_simplex(1, 2), Z4, 2)
+    return [(RingExtension(Z4, F2), hom_necklicial(x, a, b))
+            for a in x.vertices for b in x.vertices]
+
+
+def _two_step_z8_homs():
+    sset = sset_nerve_of_poset(("p0", "p1"), (("p0", "p1"),), 3)
+    upper = free_templicial(sset, Z8, 3)
+    out = []
+    for step in RingExtension(Z8, F2).small_factorization():
+        out.extend((step, hom_necklicial(upper, a, b))
+                   for a in upper.vertices for b in upper.vertices)
+        upper = base_change_templicial(step, upper)
+    return out
+
+
+ORACLE_CASES = {
+    "dual-nerve": _dual_nerve_homs,
+    "paper-P-deformed": _paper_p_deformed_homs,
+    "free-Z4": _free_z4_homs,
+    "two-step-Z8": _two_step_z8_homs,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_extension_sequence_matches_full_map_comparison(name):
+    for theta, ybar in ORACLE_CASES[name]():
+        sub_actions, quot_actions, failing = _full_map_comparison(theta, ybar)
+        assert failing == []
+        ext = extension_sequence(theta, ybar)  # the generator-only comparison passes too
+        assert dict(ext.sub.actions) == sub_actions
+        assert dict(ext.quotient.actions) == quot_actions
+        assert ext.verify_naturality()
+
+
+def test_ideal_tensor_mutant_at_one_generator_is_rejected(monkeypatch):
+    pair = nerve_pair(3)
+    theta, ybar = pair.extension, hom_necklicial(pair.deformed, "*", "*")
+    gens = necklace_generators(3)
+    target = next(f for f in gens[len(gens) // 2:]
+                  if ybar.value(f.source).ngens and ybar.value(f.target).ngens)
+    real_ideal_tensor = deform.ideal_tensor
+
+    def mutated(theta, y_k):
+        ideal = real_ideal_tensor(theta, y_k)
+
+        def source(f):
+            act = ideal.action(f)
+            if f != target:
+                return act
+            rows = [list(row) for row in act.matrix]
+            rows[0][0] = act.ring.add(rows[0][0], act.ring.one())
+            return Morphism(act.domain, act.codomain, tuple(map(tuple, rows)))
+
+        return NecklicialModule(ideal.ring, ideal.max_level, dict(ideal.values), source)
+
+    monkeypatch.setattr(deform, "ideal_tensor", mutated)
+    with pytest.raises(ShapeError) as exc:
+        extension_sequence(theta, ybar)
+    assert str(exc.value) == f"ideal tensor comparison map not natural at {target}"
+
+
+def test_extension_sequence_evaluates_only_the_maps_it_reads():
+    sset = sset_nerve_of_poset(("p0", "p1"), (("p0", "p1"),), 4)
+    x = free_templicial(sset, Z4, 4)
+    theta = RingExtension(Z4, F2)
+    ext = extension_sequence(theta, hom_necklicial(x, ("p0",), ("p1",)))
+    assert check_weak_kan(ext.sub, 4, assume_valid=True).passed
+    assert check_weak_kan(ext.quotient, 4, assume_valid=True).passed
+    assert len(evaluator(x)._maps) < len(all_necklace_maps(4))
+
+
+def _per_necklace_exactness(total, inclusions, projections):
+    """The exactness check made at every necklace, as before equal pairs
+    were checked once: the message of the first failure, or None."""
+    incl, proj = dict(inclusions), dict(projections)
+    for t, _ in total.values:
+        i, p = incl[t], proj[t]
+        if not analyze(i).injective:
+            return f"extension inclusion at {t} not injective"
+        if not analyze(p).surjective:
+            return f"extension projection at {t} not surjective"
+        if not image_equals_kernel(i, p):
+            return f"extension sequence at {t} not exact"
+    return None
+
+
+@pytest.mark.parametrize("bad", [((0, 2),), ((0, 1, 2), (0, 2))])
+def test_non_exact_extension_names_first_failing_necklace(bad):
+    x = free_templicial(sset_simplex(1, 2), F2, 2)
+    y = hom_necklicial(x, (0,), (1,))
+    ext = build_extension(y, y)
+    incl = dict(ext.inclusions)
+    for points in bad:
+        t = Necklace(points)
+        # include into the summand the projection keeps: p o i = id, not 0
+        ds = direct_sum(F2, (y.value(t), y.value(t)))
+        incl[t] = ds.injections[1]
+    inclusions = tuple(sorted(incl.items(), key=lambda kv: kv[0].points))
+    expected = f"extension sequence at {Necklace(bad[0])} not exact"
+    assert _per_necklace_exactness(ext.total, inclusions, ext.projections) == expected
+    with pytest.raises(ShapeError) as exc:
+        NecklicialExtension(y, ext.total, y, inclusions, ext.projections)
+    assert str(exc.value) == expected
 
 
 def test_build_extension_direct_sum_weak_kan():
@@ -274,6 +421,26 @@ def test_verify_degproj_lift_paper_pair():
     pair = builtin("paper_P_deformed")
     report = verify_degproj_lift(pair, 3)
     assert report.passed
+
+
+def test_degproj_lift_3x3_report_reads_the_fiber_instance(monkeypatch):
+    pair = DeformationPair(*paper_p_deformed(3))
+    real_report = deform._three_by_three_report
+    calls = []
+
+    def recording(theta, upper, lower, n_max, step_idx):
+        calls.append((theta, upper, lower, n_max, step_idx))
+        return real_report(theta, upper, lower, n_max, step_idx)
+
+    monkeypatch.setattr(deform, "_three_by_three_report", recording)
+    report = verify_degproj_lift(pair, 3)
+    assert report.passed
+    ((theta, upper, lower, n_max, step_idx),) = calls
+    assert lower is pair.special_fiber
+    # the report over an equal but distinct fiber has the same bytes
+    copy = base_change_templicial(theta, upper)
+    assert copy == lower and copy is not lower
+    assert str(real_report(theta, upper, copy, n_max, step_idx)) == str(report.children[1])
 
 
 def test_verify_degproj_lift_trivial_free():

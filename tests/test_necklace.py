@@ -20,6 +20,7 @@ from templikit.necklace import (
     fint_surjections,
     injective_into_simplex,
     inert_into_simplex,
+    necklace_generators,
     necklace_identity,
     necklace_maps_between,
     necklaces,
@@ -144,6 +145,40 @@ def test_composition_closure_exhaustive():
         for g in by_source.get(f.target, ()):
             h = g.compose(f)
             assert set(h.target.points) <= {h.fint(t) for t in h.source.points}
+
+
+@pytest.mark.parametrize("n,count", [(1, 1), (2, 7), (3, 27), (4, 83)])
+def test_necklace_generators_generate_every_map(n, count):
+    gens = necklace_generators(n)
+    assert len(gens) == count
+    assert not any(f.is_identity for f in gens)
+    gen_set = set(gens)
+    assert list(gens) == [f for f in all_necklace_maps(n) if f in gen_set]
+    by_source = {}
+    for g in gens:
+        by_source.setdefault(g.source, []).append(g)
+    # close the identities under postcomposition with generators
+    closure = {necklace_identity(t) for p in range(n + 1) for t in necklaces(p)}
+    frontier = list(closure)
+    while frontier:
+        f = frontier.pop()
+        for g in by_source.get(f.target, ()):
+            h = g.compose(f)
+            if h not in closure:
+                closure.add(h)
+                frontier.append(h)
+    assert closure == set(all_necklace_maps(n))
+
+
+def test_necklace_generators_kinds():
+    for f in necklace_generators(4):
+        if f.is_inert:
+            assert set(f.target.points) < set(f.source.points)
+            assert len(f.source.points) == len(f.target.points) + 1
+        else:
+            assert f.is_active
+            collapsed, missed = fint_factorize(f.fint)
+            assert len(collapsed) + len(missed) == 1
 
 
 def test_composition_associative_sampled():
