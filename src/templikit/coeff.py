@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 
 class TemplikitError(Exception):
@@ -40,14 +40,33 @@ class InvalidInstanceError(TemplikitError):
         self.report = report
 
 
+# Miller-Rabin with the prime bases up to 41 is exact below PRIME_LIMIT
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017)
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p):
+    """Primality of 0 <= p < PRIME_LIMIT by deterministic Miller-Rabin."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MILLER_RABIN_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -78,6 +97,9 @@ class Ring:
         if self.kind not in _KINDS:
             raise UnsupportedRingError(f"unsupported ring kind {self.kind!r}")
         if self.kind in (PRIME_FIELD, CHAIN, DUAL_CHAIN):
+            if self.p is not None and self.p >= PRIME_LIMIT:
+                raise UnsupportedRingError(
+                    f"{self.kind} supports primes below {PRIME_LIMIT}, got {self.p}")
             if self.p is None or not _is_prime(self.p):
                 raise UnsupportedRingError(f"{self.kind} requires a prime p, got {self.p!r}")
         else:
@@ -1115,17 +1137,72 @@ def direct_sum(ring, modules):
     return DirectSum(module, tuple(injections), tuple(projections), to_n, from_n)
 
 
-@dataclass(frozen=True)
 class Analysis:
-    kernel: Module
-    kernel_inclusion: Morphism
-    image: Module
-    image_inclusion: Morphism
-    cokernel: Module
-    cokernel_projection: Morphism
-    injective: bool
-    surjective: bool
-    split_mono: bool
+    """Kernel, image and cokernel of a morphism, with witnessing maps.
+
+    Each part is computed on its first read and kept on the morphism, so
+    every analysis of the same morphism shares it; the predicates read only
+    the parts they need.
+    """
+
+    def __init__(self, f):
+        self.morphism = f
+        parts = f.__dict__.get("_analysis")
+        if parts is None:
+            parts = {}
+            object.__setattr__(f, "_analysis", parts)
+        self._parts = parts
+
+    def _part(self, name, compute):
+        value = self._parts.get(name)
+        if value is None:
+            value = self._parts[name] = compute()
+        return value
+
+    def _kernel(self):
+        return self._part("kernel", lambda: kernel_data(self.morphism))
+
+    def _image(self):
+        return self._part("image", lambda: _image_data(self.morphism, self._kernel()[2]))
+
+    def _cokernel(self):
+        return self._part("cokernel", lambda: cokernel_data(self.morphism))
+
+    @property
+    def kernel(self):
+        return self._kernel()[0]
+
+    @property
+    def kernel_inclusion(self):
+        return self._kernel()[1]
+
+    @property
+    def image(self):
+        return self._image()[0]
+
+    @property
+    def image_inclusion(self):
+        return self._image()[1]
+
+    @property
+    def cokernel(self):
+        return self._cokernel()[0]
+
+    @property
+    def cokernel_projection(self):
+        return self._cokernel()[1]
+
+    @property
+    def injective(self):
+        return self.kernel.is_zero
+
+    @property
+    def surjective(self):
+        return self.cokernel.is_zero
+
+    @property
+    def split_mono(self):
+        return self.injective and self.cokernel.is_flat()
 
     @property
     def is_iso(self):
@@ -1168,6 +1245,8 @@ def kernel_data(f):
     ring = f.ring
     m = f.domain
     s = m.ngens
+    if s == 0:
+        return m, Morphism.zero(m, m), ()
     k0_cols = _kernel_generator_columns(ring, f)
     r = len(k0_cols)
     k0 = tuple(tuple(col[i] for col in k0_cols) for i in range(s))
@@ -1196,24 +1275,21 @@ def cokernel_data(f):
     return coker, Morphism(n, coker, tuple(res.row_transform[i] for i in kept))
 
 
-def analyze(f):
-    """Kernel, image and cokernel of a morphism, with witnessing maps."""
+def _image_data(f, k0):
+    """(image module, inclusion): the image is generated by the columns of
+    f, with the kernel columns ``k0`` as relations."""
     ring = f.ring
-    m, n = f.domain, f.codomain
-    s, t = m.ngens, n.ngens
-    coker, coker_proj = cokernel_data(f)
-    ker, incl, k0 = kernel_data(f)
-
-    # image: generated by the columns of f, relations = the kernel columns
+    s, t = f.domain.ngens, f.codomain.ngens
     rel_im = mat_identity(ring, s) if t == 0 else k0
     img, _, from_i = _presentation(ring, s, rel_im)
-    img_incl = Morphism(img, n, mat_mul(ring, f.matrix, from_i) if s and t
-                        else mat_zero(ring, t, img.ngens))
+    return img, Morphism(img, f.codomain, mat_mul(ring, f.matrix, from_i) if s and t
+                         else mat_zero(ring, t, img.ngens))
 
-    injective = ker.is_zero
-    surjective = coker.is_zero
-    split = injective and coker.is_flat()
-    return Analysis(ker, incl, img, img_incl, coker, coker_proj, injective, surjective, split)
+
+def analyze(f):
+    """Kernel, image and cokernel of a morphism, with witnessing maps, each
+    computed on first read (see :class:`Analysis`)."""
+    return Analysis(f)
 
 
 def cokernel_module(f):
@@ -1547,21 +1623,34 @@ def _subtract_block(ring, raw, r0, c0, block, size):
                 line[c0 + c] = add(line[c0 + c], neg(x))
 
 
-def finite_limit(diagram):
-    """Limit of a finite diagram, solved on a spanning forest.
+@dataclass(frozen=True)
+class _LimitEquations:
+    """A limit as the kernel of its difference map F --delta--> T.
+
+    F is the direct sum ``free_sum`` of the free nodes of a spanning forest
+    (node i's generators start at ``at[i]`` in the concatenation) and T the
+    sum of the targets of the arrows off the forest.  Every node t is
+    determined by its free root ``root[t]`` along the composite ``path[t]``
+    (None for a root), as in :func:`_forest_paths`.
+    """
+
+    free: tuple
+    root: list
+    path: list
+    free_sum: DirectSum
+    at: dict
+    delta: Morphism
+
+
+def _limit_equations(diagram):
+    """The difference map of ``diagram``'s limit on a spanning forest.
 
     A node t that is not free is reached by a tree arrow s -> t, so on the
     limit x_t = f(x_s); unwinding the forest gives x_t = P_t(x) for a
     composite P_t out of the direct sum of the free nodes.  Eliminating t is
-    exact and needs no Smith run, because its block in the difference map is
-    -id.  The tree arrows' equations then hold by construction, and the limit
-    is the kernel of the difference map whose block row for every other
-    arrow a: src -> tgt is f_a o P_src - P_tgt.  The cone to t is
-    P_t o inclusion.
-
-    The arrows need only generate the diagram's equations: for a functor on
-    a poset the covering arrows suffice, since every composite's equation
-    follows from those of its factors.
+    exact, because its block in the difference map is -id.  The tree arrows'
+    equations then hold by construction, and delta has one block row
+    f_a o P_src - P_tgt for every other arrow a: src -> tgt.
     """
     ring = diagram.ring
     nodes, arrows = diagram.nodes, diagram.arrows
@@ -1587,10 +1676,26 @@ def finite_limit(diagram):
     delta = Morphism._trusted(
         free_sum.module, arr_mod,
         change_basis(ring, arr_to, tuple(map(tuple, raw)), free_sum.from_norm))
-    kernel, incl, _ = kernel_data(delta)
+    return _LimitEquations(tuple(free), root, path, free_sum, at, delta)
+
+
+def finite_limit(diagram):
+    """Limit of a finite diagram, solved on a spanning forest.
+
+    The limit is the kernel of the difference map of
+    :func:`_limit_equations`, and the cone to a node t is P_t o inclusion.
+    The arrows need only generate the diagram's equations: for a functor on
+    a poset the covering arrows suffice, since every composite's equation
+    follows from those of its factors.
+    """
+    ring = diagram.ring
+    nodes = diagram.nodes
+    eq = _limit_equations(diagram)
+    root, path, at = eq.root, eq.path, eq.at
+    kernel, incl, _ = kernel_data(eq.delta)
     k = kernel.ngens
-    into_free = (incl.matrix if free_sum.from_norm is None
-                 else mat_mul(ring, free_sum.from_norm, incl.matrix, k))
+    into_free = (incl.matrix if eq.free_sum.from_norm is None
+                 else mat_mul(ring, eq.free_sum.from_norm, incl.matrix, k))
     cone = []
     for t, node in enumerate(nodes):
         r = root[t]
@@ -1598,7 +1703,7 @@ def finite_limit(diagram):
         if path[t] is not None:
             block = mat_mul(ring, path[t], block, k)
         cone.append(Morphism._trusted(kernel, node, block))
-    return LimitResult(kernel, tuple(cone), incl, free_sum, tuple(free))
+    return LimitResult(kernel, tuple(cone), incl, eq.free_sum, eq.free)
 
 
 def finite_colimit(diagram):
@@ -1688,6 +1793,13 @@ def factor_through_epi(projection, given):
     return u
 
 
+def _stack_free_legs(free, nodes_sum, legs, domain):
+    """The legs to the ``free`` nodes as one map into their direct sum."""
+    rows = tuple(row for i in free for row in legs[i].matrix)
+    return Morphism(domain, nodes_sum.module,
+                    change_basis(domain.ring, nodes_sum.to_norm, rows, None))
+
+
 def factor_through_limit(limit, legs, domain):
     """The unique u: domain -> limit with cone_i o u = legs[i].
 
@@ -1696,15 +1808,57 @@ def factor_through_limit(limit, legs, domain):
     """
     if len(legs) != len(limit.cone):
         raise ShapeError("factor_through_limit needs one leg per node")
-    ds = limit.nodes_sum
-    rows = tuple(row for i in limit.free for row in legs[i].matrix)
-    stacked = Morphism(domain, ds.module,
-                       change_basis(limit.module.ring, ds.to_norm, rows, None))
+    stacked = _stack_free_legs(limit.free, limit.nodes_sum, legs, domain)
     u = factor_through_mono(limit.inclusion, stacked)
     for cone, leg in zip(limit.cone, legs):
         if cone.compose(u).matrix != leg.matrix:
             raise ShapeError("limit factorization verification failed")
     return u
+
+
+def _length(module):
+    """Composition length of a module over a field or a chain ring: its
+    number of generators over a field, else the sum of the exponents of its
+    factors, m for a free one."""
+    ring = module.ring
+    if ring.is_field:
+        return module.ngens
+    return sum(ring.m if f == FREE else f for f in module.factors)
+
+
+def onto_limit(diagram, legs, domain):
+    """Whether the map from ``domain`` into the limit of ``diagram`` given
+    by the cone ``legs`` is surjective, decided without building the limit;
+    None over the integers when a node has a free summand.
+
+    With s: domain -> F the legs to the free nodes and delta: F -> T the
+    difference map of :func:`_limit_equations`, the limit is ker delta and
+    contains im s, so the map is onto iff im s = ker delta.  Over a field or
+    a chain ring that holds iff len coker s + len coker delta = len T, and
+    over the integers with torsion nodes iff |coker s| |coker delta| = |T|:
+    two Smith runs that read only the diagonal.  A family that is not a cone
+    raises the ShapeError of :func:`factor_through_limit`.
+    """
+    ring = diagram.ring
+    nodes = diagram.nodes
+    if ring.kind == INTEGERS and any(node.rank for node in nodes):
+        return None
+    if len(legs) != len(nodes):
+        raise ShapeError("factor_through_limit needs one leg per node")
+    eq = _limit_equations(diagram)
+    s = _stack_free_legs(eq.free, eq.free_sum, legs, domain)
+    if not eq.delta.compose(s).is_zero_map:
+        raise ShapeError("map does not factor through the inclusion")
+    for t, leg in enumerate(legs):
+        p = eq.path[t]
+        if p is not None and leg.matrix != _reduce_torsion_rows(
+                nodes[t], mat_mul(ring, p, legs[eq.root[t]].matrix, domain.ngens)):
+            raise ShapeError("limit factorization verification failed")
+    coker_s, coker_delta = cokernel_module(s), cokernel_module(eq.delta)
+    target = eq.delta.codomain
+    if ring.kind == INTEGERS:
+        return prod(coker_s.factors) * prod(coker_delta.factors) == prod(target.factors)
+    return _length(coker_s) + _length(coker_delta) == _length(target)
 
 
 def factor_through_colimit(colimit, legs, codomain):

@@ -566,8 +566,8 @@ def _three_by_three_report(theta, upper, lower, n_max, step_idx):
     for n in range(1, n_max + 1):
         # each hom's colimits are dropped once compared, so that the report
         # does not hold all of them at its peak memory
-        deg_r, homs_r, can_r, nd_r, q_r, _ = _degenerate_parts(upper, n)
-        deg_k, homs_k, can_k, nd_k, q_k, _ = _degenerate_parts(lower, n)
+        deg_r, homs_r, can_r, nd_r, q_r = _degenerate_parts(upper, n)
+        deg_k, homs_k, can_k, nd_k, q_k = _degenerate_parts(lower, n)
         for a in upper.vertices:
             for b in upper.vertices:
                 tag = (step_idx, n, a, b)

@@ -3,6 +3,7 @@
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -252,6 +253,35 @@ def test_unreadable_instance_is_invalid_input(tmp_path, capsys, content):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("error: cannot read instance file ")
+
+
+def _with_prime(tmp_path, p):
+    """The paper_P instance file with its prime-field ring's p replaced."""
+    file = tmp_path / "x.json"
+    assert main(["example", "paper_P", "-o", str(file)]) == 0
+    blob = json.loads(file.read_text())
+    blob["ring"]["p"] = str(p)
+    file.write_text(json.dumps(blob))
+    return file
+
+
+def test_twenty_digit_prime_parses_quickly(tmp_path, capsys):
+    file = _with_prime(tmp_path, 10000000000000000051)
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["validate", str(file)]) in (0, 1)
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("p", [3317044064679887385961981, 2 ** 89 - 1])
+def test_prime_beyond_the_exact_range_is_invalid_input(tmp_path, capsys, p):
+    file = _with_prime(tmp_path, p)
+    capsys.readouterr()
+    assert main(["validate", str(file)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "primes below 3317044064679887385961981" in err
 
 
 def test_report_determinism(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from templikit.coeff import (
     FREE,
+    PRIME_LIMIT,
     Module,
     ModuleDiagram,
     Morphism,
@@ -13,6 +14,7 @@ from templikit.coeff import (
     RingExtension,
     ShapeError,
     UnsupportedRingError,
+    _is_prime,
     analyze,
     cokernel_data,
     cokernel_module,
@@ -81,6 +83,47 @@ def test_ring_validation():
         Ring.chain(2, 0)
     with pytest.raises(UnsupportedRingError):
         Ring("polynomial")
+
+
+def _trial_division(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_agrees_with_trial_division_below_1e5():
+    assert [n for n in range(10 ** 5) if _is_prime(n) != _trial_division(n)] == []
+
+
+# strong pseudoprimes to the prime bases up to 2, 3, 7 (3215031751 =
+# 151 * 751 * 28351), 13, 17, 23 and 37, and Carmichael numbers
+@pytest.mark.parametrize("n", [2047, 1373653, 3215031751, 3474749660383, 341550071728321,
+                               3825123056546413051, 318665857834031151167461,
+                               561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+                               321197185, 9746347772161])
+def test_is_prime_rejects_pseudoprimes(n):
+    assert not _is_prime(n)
+
+
+# primes near 10^12, 10^18 and 10^19, and the largest prime below PRIME_LIMIT
+@pytest.mark.parametrize("p", [1000000000039, 999999999999999989, 1000000000000000003,
+                               10000000000000000051, 3317044064679887385961813])
+def test_is_prime_accepts_large_primes(p):
+    assert _is_prime(p)
+    assert not _is_prime(p * 3)
+    assert Ring.prime_field(p).p == p
+
+
+def test_primes_beyond_the_exact_range_are_unsupported():
+    with pytest.raises(UnsupportedRingError, match="primes below"):
+        Ring.prime_field(PRIME_LIMIT)
+    with pytest.raises(UnsupportedRingError, match="primes below"):
+        Ring.chain(2 ** 89 - 1, 2)  # a Mersenne prime above the limit
 
 
 def test_dual_chain_arithmetic():
@@ -221,6 +264,33 @@ def test_analyze_zero_map():
     assert ana.kernel.factors == m.factors
     assert ana.image.is_zero
     assert ana.cokernel.factors == m.factors
+
+
+def test_analyze_computes_each_part_once_on_first_read(monkeypatch):
+    from templikit import coeff
+
+    calls = []
+    smith = coeff.smith
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return smith(*args, **kwargs)
+
+    monkeypatch.setattr(coeff, "smith", counted)
+    m = Module(Z, (2, FREE))
+    f = Morphism(m, m, ((1, 0), (0, 3)))
+    assert not analyze(f).surjective
+    assert calls == [{"row_t": True}]  # the cokernel only
+    assert analyze(f).cokernel.factors == (3,)
+    assert analyze(f).injective
+    kernel_runs = len(calls) - 1
+    assert kernel_runs > 0
+    assert analyze(f).is_iso is False and analyze(f).split_mono is False
+    assert len(calls) == 1 + kernel_runs  # every part kept on f
+    # a map out of the zero module has a zero kernel without a Smith run
+    g = Morphism.zero(Module.zero(Z), m)
+    assert analyze(g).injective and analyze(g).kernel_inclusion.codomain == g.domain
+    assert len(calls) == 1 + kernel_runs
 
 
 def test_analyze_projection_over_f5():

@@ -1,0 +1,243 @@
+"""Deciding surjectivity onto a horn or wings limit by counting lengths.
+
+``coeff.onto_limit`` decides whether Y_n maps onto a limit without building
+it: two diagonal-only Smith runs on the free legs s and the difference map
+delta.  These tests compare its verdict with the full path it replaces
+(limit, canonical map, cokernel) on every horn and wings item of a corpus
+over five ring kinds, and on mutants with one perturbed action.
+"""
+
+import pytest
+
+from templikit import coeff, kan
+from templikit.coeff import (
+    Module,
+    Morphism,
+    Ring,
+    RingExtension,
+    ShapeError,
+    cokernel_module,
+    factor_through_limit,
+    finite_limit,
+    onto_limit,
+)
+from templikit.constructors import (
+    free_templicial,
+    nerve,
+    paper_p,
+    paper_p_deformed,
+    s0_times_2,
+    sset_nerve_of_poset,
+    truncated_polynomial_category,
+)
+from templikit.deform import base_change_templicial
+from templikit.kan import (
+    _module_diagram,
+    check_lifts_wings,
+    check_quasicategory,
+    check_weak_kan,
+)
+from templikit.necklace import build_diagram
+from templikit.templicial import NecklicialModule, hom_necklicial, tensor_external
+
+F3 = Ring.prime_field(3)
+D32 = Ring.dual_chain(3, 2)
+Z = Ring.integers()
+Z8 = Ring.chain(2, 3)
+
+
+def _homs(x):
+    return [hom_necklicial(x, a, b) for a in x.vertices for b in x.vertices]
+
+
+def _dual_numbers_nerve(n):
+    return nerve(truncated_polynomial_category(F3, (F3.zero(), F3.zero())), n)
+
+
+def _deformed_dual_numbers_nerve(n):
+    return nerve(truncated_polynomial_category(D32, (D32.uniformizer, D32.zero())), n)
+
+
+def _z8_chain():
+    """A nerve over Z/8 and the free templicial module on p0 < p1, with its
+    base change to Z/4."""
+    poset = free_templicial(sset_nerve_of_poset(("p0", "p1"), (("p0", "p1"),), 3), Z8, 3)
+    return (_homs(nerve(truncated_polynomial_category(Z8, (2, 4)), 3)) + _homs(poset)
+            + _homs(base_change_templicial(RingExtension(Z8, Ring.chain(2, 2)), poset)))
+
+
+CORPUS = {
+    "F3-nerve-3": lambda: _homs(_dual_numbers_nerve(3)),
+    "F3-nerve-4": lambda: _homs(_dual_numbers_nerve(4)),
+    "D32-nerve-3": lambda: _homs(_deformed_dual_numbers_nerve(3)),
+    "D32-nerve-4": lambda: _homs(_deformed_dual_numbers_nerve(4)),
+    "paper-p-4": lambda: _homs(paper_p(4)),
+    "s0-times-2-Z6": lambda: [tensor_external(y, Module(Z, (6,)))
+                              for y in _homs(s0_times_2(4))],
+    "paper-P-deformed-4": lambda: _homs(paper_p_deformed(4)[1]) + _homs(paper_p_deformed(4)[2]),
+    "Z8-chain": _z8_chain,
+}
+
+
+def _items(y):
+    for n in range(2, y.max_level + 1):
+        for j in range(1, n):
+            yield "horn", n, (j,)
+        yield "wings", n, ()
+
+
+def _outcome(decide):
+    try:
+        return "verdict", decide()
+    except ShapeError as exc:
+        return "ShapeError", str(exc)
+
+
+def _both_paths(y, kind, n, extra):
+    """(counting outcome, full-path outcome) of one item: a verdict or the
+    message of the ShapeError raised."""
+    diagram = build_diagram(kind, n, *extra)
+    modules = _module_diagram(y, diagram)
+    legs = [y.action(obj) for obj in diagram.objects]
+    count = _outcome(lambda: onto_limit(modules, legs, y.level(n)))
+    full = _outcome(lambda: cokernel_module(
+        factor_through_limit(finite_limit(modules), legs, y.level(n))).is_zero)
+    return count, full
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_count_matches_full_path(name):
+    checked = 0
+    for y in CORPUS[name]():
+        for kind, n, extra in _items(y):
+            count, full = _both_paths(y, kind, n, extra)
+            assert count == full, (kind, n, extra)
+            assert count[0] == "verdict"
+            checked += 1
+    assert checked
+
+
+def test_paper_p_count_fails_only_at_a_c_2_1():
+    x = paper_p(4)
+    failing = []
+    for a in x.vertices:
+        for b in x.vertices:
+            y = hom_necklicial(x, a, b)
+            for kind, n, extra in _items(y):
+                count, full = _both_paths(y, kind, n, extra)
+                assert count == full
+                if kind == "horn" and n <= 3 and not count[1]:
+                    failing.append((a, b, n) + extra)
+    assert failing == [("a", "c", 2, 1)]
+
+
+def test_integers_with_free_values_keep_the_full_path():
+    y = hom_necklicial(s0_times_2(3), "*", "*")
+    report = check_weak_kan(y, 3, assume_valid=True)
+    assert [i.indices for i in report.items] == [(2, 1), (3, 1), (3, 2)]
+    for item in report.items:
+        count, full = _both_paths(y, "horn", item.indices[0], item.indices[1:])
+        assert count == ("verdict", None)
+        assert full == ("verdict", item.passed)
+
+
+def _mutant(y, target, change):
+    """``y`` with the action of the necklace map ``target`` replaced by
+    ``change(action)``."""
+    def source(f):
+        act = y.action(f)
+        return change(act) if f == target else act
+    return NecklicialModule(y.ring, y.max_level, dict(y.values), source, y._maps)
+
+
+def _doubled(act):
+    return act + act
+
+
+def _zeroed(act):
+    return Morphism.zero(act.domain, act.codomain)
+
+
+@pytest.mark.parametrize("change", [_doubled, _zeroed], ids=["doubled", "zeroed"])
+@pytest.mark.parametrize("kind,n,extra", [("horn", 3, (1,)), ("horn", 3, (2,)),
+                                          ("wings", 3, ())])
+def test_mutants_fail_or_break_the_cone_on_both_paths(change, kind, n, extra):
+    """Perturbing the action of one diagram object or arrow makes the item
+    fail, or stop being a cone, the same way on both paths."""
+    y = hom_necklicial(_dual_numbers_nerve(3), "*", "*")
+    diagram = build_diagram(kind, n, *extra)
+    maps = [obj for obj in diagram.objects] + [g for _, _, g in diagram.arrows]
+    outcomes = set()
+    for target in maps:
+        mutant = _mutant(y, target, change)
+        count, full = _both_paths(mutant, kind, n, extra)
+        assert count == full, target
+        outcomes.add(count)
+    # the unperturbed item passes; some mutant of it does not
+    assert _both_paths(y, kind, n, extra)[0] == ("verdict", True)
+    assert outcomes - {("verdict", True)}
+
+
+@pytest.mark.parametrize("kind,n,extra", [("horn", 3, (1,)), ("horn", 3, (2,)),
+                                          ("wings", 3, ())])
+def test_legs_through_a_proper_summand_fail_on_both_paths(kind, n, extra):
+    """Precomposing every leg with the projection of Y_n onto a proper
+    summand keeps a cone, and shrinks the image below the limit."""
+    y = hom_necklicial(_dual_numbers_nerve(3), "*", "*")
+    top = y.level(n)
+    keep = Morphism(top, top, tuple(
+        tuple(F3.one() if r == c and r else F3.zero() for c in range(top.ngens))
+        for r in range(top.ngens)))
+    legs_into = {obj.target for obj in build_diagram(kind, n, *extra).objects}
+    mutant = NecklicialModule(
+        y.ring, y.max_level, dict(y.values),
+        lambda f: y.action(f).compose(keep) if f.target in legs_into else y.action(f))
+    assert _both_paths(mutant, kind, n, extra) == (("verdict", False),) * 2
+    check = check_weak_kan if kind == "horn" else check_lifts_wings
+    item = next(i for i in check(mutant, n, assume_valid=True).items
+                if i.indices == (n,) + extra)
+    assert not item.passed and not item.cokernel.is_zero
+
+
+def test_failing_item_reports_the_full_path_cokernel():
+    y = hom_necklicial(paper_p(3), "a", "c")
+    item = next(i for i in check_weak_kan(y, 3).items if not i.passed)
+    diagram = build_diagram("horn", 2, 1)
+    limit = finite_limit(_module_diagram(y, diagram))
+    legs = [y.action(obj) for obj in diagram.objects]
+    assert item.cokernel == cokernel_module(factor_through_limit(limit, legs, y.level(2)))
+
+
+@pytest.mark.parametrize("build", [_dual_numbers_nerve, _deformed_dual_numbers_nerve],
+                         ids=["F3", "F3[e]/(e^2)"])
+def test_passing_item_costs_two_diagonal_smith_runs(monkeypatch, build):
+    """Each passing item makes one Smith run for coker s and one for coker
+    delta (none at n = 2, where the horn has no equations), and requests no
+    transform."""
+    y = hom_necklicial(build(4), "*", "*")
+    # evaluates every action the check reads
+    assert check_weak_kan(y, 4, assume_valid=True).passed
+    per_item = []
+    smith, diagram = coeff.smith, kan.build_diagram
+
+    def counted(ring, matrix, **kwargs):
+        per_item[-1].append(kwargs)
+        return smith(ring, matrix, **kwargs)
+
+    def item_start(*args):
+        per_item.append([])
+        return diagram(*args)
+
+    monkeypatch.setattr(coeff, "smith", counted)
+    monkeypatch.setattr(kan, "build_diagram", item_start)
+    report = check_weak_kan(y, 4, assume_valid=True)
+    assert report.passed
+    assert [len(runs) for runs in per_item] == [1, 2, 2, 2, 2, 2]
+    assert all(kwargs == {} for runs in per_item for kwargs in runs)
+
+
+def test_quasicategory_report_unchanged_on_paper_p():
+    report = check_quasicategory(paper_p(3), 3)
+    failures = [i for i in report.items if not i.passed]
+    assert [str(i) for i in failures] == [
+        "('a', 'c', 2, 1): FAIL [canonical map not surjective] cokernel F2"]

@@ -25,8 +25,8 @@ FUZZ = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 EXAMPLES = {name: canonical_json(serialize_instance(builtin(name)))
             for name in ("s0_times_2", "paper_P", "paper_P_deformed")}
 
-# integers stay small: ring parameters are among them, and a large prime p
-# or nilpotency m makes the ring constructor itself slow
+# integers stay small: ring parameters are among them, and a large
+# nilpotency m makes the ring constructor itself slow
 SMALL_INTS = st.integers(-3, 12)
 SCALARS = st.one_of(
     st.none(), st.booleans(), SMALL_INTS, st.floats(allow_nan=False, width=16),
