@@ -64,7 +64,6 @@ from .necklace import (
     NecklaceMap,
     build_diagram,
     classify_and_factor,
-    enumerate_kind,
     fint_factorize,
     wedge,
 )

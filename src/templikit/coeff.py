@@ -111,7 +111,7 @@ class Ring:
         if self.kind == PRIME_FIELD and self.m is not None:
             raise UnsupportedRingError("prime-field takes no nilpotency")
         if self.kind == CHAIN:
-            object.__setattr__(self, "_pows", tuple(self.p ** e for e in range(self.m + 1)))
+            object.__setattr__(self, "_modulus", self.p ** self.m)
 
     # -- constructors -------------------------------------------------
 
@@ -195,7 +195,7 @@ class Ring:
         if k == PRIME_FIELD:
             return int(x) % self.p
         if k == CHAIN:
-            return int(x) % self._pows[self.m]
+            return int(x) % self._modulus
         if type(x) is tuple and len(x) == self.m:
             p = self.p
             for c in x:
@@ -273,7 +273,7 @@ class Ring:
         if k == PRIME_FIELD:
             return pow(a, -1, self.p)
         if k == CHAIN:
-            return pow(a, -1, self._pows[self.m])
+            return pow(a, -1, self._modulus)
         p, m = self.p, self.m
         b = [pow(a[0], -1, p)]
         for n in range(1, m):
@@ -319,9 +319,8 @@ class Ring:
         if k == PRIME_FIELD:
             return (b * pow(a, -1, self.p)) % self.p
         if k == CHAIN:
-            va = self.valuation(a)
-            ua = a // self._pows[va]
-            return self.reduce((b // self._pows[va]) * pow(ua, -1, self._pows[self.m]))
+            pv = self.p ** self.valuation(a)
+            return self.reduce((b // pv) * pow(a // pv, -1, self._modulus))
         va = self.valuation(a)
         ua = self.reduce(a[va:])
         shifted = self.reduce(b[va:])
@@ -343,8 +342,7 @@ class Ring:
         if self.is_field:
             return self.inv(a)
         if k == CHAIN:
-            v = self.valuation(a)
-            return pow(a // self._pows[v], -1, self._pows[self.m])
+            return pow(a // self.p ** self.valuation(a), -1, self._modulus)
         v = self.valuation(a)
         return self.inv(self.reduce(a[v:]))
 
@@ -889,7 +887,7 @@ def _reduce_torsion_rows(module, matrix):
         if ring.kind == INTEGERS:
             rows[i] = tuple(x % f for x in rows[i])
         elif ring.kind == CHAIN:
-            q = ring._pows[f]
+            q = ring.p ** f
             rows[i] = tuple(x % q for x in rows[i])
         else:
             pad = (0,) * (ring.m - f)

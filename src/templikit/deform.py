@@ -372,7 +372,7 @@ def _fiber_chain(theta, xbar):
     return steps, chain
 
 
-def verify_thm_main(pair, max_level=None, *, diagnostics=True):
+def verify_thm_main(pair, max_level=None):
     """Quasi-category preservation under levelwise flat deformation."""
     theta, xbar, x = pair.extension, pair.deformed, pair.special_fiber
     n_max = min(max_level or xbar.max_level, xbar.max_level)
@@ -386,32 +386,31 @@ def verify_thm_main(pair, max_level=None, *, diagnostics=True):
             "main-theorem", "special fiber is not a quasi-category", (fiber_kan,))
     conclusion = check_quasicategory(xbar, n_max, assume_valid=True)
     children = [conclusion]
-    if diagnostics:
-        steps, chain = _fiber_chain(theta, xbar)
-        for idx, step in enumerate(steps):
-            upper = chain[idx]
-            for a in upper.vertices:
-                for b in upper.vertices:
-                    ybar = hom_necklicial(upper, a, b)
-                    ext = extension_sequence(step, ybar)
-                    items = [CheckItem((idx, a, b, "exact-sequence"), True)]
-                    sub_wk = check_weak_kan(ext.sub, n_max, assume_valid=True,
-                                            label=(idx, a, b, "sub"))
-                    quot_wk = check_weak_kan(ext.quotient, n_max, assume_valid=True,
-                                             label=(idx, a, b, "quotient"))
-                    if idx == 0:
-                        # the total term is the deformed instance itself; its
-                        # horn checks are the conclusion items for this hom
-                        tot_items = tuple(
-                            CheckItem((idx, a, b, "total") + it.indices[2:],
-                                      it.passed, it.detail, it.cokernel)
-                            for it in conclusion.items if it.indices[:2] == (a, b))
-                        tot_wk = CheckReport.from_items("weak-kan", tot_items)
-                    else:
-                        tot_wk = check_weak_kan(ext.total, n_max, assume_valid=True,
-                                                label=(idx, a, b, "total"))
-                    children.append(CheckReport.from_items(
-                        "proof-skeleton", items, children=(sub_wk, quot_wk, tot_wk)))
+    steps, chain = _fiber_chain(theta, xbar)
+    for idx, step in enumerate(steps):
+        upper = chain[idx]
+        for a in upper.vertices:
+            for b in upper.vertices:
+                ybar = hom_necklicial(upper, a, b)
+                ext = extension_sequence(step, ybar)
+                items = [CheckItem((idx, a, b, "exact-sequence"), True)]
+                sub_wk = check_weak_kan(ext.sub, n_max, assume_valid=True,
+                                        label=(idx, a, b, "sub"))
+                quot_wk = check_weak_kan(ext.quotient, n_max, assume_valid=True,
+                                         label=(idx, a, b, "quotient"))
+                if idx == 0:
+                    # the total term is the deformed instance itself; its
+                    # horn checks are the conclusion items for this hom
+                    tot_items = tuple(
+                        CheckItem((idx, a, b, "total") + it.indices[2:],
+                                  it.passed, it.detail, it.cokernel)
+                        for it in conclusion.items if it.indices[:2] == (a, b))
+                    tot_wk = CheckReport.from_items("weak-kan", tot_items)
+                else:
+                    tot_wk = check_weak_kan(ext.total, n_max, assume_valid=True,
+                                            label=(idx, a, b, "total"))
+                children.append(CheckReport.from_items(
+                    "proof-skeleton", items, children=(sub_wk, quot_wk, tot_wk)))
     passed = all(c.passed for c in children)
     return CheckReport("main-theorem", passed, (), "checked",
                        f"checked through {len(theta.small_factorization())} small step(s)",
@@ -447,7 +446,7 @@ def _wedge_square_maps(y, n, i):
     return p_wing, b_wing, a_mod, c_lim, a_to_c, b_to_c, p_to_a, p_to_b
 
 
-def verify_wings_tensor(x, module, max_level=None, *, diagnostics=True):
+def verify_wings_tensor(x, module, max_level=None):
     """Weak Kan of X_.(a,b) (x) M for a levelwise flat quasi-category X."""
     n_max = min(max_level or x.max_level, x.max_level)
     _require_valid_templicial(x)
@@ -468,8 +467,6 @@ def verify_wings_tensor(x, module, max_level=None, *, diagnostics=True):
             yt = tensor_external(y, module)
             main = check_weak_kan(yt, n_max, assume_valid=True, label=(a, b))
             items.extend(main.items)
-            if not diagnostics:
-                continue
             ident_m = Morphism.identity(module)
             for n in range(2, n_max + 1):
                 for i in range(0, n):
@@ -524,7 +521,7 @@ def verify_wings_tensor(x, module, max_level=None, *, diagnostics=True):
     return CheckReport.from_items("wings-tensor", items, children=children)
 
 
-def verify_degproj_lift(pair, max_level=None, *, diagnostics=True):
+def verify_degproj_lift(pair, max_level=None):
     """Deg-projectivity lift under levelwise flat deformation."""
     theta, xbar, x = pair.extension, pair.deformed, pair.special_fiber
     n_max = min(max_level or xbar.max_level, xbar.max_level)
@@ -538,16 +535,15 @@ def verify_degproj_lift(pair, max_level=None, *, diagnostics=True):
             "degproj-lift", "special fiber is not deg-projective", (fiber_dp,))
     conclusion = check_deg_projective(xbar, n_max, assume_valid=True)
     children = [conclusion]
-    if diagnostics:
-        steps, chain = _fiber_chain(theta, xbar)
-        if chain[-1] == x:
-            # the fiber's evaluator already holds what its deg-projectivity
-            # check built; an equal copy would build it again
-            chain[-1] = x
-        for idx, step in enumerate(steps):
-            upper, lower = chain[idx], chain[idx + 1]
-            diag = _three_by_three_report(step, upper, lower, n_max, idx)
-            children.append(diag)
+    steps, chain = _fiber_chain(theta, xbar)
+    if chain[-1] == x:
+        # the fiber already keeps the degenerate parts its
+        # deg-projectivity check built; an equal copy would build them again
+        chain[-1] = x
+    for idx, step in enumerate(steps):
+        upper, lower = chain[idx], chain[idx + 1]
+        diag = _three_by_three_report(step, upper, lower, n_max, idx)
+        children.append(diag)
     passed = all(c.passed for c in children)
     return CheckReport("degproj-lift", passed, (), "checked",
                        f"checked through {len(theta.small_factorization())} small step(s)",
@@ -564,8 +560,6 @@ def _three_by_three_report(theta, upper, lower, n_max, step_idx):
     items = []
     ideal = theta.kernel_as_target_module()
     for n in range(1, n_max + 1):
-        # each hom's colimits are dropped once compared, so that the report
-        # does not hold all of them at its peak memory
         deg_r, homs_r, can_r, nd_r, q_r = _degenerate_parts(upper, n)
         deg_k, homs_k, can_k, nd_k, q_k = _degenerate_parts(lower, n)
         for a in upper.vertices:
@@ -589,7 +583,7 @@ def _three_by_three_report(theta, upper, lower, n_max, step_idx):
                 if not ok:
                     continue
                 rho_n = _reduction_morphism(theta, xbar_n)
-                u_deg = _colimit_comparison(theta, homs_r.pop((a, b)), homs_k.pop((a, b)))
+                u_deg = _colimit_comparison(theta, homs_r[(a, b)], homs_k[(a, b)])
                 ok = u_deg is not None and analyze(u_deg).is_iso
                 items.append(CheckItem(tag + ("deg-colimit-comparison",), ok))
                 if not ok:

@@ -245,7 +245,18 @@ def _degenerate_parts(x, n):
     """Like :func:`degenerate_subobject`, with the hom-wise colimits as a
     dict {(a, b): ColimitResult} after X^deg_n.  The cokernels of the
     components of can_n are read through :func:`analyze`, so they stay on
-    those morphisms for later analyses; X^nd_n(a, b) is that cokernel."""
+    those morphisms for later analyses; X^nd_n(a, b) is that cokernel.
+    Each level's parts are kept on the instance (as its evaluator is)."""
+    kept = x.__dict__.get("_degenerate_parts")
+    if kept is None:
+        kept = {}
+        object.__setattr__(x, "_degenerate_parts", kept)
+    if n not in kept:
+        kept[n] = _build_degenerate_parts(x, n)
+    return kept[n]
+
+
+def _build_degenerate_parts(x, n):
     ev = evaluator(x)
     diagram = build_diagram("degeneracy", n)
     nodes = tuple(x.level_quiver(s.target_dim) for s in diagram.objects)
@@ -274,20 +285,18 @@ def check_deg_projective(x, max_level=None, *, assume_valid=False):
     """can_n split mono with projective cokernel for all n <= max_level."""
     if not assume_valid:
         _require_valid_templicial(x)
-    return _deg_projective(x, min(max_level or x.max_level, x.max_level))[0]
+    return _deg_projective(x, min(max_level or x.max_level, x.max_level))
 
 
 def _deg_projective(x, n_max):
-    """The deg-projectivity report through level n_max, and the
-    nondegenerate quivers {n: X^nd_n} it computed on the way."""
+    """The deg-projectivity report through level n_max."""
     items = []
-    nd = {}
     for n in range(1, n_max + 1):
-        _, _, can, nd[n], _ = _degenerate_parts(x, n)
+        _, _, can, nd, _ = _degenerate_parts(x, n)
         for a in x.vertices:
             for b in x.vertices:
                 ana = analyze(can.comp(a, b))
-                coker = nd[n].hom(a, b)
+                coker = nd.hom(a, b)
                 if ana.injective and coker.is_flat():
                     items.append(CheckItem((n, a, b), True))
                 elif not ana.injective:
@@ -296,7 +305,7 @@ def _deg_projective(x, n_max):
                 else:
                     items.append(CheckItem((n, a, b), False,
                                            "nondegenerate part not projective", coker))
-    return CheckReport.from_items("deg-projective", items), nd
+    return CheckReport.from_items("deg-projective", items)
 
 
 def ez_check(x, max_level=None, *, assume_valid=False):
@@ -304,7 +313,7 @@ def ez_check(x, max_level=None, *, assume_valid=False):
     if not assume_valid:
         _require_valid_templicial(x)
     n_max = min(max_level or x.max_level, x.max_level)
-    dp, nd = _deg_projective(x, n_max)
+    dp = _deg_projective(x, n_max)
     if not dp.passed:
         return CheckReport("eilenberg-zilber", False, (), "not-applicable",
                            "instance is not deg-projective", (dp,))
@@ -321,7 +330,8 @@ def ez_check(x, max_level=None, *, assume_valid=False):
                         if a == b:
                             rhs.append(0)
                     else:
-                        rhs.extend(nd[m].hom(a, b).factors)
+                        nd_m = _degenerate_parts(x, m)[3]  # X^nd_m
+                        rhs.extend(nd_m.hom(a, b).factors)
                 if lhs == sorted(rhs):
                     items.append(CheckItem((n, a, b), True))
                 else:

@@ -315,21 +315,6 @@ def inert_into_simplex(n):
     return tuple(NecklaceMap(t, target, ident) for t in necklaces(n))
 
 
-def enumerate_kind(kind, *params):
-    """Uniform entry point for the enumerations used by the checkers."""
-    if kind == "fint_maps":
-        return fint_maps(*params)
-    if kind == "necklaces":
-        return necklaces(*params)
-    if kind == "injective_into_simplex":
-        return injective_into_simplex(*params)
-    if kind == "inert_into_simplex":
-        return inert_into_simplex(*params)
-    if kind == "surjections":
-        return fint_surjections(*params)
-    raise ShapeError(f"unknown enumeration kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # index diagrams
 # ---------------------------------------------------------------------------
@@ -343,8 +328,16 @@ class IndexDiagram:
     arrow (i, k, g) satisfies f_k o g = f_i.  For the degeneracy kind the
     objects are surjections s_i out of [n] and an arrow (i, k, t) satisfies
     s_k = t o s_i.  Either way the objects form a poset, and only its
-    covering arrows are kept: every other arrow is a composite of them, so
-    for a functor its equation follows from theirs.
+    covering arrows are kept, sorted by (i, k): every other arrow is a
+    composite of them, so for a functor its equation follows from theirs.
+
+    Naming an injective f: (T,p) -> Delta^n by V = f([p]) and J = f(T), a
+    map f -> f' exists iff V is inside V' and J' inside J, and it is unique;
+    a surjection s is below t o s for every fint map t.  Each kind's object
+    set is convex in its order (every object between two of its objects is
+    one of them), so its covering arrows are the one-step moves between its
+    objects: add one vertex to V, drop one inner joint from J, or follow s
+    by one codegeneracy.
     """
 
     kind: str
@@ -352,42 +345,36 @@ class IndexDiagram:
     arrows: tuple
 
 
-def _arrow_between(fi, fk):
-    """The unique g with fk o g = fi for injective fk, or None."""
-    lookup = {}
-    for x, y in enumerate(fk.fint.values):
-        lookup.setdefault(y, x)
-    vals = []
-    for y in fi.fint.values:
-        if y not in lookup:
-            return None
-        vals.append(lookup[y])
-    try:
-        return NecklaceMap(fi.source, fk.source, FintMap(tuple(vals)))
-    except ShapeError:
-        return None
-
-
-def _covering(arrows):
-    """The covering (Hasse) arrows among all arrows (i, k, g) of a finite
-    poset: those with no object m strictly between i and k."""
-    above = {}
-    for i, k, _ in arrows:
-        above.setdefault(i, set()).add(k)
-    return tuple((i, k, g) for i, k, g in arrows
-                 if not any(k in above.get(m, ()) for m in above[i] if m != k))
-
-
 def _slice_arrows(objects):
+    """The covering arrows of a convex set of injective maps into Delta^n:
+    add one vertex to V = f([p]) (through the coface skipping it) or drop
+    one inner joint from J = f(T) (through the identity)."""
+    index = {(f.fint.values, tuple(f.fint(t) for t in f.source.points)): k
+             for k, f in enumerate(objects)}
     arrows = []
-    for i, fi in enumerate(objects):
-        for k, fk in enumerate(objects):
-            if i == k:
-                continue
-            g = _arrow_between(fi, fk)
-            if g is not None:
-                arrows.append((i, k, g))
-    return _covering(arrows)
+    for (v, joints), i in index.items():
+        p = len(v) - 1
+        steps = [((v[:r] + (x,) + v[r:], joints), fint_delta(p + 1, r))
+                 for r in range(1, p + 1) for x in range(v[r - 1] + 1, v[r])]
+        steps += [((v, tuple(y for y in joints if y != x)), fint_identity(p))
+                  for x in joints[1:-1]]
+        for key, g in steps:
+            k = index.get(key)
+            if k is not None:
+                arrows.append((i, k, NecklaceMap(objects[i].source, objects[k].source, g)))
+    return tuple(sorted(arrows, key=lambda a: a[:2]))
+
+
+def _degeneracy_arrows(objects):
+    """The covering arrows of the non-identity surjections out of [n]: each
+    s: [n] ->> [m] is covered by sigma_l o s through sigma_l, 0 <= l < m."""
+    index = {s.values: k for k, s in enumerate(objects)}
+    arrows = []
+    for i, s in enumerate(objects):
+        m = s.target_dim
+        for tau in (fint_sigma(m - 1, l) for l in range(m)):
+            arrows.append((i, index[tau.compose(s).values], tau))
+    return tuple(sorted(arrows, key=lambda a: a[:2]))
 
 
 @lru_cache(maxsize=None)
@@ -398,6 +385,14 @@ def build_diagram(kind, n, extra=None):
     ``truncated_wings`` (extra = i, 0 <= i < n), ``wedge_intersection``
     (extra = i, 0 < i < n; the middle object of the wing pullback square)
     and ``degeneracy`` (n >= 1).
+
+    Each object set is convex (see :class:`IndexDiagram`): the horn kind is
+    every injective map into Delta^n but the identity and delta_j, the wing
+    kinds are inert maps cut out by which joints they must or must not
+    have, and the degeneracy kind is every surjection but the identity.
+    The objects left out (the identity, delta_j, the necklace {0,i,n}) have
+    no object of the set above them, and the identity surjection none below
+    it, so leaving them out adds no covering arrow.
     """
     if kind == "horn":
         j = extra
@@ -440,28 +435,5 @@ def build_diagram(kind, n, extra=None):
         if n < 1:
             raise ShapeError(f"degeneracy({n}) needs n >= 1")
         objects = tuple(s for s in fint_surjections(n) if not s.is_identity)
-        arrows = []
-        for i, si in enumerate(objects):
-            for k, sk in enumerate(objects):
-                if i == k:
-                    continue
-                # unique tau with sk = tau o si, if any
-                vals = [None] * (si.target_dim + 1)
-                ok = True
-                for x in range(n + 1):
-                    y = si(x)
-                    if vals[y] is None:
-                        vals[y] = sk(x)
-                    elif vals[y] != sk(x):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                try:
-                    tau = FintMap(tuple(vals))
-                except ShapeError:
-                    continue
-                if tau.compose(si) == sk:
-                    arrows.append((i, k, tau))
-        return IndexDiagram(kind, objects, _covering(arrows))
+        return IndexDiagram(kind, objects, _degeneracy_arrows(objects))
     raise ShapeError(f"unknown diagram kind {kind!r}")

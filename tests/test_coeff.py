@@ -144,6 +144,26 @@ def test_chain_division():
     assert r.mul(r.divide(2, 6), 6) == 2
 
 
+def test_chain_arithmetic_with_a_large_nilpotency_matches_integers_mod_p_m():
+    p, m = 3, 20000
+    r, modulus = Ring.chain(p, m), p ** m
+    rng = random.Random(20000)
+    big = rng.randrange(modulus // p) * p + 1  # a unit of full size
+    assert r.inv(big) == pow(big, -1, modulus) and r.reduce(r.inv(big) * big) == 1
+    for v in (0, 1, 7, 4000, m - 1):
+        u = rng.randrange(10 ** 9) * p + rng.randrange(1, p)  # a unit
+        assert r.reduce(u * big) == u * big % modulus
+        a = r.reduce(u * p ** v)
+        assert a == u * p ** v % modulus and r.reduce(-a) == -a % modulus
+        assert r.valuation(a) == v
+        assert r.reduce(r.inv(u) * u) == 1
+        b = rng.randrange(1, 10 ** 9) * p ** rng.randrange(v, m) % modulus
+        assert (r.divide(b, a) * a - b) % modulus == 0 and r.divide(0, a) == 0
+        n = r.normalizing_unit(a)
+        assert n % p != 0 and n * a % modulus == p ** v
+    assert r.valuation(0) == m
+
+
 # ---------------------------------------------------------------------------
 # normal form
 # ---------------------------------------------------------------------------

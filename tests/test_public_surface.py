@@ -26,7 +26,7 @@ PUBLIC = (
     "degenerate_subobject", "ez_check", "horn_object", "truncated_wing_object",
     "wing_object",
     "FintMap", "Necklace", "NecklaceMap", "build_diagram", "classify_and_factor",
-    "enumerate_kind", "fint_factorize", "wedge",
+    "fint_factorize", "wedge",
     "Quiver", "QuiverMorphism", "quiver_colimit", "quiver_limit", "tensor_s", "unit_quiver",
     "NecklicialModule", "TemplicialModule", "ValidationReport", "eval_map", "eval_necklace",
     "hom_necklicial", "tensor_external", "validate_necklicial", "validate_templicial",

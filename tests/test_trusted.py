@@ -12,6 +12,7 @@ full order relation.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -49,7 +50,13 @@ from templikit.constructors import (
     truncated_polynomial_category,
 )
 from templikit.kan import _canonical_into_limit, _limit_over_diagram
-from templikit.necklace import IndexDiagram, build_diagram, fint_maps, necklace_maps_between
+from templikit.necklace import (
+    IndexDiagram,
+    build_diagram,
+    fint_maps,
+    injective_into_simplex,
+    necklace_maps_between,
+)
 from templikit.templicial import evaluator, hom_necklicial, tensor_external
 
 Z = Ring.integers()
@@ -313,7 +320,7 @@ def test_factorization_rejects_non_cones():
 
 # index diagrams kept to their covering arrows, against their full relation
 COVERED = [("horn", 4, 1), ("horn", 4, 2), ("horn", 4, 3), ("wings", 5, None),
-           ("degeneracy", 4, None)]
+           ("degeneracy", 4, None), ("truncated_wings", 5, 3), ("wedge_intersection", 5, 4)]
 
 
 def full_closure(index):
@@ -358,7 +365,49 @@ def test_covering_arrows_generate_the_index_poset(kind, n, extra):
     index = build_diagram(kind, n, extra)
     closure = full_closure(index)
     assert closure == brute_force_relation(index)
-    assert (len(index.arrows), len(closure)) == {"horn": (44, 64)}.get(kind, (28, 50))
+    assert (len(index.arrows), len(closure)) == {
+        "horn": (44, 64), "truncated_wings": (9, 12), "wedge_intersection": (9, 12),
+    }.get(kind, (28, 50))
+
+
+def hasse(relation):
+    """The covering arrows among all arrows (i, k, g) of a finite poset:
+    those that are no composite i -> m -> k."""
+    above = {}
+    for i, k, _ in relation:
+        above.setdefault(i, set()).add(k)
+    return tuple((i, k, g) for i, k, g in relation
+                 if not any(k in above.get(m, ()) for m in above[i] - {k}))
+
+
+@lru_cache(maxsize=None)
+def simplex_relation(n):
+    """Every arrow among all injective necklace maps into Delta^n: the
+    horn and wing kinds take their objects from these."""
+    objects = injective_into_simplex(n)
+    return objects, brute_force_relation(IndexDiagram("horn", objects, ()))
+
+
+EVERY_DIAGRAM = [(kind, n, extra) for n in range(1, 6) for kind, extras in (
+    ("horn", range(1, n)), ("wings", [None] if n >= 2 else []),
+    ("truncated_wings", range(n)), ("wedge_intersection", range(1, n)),
+    ("degeneracy", [None])) for extra in extras]
+
+
+@pytest.mark.parametrize("kind,n,extra", EVERY_DIAGRAM)
+def test_index_arrows_are_the_hasse_arrows_of_the_brute_force_relation(kind, n, extra):
+    index = build_diagram(kind, n, extra)
+    if kind == "degeneracy":
+        relation = brute_force_relation(index)
+    else:
+        everything, arrows = simplex_relation(n)
+        position = {f: k for k, f in enumerate(index.objects)}
+        renamed = [position.get(f) for f in everything]
+        relation = tuple(sorted(
+            ((renamed[i], renamed[k], g) for i, k, g in arrows
+             if renamed[i] is not None and renamed[k] is not None),
+            key=lambda arrow: arrow[:2]))
+    assert hasse(relation) == index.arrows
 
 
 @pytest.fixture(scope="module")
