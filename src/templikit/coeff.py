@@ -288,10 +288,16 @@ class Ring:
         if self.kind == CHAIN:
             if a == 0:
                 return self.m
-            v, p = 0, self.p
-            while a % p == 0:
-                a //= p
-                v += 1
+            if a % self.p:
+                return 0
+            # the p^(2^k) dividing a give the binary digits of v, highest
+            # first: O(log v) big-integer operations
+            powers, v = [self.p], 0
+            while a % (q := powers[-1] * powers[-1]) == 0:
+                powers.append(q)
+            for k in range(len(powers) - 1, -1, -1):
+                if a % powers[k] == 0:
+                    a, v = a // powers[k], v + (1 << k)
             return v
         if self.kind == DUAL_CHAIN:
             for i, c in enumerate(a):
@@ -1500,19 +1506,16 @@ class ModuleDiagram:
 
 @dataclass(frozen=True)
 class LimitResult:
-    """A limit presented on the free nodes of a spanning forest.
+    """A limit as the kernel of the difference map of its forest equations.
 
-    ``free`` lists the free nodes (ascending), ``nodes_sum`` is their direct
-    sum and ``inclusion`` embeds the limit into it; every other node is
-    determined by a free one along the forest.  ``cone`` has one leg per
-    node of the diagram.
+    ``inclusion`` embeds it into the direct sum of the free nodes of its
+    ``equations``; ``cone`` has one leg per node of the diagram.
     """
 
     module: Module
     cone: tuple            # projections limit -> node_i, for every node
     inclusion: Morphism    # into the direct sum of the free nodes
-    nodes_sum: DirectSum   # of the free nodes
-    free: tuple
+    equations: _LimitEquations
 
 
 @dataclass(frozen=True)
@@ -1625,13 +1628,14 @@ def _subtract_block(ring, raw, r0, c0, block, size):
 class _LimitEquations:
     """A limit as the kernel of its difference map F --delta--> T.
 
-    F is the direct sum ``free_sum`` of the free nodes of a spanning forest
-    (node i's generators start at ``at[i]`` in the concatenation) and T the
-    sum of the targets of the arrows off the forest.  Every node t is
-    determined by its free root ``root[t]`` along the composite ``path[t]``
-    (None for a root), as in :func:`_forest_paths`.
+    F is the direct sum ``free_sum`` of the ``free`` nodes (ascending) of a
+    spanning forest of the diagram's ``nodes`` (node i's generators start at
+    ``at[i]`` in the concatenation) and T the sum of the targets of the
+    arrows off the forest.  Every node t is determined by its free root
+    ``root[t]`` along the composite ``path[t]`` (None for a root).
     """
 
+    nodes: tuple
     free: tuple
     root: list
     path: list
@@ -1674,7 +1678,7 @@ def _limit_equations(diagram):
     delta = Morphism._trusted(
         free_sum.module, arr_mod,
         change_basis(ring, arr_to, tuple(map(tuple, raw)), free_sum.from_norm))
-    return _LimitEquations(tuple(free), root, path, free_sum, at, delta)
+    return _LimitEquations(nodes, tuple(free), root, path, free_sum, at, delta)
 
 
 def finite_limit(diagram):
@@ -1701,7 +1705,7 @@ def finite_limit(diagram):
         if path[t] is not None:
             block = mat_mul(ring, path[t], block, k)
         cone.append(Morphism._trusted(kernel, node, block))
-    return LimitResult(kernel, tuple(cone), incl, eq.free_sum, eq.free)
+    return LimitResult(kernel, tuple(cone), incl, eq)
 
 
 def finite_colimit(diagram):
@@ -1791,27 +1795,32 @@ def factor_through_epi(projection, given):
     return u
 
 
-def _stack_free_legs(free, nodes_sum, legs, domain):
-    """The legs to the ``free`` nodes as one map into their direct sum."""
-    rows = tuple(row for i in free for row in legs[i].matrix)
-    return Morphism(domain, nodes_sum.module,
-                    change_basis(domain.ring, nodes_sum.to_norm, rows, None))
+def _cone_on_forest(eq, legs, domain):
+    """The legs to the free nodes of ``eq`` as one map s: domain -> F, once
+    ``legs`` is checked to be a cone: delta o s = 0 (the arrows off the
+    forest) and every other leg is its forest composite P_t o s_root (the
+    tree arrows).  Raises ShapeError otherwise."""
+    nodes = eq.nodes
+    if len(legs) != len(nodes):
+        raise ShapeError("factor_through_limit needs one leg per node")
+    ring = domain.ring
+    rows = tuple(row for i in eq.free for row in legs[i].matrix)
+    s = Morphism(domain, eq.free_sum.module,
+                 change_basis(ring, eq.free_sum.to_norm, rows, None))
+    if not eq.delta.compose(s).is_zero_map:
+        raise ShapeError("map does not factor through the inclusion")
+    for t, leg in enumerate(legs):
+        p = eq.path[t]
+        if p is not None and leg.matrix != _reduce_torsion_rows(
+                nodes[t], mat_mul(ring, p, legs[eq.root[t]].matrix, domain.ngens)):
+            raise ShapeError("limit factorization verification failed")
+    return s
 
 
 def factor_through_limit(limit, legs, domain):
-    """The unique u: domain -> limit with cone_i o u = legs[i].
-
-    u is solved on the legs to the free nodes and then checked against every
-    leg, so a family that is not a cone raises ShapeError.
-    """
-    if len(legs) != len(limit.cone):
-        raise ShapeError("factor_through_limit needs one leg per node")
-    stacked = _stack_free_legs(limit.free, limit.nodes_sum, legs, domain)
-    u = factor_through_mono(limit.inclusion, stacked)
-    for cone, leg in zip(limit.cone, legs):
-        if cone.compose(u).matrix != leg.matrix:
-            raise ShapeError("limit factorization verification failed")
-    return u
+    """The unique u: domain -> limit with cone_i o u = legs[i]; a family
+    that is not a cone raises ShapeError (see :func:`_cone_on_forest`)."""
+    return factor_through_mono(limit.inclusion, _cone_on_forest(limit.equations, legs, domain))
 
 
 def _length(module):
@@ -1824,39 +1833,34 @@ def _length(module):
     return sum(ring.m if f == FREE else f for f in module.factors)
 
 
-def onto_limit(diagram, legs, domain):
-    """Whether the map from ``domain`` into the limit of ``diagram`` given
-    by the cone ``legs`` is surjective, decided without building the limit;
-    None over the integers when a node has a free summand.
+def limit_cokernel(diagram, legs, domain):
+    """The cokernel of the map from ``domain`` into the limit of ``diagram``
+    given by the cone ``legs``: zero iff that map is onto.
 
     With s: domain -> F the legs to the free nodes and delta: F -> T the
     difference map of :func:`_limit_equations`, the limit is ker delta and
     contains im s, so the map is onto iff im s = ker delta.  Over a field or
     a chain ring that holds iff len coker s + len coker delta = len T, and
     over the integers with torsion nodes iff |coker s| |coker delta| = |T|:
-    two Smith runs that read only the diagonal.  A family that is not a cone
-    raises the ShapeError of :func:`factor_through_limit`.
+    two Smith runs that read only the diagonal.  Otherwise (a map that is
+    not onto, or Z with a free node) it is the cokernel of s as a map into
+    ker delta, as on :func:`finite_limit`.  A family that is not a cone
+    raises ShapeError.
     """
     ring = diagram.ring
-    nodes = diagram.nodes
-    if ring.kind == INTEGERS and any(node.rank for node in nodes):
-        return None
-    if len(legs) != len(nodes):
-        raise ShapeError("factor_through_limit needs one leg per node")
     eq = _limit_equations(diagram)
-    s = _stack_free_legs(eq.free, eq.free_sum, legs, domain)
-    if not eq.delta.compose(s).is_zero_map:
-        raise ShapeError("map does not factor through the inclusion")
-    for t, leg in enumerate(legs):
-        p = eq.path[t]
-        if p is not None and leg.matrix != _reduce_torsion_rows(
-                nodes[t], mat_mul(ring, p, legs[eq.root[t]].matrix, domain.ngens)):
-            raise ShapeError("limit factorization verification failed")
-    coker_s, coker_delta = cokernel_module(s), cokernel_module(eq.delta)
-    target = eq.delta.codomain
-    if ring.kind == INTEGERS:
-        return prod(coker_s.factors) * prod(coker_delta.factors) == prod(target.factors)
-    return _length(coker_s) + _length(coker_delta) == _length(target)
+    s = _cone_on_forest(eq, legs, domain)
+    if ring.kind != INTEGERS or not any(node.rank for node in diagram.nodes):
+        coker_s, coker_delta = cokernel_module(s), cokernel_module(eq.delta)
+        target = eq.delta.codomain
+        if ring.kind == INTEGERS:
+            onto = prod(coker_s.factors) * prod(coker_delta.factors) == prod(target.factors)
+        else:
+            onto = _length(coker_s) + _length(coker_delta) == _length(target)
+        if onto:
+            return Module.zero(ring)
+    _, incl, _ = kernel_data(eq.delta)
+    return cokernel_module(factor_through_mono(incl, s))
 
 
 def factor_through_colimit(colimit, legs, codomain):

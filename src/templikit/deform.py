@@ -41,7 +41,6 @@ from .kan import (
     check_levelwise,
     check_quasicategory,
     check_weak_kan,
-    truncated_wing_object,
 )
 from .necklace import (
     Necklace,
@@ -417,10 +416,10 @@ def verify_thm_main(pair, max_level=None):
                        tuple(children))
 
 
-def _wedge_square_maps(y, n, i):
-    """The wing pullback square of a necklicial module at (n, i)."""
-    p_wing = truncated_wing_object(y, n, i)
-    b_wing = truncated_wing_object(y, n, i - 1)
+def _wedge_square_maps(y, n, i, upper, lower):
+    """The wing pullback square of a necklicial module at (n, i), given the
+    (limit, index diagram) of its truncated wings at i and i - 1."""
+    (p_wing, p_diag), (b_wing, b_diag) = upper, lower
     mid = Necklace((0, i, n))
     a_mod = y.value(mid)
     c_diag = build_diagram("wedge_intersection", n, i)
@@ -429,19 +428,18 @@ def _wedge_square_maps(y, n, i):
     a_to_c = factor_through_limit(
         c_lim, [y.action(NecklaceMap(obj.source, mid, ident)) for obj in c_diag.objects],
         a_mod)
-    b_index = {obj.source.points: k for k, obj in enumerate(b_wing.diagram.objects)}
+    b_index = {obj.source.points: k for k, obj in enumerate(b_diag.objects)}
     b_legs = []
     for obj in c_diag.objects:
         stripped = tuple(x for x in obj.source.points if x != i)
-        cone = b_wing.limit.cone[b_index[stripped]]
+        cone = b_wing.cone[b_index[stripped]]
         refine = y.action(NecklaceMap(obj.source, Necklace(stripped), ident))
         b_legs.append(refine.compose(cone))
     b_to_c = factor_through_limit(c_lim, b_legs, b_wing.module)
-    p_index = {obj.source.points: k for k, obj in enumerate(p_wing.diagram.objects)}
-    p_to_a = p_wing.limit.cone[p_index[mid.points]]
+    p_index = {obj.source.points: k for k, obj in enumerate(p_diag.objects)}
+    p_to_a = p_wing.cone[p_index[mid.points]]
     p_to_b = factor_through_limit(
-        b_wing.limit,
-        [p_wing.limit.cone[p_index[obj.source.points]] for obj in b_wing.diagram.objects],
+        b_wing, [p_wing.cone[p_index[obj.source.points]] for obj in b_diag.objects],
         p_wing.module)
     return p_wing, b_wing, a_mod, c_lim, a_to_c, b_to_c, p_to_a, p_to_b
 
@@ -468,13 +466,16 @@ def verify_wings_tensor(x, module, max_level=None):
             main = check_weak_kan(yt, n_max, assume_valid=True, label=(a, b))
             items.extend(main.items)
             ident_m = Morphism.identity(module)
+            wings = {}
             for n in range(2, n_max + 1):
                 for i in range(0, n):
-                    tw = truncated_wing_object(y, n, i)
-                    twt = truncated_wing_object(yt, n, i)
-                    legs = [tensor_morphisms(cone, ident_m) for cone in tw.limit.cone]
+                    diagram = build_diagram("truncated_wings", n, i)
+                    tw = _limit_over_diagram(y, diagram)
+                    wings[(n, i)] = tw, diagram
+                    twt = _limit_over_diagram(yt, diagram)
+                    legs = [tensor_morphisms(cone, ident_m) for cone in tw.cone]
                     dom = tensor(tw.module, module)
-                    u = factor_through_limit(twt.limit, legs, dom)
+                    u = factor_through_limit(twt, legs, dom)
                     ok = analyze(u).is_iso
                     diag_items.append(CheckItem(
                         (a, b, n, i, "wing-tensor-iso"), ok,
@@ -482,7 +483,8 @@ def verify_wings_tensor(x, module, max_level=None):
             for n in range(2, n_max + 1):
                 for i in range(1, n):
                     (p_wing, b_wing, a_mod, c_lim, a_to_c, b_to_c,
-                     p_to_a, p_to_b) = _wedge_square_maps(y, n, i)
+                     p_to_a, p_to_b) = _wedge_square_maps(y, n, i, wings[(n, i)],
+                                                          wings[(n, i - 1)])
                     commutes = a_to_c.compose(p_to_a).matrix == \
                         b_to_c.compose(p_to_b).matrix
                     diag_items.append(CheckItem(

@@ -8,12 +8,10 @@ poset of surjections.  The diagrams keep only the covering arrows: Y is
 validated functorial at the trust boundary, so the equation of every other
 arrow, a composite of covering ones, follows from theirs.
 
-The horn and wings checks decide surjectivity without building the limit:
-:func:`coeff.onto_limit` compares the lengths (orders over Z) of the
-cokernels of the free legs s and of the difference map delta with the
-length of delta's target, two Smith runs that read only the diagonal.  The
-limit, the canonical map and its cokernel are built only for a failing
-item, whose report carries that cokernel, and over Z when a value is free.
+Each horn or wings item is one call to :func:`coeff.limit_cokernel`, the
+cokernel of Y_n -> lim read off the limit's forest equations without
+building the limit: an onto map costs two Smith runs that read only the
+diagonal, and a failing item's report carries the cokernel.
 """
 
 from __future__ import annotations
@@ -26,14 +24,14 @@ from .coeff import (
     ModuleDiagram,
     Morphism,
     analyze,
-    cokernel_module,
     factor_through_colimit,
     factor_through_limit,
+    finite_colimit,
     finite_limit,
-    onto_limit,
+    limit_cokernel,
 )
 from .necklace import build_diagram, fint_surjections
-from .quiver import Quiver, QuiverDiagram, QuiverMorphism, quiver_colimit
+from .quiver import Quiver, QuiverDiagram, QuiverMorphism, _solve_homwise
 from .templicial import (
     evaluator,
     hom_necklicial,
@@ -124,17 +122,13 @@ def _limit_over_diagram(y, diagram):
     return finite_limit(_module_diagram(y, diagram))
 
 
-def _canonical_into_limit(y, diagram, limit, n):
-    legs = [y.action(obj) for obj in diagram.objects]
-    return factor_through_limit(limit, legs, y.level(n))
-
-
 def _limit_object(y, n, kind, *extra):
     """(limit, canonical map Y_n -> limit, index diagram) for the ``kind``
     index diagram at n (``extra`` is its j or i, if it takes one)."""
     diagram = build_diagram(kind, n, *extra)
     limit = _limit_over_diagram(y, diagram)
-    return limit, _canonical_into_limit(y, diagram, limit, n), diagram
+    legs = [y.action(obj) for obj in diagram.objects]
+    return limit, factor_through_limit(limit, legs, y.level(n)), diagram
 
 
 def horn_object(y, n, j):
@@ -177,16 +171,9 @@ def _surjectivity_report(prop, y, max_level, assume_valid, label, kind, extras):
     for n in range(2, n_max + 1):
         for extra in extras(n):
             diagram = build_diagram(kind, n, *extra)
-            modules = _module_diagram(y, diagram)
             legs = [y.action(obj) for obj in diagram.objects]
-            onto = onto_limit(modules, legs, y.level(n))
-            if not onto:
-                # a failing item, or Z with free values: the full path, whose
-                # cokernel is the witness
-                limit = finite_limit(modules)
-                coker = cokernel_module(factor_through_limit(limit, legs, y.level(n)))
-                onto = coker.is_zero
-            if onto:
+            coker = limit_cokernel(_module_diagram(y, diagram), legs, y.level(n))
+            if coker.is_zero:
                 items.append(CheckItem(label + (n,) + extra, True))
             else:
                 items.append(CheckItem(label + (n,) + extra, False,
@@ -261,13 +248,14 @@ def _build_degenerate_parts(x, n):
     diagram = build_diagram("degeneracy", n)
     nodes = tuple(x.level_quiver(s.target_dim) for s in diagram.objects)
     arrows = tuple((k, i, ev.fint_morphism(tau)) for (i, k, tau) in diagram.arrows)
-    colim = quiver_colimit(QuiverDiagram(x.ring, x.vertices, nodes, arrows))
+    quiver, hom_colimits = _solve_homwise(
+        QuiverDiagram(x.ring, x.vertices, nodes, arrows), finite_colimit)
     legs = [ev.fint_morphism(s) for s in diagram.objects]
     can_comps = {}
     nd_homs = {}
     nd_proj_comps = {}
     level_n = x.level_quiver(n)
-    for (a, b), hom_colim in colim.hom_colimits:
+    for (a, b), hom_colim in hom_colimits:
         hom_legs = [leg.comp(a, b) for leg in legs]
         can_ab = factor_through_colimit(hom_colim, hom_legs, level_n.hom(a, b))
         can_comps[(a, b)] = can_ab
@@ -276,9 +264,9 @@ def _build_degenerate_parts(x, n):
             nd_homs[(a, b)] = ana.cokernel
         nd_proj_comps[(a, b)] = ana.cokernel_projection
     nd_quiver = Quiver.build(x.ring, x.vertices, nd_homs)
-    can = QuiverMorphism.build(colim.quiver, level_n, can_comps)
+    can = QuiverMorphism.build(quiver, level_n, can_comps)
     nd_proj = QuiverMorphism.build(level_n, nd_quiver, nd_proj_comps)
-    return colim.quiver, dict(colim.hom_colimits), can, nd_quiver, nd_proj
+    return quiver, dict(hom_colimits), can, nd_quiver, nd_proj
 
 
 def check_deg_projective(x, max_level=None, *, assume_valid=False):

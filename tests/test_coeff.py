@@ -639,7 +639,7 @@ def test_spanning_forest_frees_sources_then_cycles():
     pairs = ((0, 1), (1, 2), (2, 3), (3, 2), (4, 5), (5, 4))
     diag = ModuleDiagram(Z, (zz,) * 6, tuple((s, t, ident) for s, t in pairs))
     lim = finite_limit(diag)
-    assert lim.free == (0, 4)
+    assert lim.equations.free == (0, 4)
     assert lim.module.factors == (FREE, FREE)
     op = ModuleDiagram(Z, (zz,) * 6, tuple((t, s, ident) for s, t in pairs))
     colim = finite_colimit(op)

@@ -1,10 +1,12 @@
-"""Deciding surjectivity onto a horn or wings limit by counting lengths.
+"""The cokernel of Y_n -> lim on a horn or wings limit, without the limit.
 
-``coeff.onto_limit`` decides whether Y_n maps onto a limit without building
-it: two diagonal-only Smith runs on the free legs s and the difference map
-delta.  These tests compare its verdict with the full path it replaces
-(limit, canonical map, cokernel) on every horn and wings item of a corpus
-over five ring kinds, and on mutants with one perturbed action.
+``coeff.limit_cokernel`` works on the limit's forest equations: an onto map
+costs two diagonal-only Smith runs on the free legs s and the difference
+map delta, whose lengths it compares; otherwise it reads the cokernel off
+the kernel of delta.  These tests compare the cokernel it returns, the
+witness and not only the verdict, with the one of the canonical map into
+the built limit on every horn and wings item of a corpus over five ring
+kinds, and on mutants with one perturbed action.
 """
 
 import pytest
@@ -19,7 +21,7 @@ from templikit.coeff import (
     cokernel_module,
     factor_through_limit,
     finite_limit,
-    onto_limit,
+    limit_cokernel,
 )
 from templikit.constructors import (
     free_templicial,
@@ -30,7 +32,7 @@ from templikit.constructors import (
     sset_nerve_of_poset,
     truncated_polynomial_category,
 )
-from templikit.deform import base_change_templicial
+from templikit.deform import base_change_templicial, verify_wings_tensor
 from templikit.kan import (
     _module_diagram,
     check_lifts_wings,
@@ -88,21 +90,25 @@ def _items(y):
 
 def _outcome(decide):
     try:
-        return "verdict", decide()
+        return "cokernel", decide()
     except ShapeError as exc:
         return "ShapeError", str(exc)
 
 
 def _both_paths(y, kind, n, extra):
-    """(counting outcome, full-path outcome) of one item: a verdict or the
-    message of the ShapeError raised."""
+    """(limit_cokernel outcome, full-path outcome) of one item: the cokernel
+    of Y_n -> lim, or the message of the ShapeError raised."""
     diagram = build_diagram(kind, n, *extra)
     modules = _module_diagram(y, diagram)
     legs = [y.action(obj) for obj in diagram.objects]
-    count = _outcome(lambda: onto_limit(modules, legs, y.level(n)))
+    count = _outcome(lambda: limit_cokernel(modules, legs, y.level(n)))
     full = _outcome(lambda: cokernel_module(
-        factor_through_limit(finite_limit(modules), legs, y.level(n))).is_zero)
+        factor_through_limit(finite_limit(modules), legs, y.level(n))))
     return count, full
+
+
+def _passes(outcome):
+    return outcome[0] == "cokernel" and outcome[1].is_zero
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -112,7 +118,7 @@ def test_count_matches_full_path(name):
         for kind, n, extra in _items(y):
             count, full = _both_paths(y, kind, n, extra)
             assert count == full, (kind, n, extra)
-            assert count[0] == "verdict"
+            assert count[0] == "cokernel"
             checked += 1
     assert checked
 
@@ -126,19 +132,32 @@ def test_paper_p_count_fails_only_at_a_c_2_1():
             for kind, n, extra in _items(y):
                 count, full = _both_paths(y, kind, n, extra)
                 assert count == full
-                if kind == "horn" and n <= 3 and not count[1]:
+                if kind == "horn" and n <= 3 and not _passes(count):
                     failing.append((a, b, n) + extra)
     assert failing == [("a", "c", 2, 1)]
 
 
-def test_integers_with_free_values_keep_the_full_path():
+def test_integers_with_free_values_keep_the_full_path(monkeypatch):
+    """Over Z with a free value lengths do not count: the only cokernel
+    taken is the witness's, of the map into the kernel of delta, with no
+    counting Smith run on s or delta."""
     y = hom_necklicial(s0_times_2(3), "*", "*")
     report = check_weak_kan(y, 3, assume_valid=True)
     assert [i.indices for i in report.items] == [(2, 1), (3, 1), (3, 2)]
+    taken = []
+
+    def spied(f):
+        taken.append(f)
+        return cokernel_module(f)
+
+    monkeypatch.setattr(coeff, "cokernel_module", spied)
     for item in report.items:
-        count, full = _both_paths(y, "horn", item.indices[0], item.indices[1:])
-        assert count == ("verdict", None)
-        assert full == ("verdict", item.passed)
+        n, extra = item.indices[0], item.indices[1:]
+        taken.clear()
+        count, full = _both_paths(y, "horn", n, extra)
+        assert count == full and _passes(count) == item.passed
+        limit = finite_limit(_module_diagram(y, build_diagram("horn", n, *extra)))
+        assert [(f.domain, f.codomain) for f in taken] == [(y.level(n), limit.module)]
 
 
 def _mutant(y, target, change):
@@ -174,8 +193,8 @@ def test_mutants_fail_or_break_the_cone_on_both_paths(change, kind, n, extra):
         assert count == full, target
         outcomes.add(count)
     # the unperturbed item passes; some mutant of it does not
-    assert _both_paths(y, kind, n, extra)[0] == ("verdict", True)
-    assert outcomes - {("verdict", True)}
+    assert _passes(_both_paths(y, kind, n, extra)[0])
+    assert any(not _passes(outcome) for outcome in outcomes)
 
 
 @pytest.mark.parametrize("kind,n,extra", [("horn", 3, (1,)), ("horn", 3, (2,)),
@@ -192,7 +211,8 @@ def test_legs_through_a_proper_summand_fail_on_both_paths(kind, n, extra):
     mutant = NecklicialModule(
         y.ring, y.max_level, dict(y.values),
         lambda f: y.action(f).compose(keep) if f.target in legs_into else y.action(f))
-    assert _both_paths(mutant, kind, n, extra) == (("verdict", False),) * 2
+    count, full = _both_paths(mutant, kind, n, extra)
+    assert count == full and count[0] == "cokernel" and not _passes(count)
     check = check_weak_kan if kind == "horn" else check_lifts_wings
     item = next(i for i in check(mutant, n, assume_valid=True).items
                 if i.indices == (n,) + extra)
@@ -241,3 +261,49 @@ def test_quasicategory_report_unchanged_on_paper_p():
     failures = [i for i in report.items if not i.passed]
     assert [str(i) for i in failures] == [
         "('a', 'c', 2, 1): FAIL [canonical map not surjective] cokernel F2"]
+
+
+def _limit_builds(monkeypatch):
+    """A list that records, for every difference map built from a
+    necklicial module's index diagram, the pair (module, index diagram) by
+    identity: distinct diagrams can be equal, as the empty truncated wings
+    at every n are."""
+    builds, tags = [], {}
+    module_diagram, equations = kan._module_diagram, coeff._limit_equations
+
+    def tagged(y, diagram):
+        modules = module_diagram(y, diagram)
+        # kept alive, so that no id is reused
+        tags[id(modules)] = (modules, y, diagram)
+        return modules
+
+    def recorded(modules):
+        kept, y, diagram = tags.get(id(modules), (None, None, None))
+        if kept is modules:
+            builds.append((id(y), id(diagram)))
+        return equations(modules)
+
+    monkeypatch.setattr(kan, "_module_diagram", tagged)
+    monkeypatch.setattr(coeff, "_limit_equations", recorded)
+    return builds
+
+
+def test_wings_tensor_builds_each_limit_once(monkeypatch):
+    """Each truncated wing of Y and of Y (x) M, each horn and each wedge
+    intersection is solved once."""
+    poset = free_templicial(sset_nerve_of_poset(("p0", "p1"), (("p0", "p1"),), 4), Z, 4)
+    builds = _limit_builds(monkeypatch)
+    assert verify_wings_tensor(poset, Module(Z, (6,)), 4).passed
+    assert len(set(builds)) == len(builds)
+    # per hom: 6 horns of Y and of Y (x) M, 9 truncated wings of each, and
+    # 6 wedge intersections
+    assert len(builds) == 4 * (6 + 6 + 9 + 9 + 6)
+
+
+def test_failing_item_builds_its_limit_equations_once(monkeypatch):
+    y = hom_necklicial(paper_p(3), "a", "c")
+    builds = _limit_builds(monkeypatch)
+    report = check_weak_kan(y, 3)
+    assert len(set(builds)) == len(builds) == len(report.items) == 3
+    assert [str(i) for i in report.items if not i.passed] == [
+        "(2, 1): FAIL [canonical map not surjective] cokernel F2"]

@@ -6,8 +6,9 @@ tensor products, limit and colimit difference maps) skip the checks of
 with torsion, Z/p^m, F_p[e]/(e^m), F_p and Q, with the same result built
 through the validating constructor.  Limits and colimits, which are solved on
 a spanning forest, are compared up to their unique isomorphism with a dense
-reference that has one equation block per arrow over the sum of all nodes.
-Index diagrams, which keep only covering arrows, are compared with their
+reference that has one equation block per arrow over the sum of all nodes,
+and the factorizations through a limit accept exactly the families of legs
+that are cones by definition.  Index diagrams, which keep only covering arrows, are compared with their
 full order relation.
 """
 
@@ -29,12 +30,14 @@ from templikit.coeff import (
     _tensor_layout,
     analyze,
     cokernel_data,
+    cokernel_module,
     direct_sum,
     factor_through_colimit,
     factor_through_limit,
     finite_colimit,
     finite_limit,
     kernel_data,
+    limit_cokernel,
     mat_add,
     mat_identity,
     mat_mul,
@@ -49,7 +52,7 @@ from templikit.constructors import (
     s0_times_2,
     truncated_polynomial_category,
 )
-from templikit.kan import _canonical_into_limit, _limit_over_diagram
+from templikit.kan import _limit_over_diagram
 from templikit.necklace import (
     IndexDiagram,
     build_diagram,
@@ -296,6 +299,42 @@ def test_limits_over_integers_equal_dense_reference(diagram):
     assert_colimit_matches_dense(diagram)
 
 
+@st.composite
+def perturbed_cones(draw):
+    """A diagram, its limit, a module D and a family of legs D -> node_i:
+    a cone through the limit with one leg moved by a random map."""
+    diagram = draw(diagrams())
+    lim = finite_limit(diagram)
+    domain = draw(modules(diagram.ring))
+    through = draw(morphisms(domain, lim.module))
+    legs = [cone.compose(through) for cone in lim.cone]
+    k = draw(st.integers(0, len(legs) - 1))
+    legs[k] = legs[k] + draw(morphisms(domain, diagram.nodes[k]))
+    return diagram, lim, domain, legs
+
+
+@LIMITS
+@given(perturbed_cones())
+def test_limit_factorizations_accept_exactly_the_cones(data):
+    """Both factorizations through a limit accept a family of legs exactly
+    when it is a cone by definition, f o leg_src == leg_tgt for every
+    arrow, and otherwise raise the same ShapeError; an accepted family's
+    cokernel is that of its factorization."""
+    diagram, lim, domain, legs = data
+    is_cone = all(f.compose(legs[src]) == legs[tgt] for src, tgt, f in diagram.arrows)
+    try:
+        u = factor_through_limit(lim, legs, domain)
+    except ShapeError as exc:
+        assert not is_cone
+        with pytest.raises(ShapeError) as again:
+            limit_cokernel(diagram, legs, domain)
+        assert str(again.value) == str(exc)
+        return
+    assert is_cone
+    assert all(cone.compose(u) == leg for cone, leg in zip(lim.cone, legs))
+    assert limit_cokernel(diagram, legs, domain) == cokernel_module(u)
+
+
 def test_factorization_rejects_non_cones():
     """Legs that agree on the free nodes but break an arrow are rejected."""
     zz = Module.free(Z, 1)
@@ -303,7 +342,7 @@ def test_factorization_rejects_non_cones():
     diagram = ModuleDiagram(Z, (zz, zz), ((0, 1, double),))
     ident, zero = Morphism.identity(zz), Morphism.zero(zz, zz)
     lim = finite_limit(diagram)
-    assert lim.free == (0,)
+    assert lim.equations.free == (0,)
     assert factor_through_limit(lim, [ident, double], zz) == ident
     with pytest.raises(ShapeError):
         factor_through_limit(lim, [ident, zero], zz)
@@ -430,8 +469,9 @@ def test_covering_limits_equal_full_closure_limits(necklicial_corpus, kind, n, e
         assert covering.module == closed.module
         u = factor_through_limit(closed, covering.cone, covering.module)
         assert analyze(u).is_iso
-        assert u.compose(_canonical_into_limit(y, index, covering, n)) == \
-            _canonical_into_limit(y, full, closed, n)
+        legs = [y.action(obj) for obj in index.objects]
+        assert u.compose(factor_through_limit(covering, legs, y.level(n))) == \
+            factor_through_limit(closed, legs, y.level(n))
 
 
 def degeneracy_colimits(x, n, index):
