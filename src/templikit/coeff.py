@@ -1823,44 +1823,70 @@ def factor_through_limit(limit, legs, domain):
     return factor_through_mono(limit.inclusion, _cone_on_forest(limit.equations, legs, domain))
 
 
-def _length(module):
-    """Composition length of a module over a field or a chain ring: its
-    number of generators over a field, else the sum of the exponents of its
-    factors, m for a free one."""
-    ring = module.ring
+def _size(ring, modules):
+    """The composition length of the direct sum of ``modules`` over a field
+    or a chain ring (where a free factor counts m), or its order over the
+    integers (0 when a factor is free)."""
+    factors = [f for m in modules for f in m.factors]
+    if ring.kind == INTEGERS:
+        return prod(factors)
     if ring.is_field:
-        return module.ngens
-    return sum(ring.m if f == FREE else f for f in module.factors)
+        return len(factors)
+    return sum(ring.m if f == FREE else f for f in factors)
+
+
+def _counted_cone(diagram, legs, domain):
+    """(eq, s, onto, injective) for the map from ``domain`` into the limit
+    of ``diagram`` given by the cone ``legs``.
+
+    With s: domain -> F the legs to the free nodes and delta: F -> T the
+    difference map of :func:`_limit_equations`, the limit is ker delta and
+    contains im s.  So the map is onto iff im s = ker delta, that is iff
+    coker s and coker delta together have the size of T; and, ker delta ->
+    F being mono, it is injective iff s is, that is iff the domain and
+    coker s together have the size of F.  A size (:func:`_size`) is a
+    length over a field or a chain ring and an order over the integers with
+    torsion nodes: two Smith runs that read only the diagonal.  Over the
+    integers with a free node sizes do not decide, and ``onto`` and
+    ``injective`` are None.  A family that is not a cone raises ShapeError.
+    """
+    ring = diagram.ring
+    eq = _limit_equations(diagram)
+    s = _cone_on_forest(eq, legs, domain)
+    if ring.kind == INTEGERS and any(node.rank for node in diagram.nodes):
+        return eq, s, None, None
+    coker_s = cokernel_module(s)
+    onto = _size(ring, (coker_s, cokernel_module(eq.delta))) == _size(ring, (eq.delta.codomain,))
+    injective = _size(ring, (domain, coker_s)) == _size(ring, (s.codomain,))
+    return eq, s, onto, injective
 
 
 def limit_cokernel(diagram, legs, domain):
     """The cokernel of the map from ``domain`` into the limit of ``diagram``
     given by the cone ``legs``: zero iff that map is onto.
 
-    With s: domain -> F the legs to the free nodes and delta: F -> T the
-    difference map of :func:`_limit_equations`, the limit is ker delta and
-    contains im s, so the map is onto iff im s = ker delta.  Over a field or
-    a chain ring that holds iff len coker s + len coker delta = len T, and
-    over the integers with torsion nodes iff |coker s| |coker delta| = |T|:
-    two Smith runs that read only the diagonal.  Otherwise (a map that is
-    not onto, or Z with a free node) it is the cokernel of s as a map into
-    ker delta, as on :func:`finite_limit`.  A family that is not a cone
-    raises ShapeError.
+    An onto map is recognized by counting (:func:`_counted_cone`).
+    Otherwise (a map that is not onto, or Z with a free node) the cokernel
+    is that of s as a map into ker delta, as on :func:`finite_limit`.
     """
-    ring = diagram.ring
-    eq = _limit_equations(diagram)
-    s = _cone_on_forest(eq, legs, domain)
-    if ring.kind != INTEGERS or not any(node.rank for node in diagram.nodes):
-        coker_s, coker_delta = cokernel_module(s), cokernel_module(eq.delta)
-        target = eq.delta.codomain
-        if ring.kind == INTEGERS:
-            onto = prod(coker_s.factors) * prod(coker_delta.factors) == prod(target.factors)
-        else:
-            onto = _length(coker_s) + _length(coker_delta) == _length(target)
-        if onto:
-            return Module.zero(ring)
-    _, incl, _ = kernel_data(eq.delta)
-    return cokernel_module(factor_through_mono(incl, s))
+    eq, s, onto, _ = _counted_cone(diagram, legs, domain)
+    if onto:
+        return Module.zero(diagram.ring)
+    return cokernel_module(factor_through_mono(kernel_data(eq.delta)[1], s))
+
+
+def limit_is_iso(diagram, legs, domain):
+    """Whether the map from ``domain`` into the limit of ``diagram`` given
+    by the cone ``legs`` is an isomorphism, without building the limit.
+
+    It is iff it is onto and injective, both counted (:func:`_counted_cone`);
+    over Z with a free node the map into ker delta is analyzed instead.  A
+    family that is not a cone raises ShapeError.
+    """
+    eq, s, onto, injective = _counted_cone(diagram, legs, domain)
+    if onto is None:
+        return analyze(factor_through_mono(kernel_data(eq.delta)[1], s)).is_iso
+    return onto and injective
 
 
 def factor_through_colimit(colimit, legs, codomain):

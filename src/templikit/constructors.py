@@ -8,7 +8,7 @@ test corpus, and seeded deterministic generators for property tests.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
 from .coeff import (
@@ -43,6 +43,9 @@ class SimplicialSetTrunc:
     simplices: tuple  # per level, a tuple of hashable labels
     faces: tuple      # ((n, i), tuple of indices into level n-1)
     degens: tuple     # ((n, i), tuple of indices into level n+1)
+    # ``faces`` and ``degens`` as dicts keyed by (n, i)
+    face_lookup: dict = field(init=False, repr=False, compare=False)
+    degen_lookup: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.simplices) != self.max_level + 1:
@@ -55,17 +58,12 @@ class SimplicialSetTrunc:
         expect = {(n, i) for n in range(0, self.max_level) for i in range(n + 1)}
         if dkeys != expect:
             raise ShapeError("degeneracy map keys incomplete")
+        object.__setattr__(self, "face_lookup", dict(self.faces))
+        object.__setattr__(self, "degen_lookup", dict(self.degens))
         self._check_identities()
 
-    def face(self, n, i, idx):
-        return dict(self.faces)[(n, i)][idx]
-
-    def degen(self, n, i, idx):
-        return dict(self.degens)[(n, i)][idx]
-
     def _check_identities(self):
-        face = {k: v for k, v in self.faces}
-        degen = {k: v for k, v in self.degens}
+        face, degen = self.face_lookup, self.degen_lookup
         n_max = self.max_level
         for n in range(2, n_max + 1):
             for j in range(n + 1):
@@ -100,7 +98,7 @@ class SimplicialSetTrunc:
 
     def vertex(self, n, idx, k):
         """Index (in level 0) of the k-th vertex of a simplex."""
-        face = {key: v for key, v in self.faces}
+        face = self.face_lookup
         level = n
         while level > k:
             idx = face[(level, level)][idx]
@@ -118,7 +116,7 @@ class SimplicialSetTrunc:
 
     def degeneracy_split(self, n, idx):
         """(i, y) with s_i(y) = simplex, minimal i; None if nondegenerate."""
-        degen = {k: v for k, v in self.degens}
+        degen = self.degen_lookup
         for i in range(n):
             col = degen[(n - 1, i)]
             for y, image in enumerate(col):
@@ -225,10 +223,8 @@ def sset_glue(a, b, a_anchor, b_anchor):
     (la, ia), (lb, ib) = a_anchor, b_anchor
     if la != lb:
         raise ShapeError("glued simplices must have equal dimension")
-    aface = {k: v for k, v in a.faces}
-    adeg = {k: v for k, v in a.degens}
-    bface = {k: v for k, v in b.faces}
-    bdeg = {k: v for k, v in b.degens}
+    aface, adeg = a.face_lookup, a.degen_lookup
+    bface, bdeg = b.face_lookup, b.degen_lookup
     ident = {}
     work = [(la, ia, ib)]
     seen = set()
@@ -302,17 +298,12 @@ def sset_build(kind, max_level, **params):
 # ---------------------------------------------------------------------------
 
 
-def _free_level_quiver(k, ring, n):
-    vertices = k.simplices[0]
-    homs = {}
-    for a_idx, a in enumerate(vertices):
-        for b_idx, b in enumerate(vertices):
-            count = sum(
-                1 for idx in range(len(k.simplices[n]))
-                if k.first_vertex(n, idx) == a_idx and k.last_vertex(n, idx) == b_idx
-            )
-            homs[(a, b)] = Module.free(ring, count)
-    return Quiver.build(ring, vertices, homs)
+def _free_level_quiver(ring, vertices, table):
+    """The free quiver with one generator per simplex of a level, given the
+    level's :func:`_free_gen_table`."""
+    return Quiver.build(ring, vertices, {
+        (vertices[ai], vertices[bi]): Module.free(ring, len(gens))
+        for (ai, bi), gens in table.items()})
 
 
 def _free_gen_table(k, n):
@@ -346,7 +337,7 @@ def _basis_morphism(ring, dom_quiver, cod_quiver, dom_table, cod_table, vertices
 
 def _front_face(k, n, idx, depth):
     """Apply the top outer face ``depth`` times."""
-    face = {key: v for key, v in k.faces}
+    face = k.face_lookup
     level = n
     for _ in range(depth):
         idx = face[(level, level)][idx]
@@ -355,7 +346,7 @@ def _front_face(k, n, idx, depth):
 
 
 def _back_face(k, n, idx, depth):
-    face = {key: v for key, v in k.faces}
+    face = k.face_lookup
     level = n
     for _ in range(depth):
         idx = face[(level, 0)][idx]
@@ -368,19 +359,17 @@ def free_templicial(k, ring, max_level):
     if max_level > k.max_level:
         raise ShapeError("free_templicial: truncation exceeds the simplicial set's")
     vertices = k.simplices[0]
-    levels = tuple(_free_level_quiver(k, ring, n) for n in range(1, max_level + 1))
     tables = {n: _free_gen_table(k, n) for n in range(0, max_level + 1)}
+    levels = tuple(_free_level_quiver(ring, vertices, tables[n]) for n in range(1, max_level + 1))
     quivers = {n: (unit_quiver(ring, vertices) if n == 0 else levels[n - 1])
                for n in range(0, max_level + 1)}
-    face_lookup = {key: v for key, v in k.faces}
-    degen_lookup = {key: v for key, v in k.degens}
 
     faces = {}
     for n in range(2, max_level + 1):
         for j in range(1, n):
             faces[(n, j)] = _basis_morphism(
                 ring, quivers[n], quivers[n - 1], tables[n], tables[n - 1], vertices,
-                face_lookup[(n, j)],
+                k.face_lookup[(n, j)],
             )
     degens = {}
     for n in range(0, max_level):
@@ -390,7 +379,7 @@ def free_templicial(k, ring, max_level):
         for i in range(0, n + 1):
             degens[(n, i)] = _basis_morphism(
                 ring, quivers[n], quivers[n + 1], src_table, tables[n + 1], vertices,
-                degen_lookup[(n, i)],
+                k.degen_lookup[(n, i)],
             )
     comults = {}
     for kk in range(1, max_level):
@@ -643,10 +632,9 @@ def _deformed_free_comults(k, ring, max_level, corrections):
     at a nondegenerate simplex propagates upward consistently.
     """
     vertices = k.simplices[0]
-    levels = {n: _free_level_quiver(k, ring, n) for n in range(1, max_level + 1)}
-    levels[0] = unit_quiver(ring, vertices)
     tables = {n: _free_gen_table(k, n) for n in range(0, max_level + 1)}
-    degen_lookup = {key: v for key, v in k.degens}
+    levels = {n: _free_level_quiver(ring, vertices, tables[n]) for n in range(1, max_level + 1)}
+    levels[0] = unit_quiver(ring, vertices)
 
     def hom_position(n, idx):
         ai, bi = k.first_vertex(n, idx), k.last_vertex(n, idx)
@@ -682,7 +670,7 @@ def _deformed_free_comults(k, ring, max_level, corrections):
                 if i <= kk - 1:
                     if kk == 1:
                         # mu_{1,l}(s_0 y) = (unit edge at the first vertex) (x) y
-                        e_idx = degen_lookup[(0, 0)][ai]
+                        e_idx = k.degen_lookup[(0, 0)][ai]
                         fpos = tables[1][(ai, ai)].index(e_idx)
                         ypos = tables[ll][(ai, bi)].index(y)
                         col = layout.basis_column(a, b, (a,), (fpos, ypos))
@@ -691,7 +679,7 @@ def _deformed_free_comults(k, ring, max_level, corrections):
                         prev = column(kk - 1, ll, y)
                         s_map = _basis_morphism(
                             ring, levels[kk - 1], levels[kk], tables[kk - 1], tables[kk],
-                            vertices, degen_lookup[(kk - 1, i)],
+                            vertices, k.degen_lookup[(kk - 1, i)],
                         )
                         step = tensor_quiver_morphisms(
                             ring, vertices,
@@ -704,7 +692,7 @@ def _deformed_free_comults(k, ring, max_level, corrections):
                 else:
                     if ll == 1:
                         # mu_{k,1}(s_k y) = y (x) (unit edge at the last vertex)
-                        e_idx = degen_lookup[(0, 0)][bi]
+                        e_idx = k.degen_lookup[(0, 0)][bi]
                         bpos = tables[1][(bi, bi)].index(e_idx)
                         ypos = tables[kk][(ai, bi)].index(y)
                         col = layout.basis_column(a, b, (b,), (ypos, bpos))
@@ -713,7 +701,7 @@ def _deformed_free_comults(k, ring, max_level, corrections):
                         prev = column(kk, ll - 1, y)
                         s_map = _basis_morphism(
                             ring, levels[ll - 1], levels[ll], tables[ll - 1], tables[ll],
-                            vertices, degen_lookup[(ll - 1, i - kk)],
+                            vertices, k.degen_lookup[(ll - 1, i - kk)],
                         )
                         step = tensor_quiver_morphisms(
                             ring, vertices,

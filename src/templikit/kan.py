@@ -11,7 +11,11 @@ arrow, a composite of covering ones, follows from theirs.
 Each horn or wings item is one call to :func:`coeff.limit_cokernel`, the
 cokernel of Y_n -> lim read off the limit's forest equations without
 building the limit: an onto map costs two Smith runs that read only the
-diagonal, and a failing item's report carries the cokernel.
+diagonal, and a failing item's report carries the cokernel.  Its sibling
+:func:`coeff.limit_is_iso`, which the wings-tensor harness asks, counts
+injectivity on the same two runs.  A limit is built only where its cone is
+read: the limit objects below, and the truncated wings and wedge
+intersections of that harness.
 """
 
 from __future__ import annotations

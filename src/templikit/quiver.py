@@ -117,10 +117,6 @@ class QuiverMorphism:
             quiver, quiver, {key: Morphism.identity(mod) for key, mod in quiver.homs}
         )
 
-    @staticmethod
-    def zero(domain, codomain):
-        return QuiverMorphism(domain, codomain, ())
-
     def comp(self, a, b):
         for (x, y), f in self.components:
             if x == a and y == b:
@@ -136,20 +132,6 @@ class QuiverMorphism:
         for a, b in keys:
             comps[(a, b)] = self.comp(a, b).compose(other.comp(a, b))
         return QuiverMorphism.build(other.domain, self.codomain, comps)
-
-    def __add__(self, other):
-        if self.domain != other.domain or self.codomain != other.codomain:
-            raise ShapeError("quiver morphism sum mismatch")
-        keys = {k for k, _ in self.components} | {k for k, _ in other.components}
-        comps = {(a, b): self.comp(a, b) + other.comp(a, b) for a, b in keys}
-        return QuiverMorphism.build(self.domain, self.codomain, comps)
-
-    def __sub__(self, other):
-        if self.domain != other.domain or self.codomain != other.codomain:
-            raise ShapeError("quiver morphism difference mismatch")
-        keys = {k for k, _ in self.components} | {k for k, _ in other.components}
-        comps = {(a, b): self.comp(a, b) - other.comp(a, b) for a, b in keys}
-        return QuiverMorphism.build(self.domain, self.codomain, comps)
 
     @property
     def is_zero_map(self):

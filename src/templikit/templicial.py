@@ -172,7 +172,7 @@ class TemplicialModule:
         raise ShapeError(f"no comultiplication ({k},{l})")
 
     def with_comult(self, k, l, morphism):
-        """Copy with one comultiplication replaced (used by deformations)."""
+        """Copy with one comultiplication replaced."""
         comults = tuple(((a, b), morphism if (a, b) == (k, l) else f)
                         for (a, b), f in self.comults)
         return TemplicialModule(self.ring, self.vertices, self.max_level,

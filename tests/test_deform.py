@@ -41,6 +41,7 @@ from templikit.deform import (
 )
 from templikit.kan import check_quasicategory, check_weak_kan
 from templikit.necklace import Necklace, all_necklace_maps, necklace_generators, necklaces
+from templikit.quiver import Quiver, QuiverMorphism
 from templikit.templicial import (
     NecklicialModule,
     base_change_necklicial,
@@ -484,3 +485,44 @@ def test_validate_deformation_with_witness():
                           pair.special_fiber, bad_witness)
     report = validate_deformation(bad, 2)
     assert not report.passed
+
+
+def _paper_p_identity_witness(change):
+    """The identity witness of ``paper_p_deformed(3)``, with its level-1
+    morphism replaced by ``change(level-1 quiver)``."""
+    theta, deformed, fiber = paper_p_deformed(3)
+    levels = [fiber.level_quiver(n) for n in range(1, 4)]
+    witness = [QuiverMorphism.identity(q) for q in levels]
+    witness[0] = change(levels[0])
+    return DeformationPair(theta, deformed, fiber, tuple(witness))
+
+
+def test_identity_witness_of_paper_p_deformed_passes():
+    """Pairs of vertices with a zero hom on both sides need no component."""
+    pair = _paper_p_identity_witness(QuiverMorphism.identity)
+    assert validate_deformation(pair).passed
+
+
+def test_witness_with_a_zero_component_is_rejected():
+    """A zero component between equal-rank nonzero homs is not stored by
+    the quiver morphism, and is still checked."""
+    def zeroed(q):
+        return QuiverMorphism.build(q, q, {key: Morphism.identity(mod)
+                                           for key, mod in q.homs if key != ("a", "a")})
+
+    pair = _paper_p_identity_witness(zeroed)
+    with pytest.raises(ShapeError, match=r"witness component \('a', 'a'\) is not invertible"):
+        validate_deformation(pair)
+
+
+def test_witness_onto_a_zero_hom_is_rejected():
+    """A nonzero domain hom whose codomain hom is zero is not invertible."""
+    def dropped(q):
+        smaller = Quiver.build(q.ring, q.vertices,
+                               {key: mod for key, mod in q.homs if key != ("a", "a")})
+        return QuiverMorphism.build(q, smaller, {key: Morphism.identity(mod)
+                                                 for key, mod in smaller.homs})
+
+    pair = _paper_p_identity_witness(dropped)
+    with pytest.raises(ShapeError, match=r"witness component \('a', 'a'\) is not invertible"):
+        validate_deformation(pair)

@@ -11,7 +11,7 @@ kinds, and on mutants with one perturbed action.
 
 import pytest
 
-from templikit import coeff, kan
+from templikit import coeff, deform, kan
 from templikit.coeff import (
     Module,
     Morphism,
@@ -284,6 +284,7 @@ def _limit_builds(monkeypatch):
         return equations(modules)
 
     monkeypatch.setattr(kan, "_module_diagram", tagged)
+    monkeypatch.setattr(deform, "_module_diagram", tagged)
     monkeypatch.setattr(coeff, "_limit_equations", recorded)
     return builds
 

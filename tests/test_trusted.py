@@ -38,6 +38,7 @@ from templikit.coeff import (
     finite_limit,
     kernel_data,
     limit_cokernel,
+    limit_is_iso,
     mat_add,
     mat_identity,
     mat_mul,
@@ -316,23 +317,26 @@ def perturbed_cones(draw):
 @LIMITS
 @given(perturbed_cones())
 def test_limit_factorizations_accept_exactly_the_cones(data):
-    """Both factorizations through a limit accept a family of legs exactly
-    when it is a cone by definition, f o leg_src == leg_tgt for every
-    arrow, and otherwise raise the same ShapeError; an accepted family's
-    cokernel is that of its factorization."""
+    """The factorization through a limit, ``limit_cokernel`` and
+    ``limit_is_iso`` accept a family of legs exactly when it is a cone by
+    definition, f o leg_src == leg_tgt for every arrow, and otherwise raise
+    the same ShapeError; for an accepted family they give the cokernel and
+    the verdict of its factorization."""
     diagram, lim, domain, legs = data
     is_cone = all(f.compose(legs[src]) == legs[tgt] for src, tgt, f in diagram.arrows)
     try:
         u = factor_through_limit(lim, legs, domain)
     except ShapeError as exc:
         assert not is_cone
-        with pytest.raises(ShapeError) as again:
-            limit_cokernel(diagram, legs, domain)
-        assert str(again.value) == str(exc)
+        for decide in (limit_cokernel, limit_is_iso):
+            with pytest.raises(ShapeError) as again:
+                decide(diagram, legs, domain)
+            assert str(again.value) == str(exc)
         return
     assert is_cone
     assert all(cone.compose(u) == leg for cone, leg in zip(lim.cone, legs))
     assert limit_cokernel(diagram, legs, domain) == cokernel_module(u)
+    assert limit_is_iso(diagram, legs, domain) == analyze(u).is_iso
 
 
 def test_factorization_rejects_non_cones():
