@@ -15,6 +15,7 @@ from .coeff import (
     Module,
     Morphism,
     Ring,
+    RingExtension,
     ShapeError,
     mat_identity,
     mat_mul,
@@ -622,150 +623,83 @@ def paper_p(max_level=3, p=2):
     return free_templicial(paper_p_sset(max_level), Ring.prime_field(p), max_level)
 
 
-def _deformed_free_comults(k, ring, max_level, corrections):
-    """Comultiplication maps of a free templicial module with corrections.
+def _deform_mu11(k, x, idx, column):
+    """The free templicial module ``x`` on ``k`` with ``column`` added to the
+    (1, 1) comultiplication at the 2-simplex ``idx``.
 
-    ``corrections`` maps (kk, ll) to {simplex_index: extra column} where the
-    extra column is given in normalized coordinates of the (kk, ll) tensor
-    layout hom.  Degenerate simplices inherit their columns through the
-    naturality squares for the degeneracy that produced them, so a correction
-    at a nondegenerate simplex propagates upward consistently.
+    Colax naturality carries the correction to the degenerate simplices: at
+    s_i y it adds (s_i (x) id) c_{k-1,l}(y) to c_{k,l} when i < k and
+    (id (x) s_{i-k}) c_{k,l-1}(y) otherwise.  Where the peeled index k-1 or
+    l-1 is 0, c is a unit insertion and adds nothing.  These rules are
+    linear and the free comultiplication obeys them, so the result is x plus
+    the carried correction.
     """
-    vertices = k.simplices[0]
-    tables = {n: _free_gen_table(k, n) for n in range(0, max_level + 1)}
-    levels = {n: _free_level_quiver(ring, vertices, tables[n]) for n in range(1, max_level + 1)}
-    levels[0] = unit_quiver(ring, vertices)
-
-    def hom_position(n, idx):
-        ai, bi = k.first_vertex(n, idx), k.last_vertex(n, idx)
-        return (ai, bi), tables[n][(ai, bi)].index(idx)
-
-    mu_cols = {}
-
-    def column(kk, ll, idx):
-        return mu_cols[(kk, ll)][idx]
-
-    for n in range(2, max_level + 1):
-        for kk in range(1, n):
-            ll = n - kk
-            layout = tensor_layout(ring, vertices, (levels[kk], levels[ll]))
-            cols = {}
-            for idx in range(len(k.simplices[n])):
-                (ai, bi), _pos = hom_position(n, idx)
-                a, b = vertices[ai], vertices[bi]
-                split = k.degeneracy_split(n, idx)
-                if split is None:
-                    front = _front_face(k, n, idx, n - kk)
-                    back = _back_face(k, n, idx, kk)
-                    mid = vertices[k.last_vertex(kk, front)]
-                    fpos = tables[kk][(ai, k.last_vertex(kk, front))].index(front)
-                    bpos = tables[ll][(k.first_vertex(ll, back), bi)].index(back)
-                    col = [row[0] for row in layout.basis_column(a, b, (mid,), (fpos, bpos))]
-                    extra = corrections.get((kk, ll), {}).get(idx)
-                    if extra is not None:
-                        col = [ring.add(x, y) for x, y in zip(col, extra)]
-                    cols[idx] = tuple(col)
+    ring, vertices = x.ring, x.vertices
+    carried = {(1, 1): {idx: column}}
+    for n in range(3, x.max_level + 1):
+        for s in range(len(k.simplices[n])):
+            split = k.degeneracy_split(n, s)
+            if split is None:
+                continue
+            i, y = split
+            a, b = vertices[k.first_vertex(n, s)], vertices[k.last_vertex(n, s)]
+            for kk in range(1, n):
+                ll = n - kk
+                prev = carried.get((kk - 1, ll) if i < kk else (kk, ll - 1), {}).get(y)
+                if prev is None:
                     continue
-                i, y = split
-                if i <= kk - 1:
-                    if kk == 1:
-                        # mu_{1,l}(s_0 y) = (unit edge at the first vertex) (x) y
-                        e_idx = k.degen_lookup[(0, 0)][ai]
-                        fpos = tables[1][(ai, ai)].index(e_idx)
-                        ypos = tables[ll][(ai, bi)].index(y)
-                        col = layout.basis_column(a, b, (a,), (fpos, ypos))
-                        cols[idx] = tuple(row[0] for row in col)
-                    else:
-                        prev = column(kk - 1, ll, y)
-                        s_map = _basis_morphism(
-                            ring, levels[kk - 1], levels[kk], tables[kk - 1], tables[kk],
-                            vertices, k.degen_lookup[(kk - 1, i)],
-                        )
-                        step = tensor_quiver_morphisms(
-                            ring, vertices,
-                            (s_map, QuiverMorphism.identity(levels[ll])),
-                        )
-                        mat = step.comp(a, b).matrix
-                        cols[idx] = tuple(
-                            row[0] for row in mat_mul(ring, mat, tuple((x,) for x in prev))
-                        )
-                else:
-                    if ll == 1:
-                        # mu_{k,1}(s_k y) = y (x) (unit edge at the last vertex)
-                        e_idx = k.degen_lookup[(0, 0)][bi]
-                        bpos = tables[1][(bi, bi)].index(e_idx)
-                        ypos = tables[kk][(ai, bi)].index(y)
-                        col = layout.basis_column(a, b, (b,), (ypos, bpos))
-                        cols[idx] = tuple(row[0] for row in col)
-                    else:
-                        prev = column(kk, ll - 1, y)
-                        s_map = _basis_morphism(
-                            ring, levels[ll - 1], levels[ll], tables[ll - 1], tables[ll],
-                            vertices, k.degen_lookup[(ll - 1, i - kk)],
-                        )
-                        step = tensor_quiver_morphisms(
-                            ring, vertices,
-                            (QuiverMorphism.identity(levels[kk]), s_map),
-                        )
-                        mat = step.comp(a, b).matrix
-                        cols[idx] = tuple(
-                            row[0] for row in mat_mul(ring, mat, tuple((x,) for x in prev))
-                        )
-            mu_cols[(kk, ll)] = cols
+                parts = ((x.degeneracy(kk - 1, i), QuiverMorphism.identity(x.level_quiver(ll)))
+                         if i < kk else
+                         (QuiverMorphism.identity(x.level_quiver(kk)), x.degeneracy(ll - 1, i - kk)))
+                step = tensor_quiver_morphisms(ring, vertices, parts).comp(a, b).matrix
+                carried.setdefault((kk, ll), {})[s] = tuple(
+                    row[0] for row in mat_mul(ring, step, tuple((v,) for v in prev)))
 
-    comults = {}
-    for (kk, ll), cols in mu_cols.items():
-        layout = tensor_layout(ring, vertices, (levels[kk], levels[ll]))
-        comps = {}
-        for (ai, bi), dom_list in tables[kk + ll].items():
+    comults = dict(x.comults)
+    for (kk, ll), cols in carried.items():
+        mu = comults[(kk, ll)]
+        comps = dict(mu.components)
+        for (ai, bi), gens in _free_gen_table(k, kk + ll).items():
+            if not any(s in cols for s in gens):
+                continue
             a, b = vertices[ai], vertices[bi]
-            dom = levels[kk + ll].hom(a, b)
-            cod = layout.hom(a, b)
-            col_list = [cols[idx] for idx in dom_list]
-            mat = tuple(tuple(col[i] for col in col_list) for i in range(cod.ngens))
-            comps[(a, b)] = Morphism(dom, cod, mat)
-        comults[(kk, ll)] = QuiverMorphism.build(levels[kk + ll], layout.quiver, comps)
-    return comults
+            zero = (ring.zero(),) * mu.codomain.hom(a, b).ngens
+            by_col = [cols.get(s, zero) for s in gens]
+            extra = Morphism(mu.domain.hom(a, b), mu.codomain.hom(a, b),
+                             tuple(zip(*by_col)))
+            comps[(a, b)] = mu.comp(a, b) + extra
+        comults[(kk, ll)] = QuiverMorphism.build(mu.domain, mu.codomain, comps)
+    return TemplicialModule.build(ring, vertices, x.max_level, x.levels,
+                                  dict(x.faces), dict(x.degeneracies), comults)
 
 
 def paper_p_deformed(max_level=3, p=2):
     """First-order deformation of paper_p over F_p[e]/(e^2).
 
-    The comultiplication of the 2-simplex becomes f1 (x) g1 + e * f2 (x) g2
-    while every other structure map is the scalar lift of the special fiber.
+    The free templicial module on :func:`paper_p_sset` over F_p[e]/(e^2),
+    with the comultiplication of the 2-simplex alpha changed to
+    f1 (x) g1 + e * f2 (x) g2; colax naturality carries the correction
+    e * f2 (x) g2 to the comultiplications of the degeneracies of alpha, and
+    every other structure map is the scalar lift of the special fiber.
     Returns (extension, deformed, fiber).
     """
-    from .coeff import RingExtension
-
     ring_k = Ring.prime_field(p)
     ring_r = Ring.dual_chain(p, 2)
-    theta = RingExtension(ring_r, ring_k)
     sset = paper_p_sset(max_level)
-    base = free_templicial(sset, ring_r, max_level)
+    free = free_templicial(sset, ring_r, max_level)
     vertices = sset.simplices[0]
-    tables = {n: _free_gen_table(sset, n) for n in range(0, max_level + 1)}
+    table = _free_gen_table(sset, 1)
 
     alpha = sset.simplices[2].index("A:(0, 1, 2)")
     f2 = sset.simplices[1].index("B:(0, 1)")
     g2 = sset.simplices[1].index("B:(1, 2)")
-    a_i = vertices.index("a")
-    b2_i = vertices.index("b2")
-    c_i = vertices.index("c")
-    layout = tensor_layout(ring_r, vertices,
-                           (base.level_quiver(1), base.level_quiver(1)))
-    f2_pos = tables[1][(a_i, b2_i)].index(f2)
-    g2_pos = tables[1][(b2_i, c_i)].index(g2)
-    eps = ring_r.uniformizer
-    col = layout.basis_column("a", "c", ("b2",), (f2_pos, g2_pos))
-    extra = tuple(ring_r.mul(eps, row[0]) for row in col)
-    corrections = {(1, 1): {alpha: extra}}
-    comults = _deformed_free_comults(sset, ring_r, max_level, corrections)
-    deformed = TemplicialModule.build(
-        ring_r, base.vertices, max_level, base.levels,
-        dict(base.faces), dict(base.degeneracies), comults,
-    )
-    fiber = free_templicial(sset, ring_k, max_level)
-    return theta, deformed, fiber
+    a_i, b2_i, c_i = (vertices.index(v) for v in ("a", "b2", "c"))
+    layout = tensor_layout(ring_r, vertices, (free.level_quiver(1), free.level_quiver(1)))
+    col = layout.basis_column("a", "c", ("b2",), (table[(a_i, b2_i)].index(f2),
+                                                  table[(b2_i, c_i)].index(g2)))
+    extra = tuple(ring_r.mul(ring_r.uniformizer, row[0]) for row in col)
+    deformed = _deform_mu11(sset, free, alpha, extra)
+    return RingExtension(ring_r, ring_k), deformed, free_templicial(sset, ring_k, max_level)
 
 
 def builtin(name, max_level=None):

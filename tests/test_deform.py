@@ -1,8 +1,11 @@
 """Deformation harnesses: base change, extensions, theorem verification."""
 
+import hashlib
+
 import pytest
 
 from templikit import deform
+from templikit.cli import canonical_json, serialize_instance
 from templikit.coeff import (
     FREE,
     InvalidInstanceError,
@@ -39,7 +42,7 @@ from templikit.deform import (
     verify_thm_main,
     verify_wings_tensor,
 )
-from templikit.kan import check_quasicategory, check_weak_kan
+from templikit.kan import _degenerate_parts, check_quasicategory, check_weak_kan
 from templikit.necklace import Necklace, all_necklace_maps, necklace_generators, necklaces
 from templikit.quiver import Quiver, QuiverMorphism
 from templikit.templicial import (
@@ -77,21 +80,45 @@ def test_base_change_paper_p_deformed():
     assert bc.comults == fiber.comults
 
 
+# sha256 prefixes of the example files written by ``templikit example
+# paper_P_deformed --max-level N``
+PAPER_P_DEFORMED_DIGESTS = {
+    2: "04b83e6ca58c0650",
+    3: "d8de8b1205b1ee56",
+    4: "a75af5355cedec08",
+    5: "72653bd1d8d478ac",
+}
+
+
+@pytest.mark.parametrize("max_level", sorted(PAPER_P_DEFORMED_DIGESTS))
+def test_paper_p_deformed_bytes_are_pinned(max_level):
+    pair = builtin("paper_P_deformed", max_level)
+    blob = canonical_json(serialize_instance(pair))
+    assert hashlib.sha256(blob.encode()).hexdigest()[:16] == PAPER_P_DEFORMED_DIGESTS[max_level]
+    assert validate_templicial(pair.deformed).ok
+    assert base_change_templicial(pair.extension, pair.deformed) == pair.special_fiber
+
+
 def test_paper_p_deformed_mu_entry():
-    theta, deformed, fiber = paper_p_deformed(3)
-    mu = deformed.comult(1, 1).comp("a", "c")
-    fiber_mu = fiber.comult(1, 1).comp("a", "c")
-    eps = D32.uniformizer if False else Ring.dual_chain(2, 2).uniformizer
-    diffs = [
-        (i, j)
-        for i in range(len(mu.matrix))
-        for j in range(len(mu.matrix[0]))
-        if mu.matrix[i][j] != theta.lift_element(fiber_mu.matrix[i][j])
-    ]
-    # exactly one entry deforms: the f2 (x) g2 coordinate of alpha, by epsilon
-    assert len(diffs) == 1
-    i, j = diffs[0]
-    assert mu.matrix[i][j][1] == 1 and mu.matrix[i][j][0] == fiber_mu.matrix[i][j]
+    """Every comultiplication entry that differs from the fiber's lift is
+    that lift plus e, and lies at hom (a, c): the correction of alpha's
+    (1, 1) column and its images under the degeneracies of alpha."""
+    theta, deformed, fiber = paper_p_deformed(4)
+    eps = theta.source.uniformizer
+    counts = {}
+    for (k, l), mu in deformed.comults:
+        for a in deformed.vertices:
+            for b in deformed.vertices:
+                mat = mu.comp(a, b).matrix
+                fiber_mat = fiber.comult(k, l).comp(a, b).matrix
+                for i, row in enumerate(mat):
+                    for j, entry in enumerate(row):
+                        lift = theta.lift_element(fiber_mat[i][j])
+                        if entry != lift:
+                            assert (a, b) == ("a", "c")
+                            assert entry == theta.source.add(lift, eps)
+                            counts[(k, l)] = counts.get((k, l), 0) + 1
+    assert counts == {(1, 1): 1, (1, 2): 2, (2, 1): 2, (1, 3): 3, (2, 2): 4, (3, 1): 3}
 
 
 def test_base_change_nerve_commutes():
@@ -442,6 +469,47 @@ def test_degproj_lift_3x3_report_reads_the_fiber_instance(monkeypatch):
     copy = base_change_templicial(theta, upper)
     assert copy == lower and copy is not lower
     assert str(real_report(theta, upper, copy, n_max, step_idx)) == str(report.children[1])
+
+
+def _free_chain_z8_pair():
+    """Free Z/8 -> F_2 pair on a<b<c: two small steps."""
+    k = sset_nerve_of_poset(("a", "b", "c"), (("a", "b"), ("b", "c")), 3)
+    return DeformationPair(RingExtension(Z8, F2), free_templicial(k, Z8, 3),
+                           free_templicial(k, F2, 3))
+
+
+THREE_BY_THREE_PAIRS = {
+    "dual-nerve-3": lambda: nerve_pair(3),
+    "paper-P-deformed-3": lambda: DeformationPair(*paper_p_deformed(3)),
+    "paper-P-deformed-4": lambda: DeformationPair(*paper_p_deformed(4)),
+    "free-chain-z8": _free_chain_z8_pair,
+}
+
+
+@pytest.mark.parametrize("name", sorted(THREE_BY_THREE_PAIRS))
+def test_3x3_exactness_given_by_construction(name):
+    """What the 3x3 report takes from its construction: q is the cokernel
+    projection of can on both instances of each small step, so the E columns
+    are exact where can is injective; and each entrywise reduction is onto,
+    so a row is exact where its kernel is I (x) -."""
+    pair = THREE_BY_THREE_PAIRS[name]()
+    steps, chain = deform._fiber_chain(pair.extension, pair.deformed)
+    for idx, step in enumerate(steps):
+        upper, lower = chain[idx], chain[idx + 1]
+        for n in range(1, upper.max_level + 1):
+            for x in (upper, lower):
+                _, _, can, _, q = _degenerate_parts(x, n)
+                for a in x.vertices:
+                    for b in x.vertices:
+                        assert image_equals_kernel(can.comp(a, b), q.comp(a, b))
+                        assert analyze(q.comp(a, b)).surjective
+            deg, _, _, _, q = _degenerate_parts(upper, n)
+            for a in upper.vertices:
+                for b in upper.vertices:
+                    for module in (deg.hom(a, b), upper.level_quiver(n).hom(a, b),
+                                   q.comp(a, b).codomain):
+                        rho = deform._reduction_morphism(step, module)
+                        assert analyze(rho).surjective
 
 
 def test_verify_degproj_lift_trivial_free():
