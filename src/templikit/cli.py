@@ -43,7 +43,7 @@ from .kan import (
     check_templicial_wings,
     ez_check,
 )
-from .quiver import Quiver, QuiverMorphism, tensor_layout
+from .quiver import Quiver, QuiverMorphism, tensor_layout, unit_quiver
 from .templicial import TemplicialModule, validate_templicial
 
 FORMAT_VERSION = "1"
@@ -264,8 +264,6 @@ def _dec_templicial(obj, path):
     levels = tuple(_dec_quiver(ring, vertices, q, p) for p, q in _items(obj, "levels", path))
 
     def level_quiver(n, p):
-        from .quiver import unit_quiver
-
         if n > len(levels):
             raise InvalidInstanceError(f"{p} refers to level {n} of {len(levels)}")
         return unit_quiver(ring, vertices) if n == 0 else levels[n - 1]

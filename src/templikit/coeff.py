@@ -146,11 +146,6 @@ class Ring:
         return self.kind in (CHAIN, DUAL_CHAIN)
 
     @property
-    def nilpotency(self):
-        """m for chain kinds, None (meaning infinity) otherwise."""
-        return self.m if self.is_chain_kind else None
-
-    @property
     def uniformizer(self):
         if self.kind == CHAIN:
             return self.reduce(self.p)

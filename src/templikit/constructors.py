@@ -787,5 +787,7 @@ def generate(seed, profile, **params):
             ct, _ = basis[f.source]
             _, cu_inv = basis[f.target]
             actions[f] = ct.compose(mor).compose(cu_inv)
-        return NecklicialModule.build(ring, y.max_level, values, actions)
+        perturbed = NecklicialModule.build(ring, y.max_level, values, actions)
+        perturbed.origin = y  # a change of basis at each necklace: valid when y is
+        return perturbed
     raise ShapeError(f"unknown generator profile {profile!r}")

@@ -37,11 +37,12 @@ from .kan import (
     _degenerate_parts,
     _limit_over_diagram,
     _module_diagram,
-    _require_valid_templicial,
+    _require_valid,
     check_deg_projective,
     check_levelwise,
     check_quasicategory,
     check_weak_kan,
+    validation_report,
 )
 from .necklace import (
     Necklace,
@@ -57,8 +58,6 @@ from .templicial import (
     base_change_necklicial,
     hom_necklicial,
     tensor_external,
-    validate_necklicial,
-    validate_templicial,
 )
 
 
@@ -152,12 +151,12 @@ def validate_deformation(pair, max_level=None):
     if xbar.vertices != x.vertices:
         raise ShapeError("deformed instance and special fiber have different vertex sets")
     for inst, name in ((xbar, "deformed"), (x, "special fiber")):
-        report = validate_templicial(inst)
+        report = validation_report(inst)
         if not report.ok:
             raise InvalidInstanceError(f"{name} instance failed validation", report)
     n_max = min(max_level or xbar.max_level, xbar.max_level)
     items = []
-    flat = check_levelwise(xbar, "flat", n_max, assume_valid=True)
+    flat = check_levelwise(xbar, "flat", n_max)
     for item in flat.items:
         items.append(CheckItem(("levelwise-flat",) + item.indices, item.passed, item.detail))
     bc = base_change_templicial(theta, xbar)
@@ -285,6 +284,7 @@ def extension_sequence(theta, ybar):
     sub = NecklicialModule(ring, ybar.max_level, sub_values, reread(sub_values), ybar._maps)
     quotient = NecklicialModule(ring, ybar.max_level, quot_values, reread(quot_values),
                                 ybar._maps)
+    sub.origin = quotient.origin = ybar
     ext = NecklicialExtension(sub, ybar, quotient,
                               tuple(sorted(inclusions.items(), key=lambda kv: kv[0].points)),
                               tuple(sorted(projections.items(), key=lambda kv: kv[0].points)))
@@ -334,7 +334,7 @@ def build_extension(sub, quotient, cocycle=None):
             act = act + ds_t.injections[0].compose(corr).compose(ds_u.projections[1])
         actions[f] = act
     total = NecklicialModule.build(ring, sub.max_level, values, actions)
-    report = validate_necklicial(total)
+    report = validation_report(total)
     if not report.ok:
         raise InvalidInstanceError("cocycle violates functoriality", report)
     return NecklicialExtension(sub, total, quotient,
@@ -345,9 +345,9 @@ def build_extension(sub, quotient, cocycle=None):
 def check_extension_weak_kan(ext, max_level=None):
     """Weak Kan reports for the sub, total and quotient terms."""
     children = (
-        check_weak_kan(ext.sub, max_level, assume_valid=True, label=("sub",)),
-        check_weak_kan(ext.total, max_level, assume_valid=True, label=("total",)),
-        check_weak_kan(ext.quotient, max_level, assume_valid=True, label=("quotient",)),
+        check_weak_kan(ext.sub, max_level, label=("sub",)),
+        check_weak_kan(ext.total, max_level, label=("total",)),
+        check_weak_kan(ext.quotient, max_level, label=("quotient",)),
     )
     return CheckReport.from_items("extension-weak-kan", (), children=children)
 
@@ -374,11 +374,11 @@ def verify_thm_main(pair, max_level=None):
     if not hyp.passed:
         return CheckReport.hypothesis_failure(
             "main-theorem", "deformation hypotheses fail", (hyp,))
-    fiber_kan = check_quasicategory(x, n_max, assume_valid=True)
+    fiber_kan = check_quasicategory(x, n_max)
     if not fiber_kan.passed:
         return CheckReport.hypothesis_failure(
             "main-theorem", "special fiber is not a quasi-category", (fiber_kan,))
-    conclusion = check_quasicategory(xbar, n_max, assume_valid=True)
+    conclusion = check_quasicategory(xbar, n_max)
     children = [conclusion]
     steps, chain = _fiber_chain(theta, xbar)
     for idx, step in enumerate(steps):
@@ -388,10 +388,8 @@ def verify_thm_main(pair, max_level=None):
                 ybar = hom_necklicial(upper, a, b)
                 ext = extension_sequence(step, ybar)
                 items = [CheckItem((idx, a, b, "exact-sequence"), True)]
-                sub_wk = check_weak_kan(ext.sub, n_max, assume_valid=True,
-                                        label=(idx, a, b, "sub"))
-                quot_wk = check_weak_kan(ext.quotient, n_max, assume_valid=True,
-                                         label=(idx, a, b, "quotient"))
+                sub_wk = check_weak_kan(ext.sub, n_max, label=(idx, a, b, "sub"))
+                quot_wk = check_weak_kan(ext.quotient, n_max, label=(idx, a, b, "quotient"))
                 if idx == 0:
                     # the total term is the deformed instance itself; its
                     # horn checks are the conclusion items for this hom
@@ -401,8 +399,7 @@ def verify_thm_main(pair, max_level=None):
                         for it in conclusion.items if it.indices[:2] == (a, b))
                     tot_wk = CheckReport.from_items("weak-kan", tot_items)
                 else:
-                    tot_wk = check_weak_kan(ext.total, n_max, assume_valid=True,
-                                            label=(idx, a, b, "total"))
+                    tot_wk = check_weak_kan(ext.total, n_max, label=(idx, a, b, "total"))
                 children.append(CheckReport.from_items(
                     "proof-skeleton", items, children=(sub_wk, quot_wk, tot_wk)))
     passed = all(c.passed for c in children)
@@ -454,11 +451,11 @@ def verify_wings_tensor(x, module, max_level=None):
     built as limits.
     """
     n_max = min(max_level or x.max_level, x.max_level)
-    _require_valid_templicial(x)
+    _require_valid(x)
     if module.ring != x.ring:
         raise RingMismatchError("coefficient module over the wrong ring")
-    hyp_kan = check_quasicategory(x, n_max, assume_valid=True)
-    hyp_flat = check_levelwise(x, "flat", n_max, assume_valid=True)
+    hyp_kan = check_quasicategory(x, n_max)
+    hyp_flat = check_levelwise(x, "flat", n_max)
     if not (hyp_kan.passed and hyp_flat.passed):
         return CheckReport.hypothesis_failure(
             "wings-tensor",
@@ -471,7 +468,7 @@ def verify_wings_tensor(x, module, max_level=None):
         for b in x.vertices:
             y = hom_necklicial(x, a, b)
             yt = tensor_external(y, module)
-            main = check_weak_kan(yt, n_max, assume_valid=True, label=(a, b))
+            main = check_weak_kan(yt, n_max, label=(a, b))
             items.extend(main.items)
             wings = {}
             for n in range(2, n_max + 1):
@@ -520,11 +517,11 @@ def verify_degproj_lift(pair, max_level=None):
     if not hyp.passed:
         return CheckReport.hypothesis_failure(
             "degproj-lift", "deformation hypotheses fail", (hyp,))
-    fiber_dp = check_deg_projective(x, n_max, assume_valid=True)
+    fiber_dp = check_deg_projective(x, n_max)
     if not fiber_dp.passed:
         return CheckReport.hypothesis_failure(
             "degproj-lift", "special fiber is not deg-projective", (fiber_dp,))
-    conclusion = check_deg_projective(xbar, n_max, assume_valid=True)
+    conclusion = check_deg_projective(xbar, n_max)
     children = [conclusion]
     steps, chain = _fiber_chain(theta, xbar)
     if chain[-1] == x:

@@ -8,6 +8,10 @@ poset of surjections.  The diagrams keep only the covering arrows: Y is
 validated functorial at the trust boundary, so the equation of every other
 arrow, a composite of covering ones, follows from theirs.
 
+Every checker refuses an invalid instance with ``InvalidInstanceError``;
+validity is established once per instance and kept on it
+(:func:`validation_report`), so checking an instance again costs nothing.
+
 Each horn or wings item is one call to :func:`coeff.limit_cokernel`, the
 cokernel of Y_n -> lim read off the limit's forest equations without
 building the limit: an onto map costs two Smith runs that read only the
@@ -37,6 +41,7 @@ from .coeff import (
 from .necklace import build_diagram, fint_surjections
 from .quiver import Quiver, QuiverDiagram, QuiverMorphism, _solve_homwise
 from .templicial import (
+    TemplicialModule,
     evaluator,
     hom_necklicial,
     validate_necklicial,
@@ -99,16 +104,29 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def _require_valid_necklicial(y):
-    report = validate_necklicial(y)
-    if not report.ok:
-        raise InvalidInstanceError("necklicial module failed validation", report)
+def validation_report(x):
+    """The validation report of a templicial or necklicial module, computed
+    the first time it is asked for and kept on the instance (as its
+    evaluator is).  A necklicial module computed from another object, its
+    ``origin``, is valid when that object is, so it shares that object's
+    report; one given by explicit actions is checked exhaustively."""
+    report = x.__dict__.get("_validation")
+    if report is None:
+        if isinstance(x, TemplicialModule):
+            report = validate_templicial(x)
+        elif x.origin is not None:
+            report = validation_report(x.origin)
+        else:
+            report = validate_necklicial(x)
+        object.__setattr__(x, "_validation", report)
+    return report
 
 
-def _require_valid_templicial(x):
-    report = validate_templicial(x)
+def _require_valid(x):
+    report = validation_report(x)
     if not report.ok:
-        raise InvalidInstanceError("templicial module failed validation", report)
+        kind = "templicial" if isinstance(x, TemplicialModule) else "necklicial"
+        raise InvalidInstanceError(f"{kind} module failed validation", report)
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +183,10 @@ def truncated_wing_object(y, n, i):
 # ---------------------------------------------------------------------------
 
 
-def _surjectivity_report(prop, y, max_level, assume_valid, label, kind, extras):
+def _surjectivity_report(prop, y, max_level, label, kind, extras):
     """Whether Y_n maps onto the limit object of the ``kind`` index diagram,
     at every 2 <= n <= max_level and every ``extra`` in ``extras(n)``."""
-    if not assume_valid:
-        _require_valid_necklicial(y)
+    _require_valid(y)
     n_max = min(max_level or y.max_level, y.max_level)
     items = []
     for n in range(2, n_max + 1):
@@ -185,39 +202,37 @@ def _surjectivity_report(prop, y, max_level, assume_valid, label, kind, extras):
     return CheckReport.from_items(prop, items)
 
 
-def check_weak_kan(y, max_level=None, *, assume_valid=False, label=()):
+def check_weak_kan(y, max_level=None, *, label=()):
     """Surjectivity of Y_n -> Lambda^j_n Y for all 0 < j < n <= max_level."""
-    return _surjectivity_report("weak-kan", y, max_level, assume_valid, label, "horn",
+    return _surjectivity_report("weak-kan", y, max_level, label, "horn",
                                 lambda n: ((j,) for j in range(1, n)))
 
 
-def check_lifts_wings(y, max_level=None, *, assume_valid=False, label=()):
+def check_lifts_wings(y, max_level=None, *, label=()):
     """Surjectivity of Y_n -> W_n Y for all 2 <= n <= max_level."""
-    return _surjectivity_report("lifts-wings", y, max_level, assume_valid, label, "wings",
+    return _surjectivity_report("lifts-wings", y, max_level, label, "wings",
                                 lambda n: ((),))
 
 
-def _per_hom_report(prop, x, max_level, assume_valid, check):
+def _per_hom_report(prop, x, max_level, check):
     """The items of ``check`` on every hom necklicial module X_.(a, b)."""
-    if not assume_valid:
-        _require_valid_templicial(x)
+    _require_valid(x)
     items = []
     for a in x.vertices:
         for b in x.vertices:
             y = hom_necklicial(x, a, b)
-            items.extend(check(y, max_level, assume_valid=True, label=(a, b)).items)
+            items.extend(check(y, max_level, label=(a, b)).items)
     return CheckReport.from_items(prop, items)
 
 
-def check_quasicategory(x, max_level=None, *, assume_valid=False):
+def check_quasicategory(x, max_level=None):
     """Weak Kan for every hom necklicial module X_.(a, b)."""
-    return _per_hom_report("quasi-category", x, max_level, assume_valid, check_weak_kan)
+    return _per_hom_report("quasi-category", x, max_level, check_weak_kan)
 
 
-def check_templicial_wings(x, max_level=None, *, assume_valid=False):
+def check_templicial_wings(x, max_level=None):
     """Lifts-wings for every hom necklicial module X_.(a, b)."""
-    return _per_hom_report("templicial-lifts-wings", x, max_level, assume_valid,
-                           check_lifts_wings)
+    return _per_hom_report("templicial-lifts-wings", x, max_level, check_lifts_wings)
 
 
 # ---------------------------------------------------------------------------
@@ -273,17 +288,11 @@ def _build_degenerate_parts(x, n):
     return quiver, dict(hom_colimits), can, nd_quiver, nd_proj
 
 
-def check_deg_projective(x, max_level=None, *, assume_valid=False):
+def check_deg_projective(x, max_level=None):
     """can_n split mono with projective cokernel for all n <= max_level."""
-    if not assume_valid:
-        _require_valid_templicial(x)
-    return _deg_projective(x, min(max_level or x.max_level, x.max_level))
-
-
-def _deg_projective(x, n_max):
-    """The deg-projectivity report through level n_max."""
+    _require_valid(x)
     items = []
-    for n in range(1, n_max + 1):
+    for n in range(1, min(max_level or x.max_level, x.max_level) + 1):
         _, _, can, nd, _ = _degenerate_parts(x, n)
         for a in x.vertices:
             for b in x.vertices:
@@ -300,15 +309,13 @@ def _deg_projective(x, n_max):
     return CheckReport.from_items("deg-projective", items)
 
 
-def ez_check(x, max_level=None, *, assume_valid=False):
+def ez_check(x, max_level=None):
     """Eilenberg-Zilber decomposition X_n = sum over [n] ->> [m] of X^nd_m."""
-    if not assume_valid:
-        _require_valid_templicial(x)
-    n_max = min(max_level or x.max_level, x.max_level)
-    dp = _deg_projective(x, n_max)
+    dp = check_deg_projective(x, max_level)
     if not dp.passed:
         return CheckReport("eilenberg-zilber", False, (), "not-applicable",
                            "instance is not deg-projective", (dp,))
+    n_max = min(max_level or x.max_level, x.max_level)
     items = []
     for n in range(1, n_max + 1):
         surjections = fint_surjections(n)
@@ -335,12 +342,11 @@ def ez_check(x, max_level=None, *, assume_valid=False):
                                        f"{[len(fint_surjections(n)) for n in range(1, n_max + 1)]}")
 
 
-def check_levelwise(x, which="flat", max_level=None, *, assume_valid=False):
+def check_levelwise(x, which="flat", max_level=None):
     """Levelwise flatness (= projectivity = freeness for f.g. modules here)."""
     if which not in ("flat", "projective"):
         raise InvalidInstanceError(f"unknown levelwise property {which!r}")
-    if not assume_valid:
-        _require_valid_templicial(x)
+    _require_valid(x)
     n_max = min(max_level or x.max_level, x.max_level)
     items = []
     for n in range(1, n_max + 1):

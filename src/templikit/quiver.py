@@ -133,10 +133,6 @@ class QuiverMorphism:
             comps[(a, b)] = self.comp(a, b).compose(other.comp(a, b))
         return QuiverMorphism.build(other.domain, self.codomain, comps)
 
-    @property
-    def is_zero_map(self):
-        return not self.components
-
 
 # ---------------------------------------------------------------------------
 # tensor layouts

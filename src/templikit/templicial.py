@@ -132,14 +132,6 @@ class TemplicialModule:
             if f.domain != self.level_quiver(k + l) or f.codomain != target:
                 raise ShapeError(f"comultiplication ({k},{l}) has wrong endpoints")
 
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.ring, self.vertices, self.max_level, self.levels,
-                      self.faces, self.degeneracies, self.comults))
-            object.__setattr__(self, "_hash", h)
-        return h
-
     @staticmethod
     def build(ring, vertices, max_level, levels, faces, degeneracies, comults):
         return TemplicialModule(
@@ -298,8 +290,8 @@ class TemplicialEvaluator:
 
 
 def evaluator(x):
-    """The evaluator of ``x``, kept on the instance (as its hash is), so
-    its caches live and die with it."""
+    """The evaluator of ``x``, kept on the instance, so its caches live and
+    die with it."""
     ev = x.__dict__.get("_evaluator")
     if ev is None:
         ev = TemplicialEvaluator(x)
@@ -449,6 +441,9 @@ class NecklicialModule:
     for the maps of the index diagrams it reads.  ``maps`` holds the maps that
     have an action (None: every necklace map up to the truncation).
     ``actions``, ``==`` and ``hash`` read every action.
+
+    ``origin``, set by the constructors that derive a module from another
+    object, is that object: the module is valid when it is.
     """
 
     def __init__(self, ring, max_level, values, source, maps=None):
@@ -468,6 +463,7 @@ class NecklicialModule:
         self._memo = {}
         self._actions = None
         self._hash = None
+        self.origin = None
 
     @staticmethod
     def build(ring, max_level, values, actions):
@@ -523,6 +519,12 @@ class NecklicialModule:
         return self.value(simplex_necklace(n))
 
 
+def _derived(y, origin):
+    """``y``, recorded as computed from ``origin``."""
+    y.origin = origin
+    return y
+
+
 def hom_necklicial(x, a, b):
     """The necklicial module X_.(a, b) of a templicial module; the action of
     f is the (a, b) component of X(f)."""
@@ -531,8 +533,8 @@ def hom_necklicial(x, a, b):
     ev = evaluator(x)
     values = {t: ev.layout(t).hom(a, b)
               for p in range(x.max_level + 1) for t in necklaces(p)}
-    return NecklicialModule(x.ring, x.max_level, values,
-                            lambda f: ev.eval_map(f).comp(a, b))
+    return _derived(NecklicialModule(x.ring, x.max_level, values,
+                                     lambda f: ev.eval_map(f).comp(a, b)), x)
 
 
 def validate_necklicial(y):
@@ -579,11 +581,12 @@ def tensor_external(y, module):
         raise RingMismatchError("tensor_external over mixed rings")
     ident = Morphism.identity(module)
     values = {t: tensor(mod, module) for t, mod in y.values}
-    return NecklicialModule(y.ring, y.max_level, values,
-                            lambda f: tensor_morphisms(y.action(f), ident), y._maps)
+    return _derived(NecklicialModule(y.ring, y.max_level, values,
+                                     lambda f: tensor_morphisms(y.action(f), ident), y._maps), y)
 
 
 def base_change_necklicial(theta, y):
     values = {t: theta.base_change(mod) for t, mod in y.values}
-    return NecklicialModule(theta.target, y.max_level, values,
-                            lambda f: theta.base_change_morphism(y.action(f)), y._maps)
+    return _derived(NecklicialModule(theta.target, y.max_level, values,
+                                     lambda f: theta.base_change_morphism(y.action(f)),
+                                     y._maps), y)

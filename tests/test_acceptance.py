@@ -232,10 +232,10 @@ def test_criterion_4_deg_projectivity():
             free_templicial(sset_boundary(2, 3), F2, 3),
         ]
         for x in frees:
-            assert check_deg_projective(x, 3, assume_valid=True).passed
-            assert ez_check(x, 3, assume_valid=True).passed
+            assert check_deg_projective(x, 3).passed
+            assert ez_check(x, 3).passed
             # deg-projective implies levelwise projective
-            assert check_levelwise(x, "projective", 3, assume_valid=True).passed
+            assert check_levelwise(x, "projective", 3).passed
         d1 = frees[0]
         assert d1.level_quiver(2).hom((0,), (1,)).rank == 2
 
@@ -249,14 +249,14 @@ def test_criterion_5_wings_horns_equivalence():
             for n in (2, 3, 4):
                 if n > y.max_level:
                     continue
-                kan = check_weak_kan(y, n, assume_valid=True).passed
-                wings = check_lifts_wings(y, n, assume_valid=True).passed
+                kan = check_weak_kan(y, n).passed
+                wings = check_lifts_wings(y, n).passed
                 if kan != wings:
                     divergences.append((name, n, kan, wings))
         assert divergences == []
         # the corpus genuinely contains failing instances
         negatives = [name for name, y in corpus
-                     if not check_weak_kan(y, 2, assume_valid=True).passed]
+                     if not check_weak_kan(y, 2).passed]
         assert "paper-P-ac" in negatives and "free-boundary2-02" in negatives
 
 
@@ -285,7 +285,7 @@ def test_criterion_7_extension_closure():
                            "*", "*"),
         ]
         for y in ys:
-            assert check_weak_kan(y, 3, assume_valid=True).passed
+            assert check_weak_kan(y, 3).passed
         # direct sums
         for sub, quot in ((ys[0], ys[1]), (ys[2], ys[3])):
             ext = build_extension(sub, quot)

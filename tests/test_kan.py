@@ -4,8 +4,18 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from templikit.coeff import FREE, Module, Morphism, Ring, analyze
+from templikit import kan
+from templikit.coeff import (
+    FREE,
+    InvalidInstanceError,
+    Module,
+    Morphism,
+    Ring,
+    RingExtension,
+    analyze,
+)
 from templikit.constructors import (
+    _constant_templicial,
     free_templicial,
     nerve,
     paper_p,
@@ -13,6 +23,13 @@ from templikit.constructors import (
     sset_nerve_of_poset,
     sset_simplex,
     truncated_polynomial_category,
+)
+from templikit.deform import (
+    DeformationPair,
+    build_extension,
+    check_extension_weak_kan,
+    verify_thm_main,
+    verify_wings_tensor,
 )
 from templikit.kan import (
     check_deg_projective,
@@ -29,7 +46,12 @@ from templikit.kan import (
 )
 from templikit.necklace import Necklace, all_necklace_maps, necklaces
 from templikit.quiver import Quiver
-from templikit.templicial import NecklicialModule, TemplicialModule, hom_necklicial
+from templikit.templicial import (
+    NecklicialModule,
+    TemplicialModule,
+    hom_necklicial,
+    tensor_external,
+)
 
 F2 = Ring.prime_field(2)
 F3 = Ring.prime_field(3)
@@ -113,8 +135,8 @@ def test_wings_agree_with_horns_on_examples():
         wings = check_templicial_wings(x, 3)
         assert kan.passed == wings.passed
     y = zero_necklicial(F2, 3)
-    assert check_weak_kan(y, 3, assume_valid=True).passed
-    assert check_lifts_wings(y, 3, assume_valid=True).passed
+    assert check_weak_kan(y, 3).passed
+    assert check_lifts_wings(y, 3).passed
 
 
 def test_paper_p_wings_fail_at_2():
@@ -156,7 +178,7 @@ def test_deg_projective_reuses_degenerate_part_analyses(monkeypatch):
 
     monkeypatch.setattr(coeff, "smith", counted)
     x = paper_p(3)
-    check_deg_projective(x, 3, assume_valid=True)
+    check_deg_projective(x, 3)
     checker = len(calls)
 
     def parts_and_injectivity(y):
@@ -268,13 +290,79 @@ def test_ez_not_applicable_without_deg_projectivity():
     assert report.status == "not-applicable"
 
 
-def test_checkers_refuse_unvalidated_input():
-    from templikit.coeff import InvalidInstanceError
-    from templikit.constructors import _constant_templicial
+@pytest.fixture
+def validations(monkeypatch):
+    """The instances validate_templicial and validate_necklicial run on,
+    as the checkers call them."""
+    calls = {"templicial": [], "necklicial": []}
+    for kind in calls:
+        validate = getattr(kan, f"validate_{kind}")
 
+        def spied(x, validate=validate, seen=calls[kind]):
+            seen.append(x)
+            return validate(x)
+
+        monkeypatch.setattr(kan, f"validate_{kind}", spied)
+    return calls
+
+
+def _validated(calls, templicial=(), necklicial=()):
+    """Whether exactly these instances, by identity and in this order, were
+    validated (equal copies would compare equal)."""
+    return ([id(x) for x in calls["templicial"]] == [id(x) for x in templicial]
+            and [id(y) for y in calls["necklicial"]] == [id(y) for y in necklicial])
+
+
+def test_checkers_refuse_unvalidated_input(validations):
     bad = _constant_templicial(Z, 2, 1, 2)  # fails colax naturality
-    with pytest.raises(InvalidInstanceError):
-        check_quasicategory(bad, 2)
+    y = hom_necklicial(bad, "*", "*")
+    calls = [(check, bad, "templicial") for check in (
+        check_quasicategory, check_templicial_wings, check_deg_projective, ez_check,
+        check_levelwise)]
+    calls += [(check_weak_kan, y, "necklicial"), (check_lifts_wings, y, "necklicial"),
+              (check_weak_kan, tensor_external(y, Module(Z, (2,))), "necklicial")]
+    for check, instance, kind in calls:
+        for _ in range(2):  # the second refusal reads the kept report
+            with pytest.raises(InvalidInstanceError) as exc:
+                check(instance, max_level=2)
+            assert str(exc.value).startswith(f"{kind} module failed validation")
+            assert not exc.value.report.ok
+    assert _validated(validations, templicial=[bad])
+
+
+def test_every_checker_validates_the_instance_once(validations):
+    x = dual_numbers_nerve(2)
+    y = hom_necklicial(x, "*", "*")
+    for check in (check_quasicategory, check_quasicategory, check_templicial_wings,
+                  check_deg_projective, ez_check, check_levelwise):
+        assert check(x, max_level=2).passed
+    assert check_weak_kan(y, 2).passed and check_lifts_wings(y, 2).passed
+    assert _validated(validations, templicial=[x])
+
+
+def test_thm_main_validates_each_chain_instance_once(validations):
+    z8 = Ring.chain(2, 3)
+    sset = sset_nerve_of_poset(("p0", "p1", "p2"), (("p0", "p1"), ("p1", "p2")), 3)
+    pair = DeformationPair(RingExtension(z8, F2), free_templicial(sset, z8, 3),
+                           free_templicial(sset, F2, 3))
+    assert verify_thm_main(pair, 3).passed
+    middle = validations["templicial"][-1]
+    assert middle.ring == Ring.chain(2, 2)
+    assert _validated(validations, templicial=[pair.deformed, pair.special_fiber, middle])
+
+
+def test_wings_tensor_validates_no_necklicial_module(validations):
+    sset = sset_nerve_of_poset(("p0", "p1"), (("p0", "p1"),), 3)
+    x = free_templicial(sset, Z, 3)
+    assert verify_wings_tensor(x, Module(Z, (2,)), 3).passed
+    assert _validated(validations, templicial=[x])
+
+
+def test_explicit_necklicial_module_is_validated_once(validations):
+    y = zero_necklicial(F2, 2)
+    ext = build_extension(y, y)  # validates and keeps the total term
+    assert check_extension_weak_kan(ext, 2).passed and check_lifts_wings(y, 2).passed
+    assert _validated(validations, necklicial=[ext.total, y])
 
 
 def test_eval_map_truncation_guard():

@@ -130,8 +130,8 @@ def test_checks_evaluate_only_diagram_maps(fresh_caches):
     cat = truncated_polynomial_category(Ring.prime_field(3), (Ring.prime_field(3).zero(),) * 2)
     x = nerve(cat, 4)
     y = hom_necklicial(x, "*", "*")
-    assert check_weak_kan(y, 4, assume_valid=True).passed
-    assert check_lifts_wings(y, 4, assume_valid=True).passed
+    assert check_weak_kan(y, 4).passed
+    assert check_lifts_wings(y, 4).passed
     ev = evaluator(x)
     read = _diagram_maps(4)
     assert len(ev._maps) <= len(read) < len(all_necklace_maps(4))
@@ -206,9 +206,9 @@ def _wings_tensor_report(x):
 def _fill_caches(x):
     """Other homs and other checks first."""
     validate_templicial(x)
-    check_templicial_wings(x, assume_valid=True)
-    check_deg_projective(x, assume_valid=True)
-    check_levelwise(x, assume_valid=True)
+    check_templicial_wings(x)
+    check_deg_projective(x)
+    check_levelwise(x)
     for a in reversed(x.vertices):
         for b in x.vertices:
             y = hom_necklicial(x, a, b)
@@ -222,7 +222,7 @@ def _reverse_homs(x, tensor_with):
             y = hom_necklicial(x, a, b)
             if tensor_with is not None:
                 y = tensor_external(y, tensor_with)
-            check_weak_kan(y, 3, assume_valid=True, label=(a, b))
+            check_weak_kan(y, 3, label=(a, b))
 
 
 @pytest.mark.parametrize("make,report,tensor_with", (

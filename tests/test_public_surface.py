@@ -1,8 +1,10 @@
-"""The names other code depends on: the package's public imports and every
-function and method that the benchmark's per-layer trace patches."""
+"""The names other code depends on: the package's public imports, the
+parameters of the checkers and harnesses the benchmark and the CLI call, and
+every function and method that the benchmark's per-layer trace patches."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -32,6 +34,21 @@ PUBLIC = (
     "hom_necklicial", "tensor_external", "validate_necklicial", "validate_templicial",
 )
 
+# the parameter names of the calls perfbench/workloads.py and the CLI make
+SIGNATURES = {
+    "check_weak_kan": ("y", "max_level", "label"),
+    "check_lifts_wings": ("y", "max_level", "label"),
+    "check_quasicategory": ("x", "max_level"),
+    "check_templicial_wings": ("x", "max_level"),
+    "check_deg_projective": ("x", "max_level"),
+    "ez_check": ("x", "max_level"),
+    "check_levelwise": ("x", "which", "max_level"),
+    "verify_thm_main": ("pair", "max_level"),
+    "verify_wings_tensor": ("x", "module", "max_level"),
+    "verify_degproj_lift": ("pair", "max_level"),
+    "validate_deformation": ("pair", "max_level"),
+}
+
 
 def _layers_constant(name):
     """The literal value of a module-level constant of perfbench/layers.py,
@@ -46,6 +63,11 @@ def _layers_constant(name):
 @pytest.mark.parametrize("name", PUBLIC)
 def test_public_name_resolves(name):
     assert hasattr(templikit, name)
+
+
+@pytest.mark.parametrize("name,params", sorted(SIGNATURES.items()))
+def test_call_shape(name, params):
+    assert tuple(inspect.signature(getattr(templikit, name)).parameters) == params
 
 
 @pytest.mark.parametrize("module,attr", _layers_constant("FUNCTIONS"))
