@@ -10,6 +10,7 @@ anywhere.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -365,7 +366,13 @@ def mat_zero(ring, rows, cols):
 
 def mat_mul(ring, a, b, cols=None):
     """a * b.  ``cols`` is the width of b: a b without rows cannot show it,
-    so callers pass it where the inner dimension may be 0 (default: 0)."""
+    so callers pass it where the inner dimension may be 0 (default: 0).
+
+    Row-sparse (Gustavson): the nonzeros of each row of b are listed once,
+    and each row of a accumulates only its nonzero products.  Products are
+    summed as integers (over F_p[e]/(e^m), packed one coordinate per digit)
+    and each output entry is reduced once.  A zero output entry is the
+    shared ``zero``."""
     rows = len(a)
     inner = len(b)
     if cols is None:
@@ -373,21 +380,50 @@ def mat_mul(ring, a, b, cols=None):
     if rows and len(a[0]) != inner:
         raise ShapeError(f"cannot multiply {rows}x{len(a[0])} by {inner}x{cols}")
     zero = ring.zero()
-    mul, add, is_zero = ring.mul, ring.add, ring.is_zero
     out = []
-    for i in range(rows):
-        arow = a[i]
-        row = [zero] * cols
-        for k in range(inner):
-            x = arow[k]
-            if is_zero(x):
-                continue
-            brow = b[k]
-            for j in range(cols):
-                y = brow[j]
-                if not is_zero(y):
-                    row[j] = add(row[j], mul(x, y))
-        out.append(tuple(row))
+    if ring.kind != DUAL_CHAIN:
+        reduce = ring.reduce
+        bnz = [[(j, y) for j, y in enumerate(brow) if y] for brow in b]
+        for arow in a:
+            acc = {}
+            for x, nz in zip(arow, bnz):
+                if x:
+                    for j, y in nz:
+                        acc[j] = acc.get(j, 0) + x * y
+            row = [zero] * cols
+            for j, s in acc.items():
+                s = reduce(s)
+                if s:
+                    row[j] = s
+            out.append(tuple(row))
+    else:
+        # Kronecker substitution: x in F_p[e]/(e^m) becomes the integer with
+        # base-2^shift digits x_0, ..., x_{m-1}.  Digit k of a sum of such
+        # products is sum x_i y_j over i + j = k, at most inner * m * (p-1)^2
+        # < 2^shift, so no digit carries and the low m digits are the
+        # coordinates of the truncated product.
+        p, m = ring.p, ring.m
+        shift = (max(inner, 1) * m * (p - 1) ** 2).bit_length()
+        mask = (1 << shift) - 1
+        offsets = range(0, m * shift, shift)
+        weights = [1 << k for k in offsets]
+        bnz = [
+            [(j, sum(map(operator.mul, y, weights))) for j, y in enumerate(brow) if y != zero]
+            for brow in b
+        ]
+        for arow in a:
+            acc = {}
+            for x, nz in zip(arow, bnz):
+                if nz and x != zero:
+                    x = sum(map(operator.mul, x, weights))
+                    for j, y in nz:
+                        acc[j] = acc.get(j, 0) + x * y
+            row = [zero] * cols
+            for j, s in acc.items():
+                s = tuple([(s >> k & mask) % p for k in offsets])
+                if s != zero:
+                    row[j] = s
+            out.append(tuple(row))
     return tuple(out)
 
 
@@ -914,8 +950,10 @@ class Morphism:
 
     Results that are valid whenever their operands are skip those checks:
     ``identity``, ``zero``, ``compose``, ``+``, ``-``, ``scale``, tensor
-    products of morphisms, the block witnesses of a direct sum that is a
-    plain concatenation, and the difference maps of finite limits and
+    products of morphisms (``tensor_morphisms`` and the components of
+    ``tensor_quiver_morphisms``), the components of the coherence
+    isomorphisms ``flatten_iso``, the block witnesses of a direct sum that
+    is a plain concatenation, and the difference maps of finite limits and
     colimits.  Sums, products and composites of congruence-valid entries
     stay congruence-valid and ring operations return canonical elements, so
     these only reduce the rows of torsion generators (see ``_trusted``).

@@ -33,7 +33,11 @@ from .coeff import (
 
 @dataclass(frozen=True)
 class Quiver:
-    """Modules indexed by ordered vertex pairs; absent entries are zero."""
+    """Modules indexed by ordered vertex pairs; absent entries are zero.
+
+    ``hom`` reads a dict built once from ``homs``; equality and hashing stay
+    on the dataclass fields.
+    """
 
     ring: object
     vertices: tuple
@@ -49,9 +53,12 @@ class Quiver:
                 raise ShapeError(f"hom ({a},{b}) uses unknown vertex")
             if mod.ring != self.ring:
                 raise RingMismatchError("hom module over wrong ring")
+            if mod.is_zero:
+                raise ShapeError(f"hom ({a},{b}) is zero; absent homs are zero")
             seen.append((index[a], index[b]))
         if seen != sorted(seen) or len(set(seen)) != len(seen):
             raise ShapeError("homs not in canonical order")
+        object.__setattr__(self, "_hom", dict(self.homs))
 
     @staticmethod
     def build(ring, vertices, mapping):
@@ -68,10 +75,8 @@ class Quiver:
         return Quiver(ring, tuple(vertices), tuple(items))
 
     def hom(self, a, b):
-        for (x, y), mod in self.homs:
-            if x == a and y == b:
-                return mod
-        return Module.zero(self.ring)
+        mod = self._hom.get((a, b))
+        return Module.zero(self.ring) if mod is None else mod
 
     @property
     def is_zero(self):
@@ -86,7 +91,11 @@ def unit_quiver(ring, vertices):
 
 @dataclass(frozen=True)
 class QuiverMorphism:
-    """Vertex-pairwise module morphisms between quivers on the same vertices."""
+    """Vertex-pairwise module morphisms between quivers on the same vertices.
+
+    ``comp`` reads a dict built once from ``components``; equality and
+    hashing stay on the dataclass fields.
+    """
 
     domain: Quiver
     codomain: Quiver
@@ -106,6 +115,7 @@ class QuiverMorphism:
                 cleaned.append(((a, b), f))
         cleaned.sort(key=lambda kv: (index[kv[0][0]], index[kv[0][1]]))
         object.__setattr__(self, "components", tuple(cleaned))
+        object.__setattr__(self, "_comp", dict(cleaned))
 
     @staticmethod
     def build(domain, codomain, mapping):
@@ -118,16 +128,16 @@ class QuiverMorphism:
         )
 
     def comp(self, a, b):
-        for (x, y), f in self.components:
-            if x == a and y == b:
-                return f
-        return Morphism.zero(self.domain.hom(a, b), self.codomain.hom(a, b))
+        f = self._comp.get((a, b))
+        if f is None:
+            return Morphism.zero(self.domain.hom(a, b), self.codomain.hom(a, b))
+        return f
 
     def compose(self, other):
         """self o other."""
         if other.codomain != self.domain:
             raise ShapeError("quiver morphism composition mismatch")
-        keys = {k for k, _ in self.components} | {k for k, _ in other.components}
+        keys = self._comp.keys() | other._comp.keys()
         comps = {}
         for a, b in keys:
             comps[(a, b)] = self.comp(a, b).compose(other.comp(a, b))
@@ -238,35 +248,66 @@ def tensor_s(p, q):
 
 
 def tensor_quiver_morphisms(ring, vertices, fs):
-    """Tensor of quiver morphisms between the canonical n-ary layouts."""
+    """Tensor of quiver morphisms between the canonical n-ary layouts.
+
+    The raw matrix at (a, c) is built from the nonzero entries of the
+    factors' components along each vertex path from a to c; a product of
+    nonzeros whose raw generator is absent (its fold order vanishes) is
+    skipped."""
     dom = tensor_layout(ring, vertices, tuple(f.domain for f in fs))
     cod = tensor_layout(ring, vertices, tuple(f.codomain for f in fs))
-    r = len(fs)
+    zero, one, mul, is_zero = ring.zero(), ring.one(), ring.mul, ring.is_zero
+    nonzeros = {}
+
+    def entries(i, u, v):
+        """(row, column, value) of each nonzero entry of fs[i] at (u, v)."""
+        key = (i, u, v)
+        if key not in nonzeros:
+            f = fs[i]._comp.get((u, v))
+            nonzeros[key] = [] if f is None else [
+                (ci, di, x)
+                for ci, row in enumerate(f.matrix)
+                for di, x in enumerate(row) if not is_zero(x)
+            ]
+        return nonzeros[key]
+
     comps = {}
     for a in vertices:
-        for c in vertices:
-            draw = dom.raw_gens(a, c)
-            craw = cod.raw_gens(a, c)
+        # (vertex path from a, partial products in slot order), extended
+        # one factor at a time through the nonzero components only
+        walks = [((a,), [((), (), one)])]
+        for i in range(len(fs)):
+            longer = []
+            for path, partial in walks:
+                for v in vertices:
+                    nz = entries(i, path[-1], v)
+                    if not nz:
+                        continue
+                    step = []
+                    for cg, dg, x in partial:
+                        for ci, di, y in nz:
+                            z = mul(x, y)
+                            if not is_zero(z):
+                                step.append((cg + (ci,), dg + (di,), z))
+                    if step:
+                        longer.append((path + (v,), step))
+            walks = longer
+        by_end = {}
+        for path, products in walks:
+            by_end.setdefault(path[-1], []).append((path[1:-1], products))
+        for c, paths in by_end.items():
             dmod, cmod = dom.hom(a, c), cod.hom(a, c)
             if dmod.is_zero or cmod.is_zero:
                 continue
-            rows = []
-            for cpath, cgens in craw:
-                cfull = (a,) + cpath + (c,)
-                row = []
-                for dpath, dgens in draw:
-                    if dpath != cpath:
-                        row.append(ring.zero())
-                        continue
-                    x = ring.one()
-                    for i in range(r):
-                        entry = fs[i].comp(cfull[i], cfull[i + 1]).matrix[cgens[i]][dgens[i]]
-                        x = ring.mul(x, entry)
-                        if ring.is_zero(x):
-                            break
-                    row.append(x)
-                rows.append(tuple(row))
-            comps[(a, c)] = Morphism._trusted(dmod, cmod, cod.normalize(a, c, tuple(rows), dom))
+            rows = [[zero] * len(dom.raw_gens(a, c)) for _ in cod.raw_gens(a, c)]
+            for mid, products in paths:
+                for cg, dg, x in products:
+                    ri = cod.raw_index(a, c, mid, cg)
+                    di = dom.raw_index(a, c, mid, dg)
+                    if ri is not None and di is not None:
+                        rows[ri][di] = x
+            comps[(a, c)] = Morphism._trusted(
+                dmod, cmod, cod.normalize(a, c, tuple(map(tuple, rows)), dom))
     return QuiverMorphism.build(dom.quiver, cod.quiver, comps)
 
 
@@ -348,8 +389,8 @@ def flatten_iso(ring, vertices, items):
                         collapse[oi][fi] = ring.add(collapse[oi][fi], cc_total)
             fwd_mat = flat.normalize(a, c, tuple(map(tuple, expand)), outer)
             bwd_mat = outer.normalize(a, c, tuple(map(tuple, collapse)), flat)
-            fwd_comps[(a, c)] = Morphism(omod, fmod, fwd_mat)
-            bwd_comps[(a, c)] = Morphism(fmod, omod, bwd_mat)
+            fwd_comps[(a, c)] = Morphism._trusted(omod, fmod, fwd_mat)
+            bwd_comps[(a, c)] = Morphism._trusted(fmod, omod, bwd_mat)
     fwd = QuiverMorphism.build(outer.quiver, flat.quiver, fwd_comps)
     bwd = QuiverMorphism.build(flat.quiver, outer.quiver, bwd_comps)
     return fwd, bwd

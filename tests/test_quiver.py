@@ -9,6 +9,7 @@ from templikit.coeff import (
     Module,
     Morphism,
     Ring,
+    ShapeError,
     analyze,
     mat_identity,
 )
@@ -294,3 +295,52 @@ def test_quiver_colimit_coequalizer():
     ident = QuiverMorphism.identity(q)
     colim = quiver_colimit(QuiverDiagram(F3, s, (q, q), ((0, 1, ident), (0, 1, ident))))
     assert colim.quiver.hom("a", "b").rank == 2
+
+
+def test_explicit_zero_hom_is_rejected():
+    z1 = Module.free(Z, 1)
+    with pytest.raises(ShapeError, match="zero"):
+        Quiver(Z, ("a", "b"), ((("a", "a"), z1), (("a", "b"), Module.zero(Z))))
+    with pytest.raises(ShapeError, match="zero"):
+        Quiver(Z, ("a",), ((("a", "a"), Module.zero(Z)),))
+    # build drops zero homs, so both spellings give one quiver
+    built = Quiver.build(Z, ("a", "b"), {("a", "a"): z1, ("a", "b"): Module.zero(Z)})
+    assert built == Quiver(Z, ("a", "b"), ((("a", "a"), z1),))
+    assert Quiver.build(Z, ("a",), {("a", "a"): Module.zero(Z)}).is_zero
+
+
+def _scan_hom(quiver, a, b):
+    return next((mod for key, mod in quiver.homs if key == (a, b)), Module.zero(quiver.ring))
+
+
+def _scan_comp(f, a, b):
+    return next((g for key, g in f.components if key == (a, b)),
+                Morphism.zero(f.domain.hom(a, b), f.codomain.hom(a, b)))
+
+
+def test_lookup_state_is_invisible():
+    s = ("a", "b", "c")
+    homs = {("c", "a"): Module(Z, (2, FREE)), ("a", "b"): Module.free(Z, 1),
+            ("b", "b"): Module(Z, (3,)), ("a", "a"): Module(Z, (4,))}
+    p = Quiver.build(Z, s, homs)
+    q = Quiver.build(Z, s, dict(reversed(list(homs.items()))))
+    assert p is not q
+    assert p == q and hash(p) == hash(q)
+    layout = tensor_layout(Z, s, (p, p))
+    hits = tensor_layout.cache_info().hits
+    assert tensor_layout(Z, s, (q, q)) is layout
+    assert tensor_layout.cache_info().hits == hits + 1
+
+    comps = {ab: Morphism.identity(mod).scale(-1) for ab, mod in homs.items()}
+    f = QuiverMorphism.build(p, q, comps)
+    g = QuiverMorphism.build(q, p, dict(reversed(list(comps.items()))))
+    assert f == g and hash(f) == hash(g)
+    tensor = tensor_quiver_morphisms(Z, s, (f, g))
+    for quiver in (p, q, layout.quiver, tensor.domain):
+        for a in s:
+            for b in s:
+                assert quiver.hom(a, b) == _scan_hom(quiver, a, b)
+    for morph in (f, g, f.compose(g), QuiverMorphism.identity(p), tensor):
+        for a in s:
+            for b in s:
+                assert morph.comp(a, b) == _scan_comp(morph, a, b)
