@@ -1329,14 +1329,178 @@ def analyze(f):
     return Analysis(f)
 
 
+_TRIAL_DIVISION_BOUND = 1 << 10
+
+
+def _prime_powers(e):
+    """The pairs (p, k) with p^k exactly dividing e >= 2, or None when e
+    does not factor cheaply: trial division below _TRIAL_DIVISION_BOUND
+    leaves a cofactor that is not a prime below PRIME_LIMIT."""
+    parts, d = [], 2
+    while d < _TRIAL_DIVISION_BOUND and d * d <= e:
+        if e % d == 0:
+            k = 0
+            while e % d == 0:
+                e, k = e // d, k + 1
+            parts.append((d, k))
+        d += 1 if d == 2 else 2
+    if e > 1:
+        if e >= PRIME_LIMIT or not _is_prime(e):
+            return None
+        parts.append((e, 1))
+    return parts
+
+
+def _sparse_rows(ring, f, q=None):
+    """The nonzero entries of [f | order columns of its codomain] as
+    {row: {column: entry}}, reduced modulo ``q`` when it is given."""
+    s, n = f.domain.ngens, f.codomain
+    zero = ring.zero()
+    rows = {}
+    for i, row in enumerate(f.matrix):
+        if q is None:
+            entries = {j: x for j, x in enumerate(row) if x != zero}
+        else:
+            entries = {j: y for j, x in enumerate(row) if x and (y := x % q)}
+        if n.factors[i] != FREE:
+            # torsion generators come first, so generator i has order column s + i
+            x = n.order_elt(i)
+            if q is not None:
+                x %= q
+            if x != zero:
+                entries[s + i] = x
+        if entries:
+            rows[i] = entries
+    return rows
+
+
+def _pivot_valuations(ring, rows):
+    """The valuations of the nonzero Smith diagonal entries of a sparse
+    matrix over a field (all 0) or a chain ring; ``rows`` is consumed.
+
+    Each step takes a pivot of least valuation, from the shortest column
+    holding one and then from the shortest row, to keep the fill-in small.
+    The least valuation never decreases, so the search starts at the
+    previous pivot's.  The pivot divides every entry left, so clearing its
+    column by row operations and then dropping its row and column (the
+    column operations that would clear its row touch nothing else) leaves a
+    matrix whose diagonal is the rest of the Smith diagonal.
+    """
+    kind = ring.kind
+    if kind == DUAL_CHAIN:
+        zero, divide, mul, sub = ring.zero(), ring.divide, ring.mul, ring.sub
+    elif kind != RATIONALS:
+        p = ring.p
+        q = ring._modulus if kind == CHAIN else p
+    cols = {}
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    vals, bound = [], 0
+    while rows:
+        best = None
+        while best is None:
+            # an entry has valuation > bound iff it vanishes modulo pi^(bound + 1)
+            if kind == CHAIN:
+                low = p ** (bound + 1)
+            elif kind == DUAL_CHAIN:
+                low = bound + 1
+                low_zero = zero[:low]
+            for j, col in cols.items():
+                n = len(col)
+                if best is not None and n >= best[0]:
+                    continue
+                for i in col:
+                    row = rows[i]
+                    x = row[j]
+                    if (kind == CHAIN and x % low == 0
+                            or kind == DUAL_CHAIN and x[:low] == low_zero):
+                        continue
+                    if best is None or (n, len(row)) < best[:2]:
+                        best = (n, len(row), i, j)
+                if best is not None and best[0] == 1:
+                    break
+            if best is None:
+                bound += 1
+        _, _, pi, pj = best
+        vals.append(bound)
+        prow = rows.pop(pi)
+        for j in prow:
+            col = cols[j]
+            col.discard(pi)
+            if not col:
+                del cols[j]
+        piv = prow.pop(pj)
+        if kind in (PRIME_FIELD, CHAIN):
+            pv = p ** bound
+            unit = pow(piv // pv, -1, q)
+        for i in cols.pop(pj, ()):
+            row = rows[i]
+            x = row.pop(pj)
+            if kind == DUAL_CHAIN:
+                c = divide(x, piv)
+            elif kind == RATIONALS:
+                c = x / piv
+            else:
+                c = x // pv * unit
+            for j, y in prow.items():
+                if kind == DUAL_CHAIN:
+                    z = sub(row.get(j, zero), mul(c, y))
+                    nonzero = z != zero
+                elif kind == RATIONALS:
+                    z = nonzero = row.get(j, 0) - c * y
+                else:
+                    z = nonzero = (row.get(j, 0) - c * y) % q
+                if nonzero:
+                    if j not in row:
+                        cols.setdefault(j, set()).add(i)
+                    row[j] = z
+                elif j in row:
+                    del row[j]
+                    col = cols[j]
+                    col.discard(i)
+                    if not col:
+                        del cols[j]
+            if not row:
+                del rows[i]
+    return vals
+
+
 def cokernel_module(f):
-    """Invariant factors of coker(f) without transform bookkeeping."""
+    """Invariant factors of coker(f), read off a sparse elimination that
+    computes only the Smith diagonal of [f | order columns].
+
+    Over a field or a chain ring it runs on the entries themselves
+    (:func:`_pivot_valuations`).  Over the integers with every codomain
+    factor torsion, coker(f) is the sum of its p-parts coker(f) (x) Z/p^k,
+    one for each p^k exactly dividing the exponent e of the codomain, so
+    the elimination runs over each Z/p^k, where entries stay below p^k.
+    Over the integers with a free codomain factor, or when e does not
+    factor cheaply (:func:`_prime_powers`), it reads the dense Smith
+    diagonal instead.
+    """
     ring = f.ring
     n = f.codomain
     if n.ngens == 0:
         return Module.zero(ring)
-    w = mat_hstack(f.matrix, _order_columns(n))
-    return _diagonal_factors(ring, smith(ring, w).d, n.ngens)[1]
+    if ring.kind != INTEGERS:
+        vals = _pivot_valuations(ring, _sparse_rows(ring, f))
+        torsion = tuple(sorted(v for v in vals if v))
+        return Module(ring, torsion + (FREE,) * (n.ngens - len(vals)))
+    parts = None if n.rank else _prime_powers(n.factors[-1])
+    if parts is None:
+        w = mat_hstack(f.matrix, _order_columns(n))
+        return _diagonal_factors(ring, smith(ring, w).d, n.ngens)[1]
+    # the p-part of each invariant factor, largest first
+    exponents = []
+    for p, k in parts:
+        local = Ring.chain(p, k)
+        vals = _pivot_valuations(local, _sparse_rows(local, f, p ** k))
+        exponents.append((p, sorted([v for v in vals if v] + [k] * (n.ngens - len(vals)),
+                                    reverse=True)))
+    length = max(len(e) for _, e in exponents)
+    return Module(ring, tuple(prod(p ** e[i] for p, e in exponents if i < len(e))
+                              for i in reversed(range(length))))
 
 
 # ---------------------------------------------------------------------------
@@ -1879,7 +2043,8 @@ def _counted_cone(diagram, legs, domain):
     F being mono, it is injective iff s is, that is iff the domain and
     coker s together have the size of F.  A size (:func:`_size`) is a
     length over a field or a chain ring and an order over the integers with
-    torsion nodes: two Smith runs that read only the diagonal.  Over the
+    torsion nodes: two sparse eliminations that read only the diagonal
+    (:func:`cokernel_module`).  Over the
     integers with a free node sizes do not decide, and ``onto`` and
     ``injective`` are None.  A family that is not a cone raises ShapeError.
     """

@@ -14,11 +14,12 @@ validity is established once per instance and kept on it
 
 Each horn or wings item is one call to :func:`coeff.limit_cokernel`, the
 cokernel of Y_n -> lim read off the limit's forest equations without
-building the limit: an onto map costs two Smith runs that read only the
-diagonal, and a failing item's report carries the cokernel.  Its sibling
+building the limit: an onto map costs two sparse eliminations that read
+only the diagonal (:func:`coeff.cokernel_module`, no dense Smith run), and
+a failing item's report carries the cokernel.  Its sibling
 :func:`coeff.limit_is_iso`, which the wings-tensor harness asks, counts
-injectivity on the same two runs.  A limit is built only where its cone is
-read: the limit objects below, and the truncated wings and wedge
+injectivity on the same two eliminations.  A limit is built only where its
+cone is read: the limit objects below, and the truncated wings and wedge
 intersections of that harness.
 """
 
