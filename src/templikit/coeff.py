@@ -13,8 +13,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, prod
+from functools import cached_property, lru_cache
+from math import gcd, lcm, prod
 
 
 class TemplikitError(Exception):
@@ -364,6 +364,22 @@ def mat_zero(ring, rows, cols):
     return tuple((zero,) * cols for _ in range(rows))
 
 
+def _kronecker(ring, inner):
+    """(mask, offsets, weights) of the Kronecker substitution for sums of at
+    most ``inner`` products over F_p[e]/(e^m).
+
+    x becomes the integer with base-2^shift digits x_0, ..., x_{m-1}
+    (``weights`` are the digit values).  Digit k of a sum of such products
+    is sum x_i y_j over i + j = k, at most inner * m * (p-1)^2 < 2^shift, so
+    no digit carries and the low m digits, read at ``offsets`` under
+    ``mask``, are the coordinates of the truncated product.
+    """
+    p, m = ring.p, ring.m
+    shift = (max(inner, 1) * m * (p - 1) ** 2).bit_length()
+    offsets = range(0, m * shift, shift)
+    return (1 << shift) - 1, offsets, [1 << k for k in offsets]
+
+
 def mat_mul(ring, a, b, cols=None):
     """a * b.  ``cols`` is the width of b: a b without rows cannot show it,
     so callers pass it where the inner dimension may be 0 (default: 0).
@@ -397,16 +413,8 @@ def mat_mul(ring, a, b, cols=None):
                     row[j] = s
             out.append(tuple(row))
     else:
-        # Kronecker substitution: x in F_p[e]/(e^m) becomes the integer with
-        # base-2^shift digits x_0, ..., x_{m-1}.  Digit k of a sum of such
-        # products is sum x_i y_j over i + j = k, at most inner * m * (p-1)^2
-        # < 2^shift, so no digit carries and the low m digits are the
-        # coordinates of the truncated product.
-        p, m = ring.p, ring.m
-        shift = (max(inner, 1) * m * (p - 1) ** 2).bit_length()
-        mask = (1 << shift) - 1
-        offsets = range(0, m * shift, shift)
-        weights = [1 << k for k in offsets]
+        p = ring.p
+        mask, offsets, weights = _kronecker(ring, inner)
         bnz = [
             [(j, sum(map(operator.mul, y, weights))) for j, y in enumerate(brow) if y != zero]
             for brow in b
@@ -953,9 +961,10 @@ class Morphism:
     products of morphisms (``tensor_morphisms`` and the components of
     ``tensor_quiver_morphisms``), the components of the coherence
     isomorphisms ``flatten_iso``, the block witnesses of a direct sum that
-    is a plain concatenation, and the difference maps of finite limits and
-    colimits.  Sums, products and composites of congruence-valid entries
-    stay congruence-valid and ring operations return canonical elements, so
+    is a plain concatenation, and the difference maps of finite limits
+    (densified from their sparse rows, see ``_dense_delta``) and colimits.
+    Sums, products and composites of congruence-valid entries stay
+    congruence-valid and ring operations return canonical elements, so
     these only reduce the rows of torsion generators (see ``_trusted``).
     """
 
@@ -1128,50 +1137,50 @@ def normalize_orders(ring, raw_factors):
 
 @dataclass(frozen=True)
 class DirectSum:
-    """Biproduct with witnesses; ``to_norm``/``from_norm`` change basis
-    between the concatenated generators and ``module`` (None: identity)."""
+    """Biproduct of ``summands``; ``to_norm``/``from_norm`` change basis
+    between the concatenated generators and ``module`` (None: identity).
+    The injection and projection witnesses are built on first read."""
 
     module: Module
-    injections: tuple
-    projections: tuple
+    summands: tuple
     to_norm: tuple | None
     from_norm: tuple | None
+
+    def _blocks(self):
+        starts, _ = _block_starts(self.summands)
+        return zip(starts, self.summands)
+
+    @cached_property
+    def injections(self):
+        module, to_n = self.module, self.to_norm
+        if to_n is not None:
+            return tuple(Morphism(m, module, tuple(row[start:start + m.ngens] for row in to_n))
+                         for start, m in self._blocks())
+        # concatenation already canonical: block unit witnesses
+        zero, one = module.ring.zero(), module.ring.one()
+        return tuple(Morphism._trusted(m, module, tuple(
+            tuple(one if r == start + c else zero for c in range(m.ngens))
+            for r in range(module.ngens))) for start, m in self._blocks())
+
+    @cached_property
+    def projections(self):
+        module, from_n = self.module, self.from_norm
+        if from_n is not None:
+            return tuple(Morphism(module, m, from_n[start:start + m.ngens])
+                         for start, m in self._blocks())
+        zero, one = module.ring.zero(), module.ring.one()
+        return tuple(Morphism._trusted(module, m, tuple(
+            tuple(one if start + r == c else zero for c in range(module.ngens))
+            for r in range(m.ngens))) for start, m in self._blocks())
 
 
 def direct_sum(ring, modules):
     """Biproduct with injection/projection witnesses."""
-    raw = []
-    blocks = []
-    for m in modules:
-        if m.ring != ring:
-            raise RingMismatchError("direct_sum over mixed rings")
-        blocks.append((len(raw), m.ngens))
-        raw.extend(m.factors)
-    module, to_n, from_n = normalize_orders(ring, raw)
-    injections = []
-    projections = []
-    if to_n is None:
-        # concatenation already canonical: block unit witnesses
-        total = len(raw)
-        zero, one = ring.zero(), ring.one()
-        for (start, size), m in zip(blocks, modules):
-            inj = tuple(
-                tuple(one if r == start + c else zero for c in range(size))
-                for r in range(total)
-            )
-            injections.append(Morphism._trusted(m, module, inj))
-            proj = tuple(
-                tuple(one if start + r == c else zero for c in range(total))
-                for r in range(size)
-            )
-            projections.append(Morphism._trusted(module, m, proj))
-    else:
-        for (start, size), m in zip(blocks, modules):
-            inj = tuple(tuple(row[start:start + size]) for row in to_n)
-            injections.append(Morphism(m, module, inj))
-            proj = tuple(from_n[start + i] for i in range(size))
-            projections.append(Morphism(module, m, proj))
-    return DirectSum(module, tuple(injections), tuple(projections), to_n, from_n)
+    modules = tuple(modules)
+    if any(m.ring != ring for m in modules):
+        raise RingMismatchError("direct_sum over mixed rings")
+    module, to_n, from_n = normalize_orders(ring, [f for m in modules for f in m.factors])
+    return DirectSum(module, modules, to_n, from_n)
 
 
 class Analysis:
@@ -1351,27 +1360,46 @@ def _prime_powers(e):
     return parts
 
 
-def _sparse_rows(ring, f, q=None):
-    """The nonzero entries of [f | order columns of its codomain] as
-    {row: {column: entry}}, reduced modulo ``q`` when it is given."""
-    s, n = f.domain.ngens, f.codomain
+def _nonzero_rows(ring, matrix):
+    """The nonzero entries of each row of ``matrix`` as {column: entry}."""
     zero = ring.zero()
-    rows = {}
-    for i, row in enumerate(f.matrix):
+    return [{j: x for j, x in enumerate(row) if x != zero} for row in matrix]
+
+
+def _reduce_row(ring, f, row):
+    """A sparse ``row`` of a generator of order ``f`` (0: free) reduced
+    modulo that order, without its zero entries."""
+    if f == FREE:
+        zero = ring.zero()
+        return {j: x for j, x in row.items() if x != zero}
+    if ring.kind == DUAL_CHAIN:
+        zero, pad = ring.zero(), (0,) * (ring.m - f)
+        return {j: y for j, x in row.items() if (y := x[:f] + pad) != zero}
+    q = f if ring.kind == INTEGERS else ring.p ** f
+    return {j: y for j, x in row.items() if (y := x % q)}
+
+
+def _order_rows(ring, rows, orders, width, q=None):
+    """Fresh sparse rows of [map | order columns] for a map with ``width``
+    columns, given by the nonzeros ``rows`` ({column: entry}, one dict per
+    codomain generator), into the sum of cyclics of the raw ``orders``:
+    generator i of order f gets f at column width + i.  Entries are reduced
+    modulo ``q`` when it is given; zero rows are left out."""
+    out = {}
+    for i, (row, f) in enumerate(zip(rows, orders)):
         if q is None:
-            entries = {j: x for j, x in enumerate(row) if x != zero}
+            entries = dict(row)
         else:
-            entries = {j: y for j, x in enumerate(row) if x and (y := x % q)}
-        if n.factors[i] != FREE:
-            # torsion generators come first, so generator i has order column s + i
-            x = n.order_elt(i)
+            entries = {j: y for j, x in row.items() if (y := x % q)}
+        if f != FREE:
+            x = _factor_order_elt(ring, f)
             if q is not None:
                 x %= q
-            if x != zero:
-                entries[s + i] = x
+            if x != ring.zero():
+                entries[width + i] = x
         if entries:
-            rows[i] = entries
-    return rows
+            out[i] = entries
+    return out
 
 
 def _pivot_valuations(ring, rows):
@@ -1466,41 +1494,52 @@ def _pivot_valuations(ring, rows):
     return vals
 
 
-def cokernel_module(f):
-    """Invariant factors of coker(f), read off a sparse elimination that
-    computes only the Smith diagonal of [f | order columns].
+def _cokernel_of_rows(ring, rows, orders, width):
+    """Invariant factors of the cokernel of a map with ``width`` columns into
+    the direct sum of cyclics of the raw ``orders`` (Module conventions, in
+    any order), read off a sparse elimination that computes only the Smith
+    diagonal of [map | order columns].  ``rows`` holds the map's nonzeros,
+    one {column: entry} dict per codomain generator; it is not changed.
 
     Over a field or a chain ring it runs on the entries themselves
-    (:func:`_pivot_valuations`).  Over the integers with every codomain
-    factor torsion, coker(f) is the sum of its p-parts coker(f) (x) Z/p^k,
-    one for each p^k exactly dividing the exponent e of the codomain, so
-    the elimination runs over each Z/p^k, where entries stay below p^k.
-    Over the integers with a free codomain factor, or when e does not
-    factor cheaply (:func:`_prime_powers`), it reads the dense Smith
-    diagonal instead.
+    (:func:`_pivot_valuations`).  Over the integers with every order
+    torsion, the cokernel is the sum of its p-parts, one for each p^k
+    exactly dividing the exponent e (the lcm of the orders), so the
+    elimination runs over each Z/p^k, where entries stay below p^k.  Over
+    the integers with a free order, or when e does not factor cheaply
+    (:func:`_prime_powers`), it reads the dense Smith diagonal instead.
     """
-    ring = f.ring
-    n = f.codomain
-    if n.ngens == 0:
+    n = len(orders)
+    if n == 0:
         return Module.zero(ring)
     if ring.kind != INTEGERS:
-        vals = _pivot_valuations(ring, _sparse_rows(ring, f))
+        vals = _pivot_valuations(ring, _order_rows(ring, rows, orders, width))
         torsion = tuple(sorted(v for v in vals if v))
-        return Module(ring, torsion + (FREE,) * (n.ngens - len(vals)))
-    parts = None if n.rank else _prime_powers(n.factors[-1])
+        return Module(ring, torsion + (FREE,) * (n - len(vals)))
+    parts = None if FREE in orders else _prime_powers(lcm(*orders))
     if parts is None:
-        w = mat_hstack(f.matrix, _order_columns(n))
-        return _diagonal_factors(ring, smith(ring, w).d, n.ngens)[1]
+        w = [[0] * (width + n) for _ in range(n)]
+        for i, row in _order_rows(ring, rows, orders, width).items():
+            for j, x in row.items():
+                w[i][j] = x
+        return _diagonal_factors(ring, smith(ring, w).d, n)[1]
     # the p-part of each invariant factor, largest first
     exponents = []
     for p, k in parts:
-        local = Ring.chain(p, k)
-        vals = _pivot_valuations(local, _sparse_rows(local, f, p ** k))
-        exponents.append((p, sorted([v for v in vals if v] + [k] * (n.ngens - len(vals)),
+        local = _order_rows(ring, rows, orders, width, p ** k)
+        vals = _pivot_valuations(Ring.chain(p, k), local)
+        exponents.append((p, sorted([v for v in vals if v] + [k] * (n - len(vals)),
                                     reverse=True)))
     length = max(len(e) for _, e in exponents)
     return Module(ring, tuple(prod(p ** e[i] for p, e in exponents if i < len(e))
                               for i in reversed(range(length))))
+
+
+def cokernel_module(f):
+    """Invariant factors of coker(f), without a transform
+    (:func:`_cokernel_of_rows` on the nonzeros of f)."""
+    return _cokernel_of_rows(f.ring, _nonzero_rows(f.ring, f.matrix), f.codomain.factors,
+                             f.domain.ngens)
 
 
 # ---------------------------------------------------------------------------
@@ -1803,42 +1842,76 @@ def _forest_paths(ring, nodes, arrows, tree, order, reverse=False):
     return root, path
 
 
-def _subtract_block(ring, raw, r0, c0, block, size):
-    """raw[r0 + r][c0 + c] -= block[r][c]; a None block is the identity of
-    the given size."""
-    add = ring.add
-    if block is None:
-        minus_one = ring.neg(ring.one())
-        for k in range(size):
-            line = raw[r0 + k]
-            line[c0 + k] = add(line[c0 + k], minus_one)
-        return
-    neg, is_zero = ring.neg, ring.is_zero
-    for r, row in enumerate(block):
-        line = raw[r0 + r]
-        for c, x in enumerate(row):
-            if not is_zero(x):
-                line[c0 + c] = add(line[c0 + c], neg(x))
-
-
 @dataclass(frozen=True)
 class _LimitEquations:
     """A limit as the kernel of its difference map F --delta--> T.
 
-    F is the direct sum ``free_sum`` of the ``free`` nodes (ascending) of a
-    spanning forest of the diagram's ``nodes`` (node i's generators start at
-    ``at[i]`` in the concatenation) and T the sum of the targets of the
+    F is the direct sum of the ``free`` nodes (ascending) of a spanning
+    forest of the diagram's ``nodes`` (node i's generators start at
+    ``at[i]`` in their concatenation) and T the sum of the targets of the
     arrows off the forest.  Every node t is determined by its free root
     ``root[t]`` along the composite ``path[t]`` (None for a root).
+
+    ``rows`` holds delta on the concatenated generators, one {column:
+    entry} dict of nonzeros per generator of T, each reduced modulo that
+    generator's order; ``free_orders`` and ``target_orders`` are the raw
+    orders of the generators of F and of T.  The normal forms, ``free_sum``
+    and the dense ``delta`` between them, are built on first read, and so
+    is the sparse form of each composite (:meth:`sparse_path`).
     """
 
+    ring: Ring
     nodes: tuple
     free: tuple
     root: list
     path: list
-    free_sum: DirectSum
     at: dict
-    delta: Morphism
+    rows: list
+    free_orders: tuple
+    target_orders: tuple
+    _sparse_paths: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def sparse_path(self, t):
+        """P_t as sparse rows over its root's generators, kept once built."""
+        rows = self._sparse_paths.get(t)
+        if rows is None:
+            rows = self._sparse_paths[t] = _nonzero_rows(self.ring, self.path[t])
+        return rows
+
+    @cached_property
+    def free_sum(self):
+        return direct_sum(self.ring, [self.nodes[i] for i in self.free])
+
+    @cached_property
+    def delta(self):
+        return _dense_delta(self)
+
+
+def _row_products(ring, a, b):
+    """The rows of a * b for sparse rows ``a`` and ``b`` (one {column:
+    entry} dict of nonzeros per row), as sparse rows of canonical entries.
+    The arithmetic is that of :func:`mat_mul`."""
+    zero = ring.zero()
+    if ring.kind != DUAL_CHAIN:
+        reduce = ring.reduce
+        for arow in a:
+            acc = {}
+            for k, x in arow.items():
+                for j, y in b[k].items():
+                    acc[j] = acc.get(j, 0) + x * y
+            yield {j: z for j, t in acc.items() if (z := reduce(t)) != zero}
+        return
+    p = ring.p
+    mask, offsets, weights = _kronecker(ring, len(b))
+    packed = [{j: sum(map(operator.mul, y, weights)) for j, y in row.items()} for row in b]
+    for arow in a:
+        acc = {}
+        for k, x in arow.items():
+            x = sum(map(operator.mul, x, weights))
+            for j, y in packed[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        yield {j: z for j, t in acc.items()
+               if (z := tuple([(t >> k & mask) % p for k in offsets])) != zero}
 
 
 def _limit_equations(diagram):
@@ -1849,33 +1922,61 @@ def _limit_equations(diagram):
     composite P_t out of the direct sum of the free nodes.  Eliminating t is
     exact, because its block in the difference map is -id.  The tree arrows'
     equations then hold by construction, and delta has one block row
-    f_a o P_src - P_tgt for every other arrow a: src -> tgt.
+    f_a o P_src - P_tgt for every other arrow a: src -> tgt, written from
+    nonzeros.
     """
     ring = diagram.ring
     nodes, arrows = diagram.nodes, diagram.arrows
     free, tree, order = _spanning_forest(len(nodes), arrows)
     root, path = _forest_paths(ring, nodes, arrows, tree, order)
-    free_sum = direct_sum(ring, [nodes[i] for i in free])
-    starts, width = _block_starts(nodes[i] for i in free)
+    starts, _ = _block_starts(nodes[i] for i in free)
     at = dict(zip(free, starts))
+    add, neg = ring.add, ring.neg
     equations = [(src, tgt, f) for a, (src, tgt, f) in enumerate(arrows) if tree[tgt] != a]
-    targets = [nodes[tgt] for _, tgt, _ in equations]
-    arrow_at, height = _block_starts(targets)
-    arr_mod, arr_to, _ = normalize_orders(ring, [f for m in targets for f in m.factors])
-    zero = ring.zero()
-    raw = [[zero] * width for _ in range(height)]
-    for r0, (src, tgt, f) in zip(arrow_at, equations):
-        r = root[src]
-        lhs = f.matrix if path[src] is None else mat_mul(ring, f.matrix, path[src],
-                                                         nodes[r].ngens)
-        c0 = at[r]
-        for k, row in enumerate(lhs):
-            raw[r0 + k][c0:c0 + len(row)] = row
-        _subtract_block(ring, raw, r0, at[root[tgt]], path[tgt], nodes[tgt].ngens)
-    delta = Morphism._trusted(
-        free_sum.module, arr_mod,
-        change_basis(ring, arr_to, tuple(map(tuple, raw)), free_sum.from_norm))
-    return _LimitEquations(nodes, tuple(free), root, path, free_sum, at, delta)
+    rows, minus_paths = [], {}
+    eq = _LimitEquations(ring, nodes, tuple(free), root, path, at, rows,
+                         tuple(f for i in free for f in nodes[i].factors),
+                         tuple(f for _, tgt, _ in equations for f in nodes[tgt].factors))
+
+    def minus_path(t):
+        """-P_t as sparse rows over F's generators."""
+        if t not in minus_paths:
+            c0 = at[root[t]]
+            if path[t] is None:
+                minus_one = neg(ring.one())
+                minus_paths[t] = [{c0 + k: minus_one} for k in range(nodes[t].ngens)]
+            else:
+                minus_paths[t] = [{c0 + c: neg(x) for c, x in row.items()}
+                                  for row in eq.sparse_path(t)]
+        return minus_paths[t]
+
+    for src, tgt, f in equations:
+        lhs = _nonzero_rows(ring, f.matrix)
+        if path[src] is not None:
+            lhs = _row_products(ring, lhs, eq.sparse_path(src))
+        c0 = at[root[src]]
+        for row, minus, o in zip(lhs, minus_path(tgt), nodes[tgt].factors):
+            row = {c0 + c: x for c, x in row.items()}
+            for c, x in minus.items():
+                row[c] = add(row[c], x) if c in row else x
+            rows.append(_reduce_row(ring, o, row))
+    return eq
+
+
+def _dense_delta(eq):
+    """The difference map of ``eq`` as a morphism between the normal forms
+    of F and T, densified from its rows."""
+    ring = eq.ring
+    zero, width = ring.zero(), len(eq.free_orders)
+    raw = []
+    for row in eq.rows:
+        line = [zero] * width
+        for j, x in row.items():
+            line[j] = x
+        raw.append(tuple(line))
+    target, to_norm, _ = normalize_orders(ring, eq.target_orders)
+    return Morphism._trusted(eq.free_sum.module, target,
+                             change_basis(ring, to_norm, tuple(raw), eq.free_sum.from_norm))
 
 
 def finite_limit(diagram):
@@ -1926,7 +2027,7 @@ def finite_colimit(diagram):
     sources = [nodes[src] for src, _, _ in relations]
     arrow_at, width = _block_starts(sources)
     arr_mod, _, arr_from = normalize_orders(ring, [f for m in sources for f in m.factors])
-    zero = ring.zero()
+    zero, sub = ring.zero(), ring.sub
     raw = [[zero] * width for _ in range(height)]
     for c0, (src, tgt, f) in zip(arrow_at, relations):
         rhs = f.matrix if path[tgt] is None else mat_mul(ring, path[tgt], f.matrix,
@@ -1934,7 +2035,14 @@ def finite_colimit(diagram):
         r0 = at[root[tgt]]
         for k, row in enumerate(rhs):
             raw[r0 + k][c0:c0 + len(row)] = row
-        _subtract_block(ring, raw, at[root[src]], c0, path[src], nodes[src].ngens)
+        p_src = path[src]
+        if p_src is None:
+            p_src = mat_identity(ring, nodes[src].ngens)
+        for k, row in enumerate(p_src, at[root[src]]):
+            line = raw[k]
+            for c, x in enumerate(row, c0):
+                if x != zero:
+                    line[c] = sub(line[c], x)
     delta = Morphism._trusted(
         arr_mod, free_sum.module,
         change_basis(ring, free_sum.to_norm, tuple(map(tuple, raw)), arr_from))
@@ -1993,38 +2101,56 @@ def factor_through_epi(projection, given):
 
 
 def _cone_on_forest(eq, legs, domain):
-    """The legs to the free nodes of ``eq`` as one map s: domain -> F, once
-    ``legs`` is checked to be a cone: delta o s = 0 (the arrows off the
-    forest) and every other leg is its forest composite P_t o s_root (the
-    tree arrows).  Raises ShapeError otherwise."""
+    """The legs to the free nodes of ``eq`` as the sparse rows of one map
+    s: domain -> F on F's concatenated generators, once ``legs`` is checked
+    to be a cone: every leg is a map domain -> node, delta o s = 0 modulo
+    the orders of T (the arrows off the forest), and every other leg is its
+    forest composite P_t o s_root (the tree arrows).  Raises ShapeError
+    otherwise."""
     nodes = eq.nodes
     if len(legs) != len(nodes):
         raise ShapeError("factor_through_limit needs one leg per node")
+    for i, (leg, node) in enumerate(zip(legs, nodes)):
+        if leg.domain != domain or leg.codomain != node:
+            raise ShapeError(f"leg {i} is not a map from the domain to node {i}")
     ring = domain.ring
-    rows = tuple(row for i in eq.free for row in legs[i].matrix)
-    s = Morphism(domain, eq.free_sum.module,
-                 change_basis(ring, eq.free_sum.to_norm, rows, None))
-    if not eq.delta.compose(s).is_zero_map:
-        raise ShapeError("map does not factor through the inclusion")
+    s = _nonzero_rows(ring, [row for i in eq.free for row in legs[i].matrix])
+    for row, f in zip(_row_products(ring, eq.rows, s), eq.target_orders):
+        if _reduce_row(ring, f, row):
+            raise ShapeError("map does not factor through the inclusion")
     for t, leg in enumerate(legs):
-        p = eq.path[t]
-        if p is not None and leg.matrix != _reduce_torsion_rows(
-                nodes[t], mat_mul(ring, p, legs[eq.root[t]].matrix, domain.ngens)):
+        if eq.path[t] is None:
+            continue
+        r = eq.root[t]
+        composite = _row_products(ring, eq.sparse_path(t), s[eq.at[r]:eq.at[r] + nodes[r].ngens])
+        if [_reduce_row(ring, f, row) for row, f in zip(composite, nodes[t].factors)] \
+                != _nonzero_rows(ring, leg.matrix):
             raise ShapeError("limit factorization verification failed")
     return s
+
+
+def _free_legs(eq, s, domain):
+    """The map domain -> F, on the normal form of F, whose rows on F's
+    concatenated generators are the sparse ``s``."""
+    ring = domain.ring
+    zero, width = ring.zero(), domain.ngens
+    rows = tuple(tuple(row.get(j, zero) for j in range(width)) for row in s)
+    free_sum = eq.free_sum
+    return Morphism(domain, free_sum.module, change_basis(ring, free_sum.to_norm, rows, None))
 
 
 def factor_through_limit(limit, legs, domain):
     """The unique u: domain -> limit with cone_i o u = legs[i]; a family
     that is not a cone raises ShapeError (see :func:`_cone_on_forest`)."""
-    return factor_through_mono(limit.inclusion, _cone_on_forest(limit.equations, legs, domain))
+    eq = limit.equations
+    return factor_through_mono(limit.inclusion,
+                               _free_legs(eq, _cone_on_forest(eq, legs, domain), domain))
 
 
-def _size(ring, modules):
-    """The composition length of the direct sum of ``modules`` over a field
-    or a chain ring (where a free factor counts m), or its order over the
-    integers (0 when a factor is free)."""
-    factors = [f for m in modules for f in m.factors]
+def _size(ring, factors):
+    """The composition length of the direct sum of cyclics of orders
+    ``factors`` over a field or a chain ring (where a free factor counts
+    m), or its order over the integers (0 when a factor is free)."""
     if ring.kind == INTEGERS:
         return prod(factors)
     if ring.is_field:
@@ -2036,27 +2162,35 @@ def _counted_cone(diagram, legs, domain):
     """(eq, s, onto, injective) for the map from ``domain`` into the limit
     of ``diagram`` given by the cone ``legs``.
 
-    With s: domain -> F the legs to the free nodes and delta: F -> T the
-    difference map of :func:`_limit_equations`, the limit is ker delta and
-    contains im s.  So the map is onto iff im s = ker delta, that is iff
-    coker s and coker delta together have the size of T; and, ker delta ->
-    F being mono, it is injective iff s is, that is iff the domain and
-    coker s together have the size of F.  A size (:func:`_size`) is a
-    length over a field or a chain ring and an order over the integers with
-    torsion nodes: two sparse eliminations that read only the diagonal
-    (:func:`cokernel_module`).  Over the
-    integers with a free node sizes do not decide, and ``onto`` and
-    ``injective`` are None.  A family that is not a cone raises ShapeError.
+    With s: domain -> F the legs to the free nodes (sparse rows, see
+    :func:`_cone_on_forest`) and delta: F -> T the difference map of
+    :func:`_limit_equations`, the limit is ker delta and contains im s.  So
+    the map is onto iff im s = ker delta, that is iff coker s and coker
+    delta together have the size of T; and, ker delta -> F being mono, it is
+    injective iff s is, that is iff the domain and coker s together have
+    the size of F.  A size (:func:`_size`) is a length over a field or a
+    chain ring and an order over the integers with torsion nodes: two
+    sparse eliminations on the rows of s and delta that read only the
+    diagonal (:func:`_cokernel_of_rows`).  Over the integers with a free
+    node sizes do not decide, and ``onto`` and ``injective`` are None.  A
+    family that is not a cone raises ShapeError.
     """
     ring = diagram.ring
     eq = _limit_equations(diagram)
     s = _cone_on_forest(eq, legs, domain)
     if ring.kind == INTEGERS and any(node.rank for node in diagram.nodes):
         return eq, s, None, None
-    coker_s = cokernel_module(s)
-    onto = _size(ring, (coker_s, cokernel_module(eq.delta))) == _size(ring, (eq.delta.codomain,))
-    injective = _size(ring, (domain, coker_s)) == _size(ring, (s.codomain,))
+    coker_s = _cokernel_of_rows(ring, s, eq.free_orders, domain.ngens)
+    coker_delta = _cokernel_of_rows(ring, eq.rows, eq.target_orders, len(eq.free_orders))
+    onto = _size(ring, coker_s.factors + coker_delta.factors) == _size(ring, eq.target_orders)
+    injective = _size(ring, domain.factors + coker_s.factors) == _size(ring, eq.free_orders)
     return eq, s, onto, injective
+
+
+def _witness(eq, s, domain):
+    """s as a map into the kernel of the dense delta, as on
+    :func:`finite_limit`."""
+    return factor_through_mono(kernel_data(eq.delta)[1], _free_legs(eq, s, domain))
 
 
 def limit_cokernel(diagram, legs, domain):
@@ -2070,7 +2204,7 @@ def limit_cokernel(diagram, legs, domain):
     eq, s, onto, _ = _counted_cone(diagram, legs, domain)
     if onto:
         return Module.zero(diagram.ring)
-    return cokernel_module(factor_through_mono(kernel_data(eq.delta)[1], s))
+    return cokernel_module(_witness(eq, s, domain))
 
 
 def limit_is_iso(diagram, legs, domain):
@@ -2083,7 +2217,7 @@ def limit_is_iso(diagram, legs, domain):
     """
     eq, s, onto, injective = _counted_cone(diagram, legs, domain)
     if onto is None:
-        return analyze(factor_through_mono(kernel_data(eq.delta)[1], s)).is_iso
+        return analyze(_witness(eq, s, domain)).is_iso
     return onto and injective
 
 
@@ -2095,6 +2229,9 @@ def factor_through_colimit(colimit, legs, codomain):
     """
     if len(legs) != len(colimit.cocone):
         raise ShapeError("factor_through_colimit needs one leg per node")
+    for i, (leg, coc) in enumerate(zip(legs, colimit.cocone)):
+        if leg.domain != coc.domain or leg.codomain != codomain:
+            raise ShapeError(f"leg {i} is not a map from node {i} to the codomain")
     ds = colimit.nodes_sum
     rows = tuple(tuple(x for i in colimit.free for x in legs[i].matrix[r])
                  for r in range(codomain.ngens))

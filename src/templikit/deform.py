@@ -446,7 +446,9 @@ def verify_wings_tensor(x, module, max_level=None):
     """Weak Kan of X_.(a,b) (x) M for a levelwise flat quasi-category X.
 
     The diagnostics ask whether a map into a limit is an isomorphism with
-    one :func:`coeff.limit_is_iso` call each; only the truncated wings of Y
+    one :func:`coeff.limit_is_iso` call each, counted on the sparse rows of
+    the limit's equations (over Z with a free node, on the kernel of the
+    difference map densified from them); only the truncated wings of Y
     and the wedge intersections, whose cones the pullback squares read, are
     built as limits.
     """

@@ -14,11 +14,13 @@ validity is established once per instance and kept on it
 
 Each horn or wings item is one call to :func:`coeff.limit_cokernel`, the
 cokernel of Y_n -> lim read off the limit's forest equations without
-building the limit: an onto map costs two sparse eliminations that read
-only the diagonal (:func:`coeff.cokernel_module`, no dense Smith run), and
-a failing item's report carries the cokernel.  Its sibling
-:func:`coeff.limit_is_iso`, which the wings-tensor harness asks, counts
-injectivity on the same two eliminations.  A limit is built only where its
+building the limit.  The equations are sparse rows of the difference map
+delta, written from nonzeros; the cone is checked on them, and an onto map
+costs two sparse eliminations on the rows of s and delta that read only
+the diagonal (no direct sum, no dense delta and no dense Smith run).  A
+failing item densifies delta once and its report carries the cokernel.
+Its sibling :func:`coeff.limit_is_iso`, which the wings-tensor harness
+asks, counts injectivity on the same two eliminations.  A limit is built only where its
 cone is read: the limit objects below, and the truncated wings and wedge
 intersections of that harness.
 """

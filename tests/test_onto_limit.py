@@ -19,10 +19,12 @@ from templikit.coeff import (
     Ring,
     RingExtension,
     ShapeError,
+    analyze,
     cokernel_module,
     factor_through_limit,
     finite_limit,
     limit_cokernel,
+    limit_is_iso,
 )
 from templikit.constructors import (
     free_templicial,
@@ -232,32 +234,54 @@ def test_failing_item_reports_the_full_path_cokernel():
 @pytest.mark.parametrize("build", [_dual_numbers_nerve, _deformed_dual_numbers_nerve],
                          ids=["F3", "F3[e]/(e^2)"])
 def test_passing_item_runs_no_smith(monkeypatch, build):
-    """Each passing item takes one cokernel of s and one of delta, and
-    neither makes a dense Smith run."""
+    """Each passing item takes one cokernel of s and one of delta, both on
+    their sparse rows, and neither makes a dense Smith run."""
     y = hom_necklicial(build(4), "*", "*")
     # evaluates every action the check reads
     assert check_weak_kan(y, 4).passed
     per_item = []
-    smith, cokernel, diagram = coeff.smith, coeff.cokernel_module, kan.build_diagram
+    smith, cokernel, diagram = coeff.smith, coeff._cokernel_of_rows, kan.build_diagram
 
     def counted_smith(ring, matrix, **kwargs):
         per_item[-1].append("smith")
         return smith(ring, matrix, **kwargs)
 
-    def counted_cokernel(f):
+    def counted_cokernel(ring, rows, orders, width):
         per_item[-1].append("cokernel")
-        return cokernel(f)
+        return cokernel(ring, rows, orders, width)
 
     def item_start(*args):
         per_item.append([])
         return diagram(*args)
 
     monkeypatch.setattr(coeff, "smith", counted_smith)
-    monkeypatch.setattr(coeff, "cokernel_module", counted_cokernel)
+    monkeypatch.setattr(coeff, "_cokernel_of_rows", counted_cokernel)
     monkeypatch.setattr(kan, "build_diagram", item_start)
     report = check_weak_kan(y, 4)
     assert report.passed
     assert per_item == [["cokernel"] * 2] * 6
+
+
+@pytest.mark.parametrize("kind,n,extra", [("horn", 4, (2,)), ("wings", 4, ())])
+def test_passing_item_stays_sparse(monkeypatch, kind, n, extra):
+    """A passing horn or wings item is decided on the sparse rows of s and
+    delta: it builds no direct sum, normalizes no orders and densifies no
+    delta."""
+    y = hom_necklicial(_deformed_dual_numbers_nerve(4), "*", "*")
+    diagram = build_diagram(kind, n, *extra)
+    modules = _module_diagram(y, diagram)
+    legs = [y.action(obj) for obj in diagram.objects]
+    is_iso = analyze(factor_through_limit(finite_limit(modules), legs, y.level(n))).is_iso
+    calls = []
+    for name in ("direct_sum", "normalize_orders", "_dense_delta"):
+        def spied(*args, name=name, run=getattr(coeff, name)):
+            calls.append(name)
+            return run(*args)
+
+        monkeypatch.setattr(coeff, name, spied)
+    assert limit_cokernel(modules, legs, y.level(n)).is_zero
+    assert limit_is_iso(modules, legs, y.level(n)) == is_iso
+    assert calls == []
 
 
 def test_quasicategory_report_unchanged_on_paper_p():

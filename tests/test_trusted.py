@@ -7,9 +7,11 @@ with torsion, Z/p^m, F_p[e]/(e^m), F_p and Q, with the same result built
 through the validating constructor.  Limits and colimits, which are solved on
 a spanning forest, are compared up to their unique isomorphism with a dense
 reference that has one equation block per arrow over the sum of all nodes,
-and the factorizations through a limit accept exactly the families of legs
-that are cones by definition.  Index diagrams, which keep only covering arrows, are compared with their
-full order relation.
+the sparse rows of a limit's difference map are compared with the dense
+construction they replaced, and the factorizations through a limit accept
+exactly the families of legs that are cones by definition.  Index diagrams,
+which keep only covering arrows, are compared with their full order
+relation.
 """
 
 from fractions import Fraction
@@ -27,8 +29,14 @@ from templikit.coeff import (
     Morphism,
     Ring,
     ShapeError,
+    _block_starts,
+    _forest_paths,
+    _limit_equations,
+    _reduce_torsion_rows,
+    _spanning_forest,
     _tensor_layout,
     analyze,
+    change_basis,
     cokernel_data,
     cokernel_module,
     direct_sum,
@@ -44,6 +52,7 @@ from templikit.coeff import (
     mat_mul,
     mat_neg,
     mat_zero,
+    normalize_orders,
     tensor_morphisms,
 )
 from templikit.constructors import (
@@ -300,6 +309,56 @@ def test_limits_over_integers_equal_dense_reference(diagram):
     assert_colimit_matches_dense(diagram)
 
 
+def reference_limit_equations(diagram):
+    """The dense construction of a limit's difference map that the sparse
+    rows replaced: a dense raw matrix, each forest block subtracted entry by
+    entry, then one change of basis between the normal forms of F and T.
+    Returns (raw, delta)."""
+    ring = diagram.ring
+    nodes, arrows = diagram.nodes, diagram.arrows
+    free, tree, order = _spanning_forest(len(nodes), arrows)
+    root, path = _forest_paths(ring, nodes, arrows, tree, order)
+    free_sum = direct_sum(ring, [nodes[i] for i in free])
+    starts, width = _block_starts(nodes[i] for i in free)
+    at = dict(zip(free, starts))
+    equations = [(src, tgt, f) for a, (src, tgt, f) in enumerate(arrows) if tree[tgt] != a]
+    targets = [nodes[tgt] for _, tgt, _ in equations]
+    arrow_at, height = _block_starts(targets)
+    arr_mod, arr_to, _ = normalize_orders(ring, [f for m in targets for f in m.factors])
+    raw = [[ring.zero()] * width for _ in range(height)]
+    for r0, (src, tgt, f) in zip(arrow_at, equations):
+        r = root[src]
+        lhs = f.matrix if path[src] is None else mat_mul(ring, f.matrix, path[src],
+                                                         nodes[r].ngens)
+        for k, row in enumerate(lhs):
+            raw[r0 + k][at[r]:at[r] + len(row)] = row
+        block = path[tgt] or mat_identity(ring, nodes[tgt].ngens)
+        c0 = at[root[tgt]]
+        for k, row in enumerate(block):
+            for c, x in enumerate(row):
+                raw[r0 + k][c0 + c] = ring.add(raw[r0 + k][c0 + c], ring.neg(x))
+    raw = tuple(map(tuple, raw))
+    delta = Morphism._trusted(free_sum.module, arr_mod,
+                              change_basis(ring, arr_to, raw, free_sum.from_norm))
+    return raw, delta
+
+
+@LIMITS
+@given(diagrams())
+def test_sparse_difference_map_equals_dense_reference(diagram):
+    """The rows of delta are the dense raw matrix with each row reduced
+    modulo its generator's order, and the delta densified from them is the
+    dense construction's, entry for entry."""
+    ring = diagram.ring
+    eq = _limit_equations(diagram)
+    raw, delta = reference_limit_equations(diagram)
+    assert len(eq.rows) == len(raw) == len(eq.target_orders)
+    for row, line, f in zip(eq.rows, raw, eq.target_orders):
+        reduced = _reduce_torsion_rows(Module(ring, (f,)), (line,))[0]
+        assert row == {j: x for j, x in enumerate(reduced) if not ring.is_zero(x)}
+    assert_same(eq.delta, delta)
+
+
 @st.composite
 def perturbed_cones(draw):
     """A diagram, its limit, a module D and a family of legs D -> node_i:
@@ -337,6 +396,32 @@ def test_limit_factorizations_accept_exactly_the_cones(data):
     assert all(cone.compose(u) == leg for cone, leg in zip(lim.cone, legs))
     assert limit_cokernel(diagram, legs, domain) == cokernel_module(u)
     assert limit_is_iso(diagram, legs, domain) == analyze(u).is_iso
+
+
+def test_legs_with_the_wrong_endpoints_are_refused():
+    """A leg that is not a map from the domain to its node makes no cone.
+    Counting alone would read the leg Z --2--> Z/4 to the node Z/2 as a
+    map with cokernel Z/2.  Its colimit dual, the leg Z/4 --1--> Z/2 from
+    the node Z/2, would factor as the identity."""
+    zz, z2, z4 = Module.free(Z, 1), Module(Z, (2,)), Module(Z, (4,))
+    diagram = ModuleDiagram(Z, (z2,), ())
+    for legs, domain in (([Morphism(zz, z4, ((2,),))], zz),
+                         ([Morphism(zz, z2, ((1,),))], z4)):
+        for decide in (limit_cokernel, limit_is_iso):
+            with pytest.raises(ShapeError, match="leg 0 is not a map"):
+                decide(diagram, legs, domain)
+        with pytest.raises(ShapeError, match="leg 0 is not a map"):
+            factor_through_limit(finite_limit(diagram), legs, domain)
+    colim = finite_colimit(diagram)
+    for legs, codomain in (([Morphism(z4, z2, ((1,),))], z2),
+                           ([Morphism(z2, z2, ((1,),))], z4)):
+        with pytest.raises(ShapeError, match="leg 0 is not a map"):
+            factor_through_colimit(colim, legs, codomain)
+    # with the right endpoints the same maps are a cone and a cocone
+    ident = Morphism.identity(z2)
+    assert limit_cokernel(diagram, [ident], z2).is_zero
+    assert limit_is_iso(diagram, [ident], z2)
+    assert factor_through_colimit(colim, [ident], z2) == ident
 
 
 def test_factorization_rejects_non_cones():
