@@ -959,7 +959,10 @@ class Morphism:
     Results that are valid whenever their operands are skip those checks:
     ``identity``, ``zero``, ``compose``, ``+``, ``-``, ``scale``, tensor
     products of morphisms (``tensor_morphisms`` and the components of
-    ``tensor_quiver_morphisms``), the components of the coherence
+    ``tensor_quiver_morphisms``), base change along a ring extension and
+    the view of a target map over the source
+    (``RingExtension.base_change_morphism`` and
+    ``view_morphism_over_source``), the components of the coherence
     isomorphisms ``flatten_iso``, the block witnesses of a direct sum that
     is a plain concatenation, and the difference maps of finite limits
     (densified from their sparse rows, see ``_dense_delta``) and colimits.
@@ -1183,12 +1186,25 @@ def direct_sum(ring, modules):
     return DirectSum(module, modules, to_n, from_n)
 
 
+def _counts(f):
+    """Whether sizes (:func:`_size`) decide the predicates of f: over a
+    field or a chain ring, or over the integers with every factor of its
+    domain and codomain torsion."""
+    return f.ring.kind != INTEGERS or not (f.domain.rank or f.codomain.rank)
+
+
 class Analysis:
     """Kernel, image and cokernel of a morphism, with witnessing maps.
 
     Each part is computed on its first read and kept on the morphism, so
-    every analysis of the same morphism shares it; the predicates read only
-    the parts they need.
+    every analysis of the same morphism shares it.  Where sizes decide
+    (:func:`_counts`), the predicates count: f is onto iff coker f = 0, and
+    injective iff the domain and coker f together have the size of the
+    codomain.  The cokernel's invariant factors come from a kept
+    ``cokernel`` part if there is one, and otherwise from
+    :func:`cokernel_module`, kept as the ``counted`` part.  A kept kernel
+    part is read instead of counting.  Over the integers with a free factor
+    the predicates read the kernel and the cokernel witnesses.
     """
 
     def __init__(self, f):
@@ -1238,12 +1254,28 @@ class Analysis:
     def cokernel_projection(self):
         return self._cokernel()[1]
 
+    def _cokernel_factors(self):
+        """The invariant factors of coker f, read from a kept part or
+        counted once."""
+        kept = self._parts.get("cokernel")
+        if kept is not None:
+            return kept[0].factors
+        return self._part("counted", lambda: cokernel_module(self.morphism)).factors
+
     @property
     def injective(self):
-        return self.kernel.is_zero
+        f = self.morphism
+        if "kernel" in self._parts or not _counts(f):
+            return self.kernel.is_zero
+        if f.domain.is_zero:
+            return True
+        return (_size(f.ring, f.domain.factors + self._cokernel_factors())
+                == _size(f.ring, f.codomain.factors))
 
     @property
     def surjective(self):
+        if _counts(self.morphism):
+            return not self._cokernel_factors()
         return self.cokernel.is_zero
 
     @property
@@ -1668,10 +1700,12 @@ class RingExtension:
         return Module(self.target, tuple(self.base_change_factor(f) for f in module.factors))
 
     def base_change_morphism(self, f):
+        """k (x) f, entrywise.  Congruence-valid when f is: reduction cuts
+        an entry's valuation and every generator order to at most the
+        target's nilpotency, so pi^b | pi^a x survives it."""
         dom = self.base_change(f.domain)
         cod = self.base_change(f.codomain)
-        mat = tuple(tuple(self.reduce_element(x) for x in row) for row in f.matrix)
-        return Morphism(dom, cod, mat)
+        return Morphism._trusted(dom, cod, _entrywise(self.reduce_element, f.matrix))
 
     def kernel_as_target_module(self):
         """I = Ker(theta) as a k-module (requires I^2 = 0)."""
@@ -1696,10 +1730,13 @@ class RingExtension:
         return Module(self.source, factors)
 
     def view_morphism_over_source(self, f):
+        """A k-linear f regarded as an R-linear map, by lifted entries.
+        Congruence-valid when f is: the lifts keep each nonzero entry's
+        valuation and every order is at most the target's nilpotency, so
+        pi^b | pi^a x in k lifts to R."""
         dom = self.view_module_over_source(f.domain)
         cod = self.view_module_over_source(f.codomain)
-        mat = tuple(tuple(self.lift_element(x) for x in row) for row in f.matrix)
-        return Morphism(dom, cod, mat)
+        return Morphism._trusted(dom, cod, _entrywise(self.lift_element, f.matrix))
 
     def small_factorization(self):
         """theta as a chain of small extensions, outermost source first."""
@@ -1715,6 +1752,13 @@ class RingExtension:
         if not k.is_chain_kind:
             steps.append(RingExtension(Ring(r.kind, p=r.p, m=2), k))
         return tuple(steps)
+
+
+def _entrywise(fn, matrix):
+    """``fn`` applied to every entry of ``matrix``, once per distinct entry
+    (a map's entries repeat: most are zero)."""
+    image = {x: fn(x) for x in set().union(*matrix)}
+    return tuple(tuple(map(image.__getitem__, row)) for row in matrix)
 
 
 def base_change(extension, module):
@@ -1819,9 +1863,10 @@ def _spanning_forest(size, arrows, reverse=False):
 def _forest_paths(ring, nodes, arrows, tree, order, reverse=False):
     """Root of every node and the composite along its tree path.
 
-    ``path[t]`` is the raw matrix of the composite root -> t (t -> root when
-    ``reverse``), reduced modulo the torsion of its codomain; None stands
-    for the identity of a root.
+    ``path[t]`` is the composite root -> t (t -> root when ``reverse``) as
+    sparse rows, one {column: entry} dict of nonzeros per generator of its
+    codomain, reduced modulo that generator's order; None stands for the
+    identity of a root.
     """
     root = list(range(len(nodes)))
     path = [None] * len(nodes)
@@ -1830,16 +1875,32 @@ def _forest_paths(ring, nodes, arrows, tree, order, reverse=False):
         if a is None:
             continue
         src, tgt, f = arrows[a]
-        if reverse:
-            r = root[tgt]
-            path[t] = f.matrix if path[tgt] is None else _reduce_torsion_rows(
-                nodes[r], mat_mul(ring, path[tgt], f.matrix, nodes[t].ngens))
-        else:
-            r = root[src]
-            path[t] = f.matrix if path[src] is None else _reduce_torsion_rows(
-                nodes[t], mat_mul(ring, f.matrix, path[src], nodes[r].ngens))
+        rows = _nonzero_rows(ring, f.matrix)
+        s = tgt if reverse else src
+        r = root[s]
+        if path[s] is not None:
+            if reverse:
+                rows, orders = _row_products(ring, path[s], rows), nodes[r].factors
+            else:
+                rows, orders = _row_products(ring, rows, path[s]), nodes[t].factors
+            # the products hold no zeros; only torsion rows need reducing
+            rows = [row if o == FREE else _reduce_row(ring, o, row)
+                    for row, o in zip(rows, orders)]
+        path[t] = rows
         root[t] = r
     return root, path
+
+
+def _densify(ring, rows, width):
+    """The dense matrix of sparse ``rows`` with ``width`` columns."""
+    zero = ring.zero()
+    out = []
+    for row in rows:
+        line = [zero] * width
+        for j, x in row.items():
+            line[j] = x
+        out.append(tuple(line))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -1855,9 +1916,9 @@ class _LimitEquations:
     ``rows`` holds delta on the concatenated generators, one {column:
     entry} dict of nonzeros per generator of T, each reduced modulo that
     generator's order; ``free_orders`` and ``target_orders`` are the raw
-    orders of the generators of F and of T.  The normal forms, ``free_sum``
-    and the dense ``delta`` between them, are built on first read, and so
-    is the sparse form of each composite (:meth:`sparse_path`).
+    orders of the generators of F and of T.  The composites are sparse rows
+    (see :func:`_forest_paths`).  The normal forms, ``free_sum`` and the
+    dense ``delta`` between them, are built on first read.
     """
 
     ring: Ring
@@ -1869,14 +1930,6 @@ class _LimitEquations:
     rows: list
     free_orders: tuple
     target_orders: tuple
-    _sparse_paths: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def sparse_path(self, t):
-        """P_t as sparse rows over its root's generators, kept once built."""
-        rows = self._sparse_paths.get(t)
-        if rows is None:
-            rows = self._sparse_paths[t] = _nonzero_rows(self.ring, self.path[t])
-        return rows
 
     @cached_property
     def free_sum(self):
@@ -1947,13 +2000,13 @@ def _limit_equations(diagram):
                 minus_paths[t] = [{c0 + k: minus_one} for k in range(nodes[t].ngens)]
             else:
                 minus_paths[t] = [{c0 + c: neg(x) for c, x in row.items()}
-                                  for row in eq.sparse_path(t)]
+                                  for row in path[t]]
         return minus_paths[t]
 
     for src, tgt, f in equations:
         lhs = _nonzero_rows(ring, f.matrix)
         if path[src] is not None:
-            lhs = _row_products(ring, lhs, eq.sparse_path(src))
+            lhs = _row_products(ring, lhs, path[src])
         c0 = at[root[src]]
         for row, minus, o in zip(lhs, minus_path(tgt), nodes[tgt].factors):
             row = {c0 + c: x for c, x in row.items()}
@@ -1967,16 +2020,10 @@ def _dense_delta(eq):
     """The difference map of ``eq`` as a morphism between the normal forms
     of F and T, densified from its rows."""
     ring = eq.ring
-    zero, width = ring.zero(), len(eq.free_orders)
-    raw = []
-    for row in eq.rows:
-        line = [zero] * width
-        for j, x in row.items():
-            line[j] = x
-        raw.append(tuple(line))
+    raw = _densify(ring, eq.rows, len(eq.free_orders))
     target, to_norm, _ = normalize_orders(ring, eq.target_orders)
     return Morphism._trusted(eq.free_sum.module, target,
-                             change_basis(ring, to_norm, tuple(raw), eq.free_sum.from_norm))
+                             change_basis(ring, to_norm, raw, eq.free_sum.from_norm))
 
 
 def finite_limit(diagram):
@@ -1996,12 +2043,13 @@ def finite_limit(diagram):
     k = kernel.ngens
     into_free = (incl.matrix if eq.free_sum.from_norm is None
                  else mat_mul(ring, eq.free_sum.from_norm, incl.matrix, k))
+    sparse = _nonzero_rows(ring, into_free)
     cone = []
     for t, node in enumerate(nodes):
         r = root[t]
-        block = into_free[at[r]:at[r] + nodes[r].ngens]
-        if path[t] is not None:
-            block = mat_mul(ring, path[t], block, k)
+        rows = slice(at[r], at[r] + nodes[r].ngens)
+        block = (into_free[rows] if path[t] is None
+                 else _densify(ring, _row_products(ring, path[t], sparse[rows]), k))
         cone.append(Morphism._trusted(kernel, node, block))
     return LimitResult(kernel, tuple(cone), incl, eq)
 
@@ -2030,19 +2078,20 @@ def finite_colimit(diagram):
     zero, sub = ring.zero(), ring.sub
     raw = [[zero] * width for _ in range(height)]
     for c0, (src, tgt, f) in zip(arrow_at, relations):
-        rhs = f.matrix if path[tgt] is None else mat_mul(ring, path[tgt], f.matrix,
-                                                         nodes[src].ngens)
-        r0 = at[root[tgt]]
-        for k, row in enumerate(rhs):
-            raw[r0 + k][c0:c0 + len(row)] = row
+        rhs = _nonzero_rows(ring, f.matrix)
+        if path[tgt] is not None:
+            rhs = _row_products(ring, path[tgt], rhs)
+        for k, row in enumerate(rhs, at[root[tgt]]):
+            line = raw[k]
+            for c, x in row.items():
+                line[c0 + c] = x
         p_src = path[src]
         if p_src is None:
-            p_src = mat_identity(ring, nodes[src].ngens)
+            p_src = [{k: ring.one()} for k in range(nodes[src].ngens)]
         for k, row in enumerate(p_src, at[root[src]]):
             line = raw[k]
-            for c, x in enumerate(row, c0):
-                if x != zero:
-                    line[c] = sub(line[c], x)
+            for c, x in row.items():
+                line[c0 + c] = sub(line[c0 + c], x)
     delta = Morphism._trusted(
         arr_mod, free_sum.module,
         change_basis(ring, free_sum.to_norm, tuple(map(tuple, raw)), arr_from))
@@ -2055,7 +2104,8 @@ def finite_colimit(diagram):
         c0 = at[r]
         block = tuple(row[c0:c0 + nodes[r].ngens] for row in from_free)
         if path[s] is not None:
-            block = mat_mul(ring, block, path[s], node.ngens)
+            block = _densify(ring, _row_products(ring, _nonzero_rows(ring, block), path[s]),
+                             node.ngens)
         cocone.append(Morphism._trusted(node, coker, block))
     return ColimitResult(coker, tuple(cocone), proj, free_sum, tuple(free))
 
@@ -2122,7 +2172,7 @@ def _cone_on_forest(eq, legs, domain):
         if eq.path[t] is None:
             continue
         r = eq.root[t]
-        composite = _row_products(ring, eq.sparse_path(t), s[eq.at[r]:eq.at[r] + nodes[r].ngens])
+        composite = _row_products(ring, eq.path[t], s[eq.at[r]:eq.at[r] + nodes[r].ngens])
         if [_reduce_row(ring, f, row) for row, f in zip(composite, nodes[t].factors)] \
                 != _nonzero_rows(ring, leg.matrix):
             raise ShapeError("limit factorization verification failed")
@@ -2133,8 +2183,7 @@ def _free_legs(eq, s, domain):
     """The map domain -> F, on the normal form of F, whose rows on F's
     concatenated generators are the sparse ``s``."""
     ring = domain.ring
-    zero, width = ring.zero(), domain.ngens
-    rows = tuple(tuple(row.get(j, zero) for j in range(width)) for row in s)
+    rows = _densify(ring, s, domain.ngens)
     free_sum = eq.free_sum
     return Morphism(domain, free_sum.module, change_basis(ring, free_sum.to_norm, rows, None))
 
@@ -2245,9 +2294,22 @@ def factor_through_colimit(colimit, legs, codomain):
 
 
 def image_equals_kernel(incl, proj):
-    """Exactness of  A --incl--> B --proj--> C  at B, decided constructively."""
+    """Exactness of  A --incl--> B --proj--> C  at B.
+
+    With proj o incl = 0, im incl lies in ker proj, so they are equal iff
+    they have the same size: size im incl = size B - size coker incl and
+    size ker proj = size B - size C + size coker proj, so iff C has the size
+    of coker incl and coker proj together (products in place of sums over
+    the integers).  Both cokernels are counted (see :class:`Analysis`).
+    Over the integers with a free factor, ``incl`` is factored through the
+    kernel inclusion of ``proj`` and that factorization must be onto.
+    """
     if not proj.compose(incl).is_zero_map:
         return False
+    if _counts(incl) and _counts(proj):
+        ring = proj.ring
+        return _size(ring, proj.codomain.factors) == _size(
+            ring, Analysis(incl)._cokernel_factors() + Analysis(proj)._cokernel_factors())
     ker_incl = analyze(proj).kernel_inclusion
     try:
         u = factor_through_mono(ker_incl, incl)

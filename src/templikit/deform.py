@@ -197,7 +197,9 @@ class NecklicialExtension:
 
     def __post_init__(self):
         # inclusion and projection depend only on the value module, so each
-        # distinct pair is checked once, at the first necklace carrying it
+        # distinct pair is checked once, at the first necklace carrying it;
+        # over a chain ring the three checks share the two counted cokernels
+        # of i and p (see coeff.Analysis and coeff.image_equals_kernel)
         incl = dict(self.inclusions)
         proj = dict(self.projections)
         checked = set()
@@ -244,7 +246,9 @@ def extension_sequence(theta, ybar):
     and the canonical comparison map is verified to be natural on the
     generating maps (``necklace_generators``; this is where smallness
     enters).  Both sides are functors, so naturality on generators gives it
-    on every composite.
+    on every composite.  The inclusions (pi^mt on each generator, into a
+    free module, where pi^e_i pi^mt = pi^m = 0) and the projections (the
+    identity out of a free module) are congruence-valid by construction.
     """
     if not theta.small:
         raise UnsupportedRingError(
@@ -271,8 +275,8 @@ def extension_sequence(theta, ybar):
         scale = tuple(
             tuple(pi_mt if i == j else ring.zero() for j in range(r)) for i in range(r)
         )
-        inclusions[t] = Morphism(sub_values[t], mod, scale)
-        projections[t] = Morphism(mod, quot_values[t], mat_identity(ring, r))
+        inclusions[t] = Morphism._trusted(sub_values[t], mod, scale)
+        projections[t] = Morphism._trusted(mod, quot_values[t], mat_identity(ring, r))
 
     def reread(values):
         # every value is a sum of copies of one cyclic module (R/pi^e_i for
@@ -630,9 +634,11 @@ def _three_by_three_report(theta, upper, lower, n_max, step_idx):
 
 
 def _reduction_morphism(theta, module):
-    """Entrywise reduction M -> view(k (x)_R M) as an R-linear map."""
+    """Entrywise reduction M -> view(k (x)_R M) as an R-linear map.
+    Congruence-valid by construction: generator i of order pi^a goes to one
+    of order pi^min(a, mt)."""
     target = theta.view_module_over_source(theta.base_change(module))
-    return Morphism(module, target, mat_identity(theta.source, module.ngens))
+    return Morphism._trusted(module, target, mat_identity(theta.source, module.ngens))
 
 
 def _colimit_comparison(theta, colim_up, colim_lo):

@@ -254,7 +254,8 @@ def _degenerate_parts(x, n):
     """Like :func:`degenerate_subobject`, with the hom-wise colimits as a
     dict {(a, b): ColimitResult} after X^deg_n.  The cokernels of the
     components of can_n are read through :func:`analyze`, so they stay on
-    those morphisms for later analyses; X^nd_n(a, b) is that cokernel.
+    those morphisms for later analyses (injectivity of a component is then
+    a comparison of sizes); X^nd_n(a, b) is that cokernel.
     Each level's parts are kept on the instance (as its evaluator is)."""
     kept = x.__dict__.get("_degenerate_parts")
     if kept is None:
@@ -292,7 +293,13 @@ def _build_degenerate_parts(x, n):
 
 
 def check_deg_projective(x, max_level=None):
-    """can_n split mono with projective cokernel for all n <= max_level."""
+    """can_n split mono with projective cokernel for all n <= max_level.
+
+    A component of can_n is injective iff its domain and its cokernel
+    X^nd_n(a, b), kept on it by :func:`_degenerate_parts`, together have the
+    size of its codomain, so a passing item runs no elimination; over Z
+    with a free factor, and for the kernel a failing item reports, the
+    kernel is computed."""
     _require_valid(x)
     items = []
     for n in range(1, min(max_level or x.max_level, x.max_level) + 1):

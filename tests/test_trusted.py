@@ -30,7 +30,6 @@ from templikit.coeff import (
     Ring,
     ShapeError,
     _block_starts,
-    _forest_paths,
     _limit_equations,
     _reduce_torsion_rows,
     _spanning_forest,
@@ -309,6 +308,24 @@ def test_limits_over_integers_equal_dense_reference(diagram):
     assert_colimit_matches_dense(diagram)
 
 
+def reference_forest_paths(ring, nodes, arrows, tree, order):
+    """The dense forest composites the sparse rows replaced: ``path[t]`` is
+    the matrix of root -> t, reduced modulo the torsion of t (None at a
+    root)."""
+    root = list(range(len(nodes)))
+    path = [None] * len(nodes)
+    for t in order:
+        a = tree[t]
+        if a is None:
+            continue
+        src, _, f = arrows[a]
+        r = root[src]
+        path[t] = f.matrix if path[src] is None else _reduce_torsion_rows(
+            nodes[t], mat_mul(ring, f.matrix, path[src], nodes[r].ngens))
+        root[t] = r
+    return root, path
+
+
 def reference_limit_equations(diagram):
     """The dense construction of a limit's difference map that the sparse
     rows replaced: a dense raw matrix, each forest block subtracted entry by
@@ -317,7 +334,7 @@ def reference_limit_equations(diagram):
     ring = diagram.ring
     nodes, arrows = diagram.nodes, diagram.arrows
     free, tree, order = _spanning_forest(len(nodes), arrows)
-    root, path = _forest_paths(ring, nodes, arrows, tree, order)
+    root, path = reference_forest_paths(ring, nodes, arrows, tree, order)
     free_sum = direct_sum(ring, [nodes[i] for i in free])
     starts, width = _block_starts(nodes[i] for i in free)
     at = dict(zip(free, starts))
