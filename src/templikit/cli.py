@@ -104,7 +104,12 @@ def _decimal(value, path):
     """An integer stored as a decimal string."""
     if not (isinstance(value, str) and _DECIMAL.fullmatch(value)):
         raise InvalidInstanceError(f"{path} is not a decimal integer string: {value!r}")
-    return int(value)
+    try:
+        return int(value)
+    except ValueError:  # more digits than the interpreter converts
+        raise InvalidInstanceError(
+            f"{path} has {len(value.lstrip('-'))} digits, more than the "
+            f"{sys.get_int_max_str_digits()} that int() converts") from None
 
 
 def _dec_ring(obj, path):
@@ -335,7 +340,9 @@ def _read_json(path, what):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    # ValueError covers UnicodeDecodeError, json.JSONDecodeError and a
+    # number of more digits than int() converts
+    except (OSError, ValueError, RecursionError) as exc:
         raise TemplikitError(f"cannot read {what} file {path or '<stdin>'}: {exc}") from exc
 
 

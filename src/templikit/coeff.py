@@ -14,6 +14,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import groupby
 from math import gcd, lcm, prod
 
 
@@ -862,6 +863,8 @@ class Module:
             for a, b in zip(torsion, torsion[1:]):
                 if b % a:
                     raise ShapeError(f"integer factors lack divisibility chain: {self.factors}")
+        # the torsion generators come first: factors[:_ntorsion]
+        object.__setattr__(self, "_ntorsion", len(torsion))
 
     @staticmethod
     def free(ring, rank):
@@ -873,7 +876,7 @@ class Module:
 
     @property
     def rank(self):
-        return sum(1 for f in self.factors if f == FREE)
+        return len(self.factors) - self._ntorsion
 
     @property
     def ngens(self):
@@ -919,24 +922,32 @@ def _order_columns(module):
     return tuple(tuple(col[i] for col in cols) for i in range(n))
 
 
+def _residue(ring, f):
+    """The map of canonical entries onto their residues modulo the order
+    of a torsion generator of order ``f``."""
+    if ring.kind == INTEGERS:
+        return lambda x: x % f
+    if ring.kind == CHAIN:
+        q = ring.p ** f
+        return lambda x: x % q
+    pad = (0,) * (ring.m - f)
+    return lambda x: x[:f] + pad if any(x[f:]) else x
+
+
 def _reduce_torsion_rows(module, matrix):
     """``matrix`` with the rows of ``module``'s torsion generators reduced
-    modulo their orders; the rows of free generators are kept as they are."""
-    ntors = module.ngens - module.rank
+    modulo their orders, once per distinct entry of the rows of each order;
+    the rows of free generators are kept as they are."""
+    ntors = module._ntorsion
     if not ntors:
         return matrix
-    ring = module.ring
     rows = list(matrix)
-    for i in range(ntors):
-        f = module.factors[i]
-        if ring.kind == INTEGERS:
-            rows[i] = tuple(x % f for x in rows[i])
-        elif ring.kind == CHAIN:
-            q = ring.p ** f
-            rows[i] = tuple(x % q for x in rows[i])
-        else:
-            pad = (0,) * (ring.m - f)
-            rows[i] = tuple(x[:f] + pad if any(x[f:]) else x for x in rows[i])
+    for f, group in groupby(range(ntors), module.factors.__getitem__):
+        group = list(group)
+        residue = _residue(module.ring, f)
+        image = {x: residue(x) for x in set().union(*map(rows.__getitem__, group))}
+        for i in group:
+            rows[i] = tuple(map(image.__getitem__, rows[i]))
     return tuple(rows)
 
 
@@ -1411,23 +1422,35 @@ def _reduce_row(ring, f, row):
     return {j: y for j, x in row.items() if (y := x % q)}
 
 
-def _order_rows(ring, rows, orders, width, q=None):
+def _order_rows(ring, rows, orders, width, local=None):
     """Fresh sparse rows of [map | order columns] for a map with ``width``
     columns, given by the nonzeros ``rows`` ({column: entry}, one dict per
     codomain generator), into the sum of cyclics of the raw ``orders``:
-    generator i of order f gets f at column width + i.  Entries are reduced
-    modulo ``q`` when it is given; zero rows are left out."""
+    generator i of order f gets f at column width + i.  When ``local``, a
+    quotient R/(pi^e) of the ring (:func:`_quotient_ring`), is given, the
+    entries are mapped onto it.  Zero entries and rows are left out."""
+    if local is None:
+        residue = None
+    elif local.kind == DUAL_CHAIN:
+        e = local.m
+        residue = lambda x: x[:e]
+    elif ring.kind == DUAL_CHAIN:
+        residue = operator.itemgetter(0)
+    else:
+        q = local._modulus
+        residue = lambda x: x % q
+    zero = (local or ring).zero()
     out = {}
     for i, (row, f) in enumerate(zip(rows, orders)):
-        if q is None:
+        if residue is None:
             entries = dict(row)
         else:
-            entries = {j: y for j, x in row.items() if (y := x % q)}
+            entries = {j: y for j, x in row.items() if (y := residue(x)) != zero}
         if f != FREE:
             x = _factor_order_elt(ring, f)
-            if q is not None:
-                x %= q
-            if x != ring.zero():
+            if residue is not None:
+                x = residue(x)
+            if x != zero:
                 entries[width + i] = x
         if entries:
             out[i] = entries
@@ -1444,11 +1467,15 @@ def _pivot_valuations(ring, rows):
     previous pivot's.  The pivot divides every entry left, so clearing its
     column by row operations and then dropping its row and column (the
     column operations that would clear its row touch nothing else) leaves a
-    matrix whose diagonal is the rest of the Smith diagonal.
+    matrix whose diagonal is the rest of the Smith diagonal.  A row with x
+    in the pivot's column gains x w_j at each column j of the pivot row,
+    where w_j = -y_j / piv is formed once per pivot as -(y_j / pi^v) / u for
+    the pivot pi^v u (u a unit; pi^v divides y_j).
     """
     kind = ring.kind
+    zero = ring.zero()
     if kind == DUAL_CHAIN:
-        zero, divide, mul, sub = ring.zero(), ring.divide, ring.mul, ring.sub
+        p, mul = ring.p, ring.mul
     elif kind != RATIONALS:
         p = ring.p
         q = ring._modulus if kind == CHAIN else p
@@ -1491,26 +1518,32 @@ def _pivot_valuations(ring, rows):
             if not col:
                 del cols[j]
         piv = prow.pop(pj)
-        if kind in (PRIME_FIELD, CHAIN):
+        below = cols.pop(pj, ())
+        if not below:
+            continue
+        if kind == DUAL_CHAIN:
+            pad = zero[:bound]
+            minus_inv = ring.neg(ring.inv(piv[bound:] + pad))
+            step = [(j, mul(y[bound:] + pad, minus_inv)) for j, y in prow.items()]
+        elif kind == RATIONALS:
+            step = [(j, -y / piv) for j, y in prow.items()]
+        else:
             pv = p ** bound
-            unit = pow(piv // pv, -1, q)
-        for i in cols.pop(pj, ()):
+            minus_inv = -pow(piv // pv, -1, q)
+            step = [(j, y // pv * minus_inv % q) for j, y in prow.items()]
+        for i in below:
             row = rows[i]
             x = row.pop(pj)
-            if kind == DUAL_CHAIN:
-                c = divide(x, piv)
-            elif kind == RATIONALS:
-                c = x / piv
-            else:
-                c = x // pv * unit
-            for j, y in prow.items():
+            for j, w in step:
                 if kind == DUAL_CHAIN:
-                    z = sub(row.get(j, zero), mul(c, y))
+                    z = mul(x, w)
+                    if j in row:
+                        z = tuple([(a + b) % p for a, b in zip(row[j], z)])
                     nonzero = z != zero
                 elif kind == RATIONALS:
-                    z = nonzero = row.get(j, 0) - c * y
+                    z = nonzero = row.get(j, 0) + x * w
                 else:
-                    z = nonzero = (row.get(j, 0) - c * y) % q
+                    z = nonzero = (row.get(j, 0) + x * w) % q
                 if nonzero:
                     if j not in row:
                         cols.setdefault(j, set()).add(i)
@@ -1526,30 +1559,45 @@ def _pivot_valuations(ring, rows):
     return vals
 
 
+def _quotient_ring(ring, p, k):
+    """R/(pi^k) for the prime p over the integers or the uniformizer pi of
+    a chain ring, or None when that is the ring itself (a field counts as a
+    chain ring of nilpotency 1): Z/p^k over Z and over Z/p^m, and
+    F_p[e]/(e^k) over F_p[e]/(e^m), whose quotient by e is the integer ring
+    Z/p."""
+    if ring.kind != INTEGERS and k == (ring.m or 1):
+        return None
+    if ring.kind == DUAL_CHAIN and k > 1:
+        return Ring.dual_chain(p, k)
+    return Ring.chain(p, k)
+
+
 def _cokernel_of_rows(ring, rows, orders, width):
     """Invariant factors of the cokernel of a map with ``width`` columns into
     the direct sum of cyclics of the raw ``orders`` (Module conventions, in
     any order), read off a sparse elimination that computes only the Smith
-    diagonal of [map | order columns].  ``rows`` holds the map's nonzeros,
-    one {column: entry} dict per codomain generator; it is not changed.
+    diagonal of [map | order columns] (:func:`_pivot_valuations`).
+    ``rows`` holds the map's nonzeros, one {column: entry} dict per codomain
+    generator; it is not changed.
 
-    Over a field or a chain ring it runs on the entries themselves
-    (:func:`_pivot_valuations`).  Over the integers with every order
-    torsion, the cokernel is the sum of its p-parts, one for each p^k
-    exactly dividing the exponent e (the lcm of the orders), so the
-    elimination runs over each Z/p^k, where entries stay below p^k.  Over
-    the integers with a free order, or when e does not factor cheaply
-    (:func:`_prime_powers`), it reads the dense Smith diagonal instead.
+    Over a chain ring pi^e kills the cokernel, where e is the largest order
+    (m if one is free), so the elimination runs over R/(pi^e) on the
+    entries reduced modulo pi^e; a field is the case m = 1.  Over the
+    integers with every order torsion, the cokernel is the sum of its
+    p-parts, one for each p^k exactly dividing the exponent (the lcm of the
+    orders), and each runs over Z/p^k.  A generator of order pi^e then loses
+    its relation column, and each row left without a pivot adds a factor of
+    order pi^e.  Over the integers with a free order, or when the exponent
+    does not factor cheaply (:func:`_prime_powers`), it reads the dense
+    Smith diagonal instead.
     """
     n = len(orders)
     if n == 0:
         return Module.zero(ring)
     if ring.kind != INTEGERS:
-        vals = _pivot_valuations(ring, _order_rows(ring, rows, orders, width))
-        torsion = tuple(sorted(v for v in vals if v))
-        return Module(ring, torsion + (FREE,) * (n - len(vals)))
-    parts = None if FREE in orders else _prime_powers(lcm(*orders))
-    if parts is None:
+        m = ring.m or 1
+        parts = [(ring.p, m if FREE in orders else max(orders))]
+    elif FREE in orders or (parts := _prime_powers(lcm(*orders))) is None:
         w = [[0] * (width + n) for _ in range(n)]
         for i, row in _order_rows(ring, rows, orders, width).items():
             for j, x in row.items():
@@ -1558,10 +1606,12 @@ def _cokernel_of_rows(ring, rows, orders, width):
     # the p-part of each invariant factor, largest first
     exponents = []
     for p, k in parts:
-        local = _order_rows(ring, rows, orders, width, p ** k)
-        vals = _pivot_valuations(Ring.chain(p, k), local)
+        local = _quotient_ring(ring, p, k)
+        vals = _pivot_valuations(local or ring, _order_rows(ring, rows, orders, width, local))
         exponents.append((p, sorted([v for v in vals if v] + [k] * (n - len(vals)),
                                     reverse=True)))
+    if ring.kind != INTEGERS:
+        return Module(ring, tuple(FREE if k == m else k for k in reversed(exponents[0][1])))
     length = max(len(e) for _, e in exponents)
     return Module(ring, tuple(prod(p ** e[i] for p, e in exponents if i < len(e))
                               for i in reversed(range(length))))
@@ -1600,16 +1650,17 @@ def _tensor_factor(ring, a, b):
 
 @lru_cache(maxsize=None)
 def _tensor_layout(m, n):
-    """Raw generator pairs with nontrivial tensor order, plus normalization
-    (None transforms when the raw pairs already are the normal form)."""
+    """Raw generator pairs with nontrivial tensor order, as a dict from the
+    pair to its raw index, plus normalization (None transforms when the raw
+    pairs already are the normal form)."""
     ring = m.ring
-    pairs = []
+    pairs = {}
     raw = []
     for i, a in enumerate(m.factors):
         for j, b in enumerate(n.factors):
             t = _tensor_factor(ring, a, b)
             if t is not None:
-                pairs.append((i, j))
+                pairs[(i, j)] = len(raw)
                 raw.append(t)
     module, to_n, from_n = normalize_orders(ring, raw)
     return pairs, module, to_n, from_n
@@ -1623,7 +1674,9 @@ def tensor(m, n):
 
 
 def tensor_morphisms(f, g):
-    """f (x) g with respect to the canonical tensor normal forms."""
+    """f (x) g with respect to the canonical tensor normal forms.  Each raw
+    row is built from the products of the nonzeros of one row of f and one
+    row of g; a product on a pair with trivial tensor order is skipped."""
     if f.ring != g.ring:
         raise RingMismatchError(f"{f.ring} vs {g.ring}")
     ring = f.ring
@@ -1631,11 +1684,20 @@ def tensor_morphisms(f, g):
     cpairs, cod, cto, _ = _tensor_layout(f.codomain, g.codomain)
     if not dpairs or not cpairs:
         return Morphism.zero(dom, cod)
-    raw = tuple(
-        tuple(ring.mul(f.matrix[ic][idx], g.matrix[jc][jdx]) for (idx, jdx) in dpairs)
-        for (ic, jc) in cpairs
-    )
-    return Morphism._trusted(dom, cod, change_basis(ring, cto, raw, dfrom))
+    zero, mul, column = ring.zero(), ring.mul, dpairs.get
+    gnz = [[(j, y) for j, y in enumerate(row) if y != zero] for row in g.matrix]
+    width = len(dpairs)
+    raw = []
+    for ic, jc in cpairs:
+        row = [zero] * width
+        if grow := gnz[jc]:
+            for idx, x in enumerate(f.matrix[ic]):
+                if x != zero:
+                    for jdx, y in grow:
+                        if (c := column((idx, jdx))) is not None and (z := mul(x, y)) != zero:
+                            row[c] = z
+        raw.append(tuple(row))
+    return Morphism._trusted(dom, cod, change_basis(ring, cto, tuple(raw), dfrom))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ and across inserted units I_S (``flatten_iso``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 from .coeff import (
@@ -35,8 +35,9 @@ from .coeff import (
 class Quiver:
     """Modules indexed by ordered vertex pairs; absent entries are zero.
 
-    ``hom`` reads a dict built once from ``homs``; equality and hashing stay
-    on the dataclass fields.
+    ``hom`` reads a dict built once from ``homs``, and every absent hom is
+    one zero module kept on the quiver; equality and hashing stay on the
+    dataclass fields.
     """
 
     ring: object
@@ -74,9 +75,14 @@ class Quiver:
         items.sort(key=lambda kv: (index.get(kv[0][0], last), index.get(kv[0][1], last)))
         return Quiver(ring, tuple(vertices), tuple(items))
 
+    @cached_property
+    def _zero(self):
+        """The zero module every absent hom reads."""
+        return Module.zero(self.ring)
+
     def hom(self, a, b):
         mod = self._hom.get((a, b))
-        return Module.zero(self.ring) if mod is None else mod
+        return self._zero if mod is None else mod
 
     @property
     def is_zero(self):

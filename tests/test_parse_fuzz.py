@@ -80,11 +80,16 @@ def _mutate(data, draw):
 
 def _validate(data):
     """Exit code, stdout and stderr of ``templikit validate`` on ``data``."""
+    return _validate_text(json.dumps(data))
+
+
+def _validate_text(text):
+    """Exit code, stdout and stderr of ``templikit validate`` on a file."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "x.json")
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(data, handle)
+            handle.write(text)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["validate", path])
     return code, out.getvalue(), err.getvalue()
@@ -114,3 +119,23 @@ def test_mutated_instance_parses_or_is_invalid_input(name, edits, data):
     else:
         assert code in (0, 2)
         assert len(err.splitlines()) <= 1
+
+
+def _one_line_exit_2(code, out, err):
+    assert code == 2 and not out
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    return line
+
+
+def test_integer_beyond_the_digit_limit_is_invalid_input():
+    # int() refuses decimal strings of more than 4,300 digits by default,
+    # in an entry string and in a bare JSON number alike
+    doc = json.loads(EXAMPLES["s0_times_2"])
+    doc["comultiplications"][0]["components"][0]["entries"] = [["9" * 5000]]
+    line = _one_line_exit_2(*_validate(doc))
+    assert line.startswith("invalid instance: ")
+    assert "comultiplications[0].components[0].entries[0][0]" in line
+    doc["comultiplications"][0]["components"][0]["entries"] = [[0]]
+    text = json.dumps(doc).replace("[[0]]", "[[" + "9" * 5000 + "]]", 1)
+    assert _one_line_exit_2(*_validate_text(text)).startswith("error: ")

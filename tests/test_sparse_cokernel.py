@@ -10,7 +10,9 @@ below as the reference.  They must give the same module on random sparse
 matrices over the five ring kinds, and on every cokernel that the items of
 a corpus take.  Over Z, sympy's Smith normal form is a second, independent
 oracle.  Orders that do not factor cheaply must reach the dense path,
-without a stall.
+without a stall.  Over a chain ring with every order torsion, the
+elimination runs over R/(pi^e) for the largest order e, and must still give
+the dense diagonal over R.
 """
 
 import time
@@ -26,6 +28,8 @@ from templikit.coeff import (
     Module,
     Morphism,
     Ring,
+    RingExtension,
+    _cokernel_of_rows,
     _diagonal_factors,
     _factor_order_elt,
     _is_prime,
@@ -43,7 +47,7 @@ from templikit.constructors import (
     sset_nerve_of_poset,
     truncated_polynomial_category,
 )
-from templikit.deform import verify_wings_tensor
+from templikit.deform import extension_sequence, verify_wings_tensor
 from templikit.kan import (
     check_lifts_wings,
     check_quasicategory,
@@ -237,10 +241,11 @@ def test_integer_entries_stay_below_each_prime_power(monkeypatch, e):
     moduli = []
     order_rows = coeff._order_rows
 
-    def bounded(ring, rows, orders, width, q=None):
+    def bounded(ring, rows, orders, width, local=None):
+        q = local._modulus
         moduli.append(q)
-        local = order_rows(ring, rows, orders, width, q)
-        return {i: _BoundedRow(row, q) for i, row in local.items()}
+        reduced = order_rows(ring, rows, orders, width, local)
+        return {i: _BoundedRow(row, q) for i, row in reduced.items()}
 
     monkeypatch.setattr(coeff, "_order_rows", bounded)
     f = Morphism(Module.free(Z, 4), Module(Z, (2, 6 * e)), (
@@ -251,6 +256,90 @@ def test_integer_entries_stay_below_each_prime_power(monkeypatch, e):
     assert runs == []
     assert moduli == [p ** k for p, k in _prime_powers(6 * e)]
     assert got == dense_cokernel(f)
+
+
+# -- chain rings with every order torsion: elimination over R/(pi^e) ------
+
+TORSION_RINGS = [Ring.chain(p, m) for p in (2, 3) for m in (2, 3, 4)] + [
+    Ring.dual_chain(p, m) for p in (2, 3) for m in (2, 3)]
+
+
+def _quotient_by_largest_order(ring, orders):
+    e = max(orders)
+    if ring.kind == "dual-chain" and e > 1:
+        return Ring.dual_chain(ring.p, e)
+    return Ring.chain(ring.p, e)
+
+
+@st.composite
+def torsion_rows(draw):
+    """Sparse rows into cyclics whose orders are all below m: all of order 1
+    or mixed, in any order, with zero rows and often too few columns to be
+    onto."""
+    ring = draw(st.sampled_from(TORSION_RINGS))
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        orders = [1] * n
+    else:
+        orders = draw(st.lists(st.integers(1, ring.m - 1), min_size=n, max_size=n))
+    width = draw(st.integers(0, 6))
+    entries = _elements(ring)
+    rows = []
+    for _ in range(n):
+        if draw(st.integers(0, 3)) == 0:
+            rows.append({})
+        else:
+            row = {j: draw(entries) for j in range(width)}
+            rows.append({j: x for j, x in row.items() if x != ring.zero()})
+    return ring, rows, orders, width
+
+
+@PROPERTY
+@given(torsion_rows())
+def test_torsion_cokernel_over_the_quotient_ring_equals_dense_reference(data):
+    ring, rows, orders, width = data
+    rings = []
+    pivot_valuations = coeff._pivot_valuations
+
+    def spied(local, matrix):
+        rings.append(local)
+        return pivot_valuations(local, matrix)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coeff, "_pivot_valuations", spied)
+        got = _cokernel_of_rows(ring, rows, orders, width)
+    assert got == dense_cokernel_of_rows(ring, rows, orders, width), (orders, rows)
+    assert rings == [_quotient_by_largest_order(ring, orders)]
+
+
+def test_order_one_eliminations_run_over_an_integer_ring(monkeypatch):
+    """Over F3[e]/(e^2) the sub and quotient terms of an extension sequence
+    are F3-modules: e kills every generator, so each elimination into order-1
+    generators runs over Z/3, never on the tuples."""
+    ring = Ring.dual_chain(3, 2)
+    sset = sset_nerve_of_poset(("p0", "p1"), (("p0", "p1"),), 3)
+    ybar = hom_necklicial(free_templicial(sset, ring, 3), ("p0",), ("p1",))
+    calls = []  # (orders, rings of the eliminations it ran)
+    cokernel_of_rows, pivot_valuations = coeff._cokernel_of_rows, coeff._pivot_valuations
+
+    def cokernel(r, rows, orders, width):
+        calls.append((tuple(orders), []))
+        return cokernel_of_rows(r, rows, orders, width)
+
+    def pivots(local, matrix):
+        calls[-1][1].append(local)
+        return pivot_valuations(local, matrix)
+
+    monkeypatch.setattr(coeff, "_cokernel_of_rows", cokernel)
+    monkeypatch.setattr(coeff, "_pivot_valuations", pivots)
+    ext = extension_sequence(RingExtension(ring, Ring.prime_field(3)), ybar)
+    during_sequence = len(calls)
+    check_weak_kan(ext.sub, 3)
+    order_one = [(k, rings) for k, (orders, rings) in enumerate(calls)
+                 if orders and set(orders) == {1}]
+    assert any(k < during_sequence for k, _ in order_one)
+    assert any(k >= during_sequence for k, _ in order_one)
+    assert all(rings == [Ring.chain(3, 1)] for _, rings in order_one)
 
 
 # -- corpus ---------------------------------------------------------------

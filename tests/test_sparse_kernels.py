@@ -1,19 +1,34 @@
 """Differential oracle for the sparse evaluation kernels.
 
-``mat_mul`` multiplies row-sparse and reduces each output entry once, and
-``tensor_quiver_morphisms`` builds each raw matrix from the nonzero entries
-of the factors.  Both are compared here with the dense kernels they replaced,
-kept below as reference functions: equal matrices, with equal entry types,
-over Z, Q, F_3, Z/2^3, F_3[e]/(e^2) and F_3[e]/(e^3).
+``mat_mul`` multiplies row-sparse and reduces each output entry once;
+``tensor_morphisms`` and ``tensor_quiver_morphisms`` build each raw matrix
+from the nonzero entries of the factors; ``_reduce_torsion_rows`` maps each
+distinct entry of the rows of one order once.  They are compared here with
+the dense or per-entry kernels they replaced, kept below as reference
+functions: equal matrices, with equal entry types, over Z, Q, F_3, Z/2^3,
+F_3[e]/(e^2) and F_3[e]/(e^3).
 """
 
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from templikit.coeff import FREE, Module, Morphism, Ring, ShapeError, mat_mul
+from templikit import coeff
+from templikit.coeff import (
+    FREE,
+    Module,
+    Morphism,
+    Ring,
+    ShapeError,
+    _reduce_torsion_rows,
+    _tensor_layout,
+    change_basis,
+    mat_mul,
+    tensor_morphisms,
+)
 from templikit.quiver import (
     Quiver,
     QuiverMorphism,
@@ -265,3 +280,109 @@ def test_tensor_skips_products_on_vanishing_fold_orders():
         got = tensor_quiver_morphisms(Z, s, fs)
         assert_same_quiver_morphism(Z, got, dense_tensor_quiver_morphisms(Z, s, fs))
         assert not got.comp("a", "b").is_zero_map
+
+
+# -- tensor products of module maps and the reduction of torsion rows ------
+
+
+def dense_tensor_morphisms(f, g):
+    """The dense tensor: a product for every (codomain, domain) raw pair."""
+    ring = f.ring
+    dpairs, dom, _, dfrom = _tensor_layout(f.domain, g.domain)
+    cpairs, cod, cto, _ = _tensor_layout(f.codomain, g.codomain)
+    if not dpairs or not cpairs:
+        return Morphism.zero(dom, cod)
+    raw = tuple(
+        tuple(ring.mul(f.matrix[ic][idx], g.matrix[jc][jdx]) for (idx, jdx) in dpairs)
+        for (ic, jc) in cpairs
+    )
+    return Morphism._trusted(dom, cod, change_basis(ring, cto, raw, dfrom))
+
+
+@st.composite
+def module_maps(draw, ring):
+    """A congruence-valid map between modules of FACTORS[ring], zero and
+    torsion modules included."""
+    dom, cod = (Module(ring, draw(st.sampled_from(FACTORS[ring]))) for _ in range(2))
+    return Morphism(dom, cod, tuple(
+        tuple(ring.mul(draw(elements(ring)), _valid_multiplier(ring, od, oc))
+              for od in dom.factors)
+        for oc in cod.factors))
+
+
+@st.composite
+def map_pairs(draw):
+    ring = draw(st.sampled_from(RINGS))
+    return draw(module_maps(ring)), draw(module_maps(ring))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(map_pairs())
+def test_tensor_morphisms_equals_dense_tensor(pair):
+    f, g = pair
+    got, want = tensor_morphisms(f, g), dense_tensor_morphisms(f, g)
+    assert got == want
+    assert _entry_types(got.matrix) == _entry_types(want.matrix)
+
+
+def per_entry_reduction(module, matrix):
+    """Each entry of a torsion row on its own: x % order over Z, x % p^f
+    over Z/p^m, truncation at e^f over F_p[e]/(e^m)."""
+    ring = module.ring
+    rows = []
+    for row, f in zip(matrix, module.factors):
+        if f == FREE:
+            rows.append(row)
+        elif ring.kind == "integers":
+            rows.append(tuple(x % f for x in row))
+        elif ring.kind == "chain":
+            rows.append(tuple(x % ring.p ** f for x in row))
+        else:
+            rows.append(tuple(x[:f] + (0,) * (ring.m - f) for x in row))
+    return tuple(rows)
+
+
+# orders with repeats, so that rows of one order share their entries
+TORSION_FACTORS = {
+    Z: [(), (FREE,), (2, 2, FREE), (2, 6, 6), (3, 9, FREE, FREE), (4,)],
+    Z8: [(), (FREE,), (1, 1, 2), (1, 2, 2, FREE), (2, FREE, FREE)],
+    D32: [(), (FREE,), (1, 1), (1, 1, 1, FREE)],
+    D33: [(), (1, 1, 2), (1, 2, 2, FREE), (2, FREE)],
+}
+
+
+@st.composite
+def torsion_matrices(draw):
+    ring = draw(st.sampled_from(sorted(TORSION_FACTORS, key=str)))
+    module = Module(ring, draw(st.sampled_from(TORSION_FACTORS[ring])))
+    cols = draw(st.integers(0, 4))
+    values = elements(ring) if ring.kind != "integers" else st.integers(-20, 20)
+    return module, tuple(tuple(draw(values) for _ in range(cols))
+                         for _ in range(module.ngens))
+
+
+@PROPERTY
+@given(torsion_matrices())
+def test_reduce_torsion_rows_equals_per_entry_reduction(data):
+    module, matrix = data
+    residues = []
+    residue = coeff._residue
+
+    def counted(ring, f):
+        fn = residue(ring, f)
+
+        def once(x):
+            residues.append((f, x))
+            return fn(x)
+
+        return once
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coeff, "_residue", counted)
+        got = _reduce_torsion_rows(module, matrix)
+    want = per_entry_reduction(module, matrix)
+    assert got == want
+    assert _entry_types(got) == _entry_types(want)
+    # one residue per distinct entry of the rows of each order
+    distinct = {(f, x) for row, f in zip(matrix, module.factors) if f != FREE for x in row}
+    assert sorted(residues, key=repr) == sorted(distinct, key=repr)
