@@ -114,6 +114,15 @@ class Ring:
             raise UnsupportedRingError("prime-field takes no nilpotency")
         if self.kind == CHAIN:
             object.__setattr__(self, "_modulus", self.p ** self.m)
+        # zero() and one() return these shared values
+        if self.kind == RATIONALS:
+            zero, one = Fraction(0), Fraction(1)
+        elif self.kind == DUAL_CHAIN:
+            zero, one = (0,) * self.m, (1,) + (0,) * (self.m - 1)
+        else:
+            zero, one = 0, 1
+        object.__setattr__(self, "_zero", zero)
+        object.__setattr__(self, "_one", one)
 
     # -- constructors -------------------------------------------------
 
@@ -169,18 +178,10 @@ class Ring:
     # -- element arithmetic --------------------------------------------
 
     def zero(self):
-        if self.kind == RATIONALS:
-            return Fraction(0)
-        if self.kind == DUAL_CHAIN:
-            return (0,) * self.m
-        return 0
+        return self._zero
 
     def one(self):
-        if self.kind == RATIONALS:
-            return Fraction(1)
-        if self.kind == DUAL_CHAIN:
-            return tuple(1 if i == 0 else 0 for i in range(self.m))
-        return 1
+        return self._one
 
     def reduce(self, x):
         """Canonical representative of an element-like value."""
@@ -481,273 +482,194 @@ class SmithResult:
 
 
 def smith(ring, matrix, *, left=False, right=False, row_t=False, col_t=False, aug=None):
-    """Diagonalize ``matrix`` by invertible row and column operations.
+    """Diagonalize ``matrix``, of canonical ring elements, by invertible
+    row and column operations.
 
     Deterministic pivoting: smallest nonzero valuation (absolute value over
     the integers), ties broken by lowest row then column index.  Diagonal
     entries come out as canonical associates in successive-divisibility
     order.
+
+    One augmented elimination carries every transform.  U (``row_t``) and
+    the ``aug`` block B extend the rows of A as [A | U | B], so a row
+    operation is one pass over one row; V (``col_t``) is stacked below A, so
+    a column operation is one pass down the stacked rows.  L^T (``left``)
+    and R (``right``) take the inverse operations as row operations: row
+    i += c*row k on A is row k -= c*row i on L^T, and column j += c*column k
+    on A is row k -= c*row j on R.  A transform nobody asked for has no
+    entries, so it costs no arithmetic.
     """
-    a = [list(row) for row in matrix]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    u = [list(r) for r in mat_identity(ring, rows)] if row_t else None
-    linv = [list(r) for r in mat_identity(ring, rows)] if left else None
-    v = [list(r) for r in mat_identity(ring, cols)] if col_t else None
-    rinv = [list(r) for r in mat_identity(ring, cols)] if right else None
-    ag = [list(row) for row in aug] if aug is not None else None
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    zero, one = ring.zero(), ring.one()
+    add, mul = ring.add, ring.mul
+    neg = ring.neg if ring.kind == DUAL_CHAIN else operator.neg
 
-    is_zero, mul, add, neg = ring.is_zero, ring.mul, ring.add, ring.neg
-    # integer-backed rings get inline arithmetic in the hot loops: zero tests
-    # by truthiness and (a + c*x) mod q with q = None meaning no reduction
-    fast = ring.kind != DUAL_CHAIN
-    if ring.kind == PRIME_FIELD:
-        q = ring.p
-    elif ring.kind == CHAIN:
-        q = ring.p ** ring.m
-    else:
-        q = None
+    def unit_rows(n, keep):
+        # the rows of the n x n identity, or n empty rows (never written)
+        return [[one if j == i else zero for j in range(n)] for i in range(n)] if keep else [[]] * n
 
-    def _axpy(dst, src, c, upto):
-        if fast:
-            if q is None:
-                for j in range(upto):
-                    x = src[j]
-                    if x:
-                        dst[j] = dst[j] + c * x
-            else:
-                for j in range(upto):
-                    x = src[j]
-                    if x:
-                        dst[j] = (dst[j] + c * x) % q
-        else:
-            for j in range(upto):
-                x = src[j]
-                if any(x):
+    u = unit_rows(rows, row_t)
+    b = aug if aug is not None else ((),) * rows
+    a = [list(matrix[i]) + u[i] + list(b[i]) for i in range(rows)]
+    if col_t:
+        a += unit_rows(cols, True)
+    inv = unit_rows(rows, left) + unit_rows(cols, right)  # L^T above R
+
+    # y += c*x over each nonzero x: ring arithmetic on tuples, inline
+    # arithmetic elsewhere (zero tests by truthiness, reduced mod q over F_p
+    # and Z/p^m, unreduced over Z and Q)
+    if ring.kind == DUAL_CHAIN:
+        def axpy(dst, src, c):
+            for j, x in enumerate(src):
+                if x != zero:
                     dst[j] = add(dst[j], mul(c, x))
 
-    def row_swap(i, k):
-        if i == k:
-            return
-        a[i], a[k] = a[k], a[i]
-        if u is not None:
-            u[i], u[k] = u[k], u[i]
-        if ag is not None:
-            ag[i], ag[k] = ag[k], ag[i]
-        if linv is not None:
-            for r in linv:
-                r[i], r[k] = r[k], r[i]
-
-    def row_axpy(i, k, c):
-        # row i += c * row k
-        if is_zero(c):
-            return
-        _axpy(a[i], a[k], c, cols)
-        if u is not None:
-            _axpy(u[i], u[k], c, rows)
-        if ag is not None:
-            _axpy(ag[i], ag[k], c, len(ag[i]))
-        if linv is not None:
-            nc = neg(c)
-            for r in linv:
-                x = r[i]
-                if not is_zero(x):
-                    r[k] = add(r[k], mul(nc, x))
-
-    def row_scale(i, w):
-        ai = a[i]
-        for j in range(cols):
-            if not is_zero(ai[j]):
-                ai[j] = mul(w, ai[j])
-        if u is not None:
-            ui = u[i]
-            for j in range(rows):
-                if not is_zero(ui[j]):
-                    ui[j] = mul(w, ui[j])
-        if ag is not None:
-            gi = ag[i]
-            for j in range(len(gi)):
-                if not is_zero(gi[j]):
-                    gi[j] = mul(w, gi[j])
-        if linv is not None:
-            wi = ring.inv(w)
-            for r in linv:
-                if not is_zero(r[i]):
-                    r[i] = mul(wi, r[i])
-
-    def col_swap(j, k):
-        if j == k:
-            return
-        for r in a:
-            r[j], r[k] = r[k], r[j]
-        if v is not None:
-            for r in v:
-                r[j], r[k] = r[k], r[j]
-        if rinv is not None:
-            rinv[j], rinv[k] = rinv[k], rinv[j]
-
-    def col_axpy(j, k, c):
-        # col j += c * col k
-        if is_zero(c):
-            return
-        if fast:
-            if q is None:
-                for r in a:
-                    x = r[k]
-                    if x:
-                        r[j] = r[j] + c * x
-                if v is not None:
-                    for r in v:
-                        x = r[k]
-                        if x:
-                            r[j] = r[j] + c * x
-            else:
-                for r in a:
-                    x = r[k]
-                    if x:
-                        r[j] = (r[j] + c * x) % q
-                if v is not None:
-                    for r in v:
-                        x = r[k]
-                        if x:
-                            r[j] = (r[j] + c * x) % q
-        else:
+        def col_axpy(j, k, c):
             for r in a:
                 x = r[k]
-                if any(x):
+                if x != zero:
                     r[j] = add(r[j], mul(c, x))
-            if v is not None:
-                for r in v:
-                    x = r[k]
-                    if any(x):
-                        r[j] = add(r[j], mul(c, x))
-        if rinv is not None:
-            nc = neg(c)
-            rj, rk = rinv[j], rinv[k]
-            for t in range(len(rj)):
-                x = rj[t]
-                if not is_zero(x):
-                    rk[t] = add(rk[t], mul(nc, x))
+    elif ring.kind in (INTEGERS, RATIONALS):
+        def axpy(dst, src, c):
+            for j, x in enumerate(src):
+                if x:
+                    dst[j] = dst[j] + c * x
+
+        def col_axpy(j, k, c):
+            for r in a:
+                x = r[k]
+                if x:
+                    r[j] = r[j] + c * x
+    else:
+        q = ring.p if ring.kind == PRIME_FIELD else ring._modulus
+
+        def axpy(dst, src, c):
+            for j, x in enumerate(src):
+                if x:
+                    dst[j] = (dst[j] + c * x) % q
+
+        def col_axpy(j, k, c):
+            for r in a:
+                x = r[k]
+                if x:
+                    r[j] = (r[j] + c * x) % q
+
+    def row_swap(i, k):
+        a[i], a[k] = a[k], a[i]
+        inv[i], inv[k] = inv[k], inv[i]
+
+    def row_op(i, k, c):
+        # row i += c * row k; on L^T, row k -= c * row i
+        axpy(a[i], a[k], c)
+        axpy(inv[k], inv[i], neg(c))
+
+    def row_scale(i, w):
+        # row i *= w; on L^T, row i *= w^-1
+        for row, s in ((a[i], w), (inv[i], ring.inv(w))):
+            for j, x in enumerate(row):
+                if x != zero:
+                    row[j] = mul(s, x)
+
+    def col_swap(j, k):
+        for r in a:
+            r[j], r[k] = r[k], r[j]
+        inv[rows + j], inv[rows + k] = inv[rows + k], inv[rows + j]
+
+    def col_op(j, k, c):
+        # column j += c * column k; on R, row k -= c * row j
+        col_axpy(j, k, c)
+        axpy(inv[rows + k], inv[rows + j], neg(c))
 
     euclid = ring.kind == INTEGERS
     # over chain kinds and fields the minimal valuation of the remaining
     # submatrix never decreases, so the previous pivot's key is a sharp
     # early-exit bound; over Z remainders can shrink, keep the bound at 1
-    bound = [1 if euclid else 0]
+    bound = 1 if euclid else 0
     pivot_key = ring.pivot_key
 
     def find_pivot(t):
-        best = None
-        best_key = None
-        stop = bound[0]
-        if fast:
-            for i in range(t, rows):
-                ai = a[i]
-                for j in range(t, cols):
-                    x = ai[j]
-                    if not x:
-                        continue
-                    key = pivot_key(x)
-                    if best is None or key < best_key:
-                        best, best_key = (i, j), key
-                        if key <= stop:
-                            return best, best_key
-            return (best, best_key) if best is not None else None
+        best = best_key = None
         for i in range(t, rows):
             ai = a[i]
             for j in range(t, cols):
                 x = ai[j]
-                if not any(x):
-                    continue
-                key = pivot_key(x)
-                if best is None or key < best_key:
-                    best, best_key = (i, j), key
-                    if key <= stop:
-                        return best, best_key
-        return (best, best_key) if best is not None else None
+                if x != zero:
+                    key = pivot_key(x)
+                    if best is None or key < best_key:
+                        best, best_key = (i, j), key
+                        if key <= bound:
+                            return best, key
+        return best, best_key
 
-    t = 0
+    def pivot_to(t):
+        # move the best pivot of the remaining submatrix to (t, t); its key
+        best, key = find_pivot(t)
+        if best is not None:
+            row_swap(t, best[0])
+            col_swap(t, best[1])
+        return key
+
     limit = min(rows, cols)
-    while t < limit:
-        found = find_pivot(t)
-        if found is None:
+    for t in range(limit):
+        key = pivot_to(t)
+        if key is None:
             break
         if not euclid:
-            bound[0] = max(bound[0], found[1])
-        found = found[0]
-        row_swap(t, found[0])
-        col_swap(t, found[1])
-        if euclid:
-            while True:
-                if a[t][t] < 0:
-                    row_scale(t, -1)
-                piv = a[t][t]
-                dirty = False
-                for i in range(t + 1, rows):
-                    x = a[i][t]
-                    if x:
-                        row_axpy(i, t, -(x // piv))
-                        if a[i][t]:
-                            dirty = True
-                if dirty:
-                    found = find_pivot(t)[0]
-                    row_swap(t, found[0])
-                    col_swap(t, found[1])
-                    continue
-                for j in range(t + 1, cols):
-                    x = a[t][j]
-                    if x:
-                        col_axpy(j, t, -(x // piv))
-                        if a[t][j]:
-                            dirty = True
-                if dirty:
-                    found = find_pivot(t)[0]
-                    row_swap(t, found[0])
-                    col_swap(t, found[1])
-                    continue
-                piv = a[t][t]
-                bad = None
-                for i in range(t + 1, rows):
-                    ai = a[i]
-                    for j in range(t + 1, cols):
-                        if ai[j] % piv:
-                            bad = i
-                            break
-                    if bad is not None:
-                        break
-                if bad is None:
-                    break
-                row_axpy(t, bad, 1)
-        else:
+            bound = max(bound, key)
             piv = a[t][t]
             for i in range(t + 1, rows):
                 x = a[i][t]
-                if not is_zero(x):
-                    row_axpy(i, t, neg(ring.divide(x, piv)))
+                if x != zero:
+                    row_op(i, t, neg(ring.divide(x, piv)))
             for j in range(t + 1, cols):
                 x = a[t][j]
-                if not is_zero(x):
-                    col_axpy(j, t, neg(ring.divide(x, piv)))
-        t += 1
+                if x != zero:
+                    col_op(j, t, neg(ring.divide(x, piv)))
+            continue
+        while True:
+            if a[t][t] < 0:
+                row_scale(t, -1)
+            piv = a[t][t]
+            for i in range(t + 1, rows):
+                if a[i][t]:
+                    row_op(i, t, -(a[i][t] // piv))
+            if any(a[i][t] for i in range(t + 1, rows)):
+                pivot_to(t)
+                continue
+            for j in range(t + 1, cols):
+                if a[t][j]:
+                    col_op(j, t, -(a[t][j] // piv))
+            if any(a[t][t + 1:cols]):
+                pivot_to(t)
+                continue
+            # the pivot must divide the rest; else add a row it does not
+            # divide to row t and go round again
+            if piv == 1:
+                break
+            bad = next((i for i in range(t + 1, rows)
+                        if any(x % piv for x in a[i][t + 1:cols])), None)
+            if bad is None:
+                break
+            row_op(t, bad, 1)
 
     d = []
     for i in range(limit):
         x = a[i][i]
-        if is_zero(x):
-            d.append(ring.zero())
-            continue
-        w = ring.normalizing_unit(x)
-        if not is_zero(ring.sub(w, ring.one())):
-            row_scale(i, w)
-        d.append(a[i][i])
+        if x != zero:
+            w = ring.normalizing_unit(x)
+            if w != one:
+                row_scale(i, w)
+        d.append(a[i][i] if x != zero else zero)
 
+    bstart = cols + (rows if row_t else 0)
     return SmithResult(
         d=d,
-        left=tuple(tuple(r) for r in linv) if linv is not None else None,
-        right=tuple(tuple(r) for r in rinv) if rinv is not None else None,
-        row_transform=tuple(tuple(r) for r in u) if u is not None else None,
-        col_transform=tuple(tuple(r) for r in v) if v is not None else None,
-        aug=tuple(tuple(r) for r in ag) if ag is not None else None,
+        left=tuple(zip(*inv[:rows])) if left else None,
+        right=tuple(map(tuple, inv[rows:])) if right else None,
+        row_transform=tuple(tuple(r[cols:bstart]) for r in a[:rows]) if row_t else None,
+        col_transform=tuple(map(tuple, a[rows:])) if col_t else None,
+        aug=tuple(tuple(r[bstart:]) for r in a[:rows]) if aug is not None else None,
     )
 
 
@@ -1412,14 +1334,11 @@ def _nonzero_rows(ring, matrix):
 def _reduce_row(ring, f, row):
     """A sparse ``row`` of a generator of order ``f`` (0: free) reduced
     modulo that order, without its zero entries."""
+    zero = ring.zero()
     if f == FREE:
-        zero = ring.zero()
         return {j: x for j, x in row.items() if x != zero}
-    if ring.kind == DUAL_CHAIN:
-        zero, pad = ring.zero(), (0,) * (ring.m - f)
-        return {j: y for j, x in row.items() if (y := x[:f] + pad) != zero}
-    q = f if ring.kind == INTEGERS else ring.p ** f
-    return {j: y for j, x in row.items() if (y := x % q)}
+    residue = _residue(ring, f)
+    return {j: y for j, x in row.items() if (y := residue(x)) != zero}
 
 
 def _order_rows(ring, rows, orders, width, local=None):

@@ -8,8 +8,14 @@ same entries, of the same types.
 """
 
 import pytest
+from hypothesis import settings
 
 from templikit.coeff import Morphism
+
+# every property test replays the same examples: seeds derived from the test
+# itself, no example database and no deadline.  Tests set only max_examples.
+settings.register_profile("templikit", deadline=None, database=None, derandomize=True)
+settings.load_profile("templikit")
 
 
 def _entry_types(matrix):

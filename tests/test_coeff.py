@@ -1,6 +1,7 @@
 """Exact linear algebra core: normal forms, analysis, tensors, limits."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -83,6 +84,17 @@ def test_ring_validation():
         Ring.chain(2, 0)
     with pytest.raises(UnsupportedRingError):
         Ring("polynomial")
+
+
+def test_zero_and_one_are_shared_values():
+    expected = {
+        Z: (0, 1), Q: (Fraction(0), Fraction(1)), F3: (0, 1), Z8: (0, 1),
+        D2: ((0, 0), (1, 0)), Ring.dual_chain(2, 3): ((0, 0, 0), (1, 0, 0)),
+    }
+    for ring, (zero, one) in expected.items():
+        assert ring.zero() is ring.zero() and ring.one() is ring.one()
+        assert (ring.zero(), ring.one()) == (zero, one)
+        assert (type(ring.zero()), type(ring.one())) == (type(zero), type(one))
 
 
 def _trial_division(n):
@@ -218,12 +230,20 @@ def test_mat_mul_with_empty_inner_dimension(ring):
 
 
 def test_smith_transforms_track_inverses():
+    # L = U^-1, R = V^-1, U*A*V = diag(d) and aug = U*B, over all five kinds
     rng = random.Random(5)
-    for ring in (Z, Z8, D2):
-        a = rand_matrix(ring, 3, 4, rng)
-        res = smith(ring, a, left=True, right=True, row_t=True, col_t=True)
-        assert mat_mul(ring, res.left, res.row_transform) == mat_identity(ring, 3)
-        assert mat_mul(ring, res.right, res.col_transform) == mat_identity(ring, 4)
+    for ring in ALL_RINGS:
+        # a matrix without rows shows no width, so (0, 0) stands for 0 x n
+        for rows, cols in ((3, 4), (4, 3), (3, 3), (0, 0), (2, 0)):
+            a = rand_matrix(ring, rows, cols, rng)
+            b = rand_matrix(ring, rows, 2, rng)
+            res = smith(ring, a, left=True, right=True, row_t=True, col_t=True, aug=b)
+            u, v = res.row_transform, res.col_transform
+            assert mat_mul(ring, res.left, u, rows) == mat_identity(ring, rows)
+            assert mat_mul(ring, res.right, v, cols) == mat_identity(ring, cols)
+            assert mat_mul(ring, mat_mul(ring, u, a, cols), v, cols) == \
+                expand_diag(ring, res.d, rows, cols)
+            assert res.aug == mat_mul(ring, u, b, 2)
 
 
 def test_solve_linear():

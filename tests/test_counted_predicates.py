@@ -161,7 +161,7 @@ def test_predicates_equal_the_transform_path(ring, free):
     and non-injective, onto and non-onto ones."""
     seen = set()
 
-    @settings(max_examples=30, deadline=None, database=None, derandomize=True)
+    @settings(max_examples=30)
     @given(st.tuples(_modules(ring, free), _modules(ring, free)).flatmap(
         lambda mods: _morphisms(*mods)))
     def check(f):
@@ -190,7 +190,7 @@ def test_exactness_equals_the_factorization_through_the_kernel(ring, free):
     ones, p o i != 0, and p o i = 0 with im i strictly inside ker p."""
     seen = set()
 
-    @settings(max_examples=50, deadline=None, database=None, derandomize=True)
+    @settings(max_examples=50)
     @given(sequences(ring, free))
     def check(seq):
         i, p = seq

@@ -20,7 +20,7 @@ from templikit.cli import canonical_json, main, parse_instance, serialize_instan
 from templikit.coeff import TemplikitError
 from templikit.constructors import builtin
 
-FUZZ = settings(max_examples=60, deadline=None, database=None, derandomize=True)
+FUZZ = settings(max_examples=60)
 
 EXAMPLES = {name: canonical_json(serialize_instance(builtin(name)))
             for name in ("s0_times_2", "paper_P", "paper_P_deformed")}

@@ -6,14 +6,26 @@ no chain or dual-chain rings, so there ``normal_form`` must reconstruct the
 matrix (L*diag(d)*R == A), the recorded transforms must diagonalize it
 (U*A*V == diag(d)), and a matrix built as P*D*Q from invertible P, Q must
 give back the invariant factors of D.
+
+``reference_smith`` is the elimination ``smith`` replaced, which kept each
+transform apart; ``smith`` must return the same ``SmithResult``, field for
+field and with the same entry types, for every combination of transforms.
 """
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from templikit.coeff import (
+    CHAIN,
+    DUAL_CHAIN,
+    INTEGERS,
+    PRIME_FIELD,
     Ring,
+    SmithResult,
     invariant_factors,
     mat_identity,
     mat_mul,
@@ -137,3 +149,343 @@ def test_invariant_factors_of_a_disguised_diagonal(ring):
         a = mat_mul(ring, mat_mul(ring, _invertible(ring, rng, n), d, n),
                     _invertible(ring, rng, n), n)
         assert invariant_factors(ring, a) == tuple(powers), (vals, a)
+
+
+# ---------------------------------------------------------------------------
+# the augmented elimination against the one it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_smith(ring, matrix, *, left=False, right=False, row_t=False, col_t=False, aug=None):
+    """The elimination ``coeff.smith`` replaced, kept as its reference: the
+    same pivots, but each transform (U, V, L = U^-1, R = V^-1 and the
+    augmented block) updated on its own in every row and column operation,
+    L and R by generic ring arithmetic."""
+    a = [list(row) for row in matrix]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    u = [list(r) for r in mat_identity(ring, rows)] if row_t else None
+    linv = [list(r) for r in mat_identity(ring, rows)] if left else None
+    v = [list(r) for r in mat_identity(ring, cols)] if col_t else None
+    rinv = [list(r) for r in mat_identity(ring, cols)] if right else None
+    ag = [list(row) for row in aug] if aug is not None else None
+
+    is_zero, mul, add, neg = ring.is_zero, ring.mul, ring.add, ring.neg
+    # integer-backed rings get inline arithmetic in the hot loops: zero tests
+    # by truthiness and (a + c*x) mod q with q = None meaning no reduction
+    fast = ring.kind != DUAL_CHAIN
+    if ring.kind == PRIME_FIELD:
+        q = ring.p
+    elif ring.kind == CHAIN:
+        q = ring.p ** ring.m
+    else:
+        q = None
+
+    def _axpy(dst, src, c, upto):
+        if fast:
+            if q is None:
+                for j in range(upto):
+                    x = src[j]
+                    if x:
+                        dst[j] = dst[j] + c * x
+            else:
+                for j in range(upto):
+                    x = src[j]
+                    if x:
+                        dst[j] = (dst[j] + c * x) % q
+        else:
+            for j in range(upto):
+                x = src[j]
+                if any(x):
+                    dst[j] = add(dst[j], mul(c, x))
+
+    def row_swap(i, k):
+        if i == k:
+            return
+        a[i], a[k] = a[k], a[i]
+        if u is not None:
+            u[i], u[k] = u[k], u[i]
+        if ag is not None:
+            ag[i], ag[k] = ag[k], ag[i]
+        if linv is not None:
+            for r in linv:
+                r[i], r[k] = r[k], r[i]
+
+    def row_axpy(i, k, c):
+        # row i += c * row k
+        if is_zero(c):
+            return
+        _axpy(a[i], a[k], c, cols)
+        if u is not None:
+            _axpy(u[i], u[k], c, rows)
+        if ag is not None:
+            _axpy(ag[i], ag[k], c, len(ag[i]))
+        if linv is not None:
+            nc = neg(c)
+            for r in linv:
+                x = r[i]
+                if not is_zero(x):
+                    r[k] = add(r[k], mul(nc, x))
+
+    def row_scale(i, w):
+        ai = a[i]
+        for j in range(cols):
+            if not is_zero(ai[j]):
+                ai[j] = mul(w, ai[j])
+        if u is not None:
+            ui = u[i]
+            for j in range(rows):
+                if not is_zero(ui[j]):
+                    ui[j] = mul(w, ui[j])
+        if ag is not None:
+            gi = ag[i]
+            for j in range(len(gi)):
+                if not is_zero(gi[j]):
+                    gi[j] = mul(w, gi[j])
+        if linv is not None:
+            wi = ring.inv(w)
+            for r in linv:
+                if not is_zero(r[i]):
+                    r[i] = mul(wi, r[i])
+
+    def col_swap(j, k):
+        if j == k:
+            return
+        for r in a:
+            r[j], r[k] = r[k], r[j]
+        if v is not None:
+            for r in v:
+                r[j], r[k] = r[k], r[j]
+        if rinv is not None:
+            rinv[j], rinv[k] = rinv[k], rinv[j]
+
+    def col_axpy(j, k, c):
+        # col j += c * col k
+        if is_zero(c):
+            return
+        if fast:
+            if q is None:
+                for r in a:
+                    x = r[k]
+                    if x:
+                        r[j] = r[j] + c * x
+                if v is not None:
+                    for r in v:
+                        x = r[k]
+                        if x:
+                            r[j] = r[j] + c * x
+            else:
+                for r in a:
+                    x = r[k]
+                    if x:
+                        r[j] = (r[j] + c * x) % q
+                if v is not None:
+                    for r in v:
+                        x = r[k]
+                        if x:
+                            r[j] = (r[j] + c * x) % q
+        else:
+            for r in a:
+                x = r[k]
+                if any(x):
+                    r[j] = add(r[j], mul(c, x))
+            if v is not None:
+                for r in v:
+                    x = r[k]
+                    if any(x):
+                        r[j] = add(r[j], mul(c, x))
+        if rinv is not None:
+            nc = neg(c)
+            rj, rk = rinv[j], rinv[k]
+            for t in range(len(rj)):
+                x = rj[t]
+                if not is_zero(x):
+                    rk[t] = add(rk[t], mul(nc, x))
+
+    euclid = ring.kind == INTEGERS
+    # over chain kinds and fields the minimal valuation of the remaining
+    # submatrix never decreases, so the previous pivot's key is a sharp
+    # early-exit bound; over Z remainders can shrink, keep the bound at 1
+    bound = [1 if euclid else 0]
+    pivot_key = ring.pivot_key
+
+    def find_pivot(t):
+        best = None
+        best_key = None
+        stop = bound[0]
+        if fast:
+            for i in range(t, rows):
+                ai = a[i]
+                for j in range(t, cols):
+                    x = ai[j]
+                    if not x:
+                        continue
+                    key = pivot_key(x)
+                    if best is None or key < best_key:
+                        best, best_key = (i, j), key
+                        if key <= stop:
+                            return best, best_key
+            return (best, best_key) if best is not None else None
+        for i in range(t, rows):
+            ai = a[i]
+            for j in range(t, cols):
+                x = ai[j]
+                if not any(x):
+                    continue
+                key = pivot_key(x)
+                if best is None or key < best_key:
+                    best, best_key = (i, j), key
+                    if key <= stop:
+                        return best, best_key
+        return (best, best_key) if best is not None else None
+
+    t = 0
+    limit = min(rows, cols)
+    while t < limit:
+        found = find_pivot(t)
+        if found is None:
+            break
+        if not euclid:
+            bound[0] = max(bound[0], found[1])
+        found = found[0]
+        row_swap(t, found[0])
+        col_swap(t, found[1])
+        if euclid:
+            while True:
+                if a[t][t] < 0:
+                    row_scale(t, -1)
+                piv = a[t][t]
+                dirty = False
+                for i in range(t + 1, rows):
+                    x = a[i][t]
+                    if x:
+                        row_axpy(i, t, -(x // piv))
+                        if a[i][t]:
+                            dirty = True
+                if dirty:
+                    found = find_pivot(t)[0]
+                    row_swap(t, found[0])
+                    col_swap(t, found[1])
+                    continue
+                for j in range(t + 1, cols):
+                    x = a[t][j]
+                    if x:
+                        col_axpy(j, t, -(x // piv))
+                        if a[t][j]:
+                            dirty = True
+                if dirty:
+                    found = find_pivot(t)[0]
+                    row_swap(t, found[0])
+                    col_swap(t, found[1])
+                    continue
+                piv = a[t][t]
+                bad = None
+                for i in range(t + 1, rows):
+                    ai = a[i]
+                    for j in range(t + 1, cols):
+                        if ai[j] % piv:
+                            bad = i
+                            break
+                    if bad is not None:
+                        break
+                if bad is None:
+                    break
+                row_axpy(t, bad, 1)
+        else:
+            piv = a[t][t]
+            for i in range(t + 1, rows):
+                x = a[i][t]
+                if not is_zero(x):
+                    row_axpy(i, t, neg(ring.divide(x, piv)))
+            for j in range(t + 1, cols):
+                x = a[t][j]
+                if not is_zero(x):
+                    col_axpy(j, t, neg(ring.divide(x, piv)))
+        t += 1
+
+    d = []
+    for i in range(limit):
+        x = a[i][i]
+        if is_zero(x):
+            d.append(ring.zero())
+            continue
+        w = ring.normalizing_unit(x)
+        if not is_zero(ring.sub(w, ring.one())):
+            row_scale(i, w)
+        d.append(a[i][i])
+
+    return SmithResult(
+        d=d,
+        left=tuple(tuple(r) for r in linv) if linv is not None else None,
+        right=tuple(tuple(r) for r in rinv) if rinv is not None else None,
+        row_transform=tuple(tuple(r) for r in u) if u is not None else None,
+        col_transform=tuple(tuple(r) for r in v) if v is not None else None,
+        aug=tuple(tuple(r) for r in ag) if ag is not None else None,
+    )
+
+
+FLAGS = ("left", "right", "row_t", "col_t", "aug")
+ORACLE_RINGS = [Z, Ring.rationals(), Ring.prime_field(3), Ring.chain(2, 3),
+                Ring.dual_chain(3, 2), Ring.dual_chain(2, 3)]
+
+
+def _elements(ring):
+    if ring.kind == "integers":
+        return st.integers(-30, 30)
+    if ring.kind == "rationals":
+        return st.fractions(-5, 5, max_denominator=6)
+    if ring.kind == "dual-chain":
+        return st.tuples(*[st.integers(0, ring.p - 1)] * ring.m)
+    return st.integers(0, (ring.p if ring.kind == "prime-field" else ring.p ** ring.m) - 1)
+
+
+@st.composite
+def smith_inputs(draw):
+    """(ring, A, B): A up to 6 x 6 and B with A's rows and up to 3 columns,
+    about half of the entries zero."""
+    ring = draw(st.sampled_from(ORACLE_RINGS))
+    entries = st.one_of(st.just(ring.zero()), _elements(ring))
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(0, 6)) if rows else 0
+    width = draw(st.integers(0, 3))
+    a = tuple(tuple(draw(entries) for _ in range(cols)) for _ in range(rows))
+    b = tuple(tuple(draw(entries) for _ in range(width)) for _ in range(rows))
+    return ring, a, b
+
+
+def _typed(x):
+    if isinstance(x, (list, tuple)):
+        return type(x), tuple(map(_typed, x))
+    return type(x), x
+
+
+def _assert_matches_reference(ring, a, b, flags):
+    kwargs = dict(zip(FLAGS[:4], flags[:4]), aug=b if flags[4] else None)
+    got, want = smith(ring, a, **kwargs), reference_smith(ring, a, **kwargs)
+    assert isinstance(got, SmithResult)
+    assert {k: _typed(v) for k, v in vars(got).items()} == \
+        {k: _typed(v) for k, v in vars(want).items()}, (ring, a, b, kwargs)
+
+
+ALL_FLAGS = list(itertools.product((False, True), repeat=len(FLAGS)))
+
+
+def _flag_id(flags):
+    return "+".join(name for name, on in zip(FLAGS, flags) if on) or "none"
+
+
+@pytest.mark.parametrize("flags", ALL_FLAGS, ids=_flag_id)
+@settings(max_examples=30)
+@given(smith_inputs())
+def test_smith_equals_reference(flags, data):
+    _assert_matches_reference(*data, flags)
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=str)
+def test_smith_equals_reference_on_empty_shapes(ring):
+    # no rows, no columns, and an augmented block without columns
+    one = ring.one()
+    shapes = [((), ()), (((),) * 3, ((one,),) * 3), (((one, one),), ((),)),
+              (((one, ring.zero()), (one, one)), ((),) * 2)]
+    for (a, b), flags in itertools.product(shapes, ALL_FLAGS):
+        _assert_matches_reference(ring, a, b, flags)

@@ -68,7 +68,7 @@ Z_CODOMAINS = [(4,), (6,), (2, 12), (30,), (3, 36), (6, 6, 30), (2, 12, 36),
 # the torsion orders M = Z/k of the benchmark's wings-tensor workload
 WINGS_TORSION = (2, 3, 4, 6, 9)
 
-PROPERTY = settings(max_examples=300, deadline=None, database=None, derandomize=True)
+PROPERTY = settings(max_examples=300)
 
 
 def dense_cokernel(f):

@@ -44,7 +44,7 @@ D32 = Ring.dual_chain(3, 2)
 D33 = Ring.dual_chain(3, 3)
 RINGS = [Z, Q, F3, Z8, D32, D33]
 
-PROPERTY = settings(max_examples=60, deadline=None, database=None, derandomize=True)
+PROPERTY = settings(max_examples=60)
 
 
 def dense_mat_mul(ring, a, b, cols=None):
@@ -254,7 +254,7 @@ def assert_same_quiver_morphism(ring, got, want):
         assert_same_matrix(ring, f.matrix, g.matrix)
 
 
-@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@settings(max_examples=80)
 @given(tensor_cases())
 def test_tensor_quiver_morphisms_equals_dense_tensor(data):
     ring, vertices, fs = data
@@ -316,7 +316,7 @@ def map_pairs(draw):
     return draw(module_maps(ring)), draw(module_maps(ring))
 
 
-@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@settings(max_examples=150)
 @given(map_pairs())
 def test_tensor_morphisms_equals_dense_tensor(pair):
     f, g = pair

@@ -79,7 +79,7 @@ RINGS = [Z, Ring.chain(2, 3), Ring.chain(3, 2), Ring.dual_chain(3, 2),
 # torsion parts over Z: divisibility chains of Z/2, Z/4 and Z/6
 Z_TORSION = [(), (2,), (4,), (6,), (2, 2), (2, 4), (2, 6), (4, 4), (6, 6)]
 
-PROPERTY = settings(max_examples=40, deadline=None, database=None, derandomize=True)
+PROPERTY = settings(max_examples=40)
 
 
 def elements(ring):
