@@ -123,6 +123,8 @@ class Ring:
             zero, one = 0, 1
         object.__setattr__(self, "_zero", zero)
         object.__setattr__(self, "_one", one)
+        # Module.zero(self) returns this shared module
+        object.__setattr__(self, "_zero_module", Module(self, ()))
 
     # -- constructors -------------------------------------------------
 
@@ -794,7 +796,8 @@ class Module:
 
     @staticmethod
     def zero(ring):
-        return Module(ring, ())
+        """The zero module, one per ring."""
+        return ring._zero_module
 
     @property
     def rank(self):
@@ -892,11 +895,11 @@ class Morphism:
     Results that are valid whenever their operands are skip those checks:
     ``identity``, ``zero``, ``compose``, ``+``, ``-``, ``scale``, tensor
     products of morphisms (``tensor_morphisms`` and the components of
-    ``tensor_quiver_morphisms``), base change along a ring extension and
-    the view of a target map over the source
+    ``tensor_quiver_morphisms``, which also carry the coherence
+    isomorphisms between bracketings), base change along a ring extension
+    and the view of a target map over the source
     (``RingExtension.base_change_morphism`` and
-    ``view_morphism_over_source``), the components of the coherence
-    isomorphisms ``flatten_iso``, the block witnesses of a direct sum that
+    ``view_morphism_over_source``), the block witnesses of a direct sum that
     is a plain concatenation, and the difference maps of finite limits
     (densified from their sparse rows, see ``_dense_delta``) and colimits.
     Sums, products and composites of congruence-valid entries stay
@@ -2096,6 +2099,9 @@ def factor_through_mono(inclusion, given):
     ring = inclusion.ring
     if given.codomain != inclusion.codomain:
         raise ShapeError("factor_through_mono: codomain mismatch")
+    if inclusion.codomain.is_zero:
+        # every map into the zero module is zero, and so is u
+        return Morphism.zero(given.domain, inclusion.domain)
     amat = mat_hstack(inclusion.matrix, _order_columns(inclusion.codomain))
     x = solve_linear(ring, amat, given.matrix)
     if x is None:

@@ -23,7 +23,6 @@ from .coeff import (
 from .quiver import (
     Quiver,
     QuiverMorphism,
-    flatten_iso,
     tensor_layout,
     tensor_quiver_morphisms,
     unit_quiver,
@@ -443,20 +442,16 @@ class LinearCategory:
         c = self.quiver
         m = self.composition
         pair = tensor_layout(ring, vertices, (c, c))
-        ident = QuiverMorphism.identity(c)
-        left_t = tensor_quiver_morphisms(ring, vertices, (m, ident))
-        _, bwd_l = flatten_iso(ring, vertices, (pair, c))
-        lhs = m.compose(left_t.compose(bwd_l))
-        right_t = tensor_quiver_morphisms(ring, vertices, (ident, m))
-        _, bwd_r = flatten_iso(ring, vertices, (c, pair))
-        rhs = m.compose(right_t.compose(bwd_r))
-        if lhs != rhs:
-            raise ShapeError("composition is not associative")
         unit = tensor_layout(ring, vertices, ())
-        _, ins_l = flatten_iso(ring, vertices, (unit, c))
-        lu = m.compose(tensor_quiver_morphisms(ring, vertices, (self.units, ident)).compose(ins_l))
-        _, ins_r = flatten_iso(ring, vertices, (c, unit))
-        ru = m.compose(tensor_quiver_morphisms(ring, vertices, (ident, self.units)).compose(ins_r))
+        ident = QuiverMorphism.identity(c)
+
+        def m_after(fs, sources):
+            return m.compose(tensor_quiver_morphisms(ring, vertices, fs, sources=sources))
+
+        if m_after((m, ident), (pair, c)) != m_after((ident, m), (c, pair)):
+            raise ShapeError("composition is not associative")
+        lu = m_after((self.units, ident), (unit, c))
+        ru = m_after((ident, self.units), (c, unit))
         if lu != ident or ru != ident:
             raise ShapeError("units are not two-sided identities")
         return True
@@ -534,22 +529,25 @@ def nerve(category, max_level):
     faces = {}
     for n in range(2, max_level + 1):
         for j in range(1, n):
-            _, bwd = flatten_iso(ring, vertices, (c,) * (j - 1) + (pair,) + (c,) * (n - j - 1))
             parts = ([QuiverMorphism.identity(c)] * (j - 1) + [m]
                      + [QuiverMorphism.identity(c)] * (n - j - 1))
-            faces[(n, j)] = tensor_quiver_morphisms(ring, vertices, tuple(parts)).compose(bwd)
+            faces[(n, j)] = tensor_quiver_morphisms(
+                ring, vertices, tuple(parts),
+                sources=(c,) * (j - 1) + (pair,) + (c,) * (n - j - 1))
     degens = {}
     for n in range(0, max_level):
         for i in range(0, n + 1):
-            _, ins = flatten_iso(ring, vertices, (c,) * i + (unit,) + (c,) * (n - i))
             parts = ([QuiverMorphism.identity(c)] * i + [u]
                      + [QuiverMorphism.identity(c)] * (n - i))
-            degens[(n, i)] = tensor_quiver_morphisms(ring, vertices, tuple(parts)).compose(ins)
+            degens[(n, i)] = tensor_quiver_morphisms(
+                ring, vertices, tuple(parts), sources=(c,) * i + (unit,) + (c,) * (n - i))
     comults = {}
     for k in range(1, max_level):
         for l in range(1, max_level + 1 - k):
-            _, bwd = flatten_iso(ring, vertices, (layouts[k], layouts[l]))
-            comults[(k, l)] = bwd
+            comults[(k, l)] = tensor_quiver_morphisms(
+                ring, vertices,
+                (QuiverMorphism.identity(levels[k - 1]), QuiverMorphism.identity(levels[l - 1])),
+                sources=(layouts[k], layouts[l]))
     return TemplicialModule.build(ring, vertices, max_level, levels, faces, degens, comults)
 
 

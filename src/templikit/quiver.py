@@ -5,15 +5,18 @@ The tensor over the vertex set S is implemented in n-ary form: the hom
 a = b_0, b_1, ..., b_r = c of the module tensors Q_1(b_0,b_1) (x) ... (x)
 Q_r(b_{r-1},b_r), with raw generators ordered lexicographically by
 (path, generator indices) and then normalized to invariant-factor form.
-The layout objects returned here retain the raw/normal change of basis so
-that structure matrices can be moved exactly between different bracketings
-and across inserted units I_S (``flatten_iso``).
+The layout objects returned here retain the raw/normal change of basis.
+Every iterated tensor lands in the flat layout of its atomic factors, its
+one normal form by coherence: ``tensor_quiver_morphisms`` takes the
+bracketing of each factor's domain and codomain and reads the factor on
+their raw generators, so a rebracketing or an inserted unit I_S is the
+tensor of identities between two bracketings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 
 from .coeff import (
@@ -36,8 +39,8 @@ class Quiver:
     """Modules indexed by ordered vertex pairs; absent entries are zero.
 
     ``hom`` reads a dict built once from ``homs``, and every absent hom is
-    one zero module kept on the quiver; equality and hashing stay on the
-    dataclass fields.
+    the ring's one zero module; equality and hashing stay on the dataclass
+    fields.
     """
 
     ring: object
@@ -75,14 +78,9 @@ class Quiver:
         items.sort(key=lambda kv: (index.get(kv[0][0], last), index.get(kv[0][1], last)))
         return Quiver(ring, tuple(vertices), tuple(items))
 
-    @cached_property
-    def _zero(self):
-        """The zero module every absent hom reads."""
-        return Module.zero(self.ring)
-
     def hom(self, a, b):
         mod = self._hom.get((a, b))
-        return self._zero if mod is None else mod
+        return Module.zero(self.ring) if mod is None else mod
 
     @property
     def is_zero(self):
@@ -253,153 +251,116 @@ def tensor_s(p, q):
     return tensor_layout(p.ring, p.vertices, (p, q)).quiver
 
 
-def tensor_quiver_morphisms(ring, vertices, fs):
-    """Tensor of quiver morphisms between the canonical n-ary layouts.
+def _atoms(item):
+    """The factors a bracketing item adds to the flat layout: a layout its
+    own (none for the unit layout), a quiver itself."""
+    return item.factors if isinstance(item, TensorLayout) else (item,)
 
-    The raw matrix at (a, c) is built from the nonzero entries of the
-    factors' components along each vertex path from a to c; a product of
-    nonzeros whose raw generator is absent (its fold order vanishes) is
-    skipped."""
-    dom = tensor_layout(ring, vertices, tuple(f.domain for f in fs))
-    cod = tensor_layout(ring, vertices, tuple(f.codomain for f in fs))
+
+def _quiver_of(item):
+    return item.quiver if isinstance(item, TensorLayout) else item
+
+
+def _pieces(item, u, v, lead):
+    """The (interior vertices, generators) piece that each raw generator of
+    ``item`` at (u, v) adds to a flat raw generator; ``lead`` puts the
+    boundary vertex u in front of it."""
+    head = (u,) if lead else ()
+    if isinstance(item, TensorLayout):
+        return [(head + mid, gens) for mid, gens in item.raw_gens(u, v)]
+    return [(head, (g,)) for g in range(item.hom(u, v).ngens)]
+
+
+def _leads(items):
+    """Per item, whether a boundary vertex precedes its atoms: an item with
+    atoms gets one unless it is the first such; a unit item adds none."""
+    has = [bool(_atoms(item)) for item in items]
+    return [h and any(has[:i]) for i, h in enumerate(has)]
+
+
+def tensor_quiver_morphisms(ring, vertices, fs, sources=None, targets=None):
+    """Tensor of quiver morphisms, between flat layouts.
+
+    ``sources[i]`` (``targets[i]``) brackets the domain (codomain) of
+    ``fs[i]``: it is that quiver itself, the default, or a TensorLayout
+    whose quiver it is, whose factors then enter the flat layout in its
+    place; the layout with no factors stands for I_S and enters none.  The
+    result maps the layout of the source atoms to that of the target atoms,
+    so the tensor of identities with a bracketing on one side is the
+    coherence isomorphism that rebrackets or inserts units.
+
+    Each factor is read on its items' raw generators (through their
+    ``from_norm``/``to_norm``).  The raw matrix at (a, c) is built from the
+    nonzero entries of these along each vertex path from a to c, each product
+    keyed by its flat raw generator; a product of nonzeros whose raw
+    generator is absent (its fold order vanishes) is skipped."""
+    sources = tuple(f.domain for f in fs) if sources is None else tuple(sources)
+    targets = tuple(f.codomain for f in fs) if targets is None else tuple(targets)
+    if len(sources) != len(fs) or len(targets) != len(fs):
+        raise ShapeError("one source and one target item per factor")
+    for f, s, t in zip(fs, sources, targets):
+        if _quiver_of(s) != f.domain or _quiver_of(t) != f.codomain:
+            raise ShapeError("bracketing item is not the factor's domain or codomain")
+    dom = tensor_layout(ring, vertices, tuple(a for s in sources for a in _atoms(s)))
+    cod = tensor_layout(ring, vertices, tuple(a for t in targets for a in _atoms(t)))
+    dleads, cleads = _leads(sources), _leads(targets)
     zero, one, mul, is_zero = ring.zero(), ring.one(), ring.mul, ring.is_zero
     nonzeros = {}
 
     def entries(i, u, v):
-        """(row, column, value) of each nonzero entry of fs[i] at (u, v)."""
+        """(target piece, source piece, value) of each nonzero entry of
+        fs[i] at (u, v), read on the raw generators of its items."""
         key = (i, u, v)
         if key not in nonzeros:
             f = fs[i]._comp.get((u, v))
-            nonzeros[key] = [] if f is None else [
-                (ci, di, x)
-                for ci, row in enumerate(f.matrix)
-                for di, x in enumerate(row) if not is_zero(x)
-            ]
+            if f is None:
+                nonzeros[key] = []
+            else:
+                s, t = sources[i], targets[i]
+                matrix = change_basis(
+                    ring, t.from_norm(u, v) if isinstance(t, TensorLayout) else None,
+                    f.matrix, s.to_norm(u, v) if isinstance(s, TensorLayout) else None)
+                cp = _pieces(t, u, v, cleads[i])
+                dp = _pieces(s, u, v, dleads[i])
+                nonzeros[key] = [
+                    (cp[ci], dp[di], x)
+                    for ci, row in enumerate(matrix)
+                    for di, x in enumerate(row) if not is_zero(x)
+                ]
         return nonzeros[key]
 
     comps = {}
     for a in vertices:
-        # (vertex path from a, partial products in slot order), extended
-        # one factor at a time through the nonzero components only
-        walks = [((a,), [((), (), one)])]
+        # partial products keyed by their flat raw generators so far, by the
+        # last vertex of their paths from a, extended one factor at a time
+        # through the nonzero components only
+        walks = {a: [((), (), (), (), one)]}
         for i in range(len(fs)):
-            longer = []
-            for path, partial in walks:
+            longer = {}
+            for u, partial in walks.items():
                 for v in vertices:
-                    nz = entries(i, path[-1], v)
-                    if not nz:
-                        continue
                     step = []
-                    for cg, dg, x in partial:
-                        for ci, di, y in nz:
+                    for (cpm, cpg), (dpm, dpg), y in entries(i, u, v):
+                        for cm, cg, dm, dg, x in partial:
                             z = mul(x, y)
                             if not is_zero(z):
-                                step.append((cg + (ci,), dg + (di,), z))
+                                step.append((cm + cpm, cg + cpg, dm + dpm, dg + dpg, z))
                     if step:
-                        longer.append((path + (v,), step))
+                        longer.setdefault(v, []).extend(step)
             walks = longer
-        by_end = {}
-        for path, products in walks:
-            by_end.setdefault(path[-1], []).append((path[1:-1], products))
-        for c, paths in by_end.items():
+        for c, products in walks.items():
             dmod, cmod = dom.hom(a, c), cod.hom(a, c)
             if dmod.is_zero or cmod.is_zero:
                 continue
             rows = [[zero] * len(dom.raw_gens(a, c)) for _ in cod.raw_gens(a, c)]
-            for mid, products in paths:
-                for cg, dg, x in products:
-                    ri = cod.raw_index(a, c, mid, cg)
-                    di = dom.raw_index(a, c, mid, dg)
-                    if ri is not None and di is not None:
-                        rows[ri][di] = x
+            for cm, cg, dm, dg, x in products:
+                ri = cod.raw_index(a, c, cm, cg)
+                di = dom.raw_index(a, c, dm, dg)
+                if ri is not None and di is not None:
+                    rows[ri][di] = x
             comps[(a, c)] = Morphism._trusted(
                 dmod, cmod, cod.normalize(a, c, tuple(map(tuple, rows)), dom))
     return QuiverMorphism.build(dom.quiver, cod.quiver, comps)
-
-
-def _atoms_of(item):
-    return tuple(item.factors) if isinstance(item, TensorLayout) else (item,)
-
-
-@lru_cache(maxsize=None)
-def flatten_iso(ring, vertices, items):
-    """The coherence isomorphism between a nested tensor and its flat form.
-
-    ``items`` is a tuple of quivers and/or TensorLayouts; the source is the
-    layout of the items' quivers (a layout item contributing its normalized
-    quiver) and the target the layout of the concatenated atomic factors.
-    A layout with no factors stands for I_S and adds no atom, so the
-    backward map of ``items`` with such unit layouts is the unit insertion
-    TL(atoms) -> TL(items).  Returns (forward, backward) quiver morphisms,
-    mutually inverse.
-    """
-    outer = tensor_layout(ring, vertices, tuple(
-        it.quiver if isinstance(it, TensorLayout) else it for it in items
-    ))
-    flat = tensor_layout(ring, vertices, tuple(atom for it in items for atom in _atoms_of(it)))
-    one = ring.one()
-    fwd_comps = {}
-    bwd_comps = {}
-    for a in vertices:
-        for c in vertices:
-            omod, fmod = outer.hom(a, c), flat.hom(a, c)
-            if omod.is_zero and fmod.is_zero:
-                continue
-            oraw = outer.raw_gens(a, c)
-            fraw = flat.raw_gens(a, c)
-            expand = [[ring.zero()] * len(oraw) for _ in range(len(fraw))]
-            collapse = [[ring.zero()] * len(fraw) for _ in range(len(oraw))]
-            for oi, (opath, ogens) in enumerate(oraw):
-                ofull = (a,) + opath + (c,)
-                choices = []
-                for idx, it in enumerate(items):
-                    va, vb = ofull[idx], ofull[idx + 1]
-                    g = ogens[idx]
-                    if isinstance(it, TensorLayout) and it.to_norm(va, vb) is None:
-                        ipath, igens = it.raw_gens(va, vb)[g]
-                        choices.append([(ipath, igens, one, one)])
-                    elif isinstance(it, TensorLayout):
-                        from_n = it.from_norm(va, vb)
-                        to_n = it.to_norm(va, vb)
-                        opts = []
-                        for ri, (ipath, igens) in enumerate(it.raw_gens(va, vb)):
-                            ce = from_n[ri][g]
-                            cc = to_n[g][ri]
-                            if ring.is_zero(ce) and ring.is_zero(cc):
-                                continue
-                            opts.append((ipath, igens, ce, cc))
-                        choices.append(opts)
-                    else:
-                        choices.append([((), (g,), one, one)])
-                for combo in product(*choices):
-                    interior = []
-                    fgens = []
-                    ce_total = one
-                    cc_total = one
-                    for idx, (ipath, igens, ce, cc) in enumerate(combo):
-                        if igens:
-                            # a boundary vertex before each item with atoms
-                            # but the first; a unit item adds none
-                            if fgens:
-                                interior.append(ofull[idx])
-                            interior.extend(ipath)
-                            fgens.extend(igens)
-                        ce_total = ring.mul(ce_total, ce)
-                        cc_total = ring.mul(cc_total, cc)
-                    fi = flat.raw_index(a, c, tuple(interior), tuple(fgens))
-                    if fi is None:
-                        continue
-                    if not ring.is_zero(ce_total):
-                        expand[fi][oi] = ring.add(expand[fi][oi], ce_total)
-                    if not ring.is_zero(cc_total):
-                        collapse[oi][fi] = ring.add(collapse[oi][fi], cc_total)
-            fwd_mat = flat.normalize(a, c, tuple(map(tuple, expand)), outer)
-            bwd_mat = outer.normalize(a, c, tuple(map(tuple, collapse)), flat)
-            fwd_comps[(a, c)] = Morphism._trusted(omod, fmod, fwd_mat)
-            bwd_comps[(a, c)] = Morphism._trusted(fmod, omod, bwd_mat)
-    fwd = QuiverMorphism.build(outer.quiver, flat.quiver, fwd_comps)
-    bwd = QuiverMorphism.build(flat.quiver, outer.quiver, bwd_comps)
-    return fwd, bwd
 
 
 # ---------------------------------------------------------------------------

@@ -30,13 +30,7 @@ from .necklace import (
     necklaces,
     simplex_necklace,
 )
-from .quiver import (
-    QuiverMorphism,
-    flatten_iso,
-    tensor_layout,
-    tensor_quiver_morphisms,
-    unit_quiver,
-)
+from .quiver import QuiverMorphism, tensor_layout, tensor_quiver_morphisms, unit_quiver
 
 
 @dataclass(frozen=True)
@@ -172,8 +166,9 @@ class TemplicialModule:
 
 
 def _tensor_item(x, n):
-    """X_n as an item of ``flatten_iso``: level 0 is the unit layout, so
-    the slots it fills are unit insertions."""
+    """X_n as a bracketing item of ``tensor_quiver_morphisms``: level 0 is
+    the unit layout, which adds no factor, so the slots it fills are unit
+    insertions."""
     return tensor_layout(x.ring, x.vertices, ()) if n == 0 else x.level_quiver(n)
 
 
@@ -233,9 +228,9 @@ class TemplicialEvaluator:
             paired = tensor_quiver_morphisms(
                 x.ring, x.vertices,
                 (QuiverMorphism.identity(x.level_quiver(head)), rest),
+                targets=(x.level_quiver(head), rest_layout),
             )
-            fwd, _ = flatten_iso(x.ring, x.vertices, (x.level_quiver(head), rest_layout))
-            morph = fwd.compose(paired.compose(mu))
+            morph = paired.compose(mu)
         self._words[key] = morph
         return morph
 
@@ -262,9 +257,8 @@ class TemplicialEvaluator:
             layouts.append(tensor_layout(x.ring, x.vertices,
                                          tuple(x.level_quiver(c) for c in parts)))
         if words:
-            paired = tensor_quiver_morphisms(x.ring, x.vertices, tuple(words))
-            fwd, _ = flatten_iso(x.ring, x.vertices, tuple(layouts))
-            inert_eval = fwd.compose(paired)
+            inert_eval = tensor_quiver_morphisms(x.ring, x.vertices, tuple(words),
+                                                 targets=tuple(layouts))
         else:
             q0 = self.layout(u).quiver
             inert_eval = QuiverMorphism.identity(q0)
@@ -276,11 +270,9 @@ class TemplicialEvaluator:
             values = tuple(active.fint(t) - active.fint(t1) for t in range(t1, t2 + 1))
             bead_maps.append(FintMap(values))
         if bead_maps:
-            word_morphs = tuple(self.fint_morphism(g) for g in bead_maps)
-            tensored = tensor_quiver_morphisms(x.ring, x.vertices, word_morphs)
-            _, ins = flatten_iso(x.ring, x.vertices,
-                                 tuple(_tensor_item(x, g.target_dim) for g in bead_maps))
-            active_eval = tensored.compose(ins)
+            active_eval = tensor_quiver_morphisms(
+                x.ring, x.vertices, tuple(self.fint_morphism(g) for g in bead_maps),
+                sources=tuple(_tensor_item(x, g.target_dim) for g in bead_maps))
         else:
             active_eval = QuiverMorphism.identity(self.layout(active.source).quiver)
 
@@ -373,23 +365,17 @@ def validate_templicial(x):
                     continue
                 lhs = ev.comult_word(k + l + m, (k, l, m))
                 # left-peeled composite (mu_{k,l} (x) id) o mu_{k+l,m}
+                kl_layout = tensor_layout(x.ring, x.vertices,
+                                          (x.level_quiver(k), x.level_quiver(l)))
                 paired = tensor_quiver_morphisms(
                     x.ring, x.vertices,
                     (x.comult(k, l), QuiverMorphism.identity(x.level_quiver(m))),
+                    targets=(kl_layout, x.level_quiver(m)),
                 )
-                kl_layout = tensor_layout(x.ring, x.vertices,
-                                          (x.level_quiver(k), x.level_quiver(l)))
-                fwd, _ = flatten_iso(x.ring, x.vertices, (kl_layout, x.level_quiver(m)))
-                left = fwd.compose(paired.compose(x.comult(k + l, m)))
+                left = paired.compose(x.comult(k + l, m))
                 record("coassociativity", (k, l, m), left, lhs)
 
     # colax naturality on generating maps in each slot
-    def mu_general(k, l):
-        if k >= 1 and l >= 1:
-            return x.comult(k, l)
-        _, ins = flatten_iso(x.ring, x.vertices, (_tensor_item(x, k), _tensor_item(x, l)))
-        return ins
-
     def generators_into(k):
         gens = []
         for j in range(1, k):
@@ -413,10 +399,14 @@ def validate_templicial(x):
                     f = gen if slot == 0 else fint_identity(k)
                     g = gen if slot == 1 else fint_identity(l)
                     lhs = x.comult(kp, lp).compose(ev.fint_morphism(f.plus(g)))
+                    # mu_{k,l} with a zero index is the unit insertion
                     rhs = tensor_quiver_morphisms(
                         x.ring, x.vertices,
                         (ev.fint_morphism(f), ev.fint_morphism(g)),
-                    ).compose(mu_general(k, l))
+                        sources=(_tensor_item(x, k), _tensor_item(x, l)),
+                    )
+                    if k >= 1 and l >= 1:
+                        rhs = rhs.compose(x.comult(k, l))
                     record("colax naturality", (k, l, str(f), str(g)), lhs, rhs)
 
     return ValidationReport("templicial module", tuple(failures))

@@ -23,6 +23,7 @@ from templikit.coeff import (
     factor_through_colimit,
     factor_through_epi,
     factor_through_limit,
+    factor_through_mono,
     finite_colimit,
     finite_limit,
     invariant_factors,
@@ -95,6 +96,13 @@ def test_zero_and_one_are_shared_values():
         assert ring.zero() is ring.zero() and ring.one() is ring.one()
         assert (ring.zero(), ring.one()) == (zero, one)
         assert (type(ring.zero()), type(ring.one())) == (type(zero), type(one))
+
+
+def test_zero_module_is_shared_per_ring():
+    for ring in (Z, Q, F3, Z8, D2):
+        assert Module.zero(ring) is Module.zero(ring)
+        assert Module.zero(ring) == Module(ring, ()) and Module.zero(ring).ring is ring
+    assert Module.zero(Z) != Module.zero(Q)
 
 
 def _trial_division(n):
@@ -331,6 +339,23 @@ def test_analyze_computes_each_part_once_on_first_read(monkeypatch):
     g = Morphism.zero(Module.zero(Z), m)
     assert analyze(g).injective and analyze(g).kernel_inclusion.codomain == g.domain
     assert len(calls) == 1 + kernel_runs
+
+
+def test_factor_through_mono_into_the_zero_module(monkeypatch):
+    from templikit import coeff
+
+    def no_smith(*args, **kwargs):
+        raise AssertionError("no Smith run for a map into the zero module")
+
+    monkeypatch.setattr(coeff, "smith", no_smith)
+    zero, m = Module.zero(Z), Module(Z, (2, FREE))
+    # 0 -> 0, and Z^2 -> 0 (not mono, but u = 0 still factors)
+    for sub in (zero, Module.free(Z, 2)):
+        inclusion = Morphism.zero(sub, zero)
+        given = Morphism.zero(m, zero)
+        u = factor_through_mono(inclusion, given)
+        assert u == Morphism.zero(m, sub)
+        assert inclusion.compose(u) == given
 
 
 def test_analyze_projection_over_f5():
