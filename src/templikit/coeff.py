@@ -14,7 +14,6 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import groupby
 from math import gcd, lcm, prod
 
 
@@ -354,7 +353,8 @@ class Ring:
 
 
 # ---------------------------------------------------------------------------
-# matrices (tuples of row tuples; rows index codomain generators)
+# matrices: Smith reads and writes dense tuples of row tuples; everything
+# else holds sparse rows, one {column: entry} dict of nonzeros per row
 # ---------------------------------------------------------------------------
 
 
@@ -363,9 +363,11 @@ def mat_identity(ring, n):
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
-def mat_zero(ring, rows, cols):
-    zero = ring.zero()
-    return tuple((zero,) * cols for _ in range(rows))
+def _nonzero_rows(ring, matrix):
+    """The sparse rows of a dense ``matrix``: its entries made canonical,
+    the nonzeros of each row as {column: entry}."""
+    reduce, zero = ring.reduce, ring.zero()
+    return [{j: y for j, x in enumerate(row) if (y := reduce(x)) != zero} for row in matrix]
 
 
 def _kronecker(ring, inner):
@@ -384,59 +386,40 @@ def _kronecker(ring, inner):
     return (1 << shift) - 1, offsets, [1 << k for k in offsets]
 
 
-def mat_mul(ring, a, b, cols=None):
-    """a * b.  ``cols`` is the width of b: a b without rows cannot show it,
-    so callers pass it where the inner dimension may be 0 (default: 0).
+def mat_mul(ring, a, b):
+    """a * b on sparse rows, as a list of sparse rows.
 
-    Row-sparse (Gustavson): the nonzeros of each row of b are listed once,
-    and each row of a accumulates only its nonzero products.  Products are
+    Row-sparse (Gustavson): each row of a accumulates the products of its
+    nonzeros with the nonzeros of the matching rows of b.  Products are
     summed as integers (over F_p[e]/(e^m), packed one coordinate per digit)
-    and each output entry is reduced once.  A zero output entry is the
-    shared ``zero``."""
-    rows = len(a)
-    inner = len(b)
-    if cols is None:
-        cols = len(b[0]) if inner else 0
-    if rows and len(a[0]) != inner:
-        raise ShapeError(f"cannot multiply {rows}x{len(a[0])} by {inner}x{cols}")
+    and each output entry is reduced once; entries that vanish are left
+    out."""
     zero = ring.zero()
     out = []
     if ring.kind != DUAL_CHAIN:
         reduce = ring.reduce
-        bnz = [[(j, y) for j, y in enumerate(brow) if y] for brow in b]
         for arow in a:
             acc = {}
-            for x, nz in zip(arow, bnz):
-                if x:
-                    for j, y in nz:
-                        acc[j] = acc.get(j, 0) + x * y
-            row = [zero] * cols
-            for j, s in acc.items():
-                s = reduce(s)
-                if s:
-                    row[j] = s
-            out.append(tuple(row))
-    else:
-        p = ring.p
-        mask, offsets, weights = _kronecker(ring, inner)
-        bnz = [
-            [(j, sum(map(operator.mul, y, weights))) for j, y in enumerate(brow) if y != zero]
-            for brow in b
-        ]
-        for arow in a:
-            acc = {}
-            for x, nz in zip(arow, bnz):
-                if nz and x != zero:
-                    x = sum(map(operator.mul, x, weights))
-                    for j, y in nz:
-                        acc[j] = acc.get(j, 0) + x * y
-            row = [zero] * cols
-            for j, s in acc.items():
-                s = tuple([(s >> k & mask) % p for k in offsets])
-                if s != zero:
-                    row[j] = s
-            out.append(tuple(row))
-    return tuple(out)
+            for k, x in arow.items():
+                for j, y in b[k].items():
+                    acc[j] = acc.get(j, 0) + x * y
+            out.append({j: z for j, t in acc.items() if (z := reduce(t)) != zero})
+        return out
+    p = ring.p
+    mask, offsets, weights = _kronecker(ring, len(b))
+    packed = [None] * len(b)
+    for arow in a:
+        acc = {}
+        for k, x in arow.items():
+            x = sum(map(operator.mul, x, weights))
+            if (bk := packed[k]) is None:
+                bk = packed[k] = [(j, sum(map(operator.mul, y, weights)))
+                                  for j, y in b[k].items()]
+            for j, y in bk:
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: z for j, t in acc.items()
+                    if (z := tuple([(t >> k & mask) % p for k in offsets])) != zero})
+    return out
 
 
 def mat_hstack(a, b):
@@ -447,23 +430,14 @@ def mat_hstack(a, b):
     return tuple(ra + rb for ra, rb in zip(a, b))
 
 
-def mat_add(ring, a, b):
-    add = ring.add
-    return tuple(tuple(add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_neg(ring, a):
-    neg = ring.neg
-    return tuple(tuple(neg(x) for x in row) for row in a)
-
-
-def change_basis(ring, left, a, right):
-    """left * a * right, where a None factor stands for the identity."""
+def change_basis(ring, left, rows, right):
+    """left * rows * right on sparse rows, where a None factor stands for
+    the identity."""
     if left is not None:
-        a = mat_mul(ring, left, a)
+        rows = mat_mul(ring, left, rows)
     if right is not None:
-        a = mat_mul(ring, a, right)
-    return a
+        rows = mat_mul(ring, rows, right)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -692,30 +666,26 @@ def invariant_factors(ring, matrix):
 
 
 def solve_linear(ring, a, b):
-    """One X with A*X = B over the ring, or None if no solution exists."""
+    """One X with A*X = B over the ring, as sparse rows (one per unknown),
+    or None if no solution exists."""
     rows = len(a)
     if len(b) != rows:
         raise ShapeError("solve_linear: row count mismatch")
     bcols = len(b[0]) if b else 0
     cols = len(a[0]) if rows else 0
     res = smith(ring, a, col_t=True, aug=b)
-    d, v, bb = res.d, res.col_transform, res.aug
-    zero = ring.zero()
-    z = [[zero] * bcols for _ in range(cols)]
+    d, bb = res.d, res.aug
+    z = [{} for _ in range(cols)]
     for i in range(rows):
         di = d[i] if i < len(d) else None
         for j in range(bcols):
             rhs = bb[i][j]
-            if di is None or ring.is_zero(di):
-                if not ring.is_zero(rhs):
-                    return None
-            else:
-                if not ring.divides(di, rhs):
-                    return None
-                z[i][j] = ring.divide(rhs, di)
-    if cols == 0:
-        return ()
-    return mat_mul(ring, v, tuple(tuple(r) for r in z))
+            if ring.is_zero(rhs):
+                continue
+            if di is None or ring.is_zero(di) or not ring.divides(di, rhs):
+                return None
+            z[i][j] = ring.divide(rhs, di)
+    return mat_mul(ring, _nonzero_rows(ring, res.col_transform), z)
 
 
 # ---------------------------------------------------------------------------
@@ -859,96 +829,136 @@ def _residue(ring, f):
     return lambda x: x[:f] + pad if any(x[f:]) else x
 
 
-def _reduce_torsion_rows(module, matrix):
-    """``matrix`` with the rows of ``module``'s torsion generators reduced
-    modulo their orders, once per distinct entry of the rows of each order;
-    the rows of free generators are kept as they are."""
-    ntors = module._ntorsion
+def _reduce_row(ring, f, row):
+    """A sparse ``row`` of a generator of order ``f`` (0: free) reduced
+    modulo that order, without its zero entries."""
+    zero = ring.zero()
+    if f == FREE:
+        return {j: x for j, x in row.items() if x != zero}
+    residue = _residue(ring, f)
+    return {j: y for j, x in row.items() if (y := residue(x)) != zero}
+
+
+def _reduce_torsion(codomain, rows):
+    """Sparse ``rows`` into ``codomain`` with the rows of its torsion
+    generators reduced modulo their orders; the rows of free generators are
+    kept as they are."""
+    ntors = codomain._ntorsion
     if not ntors:
-        return matrix
-    rows = list(matrix)
-    for f, group in groupby(range(ntors), module.factors.__getitem__):
-        group = list(group)
-        residue = _residue(module.ring, f)
-        image = {x: residue(x) for x in set().union(*map(rows.__getitem__, group))}
-        for i in group:
-            rows[i] = tuple(map(image.__getitem__, rows[i]))
-    return tuple(rows)
+        return rows
+    ring = codomain.ring
+    return [_reduce_row(ring, f, row) for f, row in zip(codomain.factors, rows[:ntors])] \
+        + rows[ntors:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Morphism:
     """Matrix morphism between presented modules.
 
-    ``matrix[i][j]`` is the coefficient of codomain generator i in the image
-    of domain generator j.  Entries are stored reduced modulo the codomain
-    generator orders.
+    ``rows`` holds the matrix: one {column: entry} dict of the nonzero
+    entries per codomain generator, where entry (i, j) is the coefficient of
+    codomain generator i in the image of domain generator j.  Entries are
+    canonical ring elements, reduced modulo the codomain generator orders,
+    and no row stores a zero.  ``matrix`` is the dense view, a tuple of row
+    tuples built on first read, for Smith's inputs and the public surface.
+    Two maps are equal, and hash equal, exactly when their domains,
+    codomains and entries agree.
 
-    Invariants are checked once, at the trust boundary.  ``Morphism(...)``
-    validates: it checks that both modules share the ring and that the shape
-    matches, reduces every entry, and verifies the congruence condition
-    making the map well defined on cyclic generators.  Instance parsing, the
-    constructors, the validators and every map read off a Smith normal form
-    (kernels, cokernels, images, solutions of linear systems and the
-    factorizations through limits and colimits) go through it.
+    Invariants are checked once, at the trust boundary.  ``Morphism(domain,
+    codomain, matrix)`` takes a dense matrix and validates: it checks that
+    both modules share the ring and that the shape matches, reduces every
+    entry, and verifies the congruence condition making the map well defined
+    on cyclic generators.  Instance parsing, the constructors, the
+    validators and every map read off a Smith normal form (kernels,
+    cokernels, images, solutions of linear systems, the factorizations
+    through limits and colimits, and the witnesses of a normalized direct
+    sum) go through these checks; the products of Smith's outputs enter them
+    as sparse rows (``_checked``).
 
-    Results that are valid whenever their operands are skip those checks:
-    ``identity``, ``zero``, ``compose``, ``+``, ``-``, ``scale``, tensor
-    products of morphisms (``tensor_morphisms`` and the components of
-    ``tensor_quiver_morphisms``, which also carry the coherence
-    isomorphisms between bracketings), base change along a ring extension
-    and the view of a target map over the source
-    (``RingExtension.base_change_morphism`` and
+    Results that are valid whenever their operands are skip those checks and
+    are written as sparse rows (``_trusted``): ``identity``, ``zero``,
+    ``compose``, ``+``, ``-``, ``scale``, tensor products of morphisms
+    (``tensor_morphisms`` and the components of ``tensor_quiver_morphisms``,
+    which also carry the coherence isomorphisms between bracketings), base
+    change along a ring extension and the view of a target map over the
+    source (``RingExtension.base_change_morphism`` and
     ``view_morphism_over_source``), the block witnesses of a direct sum that
-    is a plain concatenation, and the difference maps of finite limits
-    (densified from their sparse rows, see ``_dense_delta``) and colimits.
-    Sums, products and composites of congruence-valid entries stay
-    congruence-valid and ring operations return canonical elements, so
-    these only reduce the rows of torsion generators (see ``_trusted``).
+    is a plain concatenation, and the difference maps and cones of finite
+    limits and colimits.  Sums, products and composites of congruence-valid
+    entries stay congruence-valid and ring operations return canonical
+    elements, so these only reduce the rows of torsion generators.
     """
 
     domain: Module
     codomain: Module
-    matrix: tuple
+    rows: list
+
+    def __init__(self, domain, codomain, matrix):
+        if domain.ring != codomain.ring:
+            raise RingMismatchError(f"{domain.ring} vs {codomain.ring}")
+        rows, cols = codomain.ngens, domain.ngens
+        if len(matrix) != rows or any(len(r) != cols for r in matrix):
+            raise ShapeError(f"matrix shape mismatch, expected {rows}x{cols}")
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "codomain", codomain)
+        object.__setattr__(self, "rows",
+                           _reduce_torsion(codomain, _nonzero_rows(domain.ring, matrix)))
+        self.__post_init__()
 
     def __post_init__(self):
-        if self.domain.ring != self.codomain.ring:
-            raise RingMismatchError(f"{self.domain.ring} vs {self.codomain.ring}")
-        rows, cols = self.codomain.ngens, self.domain.ngens
-        if len(self.matrix) != rows or any(len(r) != cols for r in self.matrix):
-            raise ShapeError(f"matrix shape mismatch, expected {rows}x{cols}")
-        ring = self.ring
-        reduced = _reduce_torsion_rows(
-            self.codomain, tuple(tuple(map(ring.reduce, row)) for row in self.matrix))
-        object.__setattr__(self, "matrix", reduced)
-        for j in range(cols):
-            od = self.domain.order_elt(j)
-            if ring.is_zero(od):
-                continue
-            for i in range(rows):
-                x = reduced[i][j]
-                if ring.is_zero(x):
-                    continue
-                if not ring.divides(self.codomain.order_elt(i), ring.mul(od, x)):
-                    raise ShapeError(
-                        f"entry ({i},{j}) = {x!r} not congruence-valid "
-                        f"({self.domain.factors[j]} -> {self.codomain.factors[i]})"
-                    )
+        """Check that every entry is congruence-valid: pi^a x vanishes in the
+        codomain for a domain generator of order pi^a (a over Z)."""
+        ntors = self.domain._ntorsion
+        if not ntors:
+            return
+        ring, source, target = self.ring, self.domain.order_elt, self.codomain.order_elt
+        bad = [(j, i, x) for i, row in enumerate(self.rows) for j, x in row.items()
+               if j < ntors and not ring.divides(target(i), ring.mul(source(j), x))]
+        if bad:
+            j, i, x = min(bad, key=lambda entry: entry[:2])
+            raise ShapeError(
+                f"entry ({i},{j}) = {x!r} not congruence-valid "
+                f"({self.domain.factors[j]} -> {self.codomain.factors[i]})")
 
     @staticmethod
-    def _trusted(domain, codomain, matrix):
-        """A morphism whose matrix is congruence-valid by construction.
+    def _checked(domain, codomain, rows):
+        """The morphism of sparse ``rows`` of canonical ring elements, of the
+        right shape and without zeros, with the constructor's check of its
+        entries."""
+        out = Morphism._trusted(domain, codomain, rows)
+        out.__post_init__()
+        return out
 
-        ``matrix`` must be a tuple of row tuples of the right shape holding
-        canonical ring elements.  Only the rows of torsion generators are
+    @staticmethod
+    def _trusted(domain, codomain, rows):
+        """A morphism whose sparse rows are congruence-valid by construction.
+
+        ``rows`` must be a list of the right shape holding canonical ring
+        elements and no zeros.  Only the rows of torsion generators are
         reduced, because products and sums over Z or a chain ring can leave
         them above the generator order; free rows are kept as they are.
         """
         out = object.__new__(Morphism)
         object.__setattr__(out, "domain", domain)
         object.__setattr__(out, "codomain", codomain)
-        object.__setattr__(out, "matrix", _reduce_torsion_rows(codomain, matrix))
+        object.__setattr__(out, "rows", _reduce_torsion(codomain, rows))
         return out
+
+    def __hash__(self):
+        return hash((self.domain, self.codomain,
+                     tuple(frozenset(row.items()) for row in self.rows)))
+
+    @cached_property
+    def matrix(self):
+        """The dense matrix, a tuple of row tuples, built on first read."""
+        zero, width = self.ring.zero(), self.domain.ngens
+        out = []
+        for row in self.rows:
+            line = [zero] * width
+            for j, x in row.items():
+                line[j] = x
+            out.append(tuple(line))
+        return tuple(out)
 
     @property
     def ring(self):
@@ -956,44 +966,54 @@ class Morphism:
 
     @staticmethod
     def identity(module):
-        return Morphism._trusted(module, module, mat_identity(module.ring, module.ngens))
+        one = module.ring.one()
+        return Morphism._trusted(module, module, [{i: one} for i in range(module.ngens)])
 
     @staticmethod
     def zero(domain, codomain):
-        return Morphism._trusted(domain, codomain,
-                                 mat_zero(domain.ring, codomain.ngens, domain.ngens))
+        return Morphism._trusted(domain, codomain, [{} for _ in range(codomain.ngens)])
 
     def compose(self, other):
         """self o other."""
         if other.codomain != self.domain:
             raise ShapeError("composition mismatch")
         return Morphism._trusted(other.domain, self.codomain,
-                                 mat_mul(self.ring, self.matrix, other.matrix,
-                                         other.domain.ngens))
+                                 mat_mul(self.ring, self.rows, other.rows))
 
     def __add__(self, other):
         if self.domain != other.domain or self.codomain != other.codomain:
             raise ShapeError("morphism sum mismatch")
-        return Morphism._trusted(self.domain, self.codomain,
-                                 mat_add(self.ring, self.matrix, other.matrix))
+        return self._sum(other.rows)
 
     def __sub__(self, other):
         if self.domain != other.domain or self.codomain != other.codomain:
             raise ShapeError("morphism difference mismatch")
-        return Morphism._trusted(self.domain, self.codomain,
-                                 mat_add(self.ring, self.matrix, mat_neg(self.ring, other.matrix)))
+        neg = self.ring.neg
+        return self._sum([{j: neg(x) for j, x in row.items()} for row in other.rows])
+
+    def _sum(self, rows):
+        add, zero = self.ring.add, self.ring.zero()
+        out = []
+        for mine, theirs in zip(self.rows, rows):
+            row = dict(mine)
+            for j, x in theirs.items():
+                if j not in row:
+                    row[j] = x
+                elif (s := add(row[j], x)) != zero:
+                    row[j] = s
+                else:
+                    del row[j]
+            out.append(row)
+        return Morphism._trusted(self.domain, self.codomain, out)
 
     def scale(self, c):
-        mul = self.ring.mul
-        return Morphism._trusted(
-            self.domain, self.codomain,
-            tuple(tuple(mul(c, x) for x in row) for row in self.matrix),
-        )
+        mul, zero = self.ring.mul, self.ring.zero()
+        return Morphism._trusted(self.domain, self.codomain, [
+            {j: y for j, x in row.items() if (y := mul(c, x)) != zero} for row in self.rows])
 
     @property
     def is_zero_map(self):
-        z = self.ring.is_zero
-        return all(z(x) for row in self.matrix for x in row)
+        return not any(self.rows)
 
 
 def _diagonal_factors(ring, d, n):
@@ -1013,21 +1033,23 @@ def _diagonal_factors(ring, d, n):
             factors.append(abs(di) if ring.kind == INTEGERS else ring.valuation(di))
         kept.append(i)
     order = sorted(range(len(factors)), key=lambda k: _factor_sort_key(factors[k]))
-    return [kept[k] for k in order], Module(ring, tuple(factors[k] for k in order))
+    module = Module(ring, tuple(factors[k] for k in order)) if factors else Module.zero(ring)
+    return [kept[k] for k in order], module
 
 
 def _presentation(ring, ngens, relations):
     """Normal form of the module <ngens | relations> with witnessing isos.
 
-    Returns (module, to_norm, from_norm): to_norm maps raw generator
-    coordinates to normal-form coordinates, from_norm is a section of it.
+    Returns (module, to_norm, from_norm), the isos as sparse rows: to_norm
+    maps raw generator coordinates to normal-form coordinates, from_norm is
+    a section of it.
     """
     if ngens == 0:
-        return Module.zero(ring), (), ()
+        return Module.zero(ring), [], []
     res = smith(ring, relations, left=True, row_t=True)
     kept, module = _diagonal_factors(ring, res.d, ngens)
-    to_norm = tuple(res.row_transform[i] for i in kept)
-    from_norm = tuple(tuple(row[k] for k in kept) for row in res.left)
+    to_norm = _nonzero_rows(ring, [res.row_transform[i] for i in kept])
+    from_norm = _nonzero_rows(ring, [[row[k] for k in kept] for row in res.left])
     return module, to_norm, from_norm
 
 
@@ -1039,6 +1061,8 @@ def normalize_orders(ring, raw_factors):
     from_norm) like :func:`_presentation`, except that both transforms are
     None when the raw generators already are the normal form.
     """
+    if not raw_factors:
+        return Module.zero(ring), None, None
     n = len(raw_factors)
     canonical = [_canonical_factor(ring, f) for f in raw_factors]
     if any(c is None for c in canonical):
@@ -1055,15 +1079,11 @@ def normalize_orders(ring, raw_factors):
         torsion = [f for f in sorted_f if f != FREE]
         ok = all(b % a == 0 for a, b in zip(torsion, torsion[1:]))
     if ok:
-        module = Module(ring, tuple(sorted_f))
-        zero, one = ring.zero(), ring.one()
-        to_norm = tuple(
-            tuple(one if j == order[r] else zero for j in range(n)) for r in range(n)
-        )
-        from_norm = tuple(
-            tuple(one if order[r] == i else zero for r in range(n)) for i in range(n)
-        )
-        return module, to_norm, from_norm
+        one = ring.one()
+        from_norm = [None] * n
+        for r, i in enumerate(order):
+            from_norm[i] = {r: one}
+        return Module(ring, tuple(sorted_f)), [{i: one} for i in order], from_norm
     rel_cols = []
     for i, f in enumerate(canonical):
         if f != FREE:
@@ -1077,13 +1097,14 @@ def normalize_orders(ring, raw_factors):
 @dataclass(frozen=True)
 class DirectSum:
     """Biproduct of ``summands``; ``to_norm``/``from_norm`` change basis
-    between the concatenated generators and ``module`` (None: identity).
-    The injection and projection witnesses are built on first read."""
+    between the concatenated generators and ``module``, as sparse rows
+    (None: identity).  The injection and projection witnesses are built on
+    first read."""
 
     module: Module
     summands: tuple
-    to_norm: tuple | None
-    from_norm: tuple | None
+    to_norm: list | None
+    from_norm: list | None
 
     def _blocks(self):
         starts, _ = _block_starts(self.summands)
@@ -1093,24 +1114,24 @@ class DirectSum:
     def injections(self):
         module, to_n = self.module, self.to_norm
         if to_n is not None:
-            return tuple(Morphism(m, module, tuple(row[start:start + m.ngens] for row in to_n))
-                         for start, m in self._blocks())
+            return tuple(Morphism._checked(m, module, [
+                {j - start: x for j, x in row.items() if start <= j < start + m.ngens}
+                for row in to_n]) for start, m in self._blocks())
         # concatenation already canonical: block unit witnesses
-        zero, one = module.ring.zero(), module.ring.one()
-        return tuple(Morphism._trusted(m, module, tuple(
-            tuple(one if r == start + c else zero for c in range(m.ngens))
-            for r in range(module.ngens))) for start, m in self._blocks())
+        one = module.ring.one()
+        return tuple(Morphism._trusted(m, module, [
+            {r - start: one} if start <= r < start + m.ngens else {}
+            for r in range(module.ngens)]) for start, m in self._blocks())
 
     @cached_property
     def projections(self):
         module, from_n = self.module, self.from_norm
         if from_n is not None:
-            return tuple(Morphism(module, m, from_n[start:start + m.ngens])
+            return tuple(Morphism._checked(module, m, from_n[start:start + m.ngens])
                          for start, m in self._blocks())
-        zero, one = module.ring.zero(), module.ring.one()
-        return tuple(Morphism._trusted(module, m, tuple(
-            tuple(one if start + r == c else zero for c in range(module.ngens))
-            for r in range(m.ngens))) for start, m in self._blocks())
+        one = module.ring.one()
+        return tuple(Morphism._trusted(module, m, [{start + r: one} for r in range(m.ngens)])
+                     for start, m in self._blocks())
 
 
 def direct_sum(ring, modules):
@@ -1272,7 +1293,7 @@ def kernel_data(f):
     else:
         rel_k = ()
     ker, _, from_k = _presentation(ring, r, rel_k)
-    incl = Morphism(ker, m, mat_mul(ring, k0, from_k) if r else mat_zero(ring, s, 0))
+    incl = Morphism._checked(ker, m, mat_mul(ring, _nonzero_rows(ring, k0), from_k))
     return ker, incl, k0
 
 
@@ -1296,8 +1317,7 @@ def _image_data(f, k0):
     s, t = f.domain.ngens, f.codomain.ngens
     rel_im = mat_identity(ring, s) if t == 0 else k0
     img, _, from_i = _presentation(ring, s, rel_im)
-    return img, Morphism(img, f.codomain, mat_mul(ring, f.matrix, from_i) if s and t
-                         else mat_zero(ring, t, img.ngens))
+    return img, Morphism._checked(img, f.codomain, mat_mul(ring, f.rows, from_i))
 
 
 def analyze(f):
@@ -1326,22 +1346,6 @@ def _prime_powers(e):
             return None
         parts.append((e, 1))
     return parts
-
-
-def _nonzero_rows(ring, matrix):
-    """The nonzero entries of each row of ``matrix`` as {column: entry}."""
-    zero = ring.zero()
-    return [{j: x for j, x in enumerate(row) if x != zero} for row in matrix]
-
-
-def _reduce_row(ring, f, row):
-    """A sparse ``row`` of a generator of order ``f`` (0: free) reduced
-    modulo that order, without its zero entries."""
-    zero = ring.zero()
-    if f == FREE:
-        return {j: x for j, x in row.items() if x != zero}
-    residue = _residue(ring, f)
-    return {j: y for j, x in row.items() if (y := residue(x)) != zero}
 
 
 def _order_rows(ring, rows, orders, width, local=None):
@@ -1533,17 +1537,18 @@ def _cokernel_of_rows(ring, rows, orders, width):
         exponents.append((p, sorted([v for v in vals if v] + [k] * (n - len(vals)),
                                     reverse=True)))
     if ring.kind != INTEGERS:
-        return Module(ring, tuple(FREE if k == m else k for k in reversed(exponents[0][1])))
-    length = max(len(e) for _, e in exponents)
-    return Module(ring, tuple(prod(p ** e[i] for p, e in exponents if i < len(e))
-                              for i in reversed(range(length))))
+        factors = tuple(FREE if k == m else k for k in reversed(exponents[0][1]))
+    else:
+        length = max(len(e) for _, e in exponents)
+        factors = tuple(prod(p ** e[i] for p, e in exponents if i < len(e))
+                        for i in reversed(range(length)))
+    return Module(ring, factors) if factors else Module.zero(ring)
 
 
 def cokernel_module(f):
     """Invariant factors of coker(f), without a transform
     (:func:`_cokernel_of_rows` on the nonzeros of f)."""
-    return _cokernel_of_rows(f.ring, _nonzero_rows(f.ring, f.matrix), f.codomain.factors,
-                             f.domain.ngens)
+    return _cokernel_of_rows(f.ring, f.rows, f.codomain.factors, f.domain.ngens)
 
 
 # ---------------------------------------------------------------------------
@@ -1597,8 +1602,8 @@ def tensor(m, n):
 
 def tensor_morphisms(f, g):
     """f (x) g with respect to the canonical tensor normal forms.  Each raw
-    row is built from the products of the nonzeros of one row of f and one
-    row of g; a product on a pair with trivial tensor order is skipped."""
+    row holds the products of the nonzeros of one row of f and one row of
+    g; a product on a pair with trivial tensor order is skipped."""
     if f.ring != g.ring:
         raise RingMismatchError(f"{f.ring} vs {g.ring}")
     ring = f.ring
@@ -1607,19 +1612,16 @@ def tensor_morphisms(f, g):
     if not dpairs or not cpairs:
         return Morphism.zero(dom, cod)
     zero, mul, column = ring.zero(), ring.mul, dpairs.get
-    gnz = [[(j, y) for j, y in enumerate(row) if y != zero] for row in g.matrix]
-    width = len(dpairs)
     raw = []
     for ic, jc in cpairs:
-        row = [zero] * width
-        if grow := gnz[jc]:
-            for idx, x in enumerate(f.matrix[ic]):
-                if x != zero:
-                    for jdx, y in grow:
-                        if (c := column((idx, jdx))) is not None and (z := mul(x, y)) != zero:
-                            row[c] = z
-        raw.append(tuple(row))
-    return Morphism._trusted(dom, cod, change_basis(ring, cto, tuple(raw), dfrom))
+        row = {}
+        if grow := g.rows[jc]:
+            for idx, x in f.rows[ic].items():
+                for jdx, y in grow.items():
+                    if (c := column((idx, jdx))) is not None and (z := mul(x, y)) != zero:
+                        row[c] = z
+        raw.append(row)
+    return Morphism._trusted(dom, cod, change_basis(ring, cto, raw, dfrom))
 
 
 # ---------------------------------------------------------------------------
@@ -1681,6 +1683,8 @@ class RingExtension:
     def base_change(self, module):
         if module.ring != self.source:
             raise RingMismatchError(f"module over {module.ring}, extension from {self.source}")
+        if module.is_zero:
+            return Module.zero(self.target)
         return Module(self.target, tuple(self.base_change_factor(f) for f in module.factors))
 
     def base_change_morphism(self, f):
@@ -1689,7 +1693,8 @@ class RingExtension:
         target's nilpotency, so pi^b | pi^a x survives it."""
         dom = self.base_change(f.domain)
         cod = self.base_change(f.codomain)
-        return Morphism._trusted(dom, cod, _entrywise(self.reduce_element, f.matrix))
+        return Morphism._trusted(dom, cod, _entrywise(self.reduce_element, f.rows,
+                                                      self.target.zero()))
 
     def kernel_as_target_module(self):
         """I = Ker(theta) as a k-module (requires I^2 = 0)."""
@@ -1709,9 +1714,10 @@ class RingExtension:
         """
         if module.ring != self.target:
             raise RingMismatchError("view_module_over_source expects a target module")
+        if module.is_zero:
+            return Module.zero(self.source)
         mt = self.target_nilpotency
-        factors = tuple(mt if f == FREE else f for f in module.factors)
-        return Module(self.source, factors)
+        return Module(self.source, tuple(mt if f == FREE else f for f in module.factors))
 
     def view_morphism_over_source(self, f):
         """A k-linear f regarded as an R-linear map, by lifted entries.
@@ -1720,7 +1726,8 @@ class RingExtension:
         pi^b | pi^a x in k lifts to R."""
         dom = self.view_module_over_source(f.domain)
         cod = self.view_module_over_source(f.codomain)
-        return Morphism._trusted(dom, cod, _entrywise(self.lift_element, f.matrix))
+        return Morphism._trusted(dom, cod, _entrywise(self.lift_element, f.rows,
+                                                      self.source.zero()))
 
     def small_factorization(self):
         """theta as a chain of small extensions, outermost source first."""
@@ -1738,11 +1745,10 @@ class RingExtension:
         return tuple(steps)
 
 
-def _entrywise(fn, matrix):
-    """``fn`` applied to every entry of ``matrix``, once per distinct entry
-    (a map's entries repeat: most are zero)."""
-    image = {x: fn(x) for x in set().union(*matrix)}
-    return tuple(tuple(map(image.__getitem__, row)) for row in matrix)
+def _entrywise(fn, rows, zero):
+    """``fn`` applied to the nonzeros of sparse ``rows``, leaving out the
+    entries it sends to ``zero``."""
+    return [{j: y for j, x in row.items() if (y := fn(x)) != zero} for row in rows]
 
 
 def base_change(extension, module):
@@ -1859,32 +1865,19 @@ def _forest_paths(ring, nodes, arrows, tree, order, reverse=False):
         if a is None:
             continue
         src, tgt, f = arrows[a]
-        rows = _nonzero_rows(ring, f.matrix)
+        rows = f.rows
         s = tgt if reverse else src
         r = root[s]
         if path[s] is not None:
             if reverse:
-                rows, orders = _row_products(ring, path[s], rows), nodes[r].factors
+                rows, node = mat_mul(ring, path[s], rows), nodes[r]
             else:
-                rows, orders = _row_products(ring, rows, path[s]), nodes[t].factors
+                rows, node = mat_mul(ring, rows, path[s]), nodes[t]
             # the products hold no zeros; only torsion rows need reducing
-            rows = [row if o == FREE else _reduce_row(ring, o, row)
-                    for row, o in zip(rows, orders)]
+            rows = _reduce_torsion(node, rows)
         path[t] = rows
         root[t] = r
     return root, path
-
-
-def _densify(ring, rows, width):
-    """The dense matrix of sparse ``rows`` with ``width`` columns."""
-    zero = ring.zero()
-    out = []
-    for row in rows:
-        line = [zero] * width
-        for j, x in row.items():
-            line[j] = x
-        out.append(tuple(line))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -1902,7 +1895,7 @@ class _LimitEquations:
     generator's order; ``free_orders`` and ``target_orders`` are the raw
     orders of the generators of F and of T.  The composites are sparse rows
     (see :func:`_forest_paths`).  The normal forms, ``free_sum`` and the
-    dense ``delta`` between them, are built on first read.
+    morphism ``delta`` between them, are built on first read.
     """
 
     ring: Ring
@@ -1921,34 +1914,7 @@ class _LimitEquations:
 
     @cached_property
     def delta(self):
-        return _dense_delta(self)
-
-
-def _row_products(ring, a, b):
-    """The rows of a * b for sparse rows ``a`` and ``b`` (one {column:
-    entry} dict of nonzeros per row), as sparse rows of canonical entries.
-    The arithmetic is that of :func:`mat_mul`."""
-    zero = ring.zero()
-    if ring.kind != DUAL_CHAIN:
-        reduce = ring.reduce
-        for arow in a:
-            acc = {}
-            for k, x in arow.items():
-                for j, y in b[k].items():
-                    acc[j] = acc.get(j, 0) + x * y
-            yield {j: z for j, t in acc.items() if (z := reduce(t)) != zero}
-        return
-    p = ring.p
-    mask, offsets, weights = _kronecker(ring, len(b))
-    packed = [{j: sum(map(operator.mul, y, weights)) for j, y in row.items()} for row in b]
-    for arow in a:
-        acc = {}
-        for k, x in arow.items():
-            x = sum(map(operator.mul, x, weights))
-            for j, y in packed[k].items():
-                acc[j] = acc.get(j, 0) + x * y
-        yield {j: z for j, t in acc.items()
-               if (z := tuple([(t >> k & mask) % p for k in offsets])) != zero}
+        return _delta_map(self)
 
 
 def _limit_equations(diagram):
@@ -1988,9 +1954,9 @@ def _limit_equations(diagram):
         return minus_paths[t]
 
     for src, tgt, f in equations:
-        lhs = _nonzero_rows(ring, f.matrix)
+        lhs = f.rows
         if path[src] is not None:
-            lhs = _row_products(ring, lhs, path[src])
+            lhs = mat_mul(ring, lhs, path[src])
         c0 = at[root[src]]
         for row, minus, o in zip(lhs, minus_path(tgt), nodes[tgt].factors):
             row = {c0 + c: x for c, x in row.items()}
@@ -2000,14 +1966,13 @@ def _limit_equations(diagram):
     return eq
 
 
-def _dense_delta(eq):
+def _delta_map(eq):
     """The difference map of ``eq`` as a morphism between the normal forms
-    of F and T, densified from its rows."""
+    of F and T."""
     ring = eq.ring
-    raw = _densify(ring, eq.rows, len(eq.free_orders))
     target, to_norm, _ = normalize_orders(ring, eq.target_orders)
     return Morphism._trusted(eq.free_sum.module, target,
-                             change_basis(ring, to_norm, raw, eq.free_sum.from_norm))
+                             change_basis(ring, to_norm, eq.rows, eq.free_sum.from_norm))
 
 
 def finite_limit(diagram):
@@ -2024,16 +1989,13 @@ def finite_limit(diagram):
     eq = _limit_equations(diagram)
     root, path, at = eq.root, eq.path, eq.at
     kernel, incl, _ = kernel_data(eq.delta)
-    k = kernel.ngens
-    into_free = (incl.matrix if eq.free_sum.from_norm is None
-                 else mat_mul(ring, eq.free_sum.from_norm, incl.matrix, k))
-    sparse = _nonzero_rows(ring, into_free)
+    into_free = change_basis(ring, eq.free_sum.from_norm, incl.rows, None)
     cone = []
     for t, node in enumerate(nodes):
         r = root[t]
-        rows = slice(at[r], at[r] + nodes[r].ngens)
-        block = (into_free[rows] if path[t] is None
-                 else _densify(ring, _row_products(ring, path[t], sparse[rows]), k))
+        block = into_free[at[r]:at[r] + nodes[r].ngens]
+        if path[t] is not None:
+            block = mat_mul(ring, path[t], block)
         cone.append(Morphism._trusted(kernel, node, block))
     return LimitResult(kernel, tuple(cone), incl, eq)
 
@@ -2057,39 +2019,44 @@ def finite_colimit(diagram):
     at = dict(zip(free, starts))
     relations = [(src, tgt, f) for a, (src, tgt, f) in enumerate(arrows) if tree[src] != a]
     sources = [nodes[src] for src, _, _ in relations]
-    arrow_at, width = _block_starts(sources)
+    arrow_at, _ = _block_starts(sources)
     arr_mod, _, arr_from = normalize_orders(ring, [f for m in sources for f in m.factors])
-    zero, sub = ring.zero(), ring.sub
-    raw = [[zero] * width for _ in range(height)]
+    zero, one, sub = ring.zero(), ring.one(), ring.sub
+    raw = [{} for _ in range(height)]
     for c0, (src, tgt, f) in zip(arrow_at, relations):
-        rhs = _nonzero_rows(ring, f.matrix)
+        rhs = f.rows
         if path[tgt] is not None:
-            rhs = _row_products(ring, path[tgt], rhs)
+            rhs = mat_mul(ring, path[tgt], rhs)
         for k, row in enumerate(rhs, at[root[tgt]]):
             line = raw[k]
             for c, x in row.items():
                 line[c0 + c] = x
         p_src = path[src]
         if p_src is None:
-            p_src = [{k: ring.one()} for k in range(nodes[src].ngens)]
+            p_src = [{k: one} for k in range(nodes[src].ngens)]
         for k, row in enumerate(p_src, at[root[src]]):
             line = raw[k]
             for c, x in row.items():
-                line[c0 + c] = sub(line[c0 + c], x)
-    delta = Morphism._trusted(
-        arr_mod, free_sum.module,
-        change_basis(ring, free_sum.to_norm, tuple(map(tuple, raw)), arr_from))
+                if (y := sub(line.get(c0 + c, zero), x)) != zero:
+                    line[c0 + c] = y
+                else:
+                    del line[c0 + c]
+    delta = Morphism._trusted(arr_mod, free_sum.module,
+                              change_basis(ring, free_sum.to_norm, raw, arr_from))
     coker, proj = cokernel_data(delta)
-    from_free = (proj.matrix if free_sum.to_norm is None
-                 else mat_mul(ring, proj.matrix, free_sum.to_norm, height))
+    from_free = change_basis(ring, None, proj.rows, free_sum.to_norm)
+    # the columns of each free node's block, renumbered from 0
+    blocks = {r: [{} for _ in from_free] for r in free}
+    owner = [(r, c - at[r]) for r in free for c in range(at[r], at[r] + nodes[r].ngens)]
+    for i, row in enumerate(from_free):
+        for c, x in row.items():
+            r, j = owner[c]
+            blocks[r][i][j] = x
     cocone = []
     for s, node in enumerate(nodes):
-        r = root[s]
-        c0 = at[r]
-        block = tuple(row[c0:c0 + nodes[r].ngens] for row in from_free)
+        block = blocks[root[s]]
         if path[s] is not None:
-            block = _densify(ring, _row_products(ring, _nonzero_rows(ring, block), path[s]),
-                             node.ngens)
+            block = mat_mul(ring, block, path[s])
         cocone.append(Morphism._trusted(node, coker, block))
     return ColimitResult(coker, tuple(cocone), proj, free_sum, tuple(free))
 
@@ -2106,8 +2073,8 @@ def factor_through_mono(inclusion, given):
     x = solve_linear(ring, amat, given.matrix)
     if x is None:
         raise ShapeError("map does not factor through the inclusion")
-    u = Morphism(given.domain, inclusion.domain, tuple(x[: inclusion.domain.ngens]))
-    if inclusion.compose(u).matrix != given.matrix:
+    u = Morphism._checked(given.domain, inclusion.domain, x[:inclusion.domain.ngens])
+    if inclusion.compose(u) != given:
         raise ShapeError("mono factorization verification failed")
     return u
 
@@ -2130,9 +2097,9 @@ def factor_through_epi(projection, given):
     if x is None:
         raise ShapeError("factor_through_epi: the projection is not surjective")
     n = projection.domain.ngens
-    section = x[:n] if mid.ngens else ((),) * n
-    u = Morphism(mid, given.codomain, mat_mul(ring, given.matrix, section, mid.ngens))
-    if u.compose(projection).matrix != given.matrix:
+    section = x[:n] if mid.ngens else [{} for _ in range(n)]
+    u = Morphism._checked(mid, given.codomain, mat_mul(ring, given.rows, section))
+    if u.compose(projection) != given:
         raise ShapeError("map does not factor through the projection")
     return u
 
@@ -2151,17 +2118,16 @@ def _cone_on_forest(eq, legs, domain):
         if leg.domain != domain or leg.codomain != node:
             raise ShapeError(f"leg {i} is not a map from the domain to node {i}")
     ring = domain.ring
-    s = _nonzero_rows(ring, [row for i in eq.free for row in legs[i].matrix])
-    for row, f in zip(_row_products(ring, eq.rows, s), eq.target_orders):
+    s = [row for i in eq.free for row in legs[i].rows]
+    for row, f in zip(mat_mul(ring, eq.rows, s), eq.target_orders):
         if _reduce_row(ring, f, row):
             raise ShapeError("map does not factor through the inclusion")
     for t, leg in enumerate(legs):
         if eq.path[t] is None:
             continue
         r = eq.root[t]
-        composite = _row_products(ring, eq.path[t], s[eq.at[r]:eq.at[r] + nodes[r].ngens])
-        if [_reduce_row(ring, f, row) for row, f in zip(composite, nodes[t].factors)] \
-                != _nonzero_rows(ring, leg.matrix):
+        composite = mat_mul(ring, eq.path[t], s[eq.at[r]:eq.at[r] + nodes[r].ngens])
+        if _reduce_torsion(nodes[t], composite) != leg.rows:
             raise ShapeError("limit factorization verification failed")
     return s
 
@@ -2169,10 +2135,9 @@ def _cone_on_forest(eq, legs, domain):
 def _free_legs(eq, s, domain):
     """The map domain -> F, on the normal form of F, whose rows on F's
     concatenated generators are the sparse ``s``."""
-    ring = domain.ring
-    rows = _densify(ring, s, domain.ngens)
     free_sum = eq.free_sum
-    return Morphism(domain, free_sum.module, change_basis(ring, free_sum.to_norm, rows, None))
+    return Morphism._checked(domain, free_sum.module,
+                             change_basis(domain.ring, free_sum.to_norm, s, None))
 
 
 def factor_through_limit(limit, legs, domain):
@@ -2224,7 +2189,7 @@ def _counted_cone(diagram, legs, domain):
 
 
 def _witness(eq, s, domain):
-    """s as a map into the kernel of the dense delta, as on
+    """s as a map into the kernel of the morphism delta, as on
     :func:`finite_limit`."""
     return factor_through_mono(kernel_data(eq.delta)[1], _free_legs(eq, s, domain))
 
@@ -2269,13 +2234,17 @@ def factor_through_colimit(colimit, legs, codomain):
         if leg.domain != coc.domain or leg.codomain != codomain:
             raise ShapeError(f"leg {i} is not a map from node {i} to the codomain")
     ds = colimit.nodes_sum
-    rows = tuple(tuple(x for i in colimit.free for x in legs[i].matrix[r])
-                 for r in range(codomain.ngens))
-    stacked = Morphism(ds.module, codomain,
-                       change_basis(colimit.module.ring, None, rows, ds.from_norm))
+    starts, _ = _block_starts(ds.summands)
+    rows = [{} for _ in range(codomain.ngens)]
+    for c0, i in zip(starts, colimit.free):
+        for row, leg_row in zip(rows, legs[i].rows):
+            for c, x in leg_row.items():
+                row[c0 + c] = x
+    stacked = Morphism._checked(ds.module, codomain,
+                                change_basis(codomain.ring, None, rows, ds.from_norm))
     u = factor_through_epi(colimit.projection, stacked)
     for coc, leg in zip(colimit.cocone, legs):
-        if u.compose(coc).matrix != leg.matrix:
+        if u.compose(coc) != leg:
             raise ShapeError("colimit factorization verification failed")
     return u
 

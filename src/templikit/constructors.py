@@ -633,6 +633,7 @@ def _deform_mu11(k, x, idx, column):
     the carried correction.
     """
     ring, vertices = x.ring, x.vertices
+    zero = ring.zero()
     carried = {(1, 1): {idx: column}}
     for n in range(3, x.max_level + 1):
         for s in range(len(k.simplices[n])):
@@ -649,9 +650,9 @@ def _deform_mu11(k, x, idx, column):
                 parts = ((x.degeneracy(kk - 1, i), QuiverMorphism.identity(x.level_quiver(ll)))
                          if i < kk else
                          (QuiverMorphism.identity(x.level_quiver(kk)), x.degeneracy(ll - 1, i - kk)))
-                step = tensor_quiver_morphisms(ring, vertices, parts).comp(a, b).matrix
-                carried.setdefault((kk, ll), {})[s] = tuple(
-                    row[0] for row in mat_mul(ring, step, tuple((v,) for v in prev)))
+                step = tensor_quiver_morphisms(ring, vertices, parts).comp(a, b).rows
+                column = mat_mul(ring, step, [{0: v} if v != zero else {} for v in prev])
+                carried.setdefault((kk, ll), {})[s] = tuple(row.get(0, zero) for row in column)
 
     comults = dict(x.comults)
     for (kk, ll), cols in carried.items():

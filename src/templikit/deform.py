@@ -27,7 +27,6 @@ from .coeff import (
     factor_through_mono,
     image_equals_kernel,
     limit_is_iso,
-    mat_identity,
     tensor,
     tensor_morphisms,
 )
@@ -227,11 +226,9 @@ class NecklicialExtension:
         proj = dict(self.projections)
         for f, act in self.total.actions:
             t, u = f.source, f.target
-            if incl[t].compose(self.sub.action(f)).matrix != \
-                    act.compose(incl[u]).matrix:
+            if incl[t].compose(self.sub.action(f)) != act.compose(incl[u]):
                 raise ShapeError(f"inclusion not natural at {f}")
-            if self.quotient.action(f).compose(proj[u]).matrix != \
-                    proj[t].compose(act).matrix:
+            if self.quotient.action(f).compose(proj[u]) != proj[t].compose(act):
                 raise ShapeError(f"projection not natural at {f}")
         return True
 
@@ -239,7 +236,7 @@ class NecklicialExtension:
 def extension_sequence(theta, ybar):
     """0 -> I.Ybar -> Ybar -> k (x) Ybar -> 0 for a levelwise flat Ybar over R.
 
-    The sub and quotient terms reread the matrix of Ybar's action when one
+    The sub and quotient terms reread the rows of Ybar's action when one
     of their own actions is first asked for, so later checks evaluate only
     the maps they read.  The sub term is identified with the ideal tensor
     of the special fiber: invariant factors are compared at every necklace
@@ -261,6 +258,7 @@ def extension_sequence(theta, ybar):
     e_i = ring.m - mt
     pi_mt = ring.reduce(ring.p ** mt) if ring.kind == "chain" else ring.reduce(
         tuple(1 if t == mt else 0 for t in range(ring.m)))
+    one = ring.one()
 
     sub_values = {}
     quot_values = {}
@@ -272,18 +270,15 @@ def extension_sequence(theta, ybar):
         r = mod.ngens
         sub_values[t] = Module(ring, (e_i,) * r)
         quot_values[t] = theta.view_module_over_source(theta.base_change(mod))
-        scale = tuple(
-            tuple(pi_mt if i == j else ring.zero() for j in range(r)) for i in range(r)
-        )
-        inclusions[t] = Morphism._trusted(sub_values[t], mod, scale)
-        projections[t] = Morphism._trusted(mod, quot_values[t], mat_identity(ring, r))
+        inclusions[t] = Morphism._trusted(sub_values[t], mod, [{i: pi_mt} for i in range(r)])
+        projections[t] = Morphism._trusted(mod, quot_values[t], [{i: one} for i in range(r)])
 
     def reread(values):
         # every value is a sum of copies of one cyclic module (R/pi^e_i for
         # the sub term, R/pi^mt for the quotient), so any matrix over R is
         # congruence-valid between them
         return lambda f: Morphism._trusted(values[f.target], values[f.source],
-                                           ybar.action(f).matrix)
+                                           ybar.action(f).rows)
 
     sub = NecklicialModule(ring, ybar.max_level, sub_values, reread(sub_values), ybar._maps)
     quotient = NecklicialModule(ring, ybar.max_level, quot_values, reread(quot_values),
@@ -302,7 +297,7 @@ def extension_sequence(theta, ybar):
                              f"{viewed.factors} != {sub_values[t].factors}")
     for f in necklace_generators(ybar.max_level):
         viewed = theta.view_morphism_over_source(ideal.action(f))
-        if viewed.matrix != sub.action(f).matrix:
+        if viewed != sub.action(f):
             raise ShapeError(f"ideal tensor comparison map not natural at {f}")
     return ext
 
@@ -452,7 +447,7 @@ def verify_wings_tensor(x, module, max_level=None):
     The diagnostics ask whether a map into a limit is an isomorphism with
     one :func:`coeff.limit_is_iso` call each, counted on the sparse rows of
     the limit's equations (over Z with a free node, on the kernel of the
-    difference map densified from them); only the truncated wings of Y
+    difference map built on them); only the truncated wings of Y
     and the wedge intersections, whose cones the pullback squares read, are
     built as limits.
     """
@@ -493,7 +488,7 @@ def verify_wings_tensor(x, module, max_level=None):
                     cospan, legs, p_mod = _wedge_square_maps(y, n, i, wings[(n, i)],
                                                              wings[(n, i - 1)])
                     b_to_c = cospan.arrows[1][2]
-                    commutes = legs[2].matrix == b_to_c.compose(legs[1]).matrix
+                    commutes = legs[2] == b_to_c.compose(legs[1])
                     diag_items.append(CheckItem(
                         (a, b, n, i, "wedge-square-commutes"), commutes))
                     ok = limit_is_iso(cospan, legs, p_mod)
@@ -593,11 +588,11 @@ def _three_by_three_report(theta, upper, lower, n_max, step_idx):
                 rho_nd = theta.view_morphism_over_source(u_nd).compose(
                     _reduction_morphism(theta, qbar.codomain))
                 # squares
-                sq1 = rho_n.compose(canbar).matrix == \
-                    theta.view_morphism_over_source(can_f).compose(rho_deg).matrix
+                sq1 = rho_n.compose(canbar) == \
+                    theta.view_morphism_over_source(can_f).compose(rho_deg)
                 items.append(CheckItem(tag + ("square-can",), sq1))
-                sq2 = rho_nd.compose(qbar).matrix == \
-                    theta.view_morphism_over_source(q_f).compose(rho_n).matrix
+                sq2 = rho_nd.compose(qbar) == \
+                    theta.view_morphism_over_source(q_f).compose(rho_n)
                 items.append(CheckItem(tag + ("square-q",), sq2))
                 # rows: each reduction is onto (entrywise reduction, then for
                 # deg the inverse w_deg and for nd u_nd, onto since
@@ -638,7 +633,8 @@ def _reduction_morphism(theta, module):
     Congruence-valid by construction: generator i of order pi^a goes to one
     of order pi^min(a, mt)."""
     target = theta.view_module_over_source(theta.base_change(module))
-    return Morphism._trusted(module, target, mat_identity(theta.source, module.ngens))
+    one = theta.source.one()
+    return Morphism._trusted(module, target, [{i: one} for i in range(module.ngens)])
 
 
 def _colimit_comparison(theta, colim_up, colim_lo):

@@ -209,16 +209,18 @@ class TensorLayout:
         return self._data[(a, c)][2]
 
     def to_norm(self, a, c):
-        """Raw -> normal change of basis; None when it is the identity."""
+        """Raw -> normal change of basis as sparse rows; None when it is the
+        identity."""
         return self._data[(a, c)][3]
 
     def from_norm(self, a, c):
-        """Normal -> raw change of basis; None when it is the identity."""
+        """Normal -> raw change of basis as sparse rows; None when it is the
+        identity."""
         return self._data[(a, c)][4]
 
     def normalize(self, a, c, raw, source):
-        """``raw``, a matrix from the raw generators of ``source`` at (a, c)
-        to this layout's, rewritten between the two normal forms."""
+        """``raw``, sparse rows from the raw generators of ``source`` at
+        (a, c) to this layout's, rewritten between the two normal forms."""
         return change_basis(self.ring, self.to_norm(a, c), raw, source.from_norm(a, c))
 
     def basis_column(self, a, c, path, gens):
@@ -227,11 +229,11 @@ class TensorLayout:
         if i is None:
             raise ShapeError(f"no raw generator {path},{gens} in hom ({a},{c})")
         to_n = self.to_norm(a, c)
+        ring = self.ring
         if to_n is None:
-            ring = self.ring
             return tuple((ring.one() if r == i else ring.zero(),)
                          for r in range(self.hom(a, c).ngens))
-        return tuple((row[i],) for row in to_n)
+        return tuple((row.get(i, ring.zero()),) for row in to_n)
 
 
 @lru_cache(maxsize=None)
@@ -290,8 +292,8 @@ def tensor_quiver_morphisms(ring, vertices, fs, sources=None, targets=None):
     coherence isomorphism that rebrackets or inserts units.
 
     Each factor is read on its items' raw generators (through their
-    ``from_norm``/``to_norm``).  The raw matrix at (a, c) is built from the
-    nonzero entries of these along each vertex path from a to c, each product
+    ``from_norm``/``to_norm``).  The raw rows at (a, c) hold the products of
+    the nonzero entries of these along each vertex path from a to c, each
     keyed by its flat raw generator; a product of nonzeros whose raw
     generator is absent (its fold order vanishes) is skipped."""
     sources = tuple(f.domain for f in fs) if sources is None else tuple(sources)
@@ -304,7 +306,7 @@ def tensor_quiver_morphisms(ring, vertices, fs, sources=None, targets=None):
     dom = tensor_layout(ring, vertices, tuple(a for s in sources for a in _atoms(s)))
     cod = tensor_layout(ring, vertices, tuple(a for t in targets for a in _atoms(t)))
     dleads, cleads = _leads(sources), _leads(targets)
-    zero, one, mul, is_zero = ring.zero(), ring.one(), ring.mul, ring.is_zero
+    zero, one, mul = ring.zero(), ring.one(), ring.mul
     nonzeros = {}
 
     def entries(i, u, v):
@@ -317,16 +319,13 @@ def tensor_quiver_morphisms(ring, vertices, fs, sources=None, targets=None):
                 nonzeros[key] = []
             else:
                 s, t = sources[i], targets[i]
-                matrix = change_basis(
+                rows = change_basis(
                     ring, t.from_norm(u, v) if isinstance(t, TensorLayout) else None,
-                    f.matrix, s.to_norm(u, v) if isinstance(s, TensorLayout) else None)
+                    f.rows, s.to_norm(u, v) if isinstance(s, TensorLayout) else None)
                 cp = _pieces(t, u, v, cleads[i])
                 dp = _pieces(s, u, v, dleads[i])
-                nonzeros[key] = [
-                    (cp[ci], dp[di], x)
-                    for ci, row in enumerate(matrix)
-                    for di, x in enumerate(row) if not is_zero(x)
-                ]
+                nonzeros[key] = [(cp[ci], dp[di], x)
+                                 for ci, row in enumerate(rows) for di, x in row.items()]
         return nonzeros[key]
 
     comps = {}
@@ -343,7 +342,7 @@ def tensor_quiver_morphisms(ring, vertices, fs, sources=None, targets=None):
                     for (cpm, cpg), (dpm, dpg), y in entries(i, u, v):
                         for cm, cg, dm, dg, x in partial:
                             z = mul(x, y)
-                            if not is_zero(z):
+                            if z != zero:
                                 step.append((cm + cpm, cg + cpg, dm + dpm, dg + dpg, z))
                     if step:
                         longer.setdefault(v, []).extend(step)
@@ -352,14 +351,13 @@ def tensor_quiver_morphisms(ring, vertices, fs, sources=None, targets=None):
             dmod, cmod = dom.hom(a, c), cod.hom(a, c)
             if dmod.is_zero or cmod.is_zero:
                 continue
-            rows = [[zero] * len(dom.raw_gens(a, c)) for _ in cod.raw_gens(a, c)]
+            rows = [{} for _ in cod.raw_gens(a, c)]
             for cm, cg, dm, dg, x in products:
                 ri = cod.raw_index(a, c, cm, cg)
                 di = dom.raw_index(a, c, dm, dg)
                 if ri is not None and di is not None:
                     rows[ri][di] = x
-            comps[(a, c)] = Morphism._trusted(
-                dmod, cmod, cod.normalize(a, c, tuple(map(tuple, rows)), dom))
+            comps[(a, c)] = Morphism._trusted(dmod, cmod, cod.normalize(a, c, rows, dom))
     return QuiverMorphism.build(dom.quiver, cod.quiver, comps)
 
 

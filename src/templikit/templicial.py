@@ -64,13 +64,11 @@ def _first_diff(lhs, rhs):
     """Human-readable location of the first differing matrix entry."""
     keys = sorted({k for k, _ in lhs.components} | {k for k, _ in rhs.components}, key=str)
     for a, b in keys:
-        ml, mr = lhs.comp(a, b).matrix, rhs.comp(a, b).matrix
-        if ml != mr:
-            for i, (rl, rr) in enumerate(zip(ml, mr)):
-                for j, (x, y) in enumerate(zip(rl, rr)):
-                    if x != y:
-                        return f"hom ({a},{b}) entry ({i},{j}): {x!r} != {y!r}"
-            return f"hom ({a},{b}): shape difference"
+        fl, fr = lhs.comp(a, b), rhs.comp(a, b)
+        if fl.rows != fr.rows or fl.rows and fl.domain.ngens != fr.domain.ngens:
+            diff = _first_morphism_diff(fl, fr)
+            sep = ": " if diff == "shape difference" else " "
+            return f"hom ({a},{b}){sep}{diff}"
     return "no difference"
 
 
@@ -558,10 +556,16 @@ def validate_necklicial(y):
 
 
 def _first_morphism_diff(lhs, rhs):
-    for i, (rl, rr) in enumerate(zip(lhs.matrix, rhs.matrix)):
-        for j, (xv, yv) in enumerate(zip(rl, rr)):
-            if xv != yv:
-                return f"entry ({i},{j}): {xv!r} != {yv!r}"
+    """The first entry, row by row, in which the matrices of two maps
+    differ, on the columns they share; else a shape difference."""
+    zero = lhs.ring.zero()
+    width = min(lhs.domain.ngens, rhs.domain.ngens)
+    for i, (rl, rr) in enumerate(zip(lhs.rows, rhs.rows)):
+        cols = [j for j in rl.keys() | rr.keys()
+                if j < width and rl.get(j, zero) != rr.get(j, zero)]
+        if cols:
+            j = min(cols)
+            return f"entry ({i},{j}): {rl.get(j, zero)!r} != {rr.get(j, zero)!r}"
     return "shape difference"
 
 

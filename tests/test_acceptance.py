@@ -258,6 +258,13 @@ def test_criterion_5_wings_horns_equivalence():
         negatives = [name for name, y in corpus
                      if not check_weak_kan(y, 2).passed]
         assert "paper-P-ac" in negatives and "free-boundary2-02" in negatives
+        # and on the larger horn and wings diagrams of a nerve at N = 5, a
+        # quasi-category: its 10 horns and 4 wings all lift
+        y5 = hom_necklicial(nerve(truncated_polynomial_category(
+            F3, (F3.from_int(1), F3.from_int(2))), 5), "*", "*")
+        kan, wings = check_weak_kan(y5, 5), check_lifts_wings(y5, 5)
+        assert (len(kan.items), len(wings.items)) == (10, 4)
+        assert kan.passed and wings.passed
 
 
 def test_criterion_6_tensor_preservation():

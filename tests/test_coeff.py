@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from dense import dense_mat_mul, densify, mat_zero
 from templikit.coeff import (
     FREE,
     PRIME_LIMIT,
@@ -29,8 +30,8 @@ from templikit.coeff import (
     invariant_factors,
     mat_identity,
     mat_mul,
-    mat_zero,
     normal_form,
+    normalize_orders,
     smith,
     solve_linear,
     tensor,
@@ -103,6 +104,21 @@ def test_zero_module_is_shared_per_ring():
         assert Module.zero(ring) is Module.zero(ring)
         assert Module.zero(ring) == Module(ring, ()) and Module.zero(ring).ring is ring
     assert Module.zero(Z) != Module.zero(Q)
+
+
+def test_zero_module_sources_return_the_shared_zero():
+    # base change, the view over the source and normalization of no factors
+    for source, target in ((Z8, Z4), (Z8, F2), (D2, F3), (Ring.dual_chain(2, 3), F2)):
+        theta = RingExtension(source, target)
+        assert theta.base_change(Module.zero(source)) is Module.zero(target)
+        assert theta.view_module_over_source(Module.zero(target)) is Module.zero(source)
+    for ring in ALL_RINGS:
+        assert normalize_orders(ring, ()) == (Module.zero(ring), None, None)
+        assert normalize_orders(ring, ())[0] is Module.zero(ring)
+        # the cokernels of an isomorphism, counted and read off Smith
+        iso = Morphism.identity(Module.free(ring, 2))
+        assert cokernel_module(iso) is Module.zero(ring)
+        assert cokernel_data(iso)[0] is Module.zero(ring)
 
 
 def _trial_division(n):
@@ -217,7 +233,7 @@ def test_normal_form_reconstructs(ring):
         a = rand_matrix(ring, rows, cols, rng)
         d, left, right = normal_form(ring, a)
         dd = expand_diag(ring, d, rows, cols)
-        assert mat_mul(ring, mat_mul(ring, left, dd), right) == tuple(
+        assert dense_mat_mul(ring, dense_mat_mul(ring, left, dd), right) == tuple(
             tuple(ring.reduce(x) for x in row) for row in a
         )
         # successive divisibility
@@ -227,10 +243,10 @@ def test_normal_form_reconstructs(ring):
 
 @pytest.mark.parametrize("ring", ALL_RINGS)
 def test_mat_mul_with_empty_inner_dimension(ring):
-    # an r x 0 matrix times a 0 x c one is the r x c zero matrix; a right
-    # factor without rows cannot show its width, so it is passed
-    assert mat_mul(ring, ((), ()), (), 3) == mat_zero(ring, 2, 3)
-    assert mat_mul(ring, (), (), 3) == ()
+    # an r x 0 matrix times a 0 x c one is the r x c zero matrix: on sparse
+    # rows, r empty rows
+    assert mat_mul(ring, [{}, {}], []) == [{}, {}]
+    assert mat_mul(ring, [], []) == []
     empty = Module.zero(ring)
     m, n = Module.free(ring, 2), Module.free(ring, 3)
     composite = Morphism.zero(empty, m).compose(Morphism.zero(n, empty))
@@ -247,11 +263,11 @@ def test_smith_transforms_track_inverses():
             b = rand_matrix(ring, rows, 2, rng)
             res = smith(ring, a, left=True, right=True, row_t=True, col_t=True, aug=b)
             u, v = res.row_transform, res.col_transform
-            assert mat_mul(ring, res.left, u, rows) == mat_identity(ring, rows)
-            assert mat_mul(ring, res.right, v, cols) == mat_identity(ring, cols)
-            assert mat_mul(ring, mat_mul(ring, u, a, cols), v, cols) == \
+            assert dense_mat_mul(ring, res.left, u, rows) == mat_identity(ring, rows)
+            assert dense_mat_mul(ring, res.right, v, cols) == mat_identity(ring, cols)
+            assert dense_mat_mul(ring, dense_mat_mul(ring, u, a, cols), v, cols) == \
                 expand_diag(ring, res.d, rows, cols)
-            assert res.aug == mat_mul(ring, u, b, 2)
+            assert res.aug == dense_mat_mul(ring, u, b, 2)
 
 
 def test_solve_linear():
@@ -260,10 +276,10 @@ def test_solve_linear():
         for _ in range(10):
             a = rand_matrix(ring, 3, 3, rng)
             x = rand_matrix(ring, 3, 2, rng)
-            b = mat_mul(ring, a, x)
+            b = dense_mat_mul(ring, a, x)
             x2 = solve_linear(ring, a, b)
             assert x2 is not None
-            assert mat_mul(ring, a, x2) == b
+            assert dense_mat_mul(ring, a, densify(ring, x2, 2)) == b
     assert solve_linear(Z, ((2,),), ((1,),)) is None
 
 

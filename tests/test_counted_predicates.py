@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense import densify
 from templikit import coeff
 from templikit.coeff import (
     FREE,
@@ -134,7 +135,8 @@ def reference_factor_through_mono(inclusion, given):
     x = solve_linear(inclusion.ring, amat, given.matrix)
     if x is None:
         raise ShapeError("map does not factor through the inclusion")
-    u = Morphism(given.domain, inclusion.domain, tuple(x[: inclusion.domain.ngens]))
+    u = Morphism(given.domain, inclusion.domain,
+                 densify(inclusion.ring, x[:inclusion.domain.ngens], given.domain.ngens))
     if inclusion.compose(u).matrix != given.matrix:
         raise ShapeError("mono factorization verification failed")
     return u

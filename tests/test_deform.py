@@ -26,6 +26,7 @@ from templikit.constructors import (
     nerve,
     paper_p,
     paper_p_deformed,
+    s0_times_2,
     sset_nerve_of_poset,
     sset_simplex,
     truncated_polynomial_category,
@@ -43,7 +44,12 @@ from templikit.deform import (
     verify_thm_main,
     verify_wings_tensor,
 )
-from templikit.kan import _degenerate_parts, check_quasicategory, check_weak_kan
+from templikit.kan import (
+    _degenerate_parts,
+    check_deg_projective,
+    check_quasicategory,
+    check_weak_kan,
+)
 from templikit.necklace import Necklace, all_necklace_maps, necklace_generators, necklaces
 from templikit.quiver import Quiver, QuiverMorphism
 from templikit.templicial import (
@@ -98,6 +104,36 @@ def test_paper_p_deformed_bytes_are_pinned(max_level):
     assert hashlib.sha256(blob.encode()).hexdigest()[:16] == PAPER_P_DEFORMED_DIGESTS[max_level]
     assert validate_templicial(pair.deformed).ok
     assert base_change_templicial(pair.extension, pair.deformed) == pair.special_fiber
+
+
+def _report_digest(report):
+    return hashlib.sha256(str(report).encode()).hexdigest()[:16]
+
+
+# sha256 prefixes of the library reports of the benchmark's workloads, built
+# as perfbench/workloads.py builds them; the drawn parameters (seeds 1 to 3)
+# give the same report
+@pytest.mark.parametrize("c,d", [((2, 0, 0), (2, 1, 1)), ((2, 1, 0), (0, 1, 2)),
+                                 ((0, 1, 2), (2, 2, 0))])
+def test_thm_main_report_bytes_are_pinned(c, d):
+    lifted = tuple(D32.reduce(pair) for pair in zip(c, d))
+    pair = DeformationPair(
+        RingExtension(D32, F3),
+        nerve(truncated_polynomial_category(D32, lifted), 3),
+        nerve(truncated_polynomial_category(F3, tuple(F3.from_int(x) for x in c)), 3))
+    assert _report_digest(verify_thm_main(pair, 3)) == "92903168b9b2693d"
+
+
+@pytest.mark.parametrize("k", [3, 9])
+def test_wings_tensor_report_bytes_are_pinned(k):
+    z = Ring.integers()
+    poset = sset_nerve_of_poset(("p0", "p1"), (("p0", "p1"),), 4)
+    report = verify_wings_tensor(free_templicial(poset, z, 4), Module(z, (k,)), 4)
+    assert _report_digest(report) == "b2d522c43fcaf29f"
+
+
+def test_deg_projective_report_bytes_are_pinned():
+    assert _report_digest(check_deg_projective(s0_times_2(4), 4)) == "7c5f028a5e839859"
 
 
 def test_paper_p_deformed_mu_entry():

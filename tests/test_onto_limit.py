@@ -265,15 +265,15 @@ def test_passing_item_runs_no_smith(monkeypatch, build):
 @pytest.mark.parametrize("kind,n,extra", [("horn", 4, (2,)), ("wings", 4, ())])
 def test_passing_item_stays_sparse(monkeypatch, kind, n, extra):
     """A passing horn or wings item is decided on the sparse rows of s and
-    delta: it builds no direct sum, normalizes no orders and densifies no
-    delta."""
+    delta: it builds no direct sum, normalizes no orders and builds no
+    delta morphism."""
     y = hom_necklicial(_deformed_dual_numbers_nerve(4), "*", "*")
     diagram = build_diagram(kind, n, *extra)
     modules = _module_diagram(y, diagram)
     legs = [y.action(obj) for obj in diagram.objects]
     is_iso = analyze(factor_through_limit(finite_limit(modules), legs, y.level(n))).is_iso
     calls = []
-    for name in ("direct_sum", "normalize_orders", "_dense_delta"):
+    for name in ("direct_sum", "normalize_orders", "_delta_map"):
         def spied(*args, name=name, run=getattr(coeff, name)):
             calls.append(name)
             return run(*args)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense import sparsify
 from templikit.coeff import (
     FREE,
     Module,
@@ -147,8 +148,9 @@ def _assert_mutually_inverse(ring, fwd, bwd):
 # -- bracketings: rebracketing and unit insertion as tensors of identities --
 
 # The coherence isomorphism between a bracketing and its flat layout, as it
-# was built before tensor_quiver_morphisms took bracketings; kept verbatim as
-# the reference for the tensor between bracketings.
+# was built before tensor_quiver_morphisms took bracketings; kept as the
+# reference for the tensor between bracketings, with the layouts' change of
+# basis read as sparse rows.
 def _atoms_of(item):
     return tuple(item.factors) if isinstance(item, TensorLayout) else (item,)
 
@@ -195,8 +197,8 @@ def reference_flatten_iso(ring, vertices, items):
                         to_n = it.to_norm(va, vb)
                         opts = []
                         for ri, (ipath, igens) in enumerate(it.raw_gens(va, vb)):
-                            ce = from_n[ri][g]
-                            cc = to_n[g][ri]
+                            ce = from_n[ri].get(g, ring.zero())
+                            cc = to_n[g].get(ri, ring.zero())
                             if ring.is_zero(ce) and ring.is_zero(cc):
                                 continue
                             opts.append((ipath, igens, ce, cc))
@@ -225,10 +227,10 @@ def reference_flatten_iso(ring, vertices, items):
                         expand[fi][oi] = ring.add(expand[fi][oi], ce_total)
                     if not ring.is_zero(cc_total):
                         collapse[oi][fi] = ring.add(collapse[oi][fi], cc_total)
-            fwd_mat = flat.normalize(a, c, tuple(map(tuple, expand)), outer)
-            bwd_mat = outer.normalize(a, c, tuple(map(tuple, collapse)), flat)
-            fwd_comps[(a, c)] = Morphism._trusted(omod, fmod, fwd_mat)
-            bwd_comps[(a, c)] = Morphism._trusted(fmod, omod, bwd_mat)
+            fwd_rows = flat.normalize(a, c, sparsify(ring, expand), outer)
+            bwd_rows = outer.normalize(a, c, sparsify(ring, collapse), flat)
+            fwd_comps[(a, c)] = Morphism._trusted(omod, fmod, fwd_rows)
+            bwd_comps[(a, c)] = Morphism._trusted(fmod, omod, bwd_rows)
     fwd = QuiverMorphism.build(outer.quiver, flat.quiver, fwd_comps)
     bwd = QuiverMorphism.build(flat.quiver, outer.quiver, bwd_comps)
     return fwd, bwd

@@ -1,31 +1,42 @@
-"""Differential oracle for the sparse evaluation kernels.
+"""Differential oracle for the sparse rows of morphisms.
 
-``mat_mul`` multiplies row-sparse and reduces each output entry once;
-``tensor_morphisms`` and ``tensor_quiver_morphisms`` build each raw matrix
-from the nonzero entries of the factors; ``_reduce_torsion_rows`` maps each
-distinct entry of the rows of one order once.  They are compared here with
-the dense or per-entry kernels they replaced, kept below as reference
-functions: equal matrices, with equal entry types, over Z, Q, F_3, Z/2^3,
-F_3[e]/(e^2) and F_3[e]/(e^3).
+A ``Morphism`` stores one {column: entry} dict of nonzeros per codomain
+generator, and every operation writes those rows directly: ``mat_mul``
+multiplies row-sparse and reduces each output entry once;
+``tensor_morphisms`` and ``tensor_quiver_morphisms`` build each raw row from
+the nonzero entries of the factors; identities, zero maps, composites, sums,
+differences, multiples, base changes and views over the source keep only
+nonzeros.  Each is compared here with dense or per-entry references kept in
+the tests (``dense.py`` and below), on the dense view ``.matrix``: equal
+matrices, with equal entry types and no zero in any stored row, over Z, Q,
+F_3, Z/2^3, F_3[e]/(e^2) and F_3[e]/(e^3), zero modules (0-row and 0-column
+shapes, and products with an inner dimension of 0) included.
 """
 
 from fractions import Fraction
 from math import gcd
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from templikit import coeff
+from dense import (
+    dense_change_basis,
+    dense_mat_add,
+    dense_mat_mul,
+    dense_mat_neg,
+    densify,
+    mat_zero,
+    reduce_torsion_rows,
+    sparsify,
+)
 from templikit.coeff import (
     FREE,
     Module,
     Morphism,
     Ring,
-    ShapeError,
-    _reduce_torsion_rows,
+    RingExtension,
+    _reduce_torsion,
     _tensor_layout,
-    change_basis,
     mat_mul,
     tensor_morphisms,
 )
@@ -47,31 +58,32 @@ RINGS = [Z, Q, F3, Z8, D32, D33]
 PROPERTY = settings(max_examples=60)
 
 
-def dense_mat_mul(ring, a, b, cols=None):
-    """The dense product: every column of b for each nonzero of a."""
-    rows = len(a)
-    inner = len(b)
-    if cols is None:
-        cols = len(b[0]) if inner else 0
-    if rows and len(a[0]) != inner:
-        raise ShapeError(f"cannot multiply {rows}x{len(a[0])} by {inner}x{cols}")
-    zero = ring.zero()
-    mul, add, is_zero = ring.mul, ring.add, ring.is_zero
-    out = []
-    for i in range(rows):
-        arow = a[i]
-        row = [zero] * cols
-        for k in range(inner):
-            x = arow[k]
-            if is_zero(x):
-                continue
-            brow = b[k]
-            for j in range(cols):
-                y = brow[j]
-                if not is_zero(y):
-                    row[j] = add(row[j], mul(x, y))
-        out.append(tuple(row))
-    return tuple(out)
+def _entry_types(matrix):
+    return [[type(x) for x in row] for row in matrix]
+
+
+def assert_no_stored_zero(ring, rows):
+    assert all(not ring.is_zero(x) for row in rows for x in row.values())
+
+
+def assert_same_rows(ring, got, want, width):
+    """Sparse ``got`` against the dense ``want``: the same matrix, with the
+    same entry types, and no zero stored."""
+    assert_no_stored_zero(ring, got)
+    dense = densify(ring, got, width)
+    assert dense == want
+    assert _entry_types(dense) == _entry_types(want)
+
+
+def assert_same_morphism(got, want_matrix):
+    """A morphism against a dense reference matrix, on its dense view, whose
+    zero entries are the one shared zero."""
+    ring = got.ring
+    assert_no_stored_zero(ring, got.rows)
+    assert len(got.rows) == got.codomain.ngens
+    assert got.matrix == want_matrix
+    assert _entry_types(got.matrix) == _entry_types(want_matrix)
+    assert all(x is ring.zero() for row in got.matrix for x in row if ring.is_zero(x))
 
 
 def dense_tensor_quiver_morphisms(ring, vertices, fs):
@@ -103,19 +115,9 @@ def dense_tensor_quiver_morphisms(ring, vertices, fs):
                             break
                     row.append(x)
                 rows.append(tuple(row))
-            comps[(a, c)] = Morphism(dmod, cmod, cod.normalize(a, c, tuple(rows), dom))
+            comps[(a, c)] = Morphism(dmod, cmod, dense_change_basis(
+                ring, cod.to_norm(a, c), tuple(rows), dom.from_norm(a, c), dmod.ngens))
     return QuiverMorphism.build(dom.quiver, cod.quiver, comps)
-
-
-def _entry_types(matrix):
-    return [[type(x) for x in row] for row in matrix]
-
-
-def assert_same_matrix(ring, got, want):
-    assert got == want
-    assert _entry_types(got) == _entry_types(want)
-    # a zero entry is the one shared zero, never a fresh zero tuple
-    assert len({id(x) for row in got for x in row if ring.is_zero(x)}) <= 1
 
 
 def _uniformizer_power(ring, k):
@@ -145,6 +147,9 @@ def elements(ring):
     return st.one_of(st.just(ring.zero()), values).map(ring.reduce)
 
 
+# -- the product ---------------------------------------------------------
+
+
 @st.composite
 def matrix_pairs(draw):
     ring = draw(st.sampled_from(RINGS))
@@ -158,7 +163,8 @@ def matrix_pairs(draw):
 @given(matrix_pairs())
 def test_mat_mul_equals_dense_product(data):
     ring, a, b, cols = data
-    assert_same_matrix(ring, mat_mul(ring, a, b, cols), dense_mat_mul(ring, a, b, cols))
+    got = mat_mul(ring, sparsify(ring, a), sparsify(ring, b))
+    assert_same_rows(ring, got, dense_mat_mul(ring, a, b, cols), cols)
 
 
 def test_dual_chain_sums_at_the_digit_bound():
@@ -169,32 +175,47 @@ def test_dual_chain_sums_at_the_digit_bound():
         full = (p - 1,) * m
         a = ((full,) * inner,) * 2
         b = ((full,) * 3,) * inner
-        assert_same_matrix(ring, mat_mul(ring, a, b), dense_mat_mul(ring, a, b))
+        got = mat_mul(ring, sparsify(ring, a), sparsify(ring, b))
+        assert_same_rows(ring, got, dense_mat_mul(ring, a, b), 3)
 
 
 def test_mat_mul_with_empty_inner_dimension():
+    # an r x 0 matrix times a 0 x c one is the r x c zero matrix: r empty
+    # rows, and so is the composite through a zero module
     for ring in RINGS:
-        a = ((),) * 3
-        got = mat_mul(ring, a, (), 2)
-        assert_same_matrix(ring, got, dense_mat_mul(ring, a, (), 2))
-        assert got == ((ring.zero(),) * 2,) * 3
+        got = mat_mul(ring, [{}, {}, {}], [])
+        assert got == [{}, {}, {}]
+        assert_same_rows(ring, got, dense_mat_mul(ring, ((),) * 3, (), 2), 2)
+        m, n = Module.free(ring, 3), Module.free(ring, 2)
+        composite = Morphism.zero(Module.zero(ring), m).compose(
+            Morphism.zero(n, Module.zero(ring)))
+        assert composite.rows == [{}, {}, {}]
+        assert_same_morphism(composite, mat_zero(ring, 3, 2))
+        assert composite.is_zero_map
 
 
 def test_vanishing_chain_products_give_the_shared_zero():
     # p * p^(m-1) = 0 and e * e^(m-1) = 0; the second column also cancels
-    # a nonzero sum (x * 1 + x * (-1))
+    # a nonzero sum (x * 1 + x * (-1)).  The sparse rows leave them out, and
+    # the dense view shows the one shared zero there
     for ring in (Z8, D32, D33):
         pi = ring.uniformizer
         top = _uniformizer_power(ring, ring.m - 1)
         minus_one = ring.neg(ring.one())
-        a = ((pi, top),)
         b = ((top, ring.one()), (ring.zero(), minus_one))
-        got = mat_mul(ring, ((pi, pi),), b, 2)
-        assert_same_matrix(ring, got, dense_mat_mul(ring, ((pi, pi),), b, 2))
-        assert ring.is_zero(got[0][0]) and ring.is_zero(got[0][1])
-        got = mat_mul(ring, a, ((top,), (pi,)), 1)
-        assert_same_matrix(ring, got, dense_mat_mul(ring, a, ((top,), (pi,)), 1))
-        assert ring.is_zero(got[0][0])
+        got = mat_mul(ring, sparsify(ring, ((pi, pi),)), sparsify(ring, b))
+        assert got == [{}]
+        assert_same_rows(ring, got, dense_mat_mul(ring, ((pi, pi),), b, 2), 2)
+        got = mat_mul(ring, sparsify(ring, ((pi, top),)), sparsify(ring, ((top,), (pi,))))
+        assert got == [{}]
+        free1, free2 = Module.free(ring, 1), Module.free(ring, 2)
+        cancelled = Morphism(free2, free1, ((ring.one(), ring.one()),)).compose(
+            Morphism(free1, free2, ((pi,), (ring.neg(pi),))))
+        vanished = Morphism(free1, free1, ((top,),)).compose(Morphism(free1, free1, ((pi,),)))
+        for composite in (cancelled, vanished):
+            assert composite.rows == [{}]
+            assert composite.matrix == ((ring.zero(),),)
+            assert composite.matrix[0][0] is ring.zero()
 
 
 # module factors per ring: over Z the orders 2 and 3 make Z/2 (x) Z/3 = 0,
@@ -251,7 +272,7 @@ def tensor_cases(draw):
 def assert_same_quiver_morphism(ring, got, want):
     assert got == want
     for (_, f), (_, g) in zip(got.components, want.components):
-        assert_same_matrix(ring, f.matrix, g.matrix)
+        assert_same_morphism(f, g.matrix)
 
 
 @settings(max_examples=80)
@@ -282,7 +303,7 @@ def test_tensor_skips_products_on_vanishing_fold_orders():
         assert not got.comp("a", "b").is_zero_map
 
 
-# -- tensor products of module maps and the reduction of torsion rows ------
+# -- the operations of module maps -----------------------------------------
 
 
 def dense_tensor_morphisms(f, g):
@@ -291,19 +312,25 @@ def dense_tensor_morphisms(f, g):
     dpairs, dom, _, dfrom = _tensor_layout(f.domain, g.domain)
     cpairs, cod, cto, _ = _tensor_layout(f.codomain, g.codomain)
     if not dpairs or not cpairs:
-        return Morphism.zero(dom, cod)
+        return mat_zero(ring, cod.ngens, dom.ngens)
     raw = tuple(
         tuple(ring.mul(f.matrix[ic][idx], g.matrix[jc][jdx]) for (idx, jdx) in dpairs)
         for (ic, jc) in cpairs
     )
-    return Morphism._trusted(dom, cod, change_basis(ring, cto, raw, dfrom))
+    return reduce_torsion_rows(cod, dense_change_basis(ring, cto, raw, dfrom, dom.ngens))
+
+
+def dense_identity(ring, n):
+    return tuple(tuple(ring.one() if i == j else ring.zero() for j in range(n))
+                 for i in range(n))
 
 
 @st.composite
-def module_maps(draw, ring):
+def module_maps(draw, ring, dom=None, cod=None):
     """A congruence-valid map between modules of FACTORS[ring], zero and
     torsion modules included."""
-    dom, cod = (Module(ring, draw(st.sampled_from(FACTORS[ring]))) for _ in range(2))
+    dom = dom or Module(ring, draw(st.sampled_from(FACTORS[ring])))
+    cod = cod or Module(ring, draw(st.sampled_from(FACTORS[ring])))
     return Morphism(dom, cod, tuple(
         tuple(ring.mul(draw(elements(ring)), _valid_multiplier(ring, od, oc))
               for od in dom.factors)
@@ -320,26 +347,102 @@ def map_pairs(draw):
 @given(map_pairs())
 def test_tensor_morphisms_equals_dense_tensor(pair):
     f, g = pair
-    got, want = tensor_morphisms(f, g), dense_tensor_morphisms(f, g)
-    assert got == want
-    assert _entry_types(got.matrix) == _entry_types(want.matrix)
+    assert_same_morphism(tensor_morphisms(f, g), dense_tensor_morphisms(f, g))
 
 
-def per_entry_reduction(module, matrix):
-    """Each entry of a torsion row on its own: x % order over Z, x % p^f
-    over Z/p^m, truncation at e^f over F_p[e]/(e^m)."""
-    ring = module.ring
-    rows = []
-    for row, f in zip(matrix, module.factors):
-        if f == FREE:
-            rows.append(row)
-        elif ring.kind == "integers":
-            rows.append(tuple(x % f for x in row))
-        elif ring.kind == "chain":
-            rows.append(tuple(x % ring.p ** f for x in row))
-        else:
-            rows.append(tuple(x[:f] + (0,) * (ring.m - f) for x in row))
-    return tuple(rows)
+@st.composite
+def operands(draw):
+    """f, g: a -> b, h: b -> c and a scalar, with a zero module among a, b
+    and c (0-row and 0-column shapes, and an inner dimension of 0) often."""
+    ring = draw(st.sampled_from(RINGS))
+    a, b, c = (Module(ring, draw(st.sampled_from(FACTORS[ring]))) for _ in range(3))
+    f = draw(module_maps(ring, a, b))
+    g = draw(module_maps(ring, a, b))
+    h = draw(module_maps(ring, b, c))
+    return ring, f, g, h, draw(elements(ring))
+
+
+@settings(max_examples=150)
+@given(operands())
+def test_morphism_operations_equal_dense_references(data):
+    ring, f, g, h, c = data
+    a, b = f.domain, f.codomain
+    assert_same_morphism(Morphism.identity(a), dense_identity(ring, a.ngens))
+    assert_same_morphism(Morphism.zero(a, b), mat_zero(ring, b.ngens, a.ngens))
+    assert_same_morphism(h.compose(f), reduce_torsion_rows(
+        h.codomain, dense_mat_mul(ring, h.matrix, f.matrix, a.ngens)))
+    assert_same_morphism(f + g, reduce_torsion_rows(b, dense_mat_add(ring, f.matrix, g.matrix)))
+    assert_same_morphism(f - g, reduce_torsion_rows(
+        b, dense_mat_add(ring, f.matrix, dense_mat_neg(ring, g.matrix))))
+    assert_same_morphism(f.scale(c), reduce_torsion_rows(
+        b, tuple(tuple(ring.mul(c, x) for x in row) for row in f.matrix)))
+    assert (f - f).is_zero_map
+    for m in (f, g, h, f.scale(c), h.compose(f)):
+        assert m.is_zero_map == all(ring.is_zero(x) for row in m.matrix for x in row)
+
+
+@settings(max_examples=150)
+@given(operands())
+def test_equality_and_hash_follow_the_entries(data):
+    ring, f, g, h, c = data
+    again = Morphism(f.domain, f.codomain, f.matrix)
+    assert again == f and hash(again) == hash(f)
+    assert (f == g) == (f.matrix == g.matrix)
+    if f == g:
+        assert hash(f) == hash(g)
+    # rows built in another column order are the same map
+    shuffled = Morphism._trusted(f.domain, f.codomain,
+                                 [dict(reversed(row.items())) for row in f.rows])
+    assert shuffled == f and hash(shuffled) == hash(f)
+    assert f + Morphism.zero(f.domain, f.codomain) == f
+    assert (f == f.scale(c)) == (f.matrix == f.scale(c).matrix)
+
+
+# surjections onto a smaller chain ring or onto the residue field, with
+# the module factors over each target
+EXTENSIONS = [RingExtension(Z8, Ring.chain(2, 2)), RingExtension(Z8, Ring.prime_field(2)),
+              RingExtension(D32, F3), RingExtension(D33, D32), RingExtension(D33, F3)]
+TARGET_FACTORS = {Ring.chain(2, 2): [(), (FREE,), (1,), (1, FREE)],
+                  Ring.prime_field(2): FACTORS[F3], F3: FACTORS[F3], D32: FACTORS[D32]}
+
+
+@st.composite
+def extension_maps(draw):
+    """theta, a map over its source and a map over its target."""
+    theta = draw(st.sampled_from(EXTENSIONS))
+    target = theta.target
+    dom, cod = (Module(target, draw(st.sampled_from(TARGET_FACTORS[target])))
+                for _ in range(2))
+    return theta, draw(module_maps(theta.source)), draw(module_maps(target, dom, cod))
+
+
+@settings(max_examples=100)
+@given(extension_maps())
+def test_base_change_and_view_equal_entrywise_references(data):
+    theta, f, fiber = data
+    down = theta.base_change_morphism(f)
+    assert_same_morphism(down, Morphism(
+        theta.base_change(f.domain), theta.base_change(f.codomain),
+        tuple(tuple(theta.reduce_element(x) for x in row) for row in f.matrix)).matrix)
+    up = theta.view_morphism_over_source(fiber)
+    assert_same_morphism(up, Morphism(
+        theta.view_module_over_source(fiber.domain), theta.view_module_over_source(fiber.codomain),
+        tuple(tuple(theta.lift_element(x) for x in row) for row in fiber.matrix)).matrix)
+
+
+def test_base_change_drops_the_entries_it_kills():
+    # e * id over F3[e]/(e^2) goes to 0 over F3: the zero map, empty rows
+    theta = RingExtension(D32, F3)
+    m = Module.free(D32, 2)
+    e_id = Morphism.identity(m).scale(D32.uniformizer)
+    assert not e_id.is_zero_map
+    down = theta.base_change_morphism(e_id)
+    assert down.rows == [{}, {}]
+    assert down.is_zero_map
+    assert down == Morphism.zero(Module.free(F3, 2), Module.free(F3, 2))
+
+
+# -- the reduction of torsion rows -----------------------------------------
 
 
 # orders with repeats, so that rows of one order share their entries
@@ -357,32 +460,14 @@ def torsion_matrices(draw):
     module = Module(ring, draw(st.sampled_from(TORSION_FACTORS[ring])))
     cols = draw(st.integers(0, 4))
     values = elements(ring) if ring.kind != "integers" else st.integers(-20, 20)
-    return module, tuple(tuple(draw(values) for _ in range(cols))
-                         for _ in range(module.ngens))
+    return module, cols, tuple(tuple(draw(values) for _ in range(cols))
+                               for _ in range(module.ngens))
 
 
 @PROPERTY
 @given(torsion_matrices())
 def test_reduce_torsion_rows_equals_per_entry_reduction(data):
-    module, matrix = data
-    residues = []
-    residue = coeff._residue
-
-    def counted(ring, f):
-        fn = residue(ring, f)
-
-        def once(x):
-            residues.append((f, x))
-            return fn(x)
-
-        return once
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(coeff, "_residue", counted)
-        got = _reduce_torsion_rows(module, matrix)
-    want = per_entry_reduction(module, matrix)
-    assert got == want
-    assert _entry_types(got) == _entry_types(want)
-    # one residue per distinct entry of the rows of each order
-    distinct = {(f, x) for row, f in zip(matrix, module.factors) if f != FREE for x in row}
-    assert sorted(residues, key=repr) == sorted(distinct, key=repr)
+    module, cols, matrix = data
+    ring = module.ring
+    got = _reduce_torsion(module, sparsify(ring, matrix))
+    assert_same_rows(ring, got, reduce_torsion_rows(module, matrix), cols)

@@ -22,6 +22,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense import (
+    dense_change_basis,
+    dense_mat_add,
+    dense_mat_mul,
+    dense_mat_neg,
+    densify,
+    mat_zero,
+    reduce_torsion_rows,
+)
 from templikit.coeff import (
     FREE,
     Module,
@@ -31,11 +40,9 @@ from templikit.coeff import (
     ShapeError,
     _block_starts,
     _limit_equations,
-    _reduce_torsion_rows,
     _spanning_forest,
     _tensor_layout,
     analyze,
-    change_basis,
     cokernel_data,
     cokernel_module,
     direct_sum,
@@ -46,11 +53,7 @@ from templikit.coeff import (
     kernel_data,
     limit_cokernel,
     limit_is_iso,
-    mat_add,
     mat_identity,
-    mat_mul,
-    mat_neg,
-    mat_zero,
     normalize_orders,
     tensor_morphisms,
 )
@@ -150,10 +153,11 @@ def morphism_data(draw):
 def test_operations_equal_validated_constructor(data):
     ring, f, g, h, c = data
     a, b = f.domain, f.codomain
-    product = mat_mul(ring, h.matrix, f.matrix, a.ngens)
+    product = dense_mat_mul(ring, h.matrix, f.matrix, a.ngens)
     assert_same(h.compose(f), Morphism(a, h.codomain, product))
-    assert_same(f + g, Morphism(a, b, mat_add(ring, f.matrix, g.matrix)))
-    assert_same(f - g, Morphism(a, b, mat_add(ring, f.matrix, mat_neg(ring, g.matrix))))
+    assert_same(f + g, Morphism(a, b, dense_mat_add(ring, f.matrix, g.matrix)))
+    assert_same(f - g, Morphism(a, b, dense_mat_add(ring, f.matrix,
+                                                    dense_mat_neg(ring, g.matrix))))
     c = ring.reduce(c)
     assert_same(f.scale(c),
                 Morphism(a, b, tuple(tuple(ring.mul(c, x) for x in row) for row in f.matrix)))
@@ -171,9 +175,10 @@ def dense_tensor(f, g):
         for (ic, jc) in cpairs)
     if not dpairs or not cpairs:
         return Morphism(dom, cod, mat_zero(ring, cod.ngens, dom.ngens))
-    cto = mat_identity(ring, len(cpairs)) if cto is None else cto
-    dfrom = mat_identity(ring, len(dpairs)) if dfrom is None else dfrom
-    return Morphism(dom, cod, mat_mul(ring, mat_mul(ring, cto, raw), dfrom))
+    cto = mat_identity(ring, len(cpairs)) if cto is None else densify(ring, cto, len(cpairs))
+    dfrom = mat_identity(ring, len(dpairs)) if dfrom is None else densify(ring, dfrom, dom.ngens)
+    return Morphism(dom, cod, dense_mat_mul(ring, dense_mat_mul(ring, cto, raw, len(dpairs)),
+                                            dfrom, dom.ngens))
 
 
 @PROPERTY
@@ -214,8 +219,9 @@ def _dense_sum_map(ring, domain, codomain, terms):
     """Validated morphism with matrix sum(left @ middle @ right) over terms."""
     total = mat_zero(ring, codomain.ngens, domain.ngens)
     for left, middle, right in terms:
-        product = mat_mul(ring, mat_mul(ring, left, middle, len(right)), right, domain.ngens)
-        total = mat_add(ring, total, product)
+        product = dense_mat_mul(ring, dense_mat_mul(ring, left, middle, len(right)), right,
+                                domain.ngens)
+        total = dense_mat_add(ring, total, product)
     return Morphism(domain, codomain, total)
 
 
@@ -230,10 +236,11 @@ def dense_limit(diagram):
         inj, p_src, p_tgt = (arr_sum.injections[a].matrix, nodes_sum.projections[src].matrix,
                              nodes_sum.projections[tgt].matrix)
         terms.append((inj, f.matrix, p_src))
-        terms.append((inj, mat_neg(ring, mat_identity(ring, f.codomain.ngens)), p_tgt))
+        terms.append((inj, dense_mat_neg(ring, mat_identity(ring, f.codomain.ngens)), p_tgt))
     delta = _dense_sum_map(ring, nodes_sum.module, arr_sum.module, terms)
     kernel, incl, _ = kernel_data(delta)
-    cone = tuple(Morphism(kernel, p.codomain, mat_mul(ring, p.matrix, incl.matrix, kernel.ngens))
+    cone = tuple(Morphism(kernel, p.codomain,
+                          dense_mat_mul(ring, p.matrix, incl.matrix, kernel.ngens))
                  for p in nodes_sum.projections)
     return kernel, cone
 
@@ -249,10 +256,11 @@ def dense_colimit(diagram):
         proj, i_src, i_tgt = (arr_sum.projections[a].matrix, nodes_sum.injections[src].matrix,
                               nodes_sum.injections[tgt].matrix)
         terms.append((i_tgt, f.matrix, proj))
-        terms.append((i_src, mat_neg(ring, mat_identity(ring, f.domain.ngens)), proj))
+        terms.append((i_src, dense_mat_neg(ring, mat_identity(ring, f.domain.ngens)), proj))
     delta = _dense_sum_map(ring, arr_sum.module, nodes_sum.module, terms)
     coker, proj = cokernel_data(delta)
-    cocone = tuple(Morphism(i.domain, coker, mat_mul(ring, proj.matrix, i.matrix, i.domain.ngens))
+    cocone = tuple(Morphism(i.domain, coker,
+                            dense_mat_mul(ring, proj.matrix, i.matrix, i.domain.ngens))
                    for i in nodes_sum.injections)
     return coker, cocone
 
@@ -320,8 +328,8 @@ def reference_forest_paths(ring, nodes, arrows, tree, order):
             continue
         src, _, f = arrows[a]
         r = root[src]
-        path[t] = f.matrix if path[src] is None else _reduce_torsion_rows(
-            nodes[t], mat_mul(ring, f.matrix, path[src], nodes[r].ngens))
+        path[t] = f.matrix if path[src] is None else reduce_torsion_rows(
+            nodes[t], dense_mat_mul(ring, f.matrix, path[src], nodes[r].ngens))
         root[t] = r
     return root, path
 
@@ -345,8 +353,8 @@ def reference_limit_equations(diagram):
     raw = [[ring.zero()] * width for _ in range(height)]
     for r0, (src, tgt, f) in zip(arrow_at, equations):
         r = root[src]
-        lhs = f.matrix if path[src] is None else mat_mul(ring, f.matrix, path[src],
-                                                         nodes[r].ngens)
+        lhs = f.matrix if path[src] is None else dense_mat_mul(ring, f.matrix, path[src],
+                                                               nodes[r].ngens)
         for k, row in enumerate(lhs):
             raw[r0 + k][at[r]:at[r] + len(row)] = row
         block = path[tgt] or mat_identity(ring, nodes[tgt].ngens)
@@ -355,9 +363,8 @@ def reference_limit_equations(diagram):
             for c, x in enumerate(row):
                 raw[r0 + k][c0 + c] = ring.add(raw[r0 + k][c0 + c], ring.neg(x))
     raw = tuple(map(tuple, raw))
-    delta = Morphism._trusted(free_sum.module, arr_mod,
-                              change_basis(ring, arr_to, raw, free_sum.from_norm))
-    return raw, delta
+    return raw, Morphism(free_sum.module, arr_mod, dense_change_basis(
+        ring, arr_to, raw, free_sum.from_norm, free_sum.module.ngens))
 
 
 @LIMITS
@@ -371,7 +378,7 @@ def test_sparse_difference_map_equals_dense_reference(diagram):
     raw, delta = reference_limit_equations(diagram)
     assert len(eq.rows) == len(raw) == len(eq.target_orders)
     for row, line, f in zip(eq.rows, raw, eq.target_orders):
-        reduced = _reduce_torsion_rows(Module(ring, (f,)), (line,))[0]
+        reduced = reduce_torsion_rows(Module(ring, (f,)), (line,))[0]
         assert row == {j: x for j, x in enumerate(reduced) if not ring.is_zero(x)}
     assert_same(eq.delta, delta)
 
