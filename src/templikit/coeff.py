@@ -353,14 +353,23 @@ class Ring:
 
 
 # ---------------------------------------------------------------------------
-# matrices: Smith reads and writes dense tuples of row tuples; everything
-# else holds sparse rows, one {column: entry} dict of nonzeros per row
+# matrices: sparse rows, one {column: entry} dict of nonzeros per row.  Only
+# Smith eliminates on a dense matrix, a tuple of row tuples; its input is
+# densified by _dense and its transforms come out as sparse rows
 # ---------------------------------------------------------------------------
 
 
-def mat_identity(ring, n):
-    one, zero = ring.one(), ring.zero()
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+def _dense(ring, rows, height, width):
+    """The dense ``height`` x ``width`` matrix, a tuple of row tuples, of
+    the sparse rows given as (index, {column: entry}) pairs; rows not given
+    are zero."""
+    zero = ring.zero()
+    out = [[zero] * width for _ in range(height)]
+    for i, row in rows:
+        line = out[i]
+        for j, x in row.items():
+            line[j] = x
+    return tuple(map(tuple, out))
 
 
 def _nonzero_rows(ring, matrix):
@@ -422,14 +431,6 @@ def mat_mul(ring, a, b):
     return out
 
 
-def mat_hstack(a, b):
-    if not a:
-        return b
-    if not b:
-        return a
-    return tuple(ra + rb for ra, rb in zip(a, b))
-
-
 def change_basis(ring, left, rows, right):
     """left * rows * right on sparse rows, where a None factor stands for
     the identity."""
@@ -447,19 +448,24 @@ def change_basis(ring, left, rows, right):
 
 @dataclass
 class SmithResult:
-    """U*A*V = diag(d);  A = L*diag(d)*R with L = U^-1, R = V^-1."""
+    """U*A*V = diag(d);  A = L*diag(d)*R with L = U^-1, R = V^-1.
+
+    ``d`` lists the min(rows, cols) diagonal entries.  Each transform asked
+    for is a list of sparse rows, one {column: entry} dict of nonzeros per
+    row; one not asked for is None."""
 
     d: list
-    left: tuple | None = None          # L = U^-1
-    right: tuple | None = None         # R = V^-1
-    row_transform: tuple | None = None  # U
-    col_transform: tuple | None = None  # V
-    aug: tuple | None = None           # row ops applied to an augmented block
+    left: list | None = None           # L = U^-1
+    right: list | None = None          # R = V^-1
+    row_transform: list | None = None  # U
+    col_transform: list | None = None  # V
+    aug: list | None = None            # U*B for an augmented block B
 
 
 def smith(ring, matrix, *, left=False, right=False, row_t=False, col_t=False, aug=None):
-    """Diagonalize ``matrix``, of canonical ring elements, by invertible
-    row and column operations.
+    """Diagonalize the dense ``matrix``, of canonical ring elements, by
+    invertible row and column operations; ``aug`` is an augmented block B,
+    sparse rows with one row per row of the matrix.
 
     Deterministic pivoting: smallest nonzero valuation (absolute value over
     the integers), ties broken by lowest row then column index.  Diagonal
@@ -486,7 +492,9 @@ def smith(ring, matrix, *, left=False, right=False, row_t=False, col_t=False, au
         return [[one if j == i else zero for j in range(n)] for i in range(n)] if keep else [[]] * n
 
     u = unit_rows(rows, row_t)
-    b = aug if aug is not None else ((),) * rows
+    # B ends at its last nonzero column: zero columns would stay zero
+    b = ((),) * rows if aug is None else _dense(
+        ring, enumerate(aug), rows, max((j + 1 for row in aug for j in row), default=0))
     a = [list(matrix[i]) + u[i] + list(b[i]) for i in range(rows)]
     if col_t:
         a += unit_rows(cols, True)
@@ -638,14 +646,18 @@ def smith(ring, matrix, *, left=False, right=False, row_t=False, col_t=False, au
                 row_scale(i, w)
         d.append(a[i][i] if x != zero else zero)
 
+    def sparse(lines, start=0, stop=None):
+        # the nonzeros of columns start..stop of each row, renumbered from 0
+        return [{j: x for j, x in enumerate(r[start:stop]) if x != zero} for r in lines]
+
     bstart = cols + (rows if row_t else 0)
     return SmithResult(
         d=d,
-        left=tuple(zip(*inv[:rows])) if left else None,
-        right=tuple(map(tuple, inv[rows:])) if right else None,
-        row_transform=tuple(tuple(r[cols:bstart]) for r in a[:rows]) if row_t else None,
-        col_transform=tuple(map(tuple, a[rows:])) if col_t else None,
-        aug=tuple(tuple(r[bstart:]) for r in a[:rows]) if aug is not None else None,
+        left=sparse(zip(*inv[:rows])) if left else None,
+        right=sparse(inv[rows:]) if right else None,
+        row_transform=sparse(a[:rows], cols, bstart) if row_t else None,
+        col_transform=sparse(a[rows:]) if col_t else None,
+        aug=sparse(a[:rows], bstart) if aug is not None else None,
     )
 
 
@@ -653,12 +665,14 @@ def normal_form(ring, matrix):
     """Public Smith decomposition: (d, L, R) with matrix = L * diag(d) * R.
 
     ``d`` is the tuple of diagonal invariant factors (canonical associates in
-    successive-divisibility order); L and R are square invertible transforms.
+    successive-divisibility order); L and R are square invertible transforms,
+    dense tuples of row tuples.
     """
     if not isinstance(ring, Ring):
         raise UnsupportedRingError(f"not a supported ring: {ring!r}")
     res = smith(ring, matrix, left=True, right=True)
-    return tuple(res.d), res.left, res.right
+    return tuple(res.d), *(_dense(ring, enumerate(t), len(t), len(t))
+                           for t in (res.left, res.right))
 
 
 def invariant_factors(ring, matrix):
@@ -666,26 +680,21 @@ def invariant_factors(ring, matrix):
 
 
 def solve_linear(ring, a, b):
-    """One X with A*X = B over the ring, as sparse rows (one per unknown),
-    or None if no solution exists."""
-    rows = len(a)
-    if len(b) != rows:
+    """One X with A*X = B over the ring, for a dense A and B given as sparse
+    rows (one per row of A); X as sparse rows (one per unknown), or None if
+    no solution exists."""
+    if len(b) != len(a):
         raise ShapeError("solve_linear: row count mismatch")
-    bcols = len(b[0]) if b else 0
-    cols = len(a[0]) if rows else 0
     res = smith(ring, a, col_t=True, aug=b)
-    d, bb = res.d, res.aug
-    z = [{} for _ in range(cols)]
-    for i in range(rows):
+    d = res.d
+    z = [{} for _ in res.col_transform]
+    for i, row in enumerate(res.aug):
         di = d[i] if i < len(d) else None
-        for j in range(bcols):
-            rhs = bb[i][j]
-            if ring.is_zero(rhs):
-                continue
+        for j, rhs in row.items():
             if di is None or ring.is_zero(di) or not ring.divides(di, rhs):
                 return None
             z[i][j] = ring.divide(rhs, di)
-    return mat_mul(ring, _nonzero_rows(ring, res.col_transform), z)
+    return mat_mul(ring, res.col_transform, z)
 
 
 # ---------------------------------------------------------------------------
@@ -714,13 +723,19 @@ def _canonical_factor(ring, f):
     return FREE if f >= ring.m else f
 
 
-@lru_cache(maxsize=None)
 def _factor_order_elt(ring, f):
-    """Generator annihilator as a ring element (zero for free generators)."""
-    if f == FREE:
-        return ring.zero()
+    """Generator annihilator as a ring element (zero for free generators).
+    Over the integers that is the order f itself; elsewhere it is cached,
+    at most m values per ring."""
     if ring.kind == INTEGERS:
         return f
+    return _chain_order_elt(ring, f)
+
+
+@lru_cache(maxsize=None)
+def _chain_order_elt(ring, f):
+    if f == FREE:
+        return ring.zero()
     if ring.kind == CHAIN:
         return ring.reduce(ring.p ** f)
     return tuple(1 if t == f else 0 for t in range(ring.m))
@@ -804,17 +819,51 @@ class Module:
         return " + ".join(parts)
 
 
-def _order_columns(module):
-    """Relation matrix of the presentation: one column per torsion generator."""
-    n = module.ngens
-    zero = module.ring.zero()
-    cols = []
-    for i, f in enumerate(module.factors):
+def _order_rows(ring, rows, orders, width, local=None):
+    """Fresh sparse rows of the presentation [map | order columns] of the
+    cokernel of a map with ``width`` columns, given by the nonzeros ``rows``
+    ({column: entry}, one dict per codomain generator), into the sum of
+    cyclics of the raw ``orders``: the k-th torsion generator, of order f,
+    gets f at column width + k.  When ``local``, a quotient R/(pi^e) of the
+    ring (:func:`_quotient_ring`), is given, the entries are mapped onto it.
+    Zero entries and rows are left out; the result maps row indices to
+    rows."""
+    if local is None:
+        residue = None
+    elif local.kind == DUAL_CHAIN:
+        e = local.m
+        residue = lambda x: x[:e]
+    elif ring.kind == DUAL_CHAIN:
+        residue = operator.itemgetter(0)
+    else:
+        q = local._modulus
+        residue = lambda x: x % q
+    zero = (local or ring).zero()
+    out, column = {}, width
+    for i, (row, f) in enumerate(zip(rows, orders)):
+        if residue is None:
+            entries = dict(row)
+        else:
+            entries = {j: y for j, x in row.items() if (y := residue(x)) != zero}
         if f != FREE:
-            col = [zero] * n
-            col[i] = module.order_elt(i)
-            cols.append(col)
-    return tuple(tuple(col[i] for col in cols) for i in range(n))
+            x = _factor_order_elt(ring, f)
+            if residue is not None:
+                x = residue(x)
+            if x != zero:
+                entries[column] = x
+            column += 1
+        if entries:
+            out[i] = entries
+    return out
+
+
+def _presentation_matrix(ring, rows, orders, width):
+    """The dense [map | order columns] of :func:`_order_rows`, as Smith
+    reads it: one row per generator, one column per column of the map and
+    per torsion generator."""
+    ntors = sum(f != FREE for f in orders)
+    return _dense(ring, _order_rows(ring, rows, orders, width).items(), len(orders),
+                  width + ntors)
 
 
 def _residue(ring, f):
@@ -860,9 +909,10 @@ class Morphism:
     codomain generator i in the image of domain generator j.  Entries are
     canonical ring elements, reduced modulo the codomain generator orders,
     and no row stores a zero.  ``matrix`` is the dense view, a tuple of row
-    tuples built on first read, for Smith's inputs and the public surface.
-    Two maps are equal, and hash equal, exactly when their domains,
-    codomains and entries agree.
+    tuples built on first read, for the instance encoder and the public
+    surface; Smith's inputs are densified from ``rows`` directly
+    (:func:`_presentation_matrix`).  Two maps are equal, and hash equal,
+    exactly when their domains, codomains and entries agree.
 
     Invariants are checked once, at the trust boundary.  ``Morphism(domain,
     codomain, matrix)`` takes a dense matrix and validates: it checks that
@@ -872,8 +922,9 @@ class Morphism:
     validators and every map read off a Smith normal form (kernels,
     cokernels, images, solutions of linear systems, the factorizations
     through limits and colimits, and the witnesses of a normalized direct
-    sum) go through these checks; the products of Smith's outputs enter them
-    as sparse rows (``_checked``).
+    sum) go through these checks; Smith's sparse transforms and their
+    products enter them as sparse rows (``_checked``).  The dense input is
+    made sparse here and nowhere else.
 
     Results that are valid whenever their operands are skip those checks and
     are written as sparse rows (``_trusted``): ``identity``, ``zero``,
@@ -951,14 +1002,7 @@ class Morphism:
     @cached_property
     def matrix(self):
         """The dense matrix, a tuple of row tuples, built on first read."""
-        zero, width = self.ring.zero(), self.domain.ngens
-        out = []
-        for row in self.rows:
-            line = [zero] * width
-            for j, x in row.items():
-                line[j] = x
-            out.append(tuple(line))
-        return tuple(out)
+        return _dense(self.ring, enumerate(self.rows), len(self.rows), self.domain.ngens)
 
     @property
     def ring(self):
@@ -1037,20 +1081,21 @@ def _diagonal_factors(ring, d, n):
     return [kept[k] for k in order], module
 
 
-def _presentation(ring, ngens, relations):
-    """Normal form of the module <ngens | relations> with witnessing isos.
+def _presentation(ring, rows, orders, width):
+    """Normal form of the module generated by cyclics of the raw ``orders``
+    with the relations ``rows``, the sparse rows of a map with ``width``
+    columns into their sum, and witnessing isos.
 
     Returns (module, to_norm, from_norm), the isos as sparse rows: to_norm
     maps raw generator coordinates to normal-form coordinates, from_norm is
     a section of it.
     """
-    if ngens == 0:
+    if not orders:
         return Module.zero(ring), [], []
-    res = smith(ring, relations, left=True, row_t=True)
-    kept, module = _diagonal_factors(ring, res.d, ngens)
-    to_norm = _nonzero_rows(ring, [res.row_transform[i] for i in kept])
-    from_norm = _nonzero_rows(ring, [[row[k] for k in kept] for row in res.left])
-    return module, to_norm, from_norm
+    res = smith(ring, _presentation_matrix(ring, rows, orders, width), left=True, row_t=True)
+    kept, module = _diagonal_factors(ring, res.d, len(orders))
+    from_norm = [{k: row[i] for k, i in enumerate(kept) if i in row} for row in res.left]
+    return module, [res.row_transform[i] for i in kept], from_norm
 
 
 def normalize_orders(ring, raw_factors):
@@ -1084,14 +1129,7 @@ def normalize_orders(ring, raw_factors):
         for r, i in enumerate(order):
             from_norm[i] = {r: one}
         return Module(ring, tuple(sorted_f)), [{i: one} for i in order], from_norm
-    rel_cols = []
-    for i, f in enumerate(canonical):
-        if f != FREE:
-            col = [ring.zero()] * n
-            col[i] = _factor_order_elt(ring, f)
-            rel_cols.append(col)
-    rel = tuple(tuple(col[i] for col in rel_cols) for i in range(n))
-    return _presentation(ring, n, rel)
+    return _presentation(ring, [{}] * n, canonical, 0)
 
 
 @dataclass(frozen=True)
@@ -1182,7 +1220,7 @@ class Analysis:
         return self._part("kernel", lambda: kernel_data(self.morphism))
 
     def _image(self):
-        return self._part("image", lambda: _image_data(self.morphism, self._kernel()[2]))
+        return self._part("image", lambda: _image_data(self.morphism, *self._kernel()[2]))
 
     def _cokernel(self):
         return self._part("cokernel", lambda: cokernel_data(self.morphism))
@@ -1244,57 +1282,50 @@ class Analysis:
         return self.injective and self.surjective
 
 
-def _kernel_columns(ring, w, res):
-    """Generators of ker(W) for W between free columns, from a smith run."""
+def _kernel_rows(ring, rows, orders, width):
+    """Generators of {x : f(x) = 0 in the presented codomain} for the map f
+    with ``width`` columns and sparse ``rows`` into the cyclics of the raw
+    ``orders``: the sparse rows of their coordinates, and their number.
+
+    They are the first ``width`` coordinates of generators of the kernel of
+    [f | order columns], read off its column transform V: column i of V when
+    d_i = 0 and, over a chain ring, pi^(m-e) times it when d_i has valuation
+    0 < e < m.  The generators that vanish there are left out.
+    """
+    w = _presentation_matrix(ring, rows, orders, width)
     cols = len(w[0]) if w else 0
-    d, v = res.d, res.col_transform
-    gens = []
-    for i in range(cols):
-        di = d[i] if i < len(d) else ring.zero()
-        if ring.is_zero(di):
-            gens.append(tuple(v[r][i] for r in range(cols)))
-        elif ring.is_chain_kind:
-            e = ring.valuation(di)
-            if 0 < e < ring.m:
-                ann = _factor_order_elt(ring, ring.m - e) if ring.m - e < ring.m else ring.zero()
-                col = tuple(ring.mul(v[r][i], ann) for r in range(cols))
-                if any(not ring.is_zero(x) for x in col):
-                    gens.append(col)
-    return gens
-
-
-def _kernel_generator_columns(ring, f):
-    """Columns over R^s generating {x : f(x) = 0 in the presented codomain}."""
-    s, t = f.domain.ngens, f.codomain.ngens
-    if t == 0:
-        return [tuple(ring.one() if r == i else ring.zero() for r in range(s))
-                for i in range(s)]
-    w = mat_hstack(f.matrix, _order_columns(f.codomain))
     res = smith(ring, w, col_t=True)
-    cols = [col[:s] for col in _kernel_columns(ring, w, res)]
-    return [c for c in cols if any(not ring.is_zero(x) for x in c)]
+    # one column per generator, selecting and scaling its column of V
+    select = [{} for _ in range(cols)]
+    for i, di in enumerate(res.d + [ring.zero()] * (cols - len(res.d))):
+        if ring.is_zero(di):
+            select[i][i] = ring.one()
+        elif ring.is_chain_kind and 0 < (e := ring.valuation(di)) < ring.m:
+            select[i][i] = _factor_order_elt(ring, ring.m - e)
+    gens = mat_mul(ring, res.col_transform[:width], select)
+    live = {i: k for k, i in enumerate(sorted({i for row in gens for i in row}))}
+    return [{live[i]: x for i, x in row.items()} for row in gens], len(live)
 
 
 def kernel_data(f):
-    """(kernel module, inclusion) without cokernel bookkeeping."""
+    """(kernel module, inclusion, (K, r)) without cokernel bookkeeping: K
+    holds, as sparse rows over the domain's generators, r columns that
+    generate {x : f(x) = 0 in the presented codomain}."""
     ring = f.ring
     m = f.domain
     s = m.ngens
     if s == 0:
-        return m, Morphism.zero(m, m), ()
-    k0_cols = _kernel_generator_columns(ring, f)
-    r = len(k0_cols)
-    k0 = tuple(tuple(col[i] for col in k0_cols) for i in range(s))
-    if r:
-        wk = mat_hstack(k0, _order_columns(m))
-        res_k = smith(ring, wk, col_t=True)
-        rel_k_cols = [col[:r] for col in _kernel_columns(ring, wk, res_k)]
-        rel_k = tuple(tuple(col[i] for col in rel_k_cols) for i in range(r))
+        return m, Morphism.zero(m, m), ([], 0)
+    if f.codomain.is_zero:
+        one = ring.one()
+        k0, r = [{i: one} for i in range(s)], s
     else:
-        rel_k = ()
-    ker, _, from_k = _presentation(ring, r, rel_k)
-    incl = Morphism._checked(ker, m, mat_mul(ring, _nonzero_rows(ring, k0), from_k))
-    return ker, incl, k0
+        k0, r = _kernel_rows(ring, f.rows, f.codomain.factors, s)
+    # the relations of the r generators: the kernel of K into the domain
+    rel, width = _kernel_rows(ring, k0, m.factors, r) if r else ([], 0)
+    ker, _, from_k = _presentation(ring, rel, (FREE,) * r, width)
+    incl = Morphism._checked(ker, m, mat_mul(ring, k0, from_k))
+    return ker, incl, (k0, r)
 
 
 def cokernel_data(f):
@@ -1304,20 +1335,18 @@ def cokernel_data(f):
     if n.ngens == 0:
         coker = Module.zero(ring)
         return coker, Morphism.zero(n, coker)
-    w = mat_hstack(f.matrix, _order_columns(n))
-    res = smith(ring, w, row_t=True)
+    res = smith(ring, _presentation_matrix(ring, f.rows, n.factors, f.domain.ngens),
+                row_t=True)
     kept, coker = _diagonal_factors(ring, res.d, n.ngens)
-    return coker, Morphism(n, coker, tuple(res.row_transform[i] for i in kept))
+    return coker, Morphism._checked(n, coker, [res.row_transform[i] for i in kept])
 
 
-def _image_data(f, k0):
+def _image_data(f, k0, r):
     """(image module, inclusion): the image is generated by the columns of
-    f, with the kernel columns ``k0`` as relations."""
-    ring = f.ring
-    s, t = f.domain.ngens, f.codomain.ngens
-    rel_im = mat_identity(ring, s) if t == 0 else k0
-    img, _, from_i = _presentation(ring, s, rel_im)
-    return img, Morphism._checked(img, f.codomain, mat_mul(ring, f.rows, from_i))
+    f, with the ``r`` kernel generators ``k0`` of :func:`kernel_data` as
+    relations."""
+    img, _, from_i = _presentation(f.ring, k0, (FREE,) * f.domain.ngens, r)
+    return img, Morphism._checked(img, f.codomain, mat_mul(f.ring, f.rows, from_i))
 
 
 def analyze(f):
@@ -1346,41 +1375,6 @@ def _prime_powers(e):
             return None
         parts.append((e, 1))
     return parts
-
-
-def _order_rows(ring, rows, orders, width, local=None):
-    """Fresh sparse rows of [map | order columns] for a map with ``width``
-    columns, given by the nonzeros ``rows`` ({column: entry}, one dict per
-    codomain generator), into the sum of cyclics of the raw ``orders``:
-    generator i of order f gets f at column width + i.  When ``local``, a
-    quotient R/(pi^e) of the ring (:func:`_quotient_ring`), is given, the
-    entries are mapped onto it.  Zero entries and rows are left out."""
-    if local is None:
-        residue = None
-    elif local.kind == DUAL_CHAIN:
-        e = local.m
-        residue = lambda x: x[:e]
-    elif ring.kind == DUAL_CHAIN:
-        residue = operator.itemgetter(0)
-    else:
-        q = local._modulus
-        residue = lambda x: x % q
-    zero = (local or ring).zero()
-    out = {}
-    for i, (row, f) in enumerate(zip(rows, orders)):
-        if residue is None:
-            entries = dict(row)
-        else:
-            entries = {j: y for j, x in row.items() if (y := residue(x)) != zero}
-        if f != FREE:
-            x = _factor_order_elt(ring, f)
-            if residue is not None:
-                x = residue(x)
-            if x != zero:
-                entries[width + i] = x
-        if entries:
-            out[i] = entries
-    return out
 
 
 def _pivot_valuations(ring, rows):
@@ -1524,11 +1518,8 @@ def _cokernel_of_rows(ring, rows, orders, width):
         m = ring.m or 1
         parts = [(ring.p, m if FREE in orders else max(orders))]
     elif FREE in orders or (parts := _prime_powers(lcm(*orders))) is None:
-        w = [[0] * (width + n) for _ in range(n)]
-        for i, row in _order_rows(ring, rows, orders, width).items():
-            for j, x in row.items():
-                w[i][j] = x
-        return _diagonal_factors(ring, smith(ring, w).d, n)[1]
+        return _diagonal_factors(ring, smith(ring, _presentation_matrix(
+            ring, rows, orders, width)).d, n)[1]
     # the p-part of each invariant factor, largest first
     exponents = []
     for p, k in parts:
@@ -2069,8 +2060,9 @@ def factor_through_mono(inclusion, given):
     if inclusion.codomain.is_zero:
         # every map into the zero module is zero, and so is u
         return Morphism.zero(given.domain, inclusion.domain)
-    amat = mat_hstack(inclusion.matrix, _order_columns(inclusion.codomain))
-    x = solve_linear(ring, amat, given.matrix)
+    amat = _presentation_matrix(ring, inclusion.rows, inclusion.codomain.factors,
+                                inclusion.domain.ngens)
+    x = solve_linear(ring, amat, given.rows)
     if x is None:
         raise ShapeError("map does not factor through the inclusion")
     u = Morphism._checked(given.domain, inclusion.domain, x[:inclusion.domain.ngens])
@@ -2092,8 +2084,8 @@ def factor_through_epi(projection, given):
     if given.domain != projection.domain:
         raise ShapeError("factor_through_epi: domain mismatch")
     mid = projection.codomain
-    amat = mat_hstack(projection.matrix, _order_columns(mid))
-    x = solve_linear(ring, amat, mat_identity(ring, mid.ngens))
+    amat = _presentation_matrix(ring, projection.rows, mid.factors, projection.domain.ngens)
+    x = solve_linear(ring, amat, [{i: ring.one()} for i in range(mid.ngens)])
     if x is None:
         raise ShapeError("factor_through_epi: the projection is not surjective")
     n = projection.domain.ngens

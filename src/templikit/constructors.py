@@ -17,7 +17,6 @@ from .coeff import (
     Ring,
     RingExtension,
     ShapeError,
-    mat_identity,
     mat_mul,
 )
 from .quiver import (
@@ -732,8 +731,8 @@ def _random_poset_sset(rng, size, max_level):
 
 def _random_invertible(ring, n, rng, steps=6):
     """A product of elementary matrices together with its inverse."""
-    u = [list(r) for r in mat_identity(ring, n)]
-    uinv = [list(r) for r in mat_identity(ring, n)]
+    u = [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)]
+    uinv = [list(r) for r in u]
     for _ in range(steps if n > 1 else 0):
         i = rng.randrange(n)
         j = rng.randrange(n)

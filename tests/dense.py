@@ -1,12 +1,13 @@
 """Dense matrix references for the tests.
 
 The library keeps a morphism's matrix as sparse rows, one {column: entry}
-dict of nonzeros per codomain generator, and multiplies only those.  The
-tests check it against the plain dense arithmetic here, on tuples of row
-tuples, which shares no code with it.
+dict of nonzeros per codomain generator, and multiplies only those; only
+Smith eliminates on a dense matrix.  The tests check it against the plain
+dense arithmetic here, on tuples of row tuples, which shares no code with
+it, and against the dense presentation [f | order columns] built here.
 """
 
-from templikit.coeff import ShapeError
+from templikit.coeff import FREE, ShapeError
 
 
 def densify(ring, rows, width):
@@ -18,6 +19,33 @@ def densify(ring, rows, width):
 def sparsify(ring, matrix):
     """The sparse rows of a dense ``matrix`` of canonical entries."""
     return [{j: x for j, x in enumerate(row) if not ring.is_zero(x)} for row in matrix]
+
+
+def mat_identity(ring, n):
+    one, zero = ring.one(), ring.zero()
+    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+
+
+def mat_hstack(a, b):
+    if not a:
+        return b
+    if not b:
+        return a
+    return tuple(ra + rb for ra, rb in zip(a, b))
+
+
+def order_columns(module):
+    """Relation matrix of the presentation of ``module``: one column per
+    torsion generator, holding its order at the generator's row."""
+    n = module.ngens
+    zero = module.ring.zero()
+    cols = []
+    for i, f in enumerate(module.factors):
+        if f != FREE:
+            col = [zero] * n
+            col[i] = module.order_elt(i)
+            cols.append(col)
+    return tuple(tuple(col[i] for col in cols) for i in range(n))
 
 
 def mat_zero(ring, rows, cols):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dense import dense_mat_mul, densify, mat_zero
+from dense import dense_mat_mul, densify, mat_identity, mat_zero, sparsify
 from templikit.coeff import (
     FREE,
     PRIME_LIMIT,
@@ -16,6 +16,7 @@ from templikit.coeff import (
     RingExtension,
     ShapeError,
     UnsupportedRingError,
+    _chain_order_elt,
     _is_prime,
     analyze,
     cokernel_data,
@@ -28,7 +29,6 @@ from templikit.coeff import (
     finite_colimit,
     finite_limit,
     invariant_factors,
-    mat_identity,
     mat_mul,
     normal_form,
     normalize_orders,
@@ -119,6 +119,22 @@ def test_zero_module_sources_return_the_shared_zero():
         iso = Morphism.identity(Module.free(ring, 2))
         assert cokernel_module(iso) is Module.zero(ring)
         assert cokernel_data(iso)[0] is Module.zero(ring)
+
+
+def test_integer_orders_leave_the_order_cache_alone():
+    # over Z the order element of Z/f is f itself, so fresh orders add
+    # nothing to the cache; a chain ring adds at most m values to it
+    before = _chain_order_elt.cache_info().currsize
+    for f in range(10 ** 12, 10 ** 12 + 1000):
+        cod = Module(Z, (f,))
+        assert cod.order_elt(0) == f
+        assert cokernel_data(Morphism(Module.free(Z, 1), cod, ((f - 1,),)))[0].is_zero
+    assert _chain_order_elt.cache_info().currsize == before
+    ring = Ring.chain(3, 7)
+    for _ in range(2):
+        for f in range(7):
+            Module(ring, (f,) if f else (FREE,)).order_elt(0)
+    assert _chain_order_elt.cache_info().currsize <= before + ring.m
 
 
 def _trial_division(n):
@@ -261,13 +277,16 @@ def test_smith_transforms_track_inverses():
         for rows, cols in ((3, 4), (4, 3), (3, 3), (0, 0), (2, 0)):
             a = rand_matrix(ring, rows, cols, rng)
             b = rand_matrix(ring, rows, 2, rng)
-            res = smith(ring, a, left=True, right=True, row_t=True, col_t=True, aug=b)
-            u, v = res.row_transform, res.col_transform
-            assert dense_mat_mul(ring, res.left, u, rows) == mat_identity(ring, rows)
-            assert dense_mat_mul(ring, res.right, v, cols) == mat_identity(ring, cols)
+            res = smith(ring, a, left=True, right=True, row_t=True, col_t=True,
+                        aug=sparsify(ring, b))
+            # the transforms come out as sparse rows
+            left, u = densify(ring, res.left, rows), densify(ring, res.row_transform, rows)
+            right, v = densify(ring, res.right, cols), densify(ring, res.col_transform, cols)
+            assert dense_mat_mul(ring, left, u, rows) == mat_identity(ring, rows)
+            assert dense_mat_mul(ring, right, v, cols) == mat_identity(ring, cols)
             assert dense_mat_mul(ring, dense_mat_mul(ring, u, a, cols), v, cols) == \
                 expand_diag(ring, res.d, rows, cols)
-            assert res.aug == dense_mat_mul(ring, u, b, 2)
+            assert densify(ring, res.aug, 2) == dense_mat_mul(ring, u, b, 2)
 
 
 def test_solve_linear():
@@ -277,10 +296,10 @@ def test_solve_linear():
             a = rand_matrix(ring, 3, 3, rng)
             x = rand_matrix(ring, 3, 2, rng)
             b = dense_mat_mul(ring, a, x)
-            x2 = solve_linear(ring, a, b)
+            x2 = solve_linear(ring, a, sparsify(ring, b))
             assert x2 is not None
             assert dense_mat_mul(ring, a, densify(ring, x2, 2)) == b
-    assert solve_linear(Z, ((2,),), ((1,),)) is None
+    assert solve_linear(Z, ((2,),), [{0: 1}]) is None
 
 
 # ---------------------------------------------------------------------------

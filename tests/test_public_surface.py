@@ -79,3 +79,11 @@ def test_traced_function_resolves(module, attr):
 def test_traced_method_resolves(module, cls, method, span):
     owner = getattr(importlib.import_module(f"templikit.{module}"), cls)
     assert callable(getattr(owner, method))
+
+
+def test_smith_reads_a_dense_matrix_second():
+    # perfbench/layers.py reads smith's second argument as a tuple of row
+    # tuples for coeff.smith.entries, max_dim and max_entry_bits
+    coeff = importlib.import_module("templikit.coeff")
+    assert tuple(inspect.signature(coeff.smith).parameters)[:2] == ("ring", "matrix")
+    assert coeff.smith(coeff.Ring.integers(), ((2, 4), (6, 8))).d == [2, 4]

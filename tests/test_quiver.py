@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense import sparsify
+from dense import mat_identity, sparsify
 from templikit.coeff import (
     FREE,
     Module,
@@ -16,7 +16,6 @@ from templikit.coeff import (
     Ring,
     ShapeError,
     analyze,
-    mat_identity,
 )
 from templikit.quiver import (
     Quiver,

@@ -8,18 +8,20 @@ matrix (L*diag(d)*R == A), the recorded transforms must diagonalize it
 give back the invariant factors of D.
 
 ``reference_smith`` is the elimination ``smith`` replaced, which kept each
-transform apart; ``smith`` must return the same ``SmithResult``, field for
+transform apart and returned it dense; ``smith`` returns its transforms as
+sparse rows, which densified must give the same ``SmithResult``, field for
 field and with the same entry types, for every combination of transforms.
 """
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense import dense_mat_mul
+from dense import dense_mat_mul, densify, mat_identity, sparsify
 from templikit.coeff import (
     CHAIN,
     DUAL_CHAIN,
@@ -28,7 +30,6 @@ from templikit.coeff import (
     Ring,
     SmithResult,
     invariant_factors,
-    mat_identity,
     normal_form,
     smith,
 )
@@ -105,8 +106,9 @@ def test_normal_form_reconstructs_and_diagonalizes(ring):
         assert dense_mat_mul(ring, dense_mat_mul(ring, left, _diag(ring, d, rows, cols), cols),
                              right, cols) == a
         res = smith(ring, a, row_t=True, col_t=True)
-        u_a = dense_mat_mul(ring, res.row_transform, a, cols)
-        assert dense_mat_mul(ring, u_a, res.col_transform, cols) == _diag(ring, res.d, rows, cols)
+        u_a = dense_mat_mul(ring, densify(ring, res.row_transform, rows), a, cols)
+        assert dense_mat_mul(ring, u_a, densify(ring, res.col_transform, cols), cols) == \
+            _diag(ring, res.d, rows, cols)
         assert tuple(res.d) == d
 
 
@@ -122,6 +124,38 @@ def _invertible(ring, rng, n):
             e[i][i] = ring.neg(ring.one())
         m = dense_mat_mul(ring, tuple(map(tuple, e)), m, n)
     return m
+
+
+@st.composite
+def large_integer_matrices(draw):
+    """Up to 6 x 6 over Z, entries up to 2^128 in absolute value, about half
+    of them zero."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entries = st.one_of(st.just(0), st.integers(-2 ** 128, 2 ** 128))
+    return tuple(tuple(draw(entries) for _ in range(cols)) for _ in range(rows))
+
+
+@settings(max_examples=100)
+@given(large_integer_matrices())
+def test_integer_euclid_on_large_entries(a):
+    # the Euclidean loop over Z runs unbounded on every transform: it must
+    # end quickly, give sympy's invariant factors and exact transforms
+    normalforms = _sympy()
+    from sympy import Matrix, ZZ
+
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    start = time.perf_counter()
+    res = smith(Z, a, left=True, right=True, row_t=True, col_t=True)
+    assert time.perf_counter() - start < 5
+    expected = normalforms.invariant_factors(Matrix(rows, cols, [x for r in a for x in r]),
+                                             domain=ZZ) if rows and cols else ()
+    assert tuple(res.d) == tuple(abs(int(x)) for x in expected)
+    u, left = densify(Z, res.row_transform, rows), densify(Z, res.left, rows)
+    v, right = densify(Z, res.col_transform, cols), densify(Z, res.right, cols)
+    assert dense_mat_mul(Z, dense_mat_mul(Z, u, a, cols), v, cols) == _diag(Z, res.d, rows, cols)
+    assert dense_mat_mul(Z, left, u, rows) == mat_identity(Z, rows)
+    assert dense_mat_mul(Z, right, v, cols) == mat_identity(Z, cols)
 
 
 def _unit(ring, rng):
@@ -459,11 +493,23 @@ def _typed(x):
     return type(x), x
 
 
+def _densified(ring, res, rows, cols, width):
+    """The fields of ``smith``'s result with each sparse transform made
+    dense, in the shape ``reference_smith`` returns it."""
+    shapes = {"left": rows, "right": cols, "row_transform": rows, "col_transform": cols,
+              "aug": width}
+    return {k: v if k == "d" or v is None else densify(ring, v, shapes[k])
+            for k, v in vars(res).items()}
+
+
 def _assert_matches_reference(ring, a, b, flags):
-    kwargs = dict(zip(FLAGS[:4], flags[:4]), aug=b if flags[4] else None)
-    got, want = smith(ring, a, **kwargs), reference_smith(ring, a, **kwargs)
+    kwargs = dict(zip(FLAGS[:4], flags[:4]))
+    got = smith(ring, a, **kwargs, aug=sparsify(ring, b) if flags[4] else None)
+    want = reference_smith(ring, a, **kwargs, aug=b if flags[4] else None)
     assert isinstance(got, SmithResult)
-    assert {k: _typed(v) for k, v in vars(got).items()} == \
+    rows = len(a)
+    cols, width = (len(a[0]), len(b[0])) if rows else (0, 0)
+    assert {k: _typed(v) for k, v in _densified(ring, got, rows, cols, width).items()} == \
         {k: _typed(v) for k, v in vars(want).items()}, (ring, a, b, kwargs)
 
 

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense import mat_hstack, order_columns
 from templikit import coeff
 from templikit.coeff import (
     FREE,
@@ -33,10 +34,8 @@ from templikit.coeff import (
     _diagonal_factors,
     _factor_order_elt,
     _is_prime,
-    _order_columns,
     _prime_powers,
     cokernel_module,
-    mat_hstack,
     smith,
 )
 from templikit.constructors import (
@@ -77,7 +76,7 @@ def dense_cokernel(f):
     n = f.codomain
     if n.ngens == 0:
         return Module.zero(f.ring)
-    w = mat_hstack(f.matrix, _order_columns(n))
+    w = mat_hstack(f.matrix, order_columns(n))
     return _diagonal_factors(f.ring, smith(f.ring, w).d, n.ngens)[1]
 
 
@@ -102,7 +101,7 @@ def sympy_cokernel(f):
         reason="sympy is not installed, so there is no independent Smith oracle")
     from sympy import ZZ, Matrix
 
-    w = mat_hstack(f.matrix, _order_columns(f.codomain))
+    w = mat_hstack(f.matrix, order_columns(f.codomain))
     rows, cols = len(w), len(w[0]) if w else 0
     d = []
     if rows and cols:

@@ -6,7 +6,8 @@ multiplies row-sparse and reduces each output entry once;
 ``tensor_morphisms`` and ``tensor_quiver_morphisms`` build each raw row from
 the nonzero entries of the factors; identities, zero maps, composites, sums,
 differences, multiples, base changes and views over the source keep only
-nonzeros.  Each is compared here with dense or per-entry references kept in
+nonzeros; the dense input of Smith, [f | order columns], is built from the
+rows.  Each is compared here with dense or per-entry references kept in
 the tests (``dense.py`` and below), on the dense view ``.matrix``: equal
 matrices, with equal entry types and no zero in any stored row, over Z, Q,
 F_3, Z/2^3, F_3[e]/(e^2) and F_3[e]/(e^3), zero modules (0-row and 0-column
@@ -16,6 +17,7 @@ shapes, and products with an inner dimension of 0) included.
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +27,9 @@ from dense import (
     dense_mat_mul,
     dense_mat_neg,
     densify,
+    mat_hstack,
     mat_zero,
+    order_columns,
     reduce_torsion_rows,
     sparsify,
 )
@@ -35,6 +39,7 @@ from templikit.coeff import (
     Morphism,
     Ring,
     RingExtension,
+    _presentation_matrix,
     _reduce_torsion,
     _tensor_layout,
     mat_mul,
@@ -471,3 +476,19 @@ def test_reduce_torsion_rows_equals_per_entry_reduction(data):
     ring = module.ring
     got = _reduce_torsion(module, sparsify(ring, matrix))
     assert_same_rows(ring, got, reduce_torsion_rows(module, matrix), cols)
+
+
+# -- the presentation Smith reads ------------------------------------------
+
+
+@pytest.mark.parametrize("ring,factors", [(ring, factors) for ring in RINGS
+                                          for factors in FACTORS[ring]], ids=str)
+@settings(max_examples=20)
+@given(data=st.data())
+def test_presentation_matrix_equals_dense_presentation(ring, factors, data):
+    # every codomain of FACTORS: zero, all free, all torsion and mixed
+    f = data.draw(module_maps(ring, cod=Module(ring, factors)))
+    got = _presentation_matrix(ring, f.rows, f.codomain.factors, f.domain.ngens)
+    want = mat_hstack(f.matrix, order_columns(f.codomain))
+    assert got == want
+    assert _entry_types(got) == _entry_types(want)

@@ -28,6 +28,7 @@ from dense import (
     dense_mat_mul,
     dense_mat_neg,
     densify,
+    mat_identity,
     mat_zero,
     reduce_torsion_rows,
 )
@@ -53,7 +54,6 @@ from templikit.coeff import (
     kernel_data,
     limit_cokernel,
     limit_is_iso,
-    mat_identity,
     normalize_orders,
     tensor_morphisms,
 )
