@@ -819,6 +819,18 @@ class Module:
         return " + ".join(parts)
 
 
+def _onto_quotient(ring, local):
+    """The map of canonical elements of ``ring`` onto their residues in its
+    quotient ``local`` = R/(pi^e) (:func:`_quotient_ring`)."""
+    if local.kind == DUAL_CHAIN:
+        e = local.m
+        return lambda x: x[:e]
+    if ring.kind == DUAL_CHAIN:
+        return operator.itemgetter(0)
+    q = local._modulus
+    return lambda x: x % q
+
+
 def _order_rows(ring, rows, orders, width, local=None):
     """Fresh sparse rows of the presentation [map | order columns] of the
     cokernel of a map with ``width`` columns, given by the nonzeros ``rows``
@@ -828,16 +840,7 @@ def _order_rows(ring, rows, orders, width, local=None):
     ring (:func:`_quotient_ring`), is given, the entries are mapped onto it.
     Zero entries and rows are left out; the result maps row indices to
     rows."""
-    if local is None:
-        residue = None
-    elif local.kind == DUAL_CHAIN:
-        e = local.m
-        residue = lambda x: x[:e]
-    elif ring.kind == DUAL_CHAIN:
-        residue = operator.itemgetter(0)
-    else:
-        q = local._modulus
-        residue = lambda x: x % q
+    residue = None if local is None else _onto_quotient(ring, local)
     zero = (local or ring).zero()
     out, column = {}, width
     for i, (row, f) in enumerate(zip(rows, orders)):
@@ -2151,9 +2154,90 @@ def _size(ring, factors):
     return sum(ring.m if f == FREE else f for f in factors)
 
 
+def _over_quotient(diagram, legs, domain):
+    """``diagram``, ``legs`` and ``domain`` over R/(pi^e), when R is a chain
+    ring and pi^e, for some e < m, kills every node and the domain; None
+    otherwise (a free factor anywhere, or no generator at all).
+
+    These are R/(pi^e)-modules, and their maps, limits and cokernels are the
+    same over R and over R/(pi^e).  A generator of order pi^e is free over
+    R/(pi^e); every other order carries over, and every entry becomes its
+    residue (:func:`_onto_quotient`), nonzero because it is reduced modulo
+    an order dividing pi^e.  Each module, arrow and leg is converted once.
+    Legs of the wrong number or with the wrong endpoints are left to the
+    cone check over R, which refuses them.
+    """
+    ring = diagram.ring
+    modules = diagram.nodes + (domain,)
+    if not ring.is_chain_kind or any(module.rank for module in modules):
+        return None
+    if len(legs) != len(diagram.nodes) or any(
+            leg.domain != domain or leg.codomain != node for leg, node in zip(legs, diagram.nodes)):
+        return None
+    e = max((module.factors[-1] for module in modules if module.factors), default=None)
+    if e is None:
+        return None
+    local = _quotient_ring(ring, ring.p, e)
+    residue = _onto_quotient(ring, local)
+    over = {}
+
+    def module(m):
+        if m not in over:
+            over[m] = Module(local, tuple(FREE if f == e else f for f in m.factors))
+        return over[m]
+
+    def morphism(f):
+        return Morphism._trusted(module(f.domain), module(f.codomain), [
+            {j: residue(x) for j, x in row.items()} for row in f.rows])
+
+    nodes = tuple(map(module, diagram.nodes))
+    arrows = tuple((src, tgt, morphism(f)) for src, tgt, f in diagram.arrows)
+    return ModuleDiagram(local, nodes, arrows), list(map(morphism, legs)), module(domain)
+
+
+def _cone_equations(diagram, legs, domain):
+    """The limit equations of ``diagram`` and the legs to their free nodes,
+    once checked to be a cone (:func:`_cone_on_forest`)."""
+    eq = _limit_equations(diagram)
+    return eq, _cone_on_forest(eq, legs, domain)
+
+
+def _rank_over_q(rows):
+    """The rank over Q of an integer matrix given by its sparse ``rows``,
+    from an exact elimination over Q (:func:`_pivot_valuations`)."""
+    return len(_pivot_valuations(Ring.rationals(), {
+        i: {j: Fraction(x) for j, x in row.items()} for i, row in enumerate(rows) if row}))
+
+
+def _free_integer_counts(eq, s, domain):
+    """(onto, injective) over the integers with a free node, when every
+    generator of T is free; None for what this does not decide.
+
+    Let C = coker(s: domain -> F), relations of F included.  delta kills
+    im s, so it induces C -> T, and ker delta / im s is its kernel.  T is
+    torsion-free, so that map kills the torsion of C: the map into the
+    limit is onto iff C is torsion-free and rank C is the rank over Q of
+    delta, whose rows vanish on the torsion columns of F.  For a free
+    domain, s is injective iff im s, of rank rank F - rank C, has the rank
+    of the domain.  C is one diagonal-only cokernel
+    (:func:`_cokernel_of_rows`), and the rank an exact elimination over Q
+    (:func:`_rank_over_q`), not a rank modulo a prime.
+    """
+    if any(f != FREE for f in eq.target_orders):
+        return None, None
+    coker_s = _cokernel_of_rows(eq.ring, s, eq.free_orders, domain.ngens)
+    onto = coker_s.rank == coker_s.ngens and coker_s.rank == _rank_over_q(eq.rows)
+    injective = None
+    if domain.rank == domain.ngens:
+        injective = eq.free_orders.count(FREE) - coker_s.rank == domain.rank
+    return onto, injective
+
+
 def _counted_cone(diagram, legs, domain):
-    """(eq, s, onto, injective) for the map from ``domain`` into the limit
-    of ``diagram`` given by the cone ``legs``.
+    """(onto, injective, witness) for the map from ``domain`` into the limit
+    of ``diagram`` given by the cone ``legs``; ``witness()`` is that map
+    into ker delta as a morphism over the diagram's ring, for the cases
+    that counting does not decide.
 
     With s: domain -> F the legs to the free nodes (sparse rows, see
     :func:`_cone_on_forest`) and delta: F -> T the difference map of
@@ -2164,20 +2248,35 @@ def _counted_cone(diagram, legs, domain):
     the size of F.  A size (:func:`_size`) is a length over a field or a
     chain ring and an order over the integers with torsion nodes: two
     sparse eliminations on the rows of s and delta that read only the
-    diagonal (:func:`_cokernel_of_rows`).  Over the integers with a free
-    node sizes do not decide, and ``onto`` and ``injective`` are None.  A
-    family that is not a cone raises ShapeError.
+    diagonal (:func:`_cokernel_of_rows`).
+
+    The regime is read off the orders.  Over a chain ring whose nodes and
+    domain are killed by pi^e with e < m, everything is computed over
+    R/(pi^e) (:func:`_over_quotient`): over Z/p when e = 1, not on packed
+    tuples.  A length over R/(pi^e) counts a free factor as e, which is its
+    length over R.  Over the integers with a free node, sizes do not
+    decide; :func:`_free_integer_counts` decides when T is free, and
+    otherwise ``onto`` and ``injective`` are None.  A family that is not a
+    cone raises ShapeError, in every regime.
     """
-    ring = diagram.ring
-    eq = _limit_equations(diagram)
-    s = _cone_on_forest(eq, legs, domain)
+    quotient = _over_quotient(diagram, legs, domain)
+    counted = quotient or (diagram, legs, domain)
+    eq, s = _cone_equations(*counted)
+    ring, count_domain = counted[0].ring, counted[2]
+
+    def witness():
+        # over the diagram's ring, as on finite_limit
+        over_ring = (eq, s) if quotient is None else _cone_equations(diagram, legs, domain)
+        return _witness(*over_ring, domain)
+
     if ring.kind == INTEGERS and any(node.rank for node in diagram.nodes):
-        return eq, s, None, None
-    coker_s = _cokernel_of_rows(ring, s, eq.free_orders, domain.ngens)
+        return (*_free_integer_counts(eq, s, domain), witness)
+    coker_s = _cokernel_of_rows(ring, s, eq.free_orders, count_domain.ngens)
     coker_delta = _cokernel_of_rows(ring, eq.rows, eq.target_orders, len(eq.free_orders))
     onto = _size(ring, coker_s.factors + coker_delta.factors) == _size(ring, eq.target_orders)
-    injective = _size(ring, domain.factors + coker_s.factors) == _size(ring, eq.free_orders)
-    return eq, s, onto, injective
+    injective = (_size(ring, count_domain.factors + coker_s.factors)
+                 == _size(ring, eq.free_orders))
+    return onto, injective, witness
 
 
 def _witness(eq, s, domain):
@@ -2190,28 +2289,41 @@ def limit_cokernel(diagram, legs, domain):
     """The cokernel of the map from ``domain`` into the limit of ``diagram``
     given by the cone ``legs``: zero iff that map is onto.
 
-    An onto map is recognized by counting (:func:`_counted_cone`).
-    Otherwise (a map that is not onto, or Z with a free node) the cokernel
-    is that of s as a map into ker delta, as on :func:`finite_limit`.
+    An onto map is recognized by counting (:func:`_counted_cone`): by sizes
+    over a field, a chain ring (over R/(pi^e) when pi^e kills every node
+    and the domain) or the integers with torsion nodes; and over the
+    integers with a free node and a free T, by C = coker s being
+    torsion-free of rank rank_Q(delta), since ker delta / im s is the kernel
+    of C -> T and T torsion-free kills the torsion of C.  Otherwise (a map
+    that is not onto, or Z with a free node and torsion in T) the cokernel
+    is that of s as a map into ker delta over the diagram's ring, as on
+    :func:`finite_limit`.
     """
-    eq, s, onto, _ = _counted_cone(diagram, legs, domain)
+    onto, _, witness = _counted_cone(diagram, legs, domain)
     if onto:
         return Module.zero(diagram.ring)
-    return cokernel_module(_witness(eq, s, domain))
+    return cokernel_module(witness())
 
 
 def limit_is_iso(diagram, legs, domain):
     """Whether the map from ``domain`` into the limit of ``diagram`` given
     by the cone ``legs`` is an isomorphism, without building the limit.
 
-    It is iff it is onto and injective, both counted (:func:`_counted_cone`);
-    over Z with a free node the map into ker delta is analyzed instead.  A
-    family that is not a cone raises ShapeError.
+    It is iff it is onto and injective, both counted (:func:`_counted_cone`).
+    Injectivity is that of s, since ker delta -> F is mono: by sizes where
+    sizes decide, and over Z with a free node and a free T, for a free
+    domain, by rank F - rank coker s = rank domain, as im s is free of
+    rank rank F - rank coker s.  Over Z with a free node, a map onto the
+    limit whose domain has torsion, or any map when T has torsion, is
+    analyzed as a map into ker delta instead.  A family that is not a cone
+    raises ShapeError.
     """
-    eq, s, onto, injective = _counted_cone(diagram, legs, domain)
-    if onto is None:
-        return analyze(_witness(eq, s, domain)).is_iso
-    return onto and injective
+    onto, injective, witness = _counted_cone(diagram, legs, domain)
+    if onto is False:
+        return False
+    if injective is None:
+        return analyze(witness()).is_iso
+    return injective
 
 
 def factor_through_colimit(colimit, legs, codomain):

@@ -446,9 +446,9 @@ def verify_wings_tensor(x, module, max_level=None):
 
     The diagnostics ask whether a map into a limit is an isomorphism with
     one :func:`coeff.limit_is_iso` call each, counted on the sparse rows of
-    the limit's equations (over Z with a free node, on the kernel of the
-    difference map built on them); only the truncated wings of Y
-    and the wedge intersections, whose cones the pullback squares read, are
+    the limit's equations (over Z with a free node, by ranks when the
+    targets of the equations are free); only the truncated wings of Y and
+    the wedge intersections, whose cones the pullback squares read, are
     built as limits.
     """
     n_max = min(max_level or x.max_level, x.max_level)

@@ -18,8 +18,11 @@ building the limit.  The equations are sparse rows of the difference map
 delta, written from nonzeros; the cone is checked on them, and an onto map
 costs two sparse eliminations on the rows of s and delta that read only
 the diagonal (no direct sum, no delta morphism and no dense Smith run).
-A failing item reads the cokernel off the kernel of delta, built once as a
-morphism on the same rows, and its report carries it.
+When pi^e with e < m kills every value, they run over R/(pi^e).  Over Z
+with free values and a free T, an onto map costs one diagonal-only
+cokernel of s and a rank of delta over Q.  A failing item reads the
+cokernel off the kernel of delta, built as a morphism over the instance's
+ring, and its report carries it.
 Its sibling :func:`coeff.limit_is_iso`, which the wings-tensor harness
 asks, counts injectivity on the same two eliminations.  A limit is built only where its
 cone is read: the limit objects below, and the truncated wings and wedge

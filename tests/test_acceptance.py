@@ -265,6 +265,17 @@ def test_criterion_5_wings_horns_equivalence():
         kan, wings = check_weak_kan(y5, 5), check_lifts_wings(y5, 5)
         assert (len(kan.items), len(wings.items)) == (10, 4)
         assert kan.passed and wings.passed
+        # and over Z with free values at N = 5: the free templicial module on
+        # the nerve of p0 < p1 < p2 is a quasi-category, and every hom lifts
+        # its 10 horns and its 4 wings
+        x5 = free_templicial(sset_nerve_of_poset(
+            ("p0", "p1", "p2"), (("p0", "p1"), ("p1", "p2")), 5), Z, 5)
+        for a in x5.vertices:
+            for b in x5.vertices:
+                y5 = hom_necklicial(x5, a, b)
+                kan, wings = check_weak_kan(y5, 5), check_lifts_wings(y5, 5)
+                assert (len(kan.items), len(wings.items)) == (10, 4)
+                assert kan.passed and wings.passed
 
 
 def test_criterion_6_tensor_preservation():

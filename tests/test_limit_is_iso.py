@@ -2,7 +2,9 @@
 
 ``coeff.limit_is_iso`` answers on the limit's forest equations: onto and
 injective are both counted on the diagonals of coker s and coker delta,
-and over Z with a free node the map into ker delta is analyzed.  These
+over Z with a free node and a free T on the rank and torsion of coker s
+and the rank of delta, and otherwise over Z with a free node the map into
+ker delta is analyzed.  These
 tests compare its verdict with the one of the canonical map into the built
 limit, ``analyze(factor_through_limit(finite_limit(d), legs, dom)).is_iso``,
 on every comparison ``verify_wings_tensor`` makes on four instances, and on

@@ -2,8 +2,9 @@
 
 ``coeff.limit_cokernel`` works on the limit's forest equations: an onto map
 costs two diagonal-only cokernels, of the free legs s and of the difference
-map delta, whose lengths it compares; otherwise it reads the cokernel off
-the kernel of delta.  These tests compare the cokernel it returns, the
+map delta, whose lengths it compares (over Z with free values, the rank and
+torsion of coker s against the rank of delta); otherwise it reads the
+cokernel off the kernel of delta.  These tests compare the cokernel it returns, the
 witness and not only the verdict, with the one of the canonical map into
 the built limit on every horn and wings item of a corpus over five ring
 kinds, and on mutants with one perturbed action.
@@ -140,27 +141,43 @@ def test_paper_p_count_fails_only_at_a_c_2_1():
     assert failing == [("a", "c", 2, 1)]
 
 
-def test_integers_with_free_values_keep_the_full_path(monkeypatch):
-    """Over Z with a free value lengths do not count: the only cokernel
-    taken is the witness's, of the map into the kernel of delta, with no
-    counting Smith run on s or delta."""
+def test_integers_with_free_values_count_passing_items(monkeypatch):
+    """Over Z with free values and a free T, a passing item is counted (coker
+    s torsion-free of rank rank_Q(delta)) and takes no witness and no
+    cokernel of one.  The failing item takes exactly one witness, the map
+    into the kernel of delta that the full path factors, and exactly one
+    cokernel, of that witness, equal to the full path's."""
     y = hom_necklicial(s0_times_2(3), "*", "*")
     report = check_weak_kan(y, 3)
-    assert [i.indices for i in report.items] == [(2, 1), (3, 1), (3, 2)]
-    taken = []
+    assert [(i.indices, i.passed) for i in report.items] == [
+        ((2, 1), False), ((3, 1), True), ((3, 2), True)]
+    witnesses, taken = [], []
+    witness = coeff._witness
 
-    def spied(f):
+    def spied_witness(eq, s, domain):
+        witnesses.append(witness(eq, s, domain))
+        return witnesses[-1]
+
+    def spied_cokernel(f):
         taken.append(f)
         return cokernel_module(f)
 
-    monkeypatch.setattr(coeff, "cokernel_module", spied)
+    monkeypatch.setattr(coeff, "_witness", spied_witness)
+    monkeypatch.setattr(coeff, "cokernel_module", spied_cokernel)
     for item in report.items:
         n, extra = item.indices[0], item.indices[1:]
+        witnesses.clear()
         taken.clear()
         count, full = _both_paths(y, "horn", n, extra)
         assert count == full and _passes(count) == item.passed
-        limit = finite_limit(_module_diagram(y, build_diagram("horn", n, *extra)))
-        assert [(f.domain, f.codomain) for f in taken] == [(y.level(n), limit.module)]
+        if item.passed:
+            assert witnesses == taken == []
+            continue
+        diagram = build_diagram("horn", n, *extra)
+        limit = finite_limit(_module_diagram(y, diagram))
+        legs = [y.action(obj) for obj in diagram.objects]
+        assert witnesses == taken == [factor_through_limit(limit, legs, y.level(n))]
+        assert count[1] == Module(Z, (2,))
 
 
 def _mutant(y, target, change):

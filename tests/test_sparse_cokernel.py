@@ -311,11 +311,17 @@ def test_torsion_cokernel_over_the_quotient_ring_equals_dense_reference(data):
     assert rings == [_quotient_by_largest_order(ring, orders)]
 
 
-def test_order_one_eliminations_run_over_an_integer_ring(monkeypatch):
+def _entries(rows):
+    return [x for row in rows for x in row.values()]
+
+
+def test_order_one_items_run_over_an_integer_ring(monkeypatch):
     """Over F3[e]/(e^2) the sub and quotient terms of an extension sequence
-    are F3-modules: e kills every generator, so each elimination into order-1
-    generators runs over Z/3, never on the tuples."""
-    ring = Ring.dual_chain(3, 2)
+    are F3-modules: e kills every generator.  The cokernels the sequence
+    takes into order-1 generators run over Z/3.  The weak Kan checks of
+    both terms pass, and every difference map, cone and elimination they
+    build is over Z/3, on integer entries: no call sees a tuple."""
+    ring, z3 = Ring.dual_chain(3, 2), Ring.chain(3, 1)
     sset = sset_nerve_of_poset(("p0", "p1"), (("p0", "p1"),), 3)
     ybar = hom_necklicial(free_templicial(sset, ring, 3), ("p0",), ("p1",))
     calls = []  # (orders, rings of the eliminations it ran)
@@ -329,16 +335,40 @@ def test_order_one_eliminations_run_over_an_integer_ring(monkeypatch):
         calls[-1][1].append(local)
         return pivot_valuations(local, matrix)
 
-    monkeypatch.setattr(coeff, "_cokernel_of_rows", cokernel)
-    monkeypatch.setattr(coeff, "_pivot_valuations", pivots)
-    ext = extension_sequence(RingExtension(ring, Ring.prime_field(3)), ybar)
-    during_sequence = len(calls)
-    check_weak_kan(ext.sub, 3)
-    order_one = [(k, rings) for k, (orders, rings) in enumerate(calls)
-                 if orders and set(orders) == {1}]
-    assert any(k < during_sequence for k, _ in order_one)
-    assert any(k >= during_sequence for k, _ in order_one)
-    assert all(rings == [Ring.chain(3, 1)] for _, rings in order_one)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coeff, "_cokernel_of_rows", cokernel)
+        patch.setattr(coeff, "_pivot_valuations", pivots)
+        ext = extension_sequence(RingExtension(ring, Ring.prime_field(3)), ybar)
+    order_one = [rings for orders, rings in calls if orders and set(orders) == {1}]
+    assert order_one and all(rings == [z3] for rings in order_one)
+
+    seen = {"_limit_equations": [], "_cone_on_forest": [], "_pivot_valuations": []}
+    equations, cone = coeff._limit_equations, coeff._cone_on_forest
+
+    def spied_equations(diagram):
+        entries = [x for _, _, f in diagram.arrows for x in _entries(f.rows)]
+        seen["_limit_equations"].append((diagram.ring, entries))
+        return equations(diagram)
+
+    def spied_cone(eq, legs, domain):
+        entries = _entries(eq.rows) + [x for leg in legs for x in _entries(leg.rows)]
+        seen["_cone_on_forest"].append((eq.ring, entries))
+        return cone(eq, legs, domain)
+
+    def spied_pivots(local, rows):
+        seen["_pivot_valuations"].append((local, _entries(rows.values())))
+        return pivot_valuations(local, rows)
+
+    monkeypatch.setattr(coeff, "_limit_equations", spied_equations)
+    monkeypatch.setattr(coeff, "_cone_on_forest", spied_cone)
+    monkeypatch.setattr(coeff, "_pivot_valuations", spied_pivots)
+    for term in (ext.sub, ext.quotient):
+        assert check_weak_kan(term, 3).passed
+    for name, taken in seen.items():
+        assert taken, name
+        assert {r for r, _ in taken} == {z3}, name
+        entries = [x for _, xs in taken for x in xs]
+        assert entries and {type(x) for x in entries} == {int}, name
 
 
 # -- corpus ---------------------------------------------------------------
