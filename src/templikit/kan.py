@@ -4,13 +4,23 @@ Surjectivity of a module map implements "regular epimorphism": over module
 categories the underlying-set functor preserves and reflects regular epis.
 Horn and wing objects are computed as finite limits over the index posets of
 necklace maps into the simplex, and degenerate parts as colimits over the
-poset of surjections.  The diagrams keep only the covering arrows: Y is
-validated functorial at the trust boundary, so the equation of every other
-arrow, a composite of covering ones, follows from theirs.
+poset of surjections.  Y is validated functorial at the trust boundary, and
+the diagrams rely on it.  The limit objects below, the wings-tensor
+diagnostics and the colimits keep every object and only the covering
+arrows: the equation of every other arrow, a composite of covering ones,
+follows from theirs.  The weak Kan and lifts-wings checkers solve on the
+meet skeleton (:func:`necklace.meet_skeleton`), the maximal objects and the
+maximal common lower bounds of pairs of them: a family on the maximal
+objects determines the value at every object p through Y(p <= r), and two
+maximal objects above p agree there because p lies below a maximal common
+lower bound of the two, where the skeleton makes them agree.  So the limit
+over the skeleton is the limit over the whole poset, with the same map from
+Y_n, and the same cokernel.
 
 Every checker refuses an invalid instance with ``InvalidInstanceError``;
 validity is established once per instance and kept on it
 (:func:`validation_report`), so checking an instance again costs nothing.
+A checker establishes it before it reads any diagram.
 
 Each horn or wings item is one call to :func:`coeff.limit_cokernel`, the
 cokernel of Y_n -> lim read off the limit's forest equations without
@@ -45,7 +55,7 @@ from .coeff import (
     finite_limit,
     limit_cokernel,
 )
-from .necklace import build_diagram, fint_surjections
+from .necklace import build_diagram, fint_surjections, meet_skeleton
 from .quiver import Quiver, QuiverDiagram, QuiverMorphism, _solve_homwise
 from .templicial import (
     TemplicialModule,
@@ -192,13 +202,15 @@ def truncated_wing_object(y, n, i):
 
 def _surjectivity_report(prop, y, max_level, label, kind, extras):
     """Whether Y_n maps onto the limit object of the ``kind`` index diagram,
-    at every 2 <= n <= max_level and every ``extra`` in ``extras(n)``."""
+    at every 2 <= n <= max_level and every ``extra`` in ``extras(n)``.  The
+    limit is taken over the diagram's meet skeleton, which gives the same
+    limit and cokernel once Y is validated functorial."""
     _require_valid(y)
     n_max = min(max_level or y.max_level, y.max_level)
     items = []
     for n in range(2, n_max + 1):
         for extra in extras(n):
-            diagram = build_diagram(kind, n, *extra)
+            diagram = meet_skeleton(kind, n, *extra)
             legs = [y.action(obj) for obj in diagram.objects]
             coker = limit_cokernel(_module_diagram(y, diagram), legs, y.level(n))
             if coker.is_zero:

@@ -9,7 +9,7 @@ truncated-wing and degenerate-part objects are computed as finite (co)limits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, combinations_with_replacement
 
 from .coeff import ShapeError
@@ -327,9 +327,14 @@ class IndexDiagram:
     For horn/wing kinds the objects are necklace maps f_i into Delta^n and an
     arrow (i, k, g) satisfies f_k o g = f_i.  For the degeneracy kind the
     objects are surjections s_i out of [n] and an arrow (i, k, t) satisfies
-    s_k = t o s_i.  Either way the objects form a poset, and only its
-    covering arrows are kept, sorted by (i, k): every other arrow is a
-    composite of them, so for a functor its equation follows from theirs.
+    s_k = t o s_i.  Either way the objects form a poset, and the arrows are
+    sorted by (i, k).  :func:`build_diagram` keeps only the covering arrows:
+    every other arrow is a composite of them, so for a functor its equation
+    follows from theirs.  :func:`meet_skeleton` keeps fewer objects
+    instead: the maximal ones and the maximal common lower bounds of pairs
+    of them, with an arrow from each maximal object down to each kept
+    object below it; for a functor the limit over it is the limit over the
+    whole poset.
 
     Naming an injective f: (T,p) -> Delta^n by V = f([p]) and J = f(T), a
     map f -> f' exists iff V is inside V' and J' inside J, and it is unique;
@@ -345,23 +350,35 @@ class IndexDiagram:
     arrows: tuple
 
 
+def _name(f):
+    """(V, J) = (f([p]), f(T)) of an injective f: (T,p) -> Delta^n, which
+    determines it."""
+    return f.fint.values, tuple(f.fint(t) for t in f.source.points)
+
+
+def _covers(v, joints):
+    """The names of the injective maps one step above the map named
+    (V, J) = (v, joints), each with a maker of the fint map g between them:
+    add one vertex to V (g the coface skipping it) or drop one inner joint
+    from J (g the identity)."""
+    p = len(v) - 1
+    for r in range(1, p + 1):
+        for x in range(v[r - 1] + 1, v[r]):
+            yield (v[:r] + (x,) + v[r:], joints), partial(fint_delta, p + 1, r)
+    for x in joints[1:-1]:
+        yield (v, tuple(y for y in joints if y != x)), partial(fint_identity, p)
+
+
 def _slice_arrows(objects):
     """The covering arrows of a convex set of injective maps into Delta^n:
-    add one vertex to V = f([p]) (through the coface skipping it) or drop
-    one inner joint from J = f(T) (through the identity)."""
-    index = {(f.fint.values, tuple(f.fint(t) for t in f.source.points)): k
-             for k, f in enumerate(objects)}
+    its one-step moves (:func:`_covers`)."""
+    index = {_name(f): k for k, f in enumerate(objects)}
     arrows = []
-    for (v, joints), i in index.items():
-        p = len(v) - 1
-        steps = [((v[:r] + (x,) + v[r:], joints), fint_delta(p + 1, r))
-                 for r in range(1, p + 1) for x in range(v[r - 1] + 1, v[r])]
-        steps += [((v, tuple(y for y in joints if y != x)), fint_identity(p))
-                  for x in joints[1:-1]]
-        for key, g in steps:
+    for name, i in index.items():
+        for key, g in _covers(*name):
             k = index.get(key)
             if k is not None:
-                arrows.append((i, k, NecklaceMap(objects[i].source, objects[k].source, g)))
+                arrows.append((i, k, NecklaceMap(objects[i].source, objects[k].source, g())))
     return tuple(sorted(arrows, key=lambda a: a[:2]))
 
 
@@ -394,6 +411,18 @@ def build_diagram(kind, n, extra=None):
     no object of the set above them, and the identity surjection none below
     it, so leaving them out adds no covering arrow.
     """
+    if kind == "degeneracy":
+        if n < 1:
+            raise ShapeError(f"degeneracy({n}) needs n >= 1")
+        objects = tuple(s for s in fint_surjections(n) if not s.is_identity)
+        return IndexDiagram(kind, objects, _degeneracy_arrows(objects))
+    objects = _slice_objects(kind, n, extra)
+    return IndexDiagram(kind, objects, _slice_arrows(objects))
+
+
+def _slice_objects(kind, n, extra):
+    """The objects of a :func:`build_diagram` kind of injective maps into
+    Delta^n: every kind but ``degeneracy``."""
     if kind == "horn":
         j = extra
         if not (isinstance(j, int) and 0 < j < n):
@@ -403,12 +432,12 @@ def build_diagram(kind, n, extra=None):
             f for f in injective_into_simplex(n)
             if not f.is_identity and f != delta_j
         )
-        return IndexDiagram(kind, objects, _slice_arrows(objects))
+        return objects
     if kind == "wings":
         if n < 2:
             raise ShapeError(f"wings({n}) needs n >= 2")
         objects = tuple(f for f in inert_into_simplex(n) if not f.is_identity)
-        return IndexDiagram(kind, objects, _slice_arrows(objects))
+        return objects
     if kind == "truncated_wings":
         i = extra
         if not (isinstance(i, int) and 0 <= i < n):
@@ -418,7 +447,7 @@ def build_diagram(kind, n, extra=None):
             f for f in inert_into_simplex(n)
             if not f.is_identity and not (set(f.source.points) & banned)
         )
-        return IndexDiagram(kind, objects, _slice_arrows(objects))
+        return objects
     if kind == "wedge_intersection":
         i = extra
         if not (isinstance(i, int) and 0 < i < n):
@@ -430,10 +459,56 @@ def build_diagram(kind, n, extra=None):
             and not (set(f.source.points) & banned)
             and f.source.points != (0, i, n)
         )
-        return IndexDiagram(kind, objects, _slice_arrows(objects))
-    if kind == "degeneracy":
-        if n < 1:
-            raise ShapeError(f"degeneracy({n}) needs n >= 1")
-        objects = tuple(s for s in fint_surjections(n) if not s.is_identity)
-        return IndexDiagram(kind, objects, _degeneracy_arrows(objects))
+        return objects
     raise ShapeError(f"unknown diagram kind {kind!r}")
+
+
+@lru_cache(maxsize=None)
+def meet_skeleton(kind, n, extra=None):
+    """The part of the ``horn`` or ``wings`` index diagram that a limit of
+    a functor depends on.
+
+    Its objects are the maximal objects of :func:`build_diagram` and every
+    maximal common lower bound of two of them, in that diagram's order; an
+    arrow (t, r, g) runs from each maximal r down to each kept t below it,
+    with f_r o g = f_t.  For a functor Y the limit over it is the limit over
+    the whole poset, with the same legs from Y_n: a family (x_r) on the
+    maximal objects determines x_p = Y(p <= r) x_r at every p, and two
+    maximal r1, r2 above p agree at p, since p lies below a maximal common
+    lower bound t of r1 and r2, where the arrows make them agree.
+
+    In the (V, J) names of :class:`IndexDiagram`, two objects have a common
+    lower bound iff J1 u J2 is inside V1 n V2, and then (V1 n V2, J1 u J2)
+    is their meet, so their only maximal common lower bound.  The meet is an
+    object of the diagram, since the injective maps it leaves out lie below
+    none of its objects.
+    """
+    if kind not in ("horn", "wings"):
+        raise ShapeError(f"no meet skeleton for diagram kind {kind!r}")
+    # no arrows of the full diagram are built, and it is not kept in
+    # build_diagram's cache: the checkers read only the skeleton, and at
+    # n=8 the full horn diagrams would hold about 24 MiB
+    objects = _slice_objects(kind, n, extra)
+    names = [_name(f) for f in objects]
+    index = {name: k for k, name in enumerate(names)}
+    tops = [k for k, name in enumerate(names)
+            if not any(up in index for up, _ in _covers(*name))]
+    kept = set(tops)
+    for a, b in combinations(tops, 2):
+        (v1, j1), (v2, j2) = names[a], names[b]
+        v, j = set(v1) & set(v2), set(j1) | set(j2)
+        if j <= v:
+            kept.add(index[tuple(sorted(v)), tuple(sorted(j))])
+    kept = sorted(kept)
+    at = {k: i for i, k in enumerate(kept)}
+    arrows = []
+    for t in kept:
+        v, j = names[t]
+        for r in tops:
+            top_v, top_j = names[r]
+            if r != t and set(v) <= set(top_v) and set(top_j) <= set(j):
+                position = {x: y for y, x in enumerate(top_v)}
+                g = FintMap(tuple(position[x] for x in v))
+                arrows.append((at[t], at[r], NecklaceMap(objects[t].source,
+                                                         objects[r].source, g)))
+    return IndexDiagram(kind, tuple(objects[k] for k in kept), tuple(arrows))

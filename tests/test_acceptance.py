@@ -258,13 +258,14 @@ def test_criterion_5_wings_horns_equivalence():
         negatives = [name for name, y in corpus
                      if not check_weak_kan(y, 2).passed]
         assert "paper-P-ac" in negatives and "free-boundary2-02" in negatives
-        # and on the larger horn and wings diagrams of a nerve at N = 5, a
-        # quasi-category: its 10 horns and 4 wings all lift
-        y5 = hom_necklicial(nerve(truncated_polynomial_category(
-            F3, (F3.from_int(1), F3.from_int(2))), 5), "*", "*")
-        kan, wings = check_weak_kan(y5, 5), check_lifts_wings(y5, 5)
-        assert (len(kan.items), len(wings.items)) == (10, 4)
-        assert kan.passed and wings.passed
+        # and on the larger horn and wings diagrams of a nerve at N = 5 and 6,
+        # a quasi-category: its 10 horns and 4 wings, then 15 and 5, all lift
+        for n, sizes in ((5, (10, 4)), (6, (15, 5))):
+            y = hom_necklicial(nerve(truncated_polynomial_category(
+                F3, (F3.from_int(1), F3.from_int(2))), n), "*", "*")
+            kan, wings = check_weak_kan(y, n), check_lifts_wings(y, n)
+            assert (len(kan.items), len(wings.items)) == sizes
+            assert kan.passed and wings.passed
         # and over Z with free values at N = 5: the free templicial module on
         # the nerve of p0 < p1 < p2 is a quasi-category, and every hom lifts
         # its 10 horns and its 4 wings

@@ -257,7 +257,7 @@ def test_passing_item_runs_no_smith(monkeypatch, build):
     # evaluates every action the check reads
     assert check_weak_kan(y, 4).passed
     per_item = []
-    smith, cokernel, diagram = coeff.smith, coeff._cokernel_of_rows, kan.build_diagram
+    smith, cokernel, diagram = coeff.smith, coeff._cokernel_of_rows, kan.meet_skeleton
 
     def counted_smith(ring, matrix, **kwargs):
         per_item[-1].append("smith")
@@ -273,7 +273,8 @@ def test_passing_item_runs_no_smith(monkeypatch, build):
 
     monkeypatch.setattr(coeff, "smith", counted_smith)
     monkeypatch.setattr(coeff, "_cokernel_of_rows", counted_cokernel)
-    monkeypatch.setattr(kan, "build_diagram", item_start)
+    # each item starts by reading its index diagram, the meet skeleton
+    monkeypatch.setattr(kan, "meet_skeleton", item_start)
     report = check_weak_kan(y, 4)
     assert report.passed
     assert per_item == [["cokernel"] * 2] * 6
