@@ -11,7 +11,6 @@ anywhere.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
@@ -39,6 +38,35 @@ class InvalidInstanceError(TemplikitError):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
+
+
+# sets an attribute past Frozen's guard; unlike a write to ``__dict__``, it
+# keeps the instance's attributes in their fast inline storage
+_set = object.__setattr__
+
+
+class Frozen:
+    """Base of the immutable value classes.
+
+    Each subclass writes its own ``__init__``, ``__eq__`` and ``__hash__``,
+    setting its fields with ``_set``, and names them in ``_fields``, in
+    order, for the repr.  Assigning or deleting an attribute raises
+    ``AttributeError``.  A class that keeps its hash stores it in ``_hash``
+    on the first call.
+    """
+
+    _fields = ()
+    _hash = None
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # Miller-Rabin with the prime bases up to 41 is exact below PRIME_LIMIT
@@ -80,8 +108,7 @@ DUAL_CHAIN = "dual-chain"
 _KINDS = (INTEGERS, RATIONALS, PRIME_FIELD, CHAIN, DUAL_CHAIN)
 
 
-@dataclass(frozen=True)
-class Ring:
+class Ring(Frozen):
     """A supported coefficient ring.
 
     Elements are plain Python values: ``int`` for the integers, prime fields
@@ -90,11 +117,12 @@ class Ring:
     ``[0, p)`` for dual chain rings (coefficient of e^i at index i).
     """
 
-    kind: str
-    p: int | None = None
-    m: int | None = None
+    _fields = ("kind", "p", "m")
 
-    def __post_init__(self):
+    def __init__(self, kind, p=None, m=None):
+        _set(self, "kind", kind)
+        _set(self, "p", p)
+        _set(self, "m", m)
         if self.kind not in _KINDS:
             raise UnsupportedRingError(f"unsupported ring kind {self.kind!r}")
         if self.kind in (PRIME_FIELD, CHAIN, DUAL_CHAIN):
@@ -112,7 +140,7 @@ class Ring:
         if self.kind == PRIME_FIELD and self.m is not None:
             raise UnsupportedRingError("prime-field takes no nilpotency")
         if self.kind == CHAIN:
-            object.__setattr__(self, "_modulus", self.p ** self.m)
+            _set(self, "_modulus", self.p ** self.m)
         # zero() and one() return these shared values
         if self.kind == RATIONALS:
             zero, one = Fraction(0), Fraction(1)
@@ -120,10 +148,22 @@ class Ring:
             zero, one = (0,) * self.m, (1,) + (0,) * (self.m - 1)
         else:
             zero, one = 0, 1
-        object.__setattr__(self, "_zero", zero)
-        object.__setattr__(self, "_one", one)
+        _set(self, "_zero", zero)
+        _set(self, "_one", one)
         # Module.zero(self) returns this shared module
-        object.__setattr__(self, "_zero_module", Module(self, ()))
+        _set(self, "_zero_module", Module(self, ()))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind == other.kind and self.p == other.p and self.m == other.m
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.kind, self.p, self.m))
+            _set(self, "_hash", h)
+        return h
 
     # -- constructors -------------------------------------------------
 
@@ -446,20 +486,34 @@ def change_basis(ring, left, rows, right):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class SmithResult:
     """U*A*V = diag(d);  A = L*diag(d)*R with L = U^-1, R = V^-1.
 
     ``d`` lists the min(rows, cols) diagonal entries.  Each transform asked
     for is a list of sparse rows, one {column: entry} dict of nonzeros per
-    row; one not asked for is None."""
+    row; one not asked for is None.  Mutable, so unhashable."""
 
-    d: list
-    left: list | None = None           # L = U^-1
-    right: list | None = None          # R = V^-1
-    row_transform: list | None = None  # U
-    col_transform: list | None = None  # V
-    aug: list | None = None            # U*B for an augmented block B
+    _fields = ("d", "left", "right", "row_transform", "col_transform", "aug")
+
+    def __init__(self, d, left=None, right=None, row_transform=None, col_transform=None,
+                 aug=None):
+        self.d = d
+        self.left = left                    # L = U^-1
+        self.right = right                  # R = V^-1
+        self.row_transform = row_transform  # U
+        self.col_transform = col_transform  # V
+        self.aug = aug                      # U*B for an augmented block B
+
+    __repr__ = Frozen.__repr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.d, self.left, self.right, self.row_transform, self.col_transform, self.aug)
+                == (other.d, other.left, other.right, other.row_transform, other.col_transform,
+                    other.aug))
+
+    __hash__ = None
 
 
 def smith(ring, matrix, *, left=False, right=False, row_t=False, col_t=False, aug=None):
@@ -741,8 +795,7 @@ def _chain_order_elt(ring, f):
     return tuple(1 if t == f else 0 for t in range(ring.m))
 
 
-@dataclass(frozen=True)
-class Module:
+class Module(Frozen):
     """Finitely generated module in invariant-factor normal form.
 
     ``factors`` lists cyclic orders: 0 means a free summand; over the
@@ -751,10 +804,11 @@ class Module:
     divisibility order, free factors last.
     """
 
-    ring: Ring
-    factors: tuple
+    _fields = ("ring", "factors")
 
-    def __post_init__(self):
+    def __init__(self, ring, factors):
+        _set(self, "ring", ring)
+        _set(self, "factors", factors)
         for f in self.factors:
             if f == FREE:
                 continue
@@ -773,7 +827,19 @@ class Module:
                 if b % a:
                     raise ShapeError(f"integer factors lack divisibility chain: {self.factors}")
         # the torsion generators come first: factors[:_ntorsion]
-        object.__setattr__(self, "_ntorsion", len(torsion))
+        _set(self, "_ntorsion", len(torsion))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ring, self.factors) == (other.ring, other.factors)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.ring, self.factors))
+            _set(self, "_hash", h)
+        return h
 
     @staticmethod
     def free(ring, rank):
@@ -903,8 +969,7 @@ def _reduce_torsion(codomain, rows):
         + rows[ntors:]
 
 
-@dataclass(frozen=True, init=False)
-class Morphism:
+class Morphism(Frozen):
     """Matrix morphism between presented modules.
 
     ``rows`` holds the matrix: one {column: entry} dict of the nonzero
@@ -943,9 +1008,7 @@ class Morphism:
     elements, so these only reduce the rows of torsion generators.
     """
 
-    domain: Module
-    codomain: Module
-    rows: list
+    _fields = ("domain", "codomain", "rows")
 
     def __init__(self, domain, codomain, matrix):
         if domain.ring != codomain.ring:
@@ -953,10 +1016,9 @@ class Morphism:
         rows, cols = codomain.ngens, domain.ngens
         if len(matrix) != rows or any(len(r) != cols for r in matrix):
             raise ShapeError(f"matrix shape mismatch, expected {rows}x{cols}")
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(self, "rows",
-                           _reduce_torsion(codomain, _nonzero_rows(domain.ring, matrix)))
+        _set(self, "domain", domain)
+        _set(self, "codomain", codomain)
+        _set(self, "rows", _reduce_torsion(codomain, _nonzero_rows(domain.ring, matrix)))
         self.__post_init__()
 
     def __post_init__(self):
@@ -993,10 +1055,15 @@ class Morphism:
         them above the generator order; free rows are kept as they are.
         """
         out = object.__new__(Morphism)
-        object.__setattr__(out, "domain", domain)
-        object.__setattr__(out, "codomain", codomain)
-        object.__setattr__(out, "rows", _reduce_torsion(codomain, rows))
+        _set(out, "domain", domain)
+        _set(out, "codomain", codomain)
+        _set(out, "rows", _reduce_torsion(codomain, rows))
         return out
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.domain, self.codomain, self.rows) == (other.domain, other.codomain, other.rows)
 
     def __hash__(self):
         return hash((self.domain, self.codomain,
@@ -1135,17 +1202,28 @@ def normalize_orders(ring, raw_factors):
     return _presentation(ring, [{}] * n, canonical, 0)
 
 
-@dataclass(frozen=True)
-class DirectSum:
+class DirectSum(Frozen):
     """Biproduct of ``summands``; ``to_norm``/``from_norm`` change basis
     between the concatenated generators and ``module``, as sparse rows
     (None: identity).  The injection and projection witnesses are built on
     first read."""
 
-    module: Module
-    summands: tuple
-    to_norm: list | None
-    from_norm: list | None
+    _fields = ("module", "summands", "to_norm", "from_norm")
+
+    def __init__(self, module, summands, to_norm, from_norm):
+        _set(self, "module", module)
+        _set(self, "summands", summands)
+        _set(self, "to_norm", to_norm)
+        _set(self, "from_norm", from_norm)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.module, self.summands, self.to_norm, self.from_norm)
+                == (other.module, other.summands, other.to_norm, other.from_norm))
+
+    def __hash__(self):
+        return hash((self.module, self.summands, self.to_norm, self.from_norm))
 
     def _blocks(self):
         starts, _ = _block_starts(self.summands)
@@ -1623,17 +1701,17 @@ def tensor_morphisms(f, g):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RingExtension:
-    """A supported surjective ring map theta: R -> k with nilpotent kernel."""
+class RingExtension(Frozen):
+    """A supported surjective ring map theta: R -> k with nilpotent kernel.
 
-    source: Ring
-    target: Ring
-    kernel_exponent: int = field(init=False)
-    small: bool = field(init=False)
+    ``kernel_exponent`` and ``small`` are computed from the two rings."""
 
-    def __post_init__(self):
-        r, k = self.source, self.target
+    _fields = ("source", "target", "kernel_exponent", "small")
+
+    def __init__(self, source, target):
+        _set(self, "source", source)
+        _set(self, "target", target)
+        r, k = source, target
         ok = False
         if r.kind == CHAIN and k.kind == CHAIN and r.p == k.p and r.m > k.m:
             ok = True
@@ -1644,8 +1722,17 @@ class RingExtension:
         if not ok:
             raise UnsupportedRingError(f"no canonical surjection {r} -> {k}")
         mt = k.m if k.is_chain_kind else 1
-        object.__setattr__(self, "kernel_exponent", -(-r.m // mt))
-        object.__setattr__(self, "small", self.kernel_exponent <= 2)
+        _set(self, "kernel_exponent", -(-r.m // mt))
+        _set(self, "small", self.kernel_exponent <= 2)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.source, self.target, self.kernel_exponent, self.small)
+                == (other.source, other.target, other.kernel_exponent, other.small))
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.kernel_exponent, self.small))
 
     @property
     def target_nilpotency(self):
@@ -1754,44 +1841,74 @@ def base_change(extension, module):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModuleDiagram:
+class ModuleDiagram(Frozen):
     """Finite diagram: nodes and arrows (src_index, tgt_index, Morphism)."""
 
-    ring: Ring
-    nodes: tuple
-    arrows: tuple
+    _fields = ("ring", "nodes", "arrows")
 
-    def __post_init__(self):
-        for src, tgt, f in self.arrows:
-            if f.domain != self.nodes[src] or f.codomain != self.nodes[tgt]:
+    def __init__(self, ring, nodes, arrows):
+        _set(self, "ring", ring)
+        _set(self, "nodes", nodes)
+        _set(self, "arrows", arrows)
+        for src, tgt, f in arrows:
+            if f.domain != nodes[src] or f.codomain != nodes[tgt]:
                 raise ShapeError(f"arrow {src}->{tgt} endpoints inconsistent with diagram")
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ring, self.nodes, self.arrows) == (other.ring, other.nodes, other.arrows)
 
-@dataclass(frozen=True)
-class LimitResult:
+    def __hash__(self):
+        return hash((self.ring, self.nodes, self.arrows))
+
+
+class LimitResult(Frozen):
     """A limit as the kernel of the difference map of its forest equations.
 
     ``inclusion`` embeds it into the direct sum of the free nodes of its
     ``equations``; ``cone`` has one leg per node of the diagram.
     """
 
-    module: Module
-    cone: tuple            # projections limit -> node_i, for every node
-    inclusion: Morphism    # into the direct sum of the free nodes
-    equations: _LimitEquations
+    _fields = ("module", "cone", "inclusion", "equations")
+
+    def __init__(self, module, cone, inclusion, equations):
+        _set(self, "module", module)
+        _set(self, "cone", cone)            # projections limit -> node_i, for every node
+        _set(self, "inclusion", inclusion)  # into the direct sum of the free nodes
+        _set(self, "equations", equations)  # the _LimitEquations
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.module, self.cone, self.inclusion, self.equations)
+                == (other.module, other.cone, other.inclusion, other.equations))
+
+    def __hash__(self):
+        return hash((self.module, self.cone, self.inclusion, self.equations))
 
 
-@dataclass(frozen=True)
-class ColimitResult:
+class ColimitResult(Frozen):
     """A colimit presented on the free nodes (the sinks) of a spanning forest;
     the dual of :class:`LimitResult`."""
 
-    module: Module
-    cocone: tuple          # injections node_i -> colimit, for every node
-    projection: Morphism   # from the direct sum of the free nodes
-    nodes_sum: DirectSum   # of the free nodes
-    free: tuple
+    _fields = ("module", "cocone", "projection", "nodes_sum", "free")
+
+    def __init__(self, module, cocone, projection, nodes_sum, free):
+        _set(self, "module", module)
+        _set(self, "cocone", cocone)          # injections node_i -> colimit, for every node
+        _set(self, "projection", projection)  # from the direct sum of the free nodes
+        _set(self, "nodes_sum", nodes_sum)    # the DirectSum of the free nodes
+        _set(self, "free", free)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.module, self.cocone, self.projection, self.nodes_sum, self.free)
+                == (other.module, other.cocone, other.projection, other.nodes_sum, other.free))
+
+    def __hash__(self):
+        return hash((self.module, self.cocone, self.projection, self.nodes_sum, self.free))
 
 
 def _block_starts(modules):
@@ -1874,8 +1991,7 @@ def _forest_paths(ring, nodes, arrows, tree, order, reverse=False):
     return root, path
 
 
-@dataclass(frozen=True)
-class _LimitEquations:
+class _LimitEquations(Frozen):
     """A limit as the kernel of its difference map F --delta--> T.
 
     F is the direct sum of the ``free`` nodes (ascending) of a spanning
@@ -1892,15 +2008,31 @@ class _LimitEquations:
     morphism ``delta`` between them, are built on first read.
     """
 
-    ring: Ring
-    nodes: tuple
-    free: tuple
-    root: list
-    path: list
-    at: dict
-    rows: list
-    free_orders: tuple
-    target_orders: tuple
+    _fields = ("ring", "nodes", "free", "root", "path", "at", "rows", "free_orders",
+               "target_orders")
+
+    def __init__(self, ring, nodes, free, root, path, at, rows, free_orders, target_orders):
+        _set(self, "ring", ring)
+        _set(self, "nodes", nodes)
+        _set(self, "free", free)
+        _set(self, "root", root)
+        _set(self, "path", path)
+        _set(self, "at", at)
+        _set(self, "rows", rows)
+        _set(self, "free_orders", free_orders)
+        _set(self, "target_orders", target_orders)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.ring, self.nodes, self.free, self.root, self.path, self.at, self.rows,
+                 self.free_orders, self.target_orders)
+                == (other.ring, other.nodes, other.free, other.root, other.path, other.at,
+                    other.rows, other.free_orders, other.target_orders))
+
+    def __hash__(self):
+        return hash((self.ring, self.nodes, self.free, self.root, self.path, self.at, self.rows,
+                     self.free_orders, self.target_orders))
 
     @cached_property
     def free_sum(self):

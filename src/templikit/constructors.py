@@ -8,15 +8,16 @@ test corpus, and seeded deterministic generators for property tests.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
 from .coeff import (
+    Frozen,
     Module,
     Morphism,
     Ring,
     RingExtension,
     ShapeError,
+    _set,
     mat_mul,
 )
 from .quiver import (
@@ -34,19 +35,19 @@ from .templicial import NecklicialModule, TemplicialModule
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SimplicialSetTrunc:
-    """Finite simplicial set up to a truncation level, with full face data."""
+class SimplicialSetTrunc(Frozen):
+    """Finite simplicial set up to a truncation level, with full face data.
 
-    max_level: int
-    simplices: tuple  # per level, a tuple of hashable labels
-    faces: tuple      # ((n, i), tuple of indices into level n-1)
-    degens: tuple     # ((n, i), tuple of indices into level n+1)
-    # ``faces`` and ``degens`` as dicts keyed by (n, i)
-    face_lookup: dict = field(init=False, repr=False, compare=False)
-    degen_lookup: dict = field(init=False, repr=False, compare=False)
+    ``face_lookup`` and ``degen_lookup`` hold ``faces`` and ``degens`` as
+    dicts keyed by (n, i); they are left out of ``==``, hash and repr."""
 
-    def __post_init__(self):
+    _fields = ("max_level", "simplices", "faces", "degens")
+
+    def __init__(self, max_level, simplices, faces, degens):
+        _set(self, "max_level", max_level)
+        _set(self, "simplices", simplices)  # per level, a tuple of hashable labels
+        _set(self, "faces", faces)          # ((n, i), tuple of indices into level n-1)
+        _set(self, "degens", degens)        # ((n, i), tuple of indices into level n+1)
         if len(self.simplices) != self.max_level + 1:
             raise ShapeError("level count must be max_level + 1")
         fkeys = {k for k, _ in self.faces}
@@ -57,9 +58,18 @@ class SimplicialSetTrunc:
         expect = {(n, i) for n in range(0, self.max_level) for i in range(n + 1)}
         if dkeys != expect:
             raise ShapeError("degeneracy map keys incomplete")
-        object.__setattr__(self, "face_lookup", dict(self.faces))
-        object.__setattr__(self, "degen_lookup", dict(self.degens))
+        _set(self, "face_lookup", dict(faces))
+        _set(self, "degen_lookup", dict(degens))
         self._check_identities()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.max_level, self.simplices, self.faces, self.degens)
+                == (other.max_level, other.simplices, other.faces, other.degens))
+
+    def __hash__(self):
+        return hash((self.max_level, self.simplices, self.faces, self.degens))
 
     def _check_identities(self):
         face, degen = self.face_lookup, self.degen_lookup
@@ -411,21 +421,30 @@ def free_templicial(k, ring, max_level):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearCategory:
+class LinearCategory(Frozen):
     """A category enriched in modules: hom quiver, composition, units."""
 
-    quiver: Quiver
-    composition: QuiverMorphism  # (C (x)_S C) -> C
-    units: QuiverMorphism        # I_S -> C
+    _fields = ("quiver", "composition", "units")
 
-    def __post_init__(self):
-        ring, vertices = self.quiver.ring, self.quiver.vertices
-        pair = tensor_layout(ring, vertices, (self.quiver, self.quiver))
-        if self.composition.domain != pair.quiver or self.composition.codomain != self.quiver:
+    def __init__(self, quiver, composition, units):
+        _set(self, "quiver", quiver)
+        _set(self, "composition", composition)  # (C (x)_S C) -> C
+        _set(self, "units", units)              # I_S -> C
+        ring, vertices = quiver.ring, quiver.vertices
+        pair = tensor_layout(ring, vertices, (quiver, quiver))
+        if composition.domain != pair.quiver or composition.codomain != quiver:
             raise ShapeError("composition endpoints wrong")
-        if self.units.domain != unit_quiver(ring, vertices) or self.units.codomain != self.quiver:
+        if units.domain != unit_quiver(ring, vertices) or units.codomain != quiver:
             raise ShapeError("unit endpoints wrong")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.quiver, self.composition, self.units)
+                == (other.quiver, other.composition, other.units))
+
+    def __hash__(self):
+        return hash((self.quiver, self.composition, self.units))
 
     @property
     def ring(self):

@@ -9,9 +9,8 @@ extensions are handled through their chain of small quotients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coeff import (
+    Frozen,
     InvalidInstanceError,
     Module,
     ModuleDiagram,
@@ -19,6 +18,7 @@ from .coeff import (
     RingMismatchError,
     ShapeError,
     UnsupportedRingError,
+    _set,
     analyze,
     direct_sum,
     factor_through_colimit,
@@ -96,8 +96,7 @@ def base_change_templicial(theta, x):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeformationPair:
+class DeformationPair(Frozen):
     """A deformed instance over R with its special fiber over k.
 
     The optional witness is a tuple of levelwise invertible quiver morphisms
@@ -105,10 +104,22 @@ class DeformationPair:
     condition is matrix-for-matrix equality.
     """
 
-    extension: object
-    deformed: TemplicialModule
-    special_fiber: TemplicialModule
-    witness: tuple | None = None
+    _fields = ("extension", "deformed", "special_fiber", "witness")
+
+    def __init__(self, extension, deformed, special_fiber, witness=None):
+        _set(self, "extension", extension)
+        _set(self, "deformed", deformed)
+        _set(self, "special_fiber", special_fiber)
+        _set(self, "witness", witness)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.extension, self.deformed, self.special_fiber, self.witness)
+                == (other.extension, other.deformed, other.special_fiber, other.witness))
+
+    def __hash__(self):
+        return hash((self.extension, self.deformed, self.special_fiber, self.witness))
 
 
 def _invert_quiver_morphism(f):
@@ -184,25 +195,25 @@ def ideal_tensor(theta, y_k):
     return tensor_external(y_k, theta.kernel_as_target_module())
 
 
-@dataclass(frozen=True)
-class NecklicialExtension:
+class NecklicialExtension(Frozen):
     """A necklace-wise short exact sequence of necklicial modules."""
 
-    sub: NecklicialModule
-    total: NecklicialModule
-    quotient: NecklicialModule
-    inclusions: tuple   # ((Necklace, Morphism sub_T -> total_T))
-    projections: tuple  # ((Necklace, Morphism total_T -> quotient_T))
+    _fields = ("sub", "total", "quotient", "inclusions", "projections")
 
-    def __post_init__(self):
+    def __init__(self, sub, total, quotient, inclusions, projections):
+        _set(self, "sub", sub)
+        _set(self, "total", total)
+        _set(self, "quotient", quotient)
+        _set(self, "inclusions", inclusions)    # ((Necklace, Morphism sub_T -> total_T))
+        _set(self, "projections", projections)  # ((Necklace, Morphism total_T -> quotient_T))
         # inclusion and projection depend only on the value module, so each
         # distinct pair is checked once, at the first necklace carrying it;
         # over a chain ring the three checks share the two counted cokernels
         # of i and p (see coeff.Analysis and coeff.image_equals_kernel)
-        incl = dict(self.inclusions)
-        proj = dict(self.projections)
+        incl = dict(inclusions)
+        proj = dict(projections)
         checked = set()
-        for t, _ in self.total.values:
+        for t, _ in total.values:
             i, p = incl[t], proj[t]
             if (i, p) in checked:
                 continue
@@ -213,6 +224,15 @@ class NecklicialExtension:
             if not image_equals_kernel(i, p):
                 raise ShapeError(f"extension sequence at {t} not exact")
             checked.add((i, p))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.sub, self.total, self.quotient, self.inclusions, self.projections)
+                == (other.sub, other.total, other.quotient, other.inclusions, other.projections))
+
+    def __hash__(self):
+        return hash((self.sub, self.total, self.quotient, self.inclusions, self.projections))
 
     def verify_naturality(self):
         """Inclusion/projection naturality for every action of the total term.

@@ -41,13 +41,11 @@ intersections of that harness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .coeff import (
+    Frozen,
     InvalidInstanceError,
-    Module,
     ModuleDiagram,
-    Morphism,
+    _set,
     analyze,
     factor_through_colimit,
     factor_through_limit,
@@ -66,12 +64,23 @@ from .templicial import (
 )
 
 
-@dataclass(frozen=True)
-class CheckItem:
-    indices: tuple
-    passed: bool
-    detail: str = ""
-    cokernel: Module | None = None
+class CheckItem(Frozen):
+    _fields = ("indices", "passed", "detail", "cokernel")
+
+    def __init__(self, indices, passed, detail="", cokernel=None):
+        _set(self, "indices", indices)
+        _set(self, "passed", passed)
+        _set(self, "detail", detail)
+        _set(self, "cokernel", cokernel)  # a Module, or None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.indices, self.passed, self.detail, self.cokernel)
+                == (other.indices, other.passed, other.detail, other.cokernel))
+
+    def __hash__(self):
+        return hash((self.indices, self.passed, self.detail, self.cokernel))
 
     def __str__(self):
         mark = "pass" if self.passed else "FAIL"
@@ -80,14 +89,26 @@ class CheckItem:
         return f"{self.indices}: {mark}{extra}{coker}"
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    prop: str
-    passed: bool
-    items: tuple
-    status: str = "checked"  # checked | hypothesis-failure | not-applicable
-    note: str = ""
-    children: tuple = field(default=())
+class CheckReport(Frozen):
+    _fields = ("prop", "passed", "items", "status", "note", "children")
+
+    def __init__(self, prop, passed, items, status="checked", note="", children=()):
+        _set(self, "prop", prop)
+        _set(self, "passed", passed)
+        _set(self, "items", items)
+        _set(self, "status", status)  # checked | hypothesis-failure | not-applicable
+        _set(self, "note", note)
+        _set(self, "children", children)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.prop, self.passed, self.items, self.status, self.note, self.children)
+                == (other.prop, other.passed, other.items, other.status, other.note,
+                    other.children))
+
+    def __hash__(self):
+        return hash((self.prop, self.passed, self.items, self.status, self.note, self.children))
 
     @staticmethod
     def from_items(prop, items, note="", children=()):
@@ -181,12 +202,23 @@ def wing_object(y, n):
     return limit.module, canonical
 
 
-@dataclass(frozen=True)
-class TruncatedWing:
-    module: Module
-    canonical: Morphism
-    limit: object
-    diagram: object
+class TruncatedWing(Frozen):
+    _fields = ("module", "canonical", "limit", "diagram")
+
+    def __init__(self, module, canonical, limit, diagram):
+        _set(self, "module", module)
+        _set(self, "canonical", canonical)
+        _set(self, "limit", limit)
+        _set(self, "diagram", diagram)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.module, self.canonical, self.limit, self.diagram)
+                == (other.module, other.canonical, other.limit, other.diagram))
+
+    def __hash__(self):
+        return hash((self.module, self.canonical, self.limit, self.diagram))
 
 
 def truncated_wing_object(y, n, i):

@@ -8,25 +8,35 @@ truncated-wing and degenerate-part objects are computed as finite (co)limits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations, combinations_with_replacement
 
-from .coeff import ShapeError
+from .coeff import Frozen, ShapeError, _set
 
 
-@dataclass(frozen=True)
-class FintMap:
+class FintMap(Frozen):
     """Endpoint-preserving monotone map [p] -> [q], stored by its values."""
 
-    values: tuple
+    _fields = ("values",)
 
-    def __post_init__(self):
-        v = self.values
-        if not v or v[0] != 0:
-            raise ShapeError(f"fint map must send 0 to 0: {v}")
-        if any(a > b for a, b in zip(v, v[1:])):
-            raise ShapeError(f"fint map not monotone: {v}")
+    def __init__(self, values):
+        _set(self, "values", values)
+        if not values or values[0] != 0:
+            raise ShapeError(f"fint map must send 0 to 0: {values}")
+        if any(a > b for a, b in zip(values, values[1:])):
+            raise ShapeError(f"fint map not monotone: {values}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.values,))
+            _set(self, "_hash", h)
+        return h
 
     @property
     def source_dim(self):
@@ -139,16 +149,27 @@ def fint_surjections(n):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Necklace:
+class Necklace(Frozen):
     """A pair (T, p) stored as the sorted tuple of points of T."""
 
-    points: tuple
+    _fields = ("points",)
 
-    def __post_init__(self):
-        pts = self.points
-        if not pts or pts[0] != 0 or list(pts) != sorted(set(pts)):
-            raise ShapeError(f"invalid necklace point set {pts}")
+    def __init__(self, points):
+        _set(self, "points", points)
+        if not points or points[0] != 0 or list(points) != sorted(set(points)):
+            raise ShapeError(f"invalid necklace point set {points}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.points == other.points
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.points,))
+            _set(self, "_hash", h)
+        return h
 
     @property
     def dim(self):
@@ -187,20 +208,32 @@ def necklaces(p):
     return tuple(sorted(out, key=lambda t: t.points))
 
 
-@dataclass(frozen=True)
-class NecklaceMap:
+class NecklaceMap(Frozen):
     """A necklace map (T,p) -> (U,q): a fint map with U inside f(T)."""
 
-    source: Necklace
-    target: Necklace
-    fint: FintMap
+    _fields = ("source", "target", "fint")
 
-    def __post_init__(self):
-        if self.fint.source_dim != self.source.dim or self.fint.target_dim != self.target.dim:
+    def __init__(self, source, target, fint):
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "fint", fint)
+        if fint.source_dim != source.dim or fint.target_dim != target.dim:
             raise ShapeError("necklace map dimensions inconsistent")
-        image = {self.fint(t) for t in self.source.points}
-        if not set(self.target.points) <= image:
+        image = {fint(t) for t in source.points}
+        if not set(target.points) <= image:
             raise ShapeError(f"target points not contained in image of source points")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source, self.target, self.fint) == (other.source, other.target, other.fint)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.source, self.target, self.fint))
+            _set(self, "_hash", h)
+        return h
 
     @property
     def is_inert(self):
@@ -320,8 +353,7 @@ def inert_into_simplex(n):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IndexDiagram:
+class IndexDiagram(Frozen):
     """Objects with commuting connecting maps over a common anchor.
 
     For horn/wing kinds the objects are necklace maps f_i into Delta^n and an
@@ -345,9 +377,20 @@ class IndexDiagram:
     by one codegeneracy.
     """
 
-    kind: str
-    objects: tuple
-    arrows: tuple
+    _fields = ("kind", "objects", "arrows")
+
+    def __init__(self, kind, objects, arrows):
+        _set(self, "kind", kind)
+        _set(self, "objects", objects)
+        _set(self, "arrows", arrows)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.objects, self.arrows) == (other.kind, other.objects, other.arrows)
+
+    def __hash__(self):
+        return hash((self.kind, self.objects, self.arrows))
 
 
 def _name(f):

@@ -15,17 +15,18 @@ tensor of identities between two bracketings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
 from .coeff import (
     FREE,
+    Frozen,
     Module,
     ModuleDiagram,
     Morphism,
     RingMismatchError,
     ShapeError,
+    _set,
     _tensor_factor,
     change_basis,
     finite_colimit,
@@ -34,35 +35,44 @@ from .coeff import (
 )
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(Frozen):
     """Modules indexed by ordered vertex pairs; absent entries are zero.
 
-    ``hom`` reads a dict built once from ``homs``, and every absent hom is
-    the ring's one zero module; equality and hashing stay on the dataclass
-    fields.
+    ``homs`` is the sorted tuple of ((a, b), Module), nonzero modules only.
+    ``hom`` reads a dict built once from it, and every absent hom is the
+    ring's one zero module; equality and hashing read ``ring``,
+    ``vertices`` and ``homs`` only.
     """
 
-    ring: object
-    vertices: tuple
-    homs: tuple  # sorted tuple of ((a, b), Module), nonzero modules only
+    _fields = ("ring", "vertices", "homs")
 
-    def __post_init__(self):
-        index = {v: i for i, v in enumerate(self.vertices)}
-        if len(index) != len(self.vertices):
+    def __init__(self, ring, vertices, homs):
+        _set(self, "ring", ring)
+        _set(self, "vertices", vertices)
+        _set(self, "homs", homs)
+        index = {v: i for i, v in enumerate(vertices)}
+        if len(index) != len(vertices):
             raise ShapeError("duplicate vertices")
         seen = []
-        for (a, b), mod in self.homs:
+        for (a, b), mod in homs:
             if a not in index or b not in index:
                 raise ShapeError(f"hom ({a},{b}) uses unknown vertex")
-            if mod.ring != self.ring:
+            if mod.ring != ring:
                 raise RingMismatchError("hom module over wrong ring")
             if mod.is_zero:
                 raise ShapeError(f"hom ({a},{b}) is zero; absent homs are zero")
             seen.append((index[a], index[b]))
         if seen != sorted(seen) or len(set(seen)) != len(seen):
             raise ShapeError("homs not in canonical order")
-        object.__setattr__(self, "_hom", dict(self.homs))
+        _set(self, "_hom", dict(homs))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ring, self.vertices, self.homs) == (other.ring, other.vertices, other.homs)
+
+    def __hash__(self):
+        return hash((self.ring, self.vertices, self.homs))
 
     @staticmethod
     def build(ring, vertices, mapping):
@@ -93,33 +103,42 @@ def unit_quiver(ring, vertices):
     return Quiver.build(ring, vertices, {(v, v): Module.free(ring, 1) for v in vertices})
 
 
-@dataclass(frozen=True)
-class QuiverMorphism:
+class QuiverMorphism(Frozen):
     """Vertex-pairwise module morphisms between quivers on the same vertices.
 
-    ``comp`` reads a dict built once from ``components``; equality and
-    hashing stay on the dataclass fields.
+    ``components`` is stored as the sorted tuple of ((a,b), Morphism),
+    nonzero maps only.  ``comp`` reads a dict built once from it; equality
+    and hashing read ``domain``, ``codomain`` and ``components`` only.
     """
 
-    domain: Quiver
-    codomain: Quiver
-    components: tuple  # sorted tuple of ((a,b), Morphism), nonzero maps only
+    _fields = ("domain", "codomain", "components")
 
-    def __post_init__(self):
-        if self.domain.ring != self.codomain.ring:
+    def __init__(self, domain, codomain, components):
+        if domain.ring != codomain.ring:
             raise RingMismatchError("quiver morphism over mixed rings")
-        if self.domain.vertices != self.codomain.vertices:
+        if domain.vertices != codomain.vertices:
             raise ShapeError("quiver morphism must fix the vertex set")
-        index = {v: i for i, v in enumerate(self.domain.vertices)}
+        index = {v: i for i, v in enumerate(domain.vertices)}
         cleaned = []
-        for (a, b), f in self.components:
-            if f.domain != self.domain.hom(a, b) or f.codomain != self.codomain.hom(a, b):
+        for (a, b), f in components:
+            if f.domain != domain.hom(a, b) or f.codomain != codomain.hom(a, b):
                 raise ShapeError(f"component ({a},{b}) inconsistent with quiver homs")
             if not f.is_zero_map:
                 cleaned.append(((a, b), f))
         cleaned.sort(key=lambda kv: (index[kv[0][0]], index[kv[0][1]]))
-        object.__setattr__(self, "components", tuple(cleaned))
-        object.__setattr__(self, "_comp", dict(cleaned))
+        _set(self, "domain", domain)
+        _set(self, "codomain", codomain)
+        _set(self, "components", tuple(cleaned))
+        _set(self, "_comp", dict(cleaned))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.domain, self.codomain, self.components)
+                == (other.domain, other.codomain, other.components))
+
+    def __hash__(self):
+        return hash((self.domain, self.codomain, self.components))
 
     @staticmethod
     def build(domain, codomain, mapping):
@@ -366,26 +385,59 @@ def tensor_quiver_morphisms(ring, vertices, fs, sources=None, targets=None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuiverDiagram:
-    ring: object
-    vertices: tuple
-    nodes: tuple
-    arrows: tuple  # (src_index, tgt_index, QuiverMorphism)
+class QuiverDiagram(Frozen):
+    _fields = ("ring", "vertices", "nodes", "arrows")
+
+    def __init__(self, ring, vertices, nodes, arrows):
+        _set(self, "ring", ring)
+        _set(self, "vertices", vertices)
+        _set(self, "nodes", nodes)
+        _set(self, "arrows", arrows)  # (src_index, tgt_index, QuiverMorphism)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.ring, self.vertices, self.nodes, self.arrows)
+                == (other.ring, other.vertices, other.nodes, other.arrows))
+
+    def __hash__(self):
+        return hash((self.ring, self.vertices, self.nodes, self.arrows))
 
 
-@dataclass(frozen=True)
-class QuiverLimitResult:
-    quiver: Quiver
-    cone: tuple
-    hom_limits: tuple  # ((a,b), LimitResult)
+class QuiverLimitResult(Frozen):
+    _fields = ("quiver", "cone", "hom_limits")
+
+    def __init__(self, quiver, cone, hom_limits):
+        _set(self, "quiver", quiver)
+        _set(self, "cone", cone)
+        _set(self, "hom_limits", hom_limits)  # ((a,b), LimitResult)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.quiver, self.cone, self.hom_limits)
+                == (other.quiver, other.cone, other.hom_limits))
+
+    def __hash__(self):
+        return hash((self.quiver, self.cone, self.hom_limits))
 
 
-@dataclass(frozen=True)
-class QuiverColimitResult:
-    quiver: Quiver
-    cocone: tuple
-    hom_colimits: tuple
+class QuiverColimitResult(Frozen):
+    _fields = ("quiver", "cocone", "hom_colimits")
+
+    def __init__(self, quiver, cocone, hom_colimits):
+        _set(self, "quiver", quiver)
+        _set(self, "cocone", cocone)
+        _set(self, "hom_colimits", hom_colimits)  # ((a,b), ColimitResult)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.quiver, self.cocone, self.hom_colimits)
+                == (other.quiver, other.cocone, other.hom_colimits))
+
+    def __hash__(self):
+        return hash((self.quiver, self.cocone, self.hom_colimits))
 
 
 def _solve_homwise(diagram, solve):

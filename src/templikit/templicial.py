@@ -16,9 +16,16 @@ then and kept on the module, so a check evaluates only the maps it reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .coeff import Module, Morphism, RingMismatchError, ShapeError, tensor, tensor_morphisms
+from .coeff import (
+    Frozen,
+    Module,
+    Morphism,
+    RingMismatchError,
+    ShapeError,
+    _set,
+    tensor,
+    tensor_morphisms,
+)
 from .necklace import (
     FintMap,
     all_necklace_maps,
@@ -33,20 +40,40 @@ from .necklace import (
 from .quiver import QuiverMorphism, tensor_layout, tensor_quiver_morphisms, unit_quiver
 
 
-@dataclass(frozen=True)
-class ValidationFailure:
-    check: str
-    indices: tuple
-    detail: str
+class ValidationFailure(Frozen):
+    _fields = ("check", "indices", "detail")
+
+    def __init__(self, check, indices, detail):
+        _set(self, "check", check)
+        _set(self, "indices", indices)
+        _set(self, "detail", detail)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.check, self.indices, self.detail) == (other.check, other.indices, other.detail)
+
+    def __hash__(self):
+        return hash((self.check, self.indices, self.detail))
 
     def __str__(self):
         return f"{self.check}{self.indices}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    subject: str
-    failures: tuple
+class ValidationReport(Frozen):
+    _fields = ("subject", "failures")
+
+    def __init__(self, subject, failures):
+        _set(self, "subject", subject)
+        _set(self, "failures", failures)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.subject, self.failures) == (other.subject, other.failures)
+
+    def __hash__(self):
+        return hash((self.subject, self.failures))
 
     @property
     def ok(self):
@@ -72,8 +99,7 @@ def _first_diff(lhs, rhs):
     return "no difference"
 
 
-@dataclass(frozen=True)
-class TemplicialModule:
+class TemplicialModule(Frozen):
     """Truncated templicial module over a fixed vertex set.
 
     ``levels[n-1]`` is the quiver X_n for 1 <= n <= max_level; faces are
@@ -82,16 +108,17 @@ class TemplicialModule:
     for k, l >= 1 with k + l <= N, landing in the binary tensor layout.
     """
 
-    ring: object
-    vertices: tuple
-    max_level: int
-    levels: tuple
-    faces: tuple          # sorted ((n, j), QuiverMorphism)
-    degeneracies: tuple   # sorted ((n, i), QuiverMorphism)
-    comults: tuple        # sorted ((k, l), QuiverMorphism)
+    _fields = ("ring", "vertices", "max_level", "levels", "faces", "degeneracies", "comults")
 
-    def __post_init__(self):
-        n_levels = self.max_level
+    def __init__(self, ring, vertices, max_level, levels, faces, degeneracies, comults):
+        _set(self, "ring", ring)
+        _set(self, "vertices", vertices)
+        _set(self, "max_level", max_level)
+        _set(self, "levels", levels)
+        _set(self, "faces", faces)                # sorted ((n, j), QuiverMorphism)
+        _set(self, "degeneracies", degeneracies)  # sorted ((n, i), QuiverMorphism)
+        _set(self, "comults", comults)            # sorted ((k, l), QuiverMorphism)
+        n_levels = max_level
         if n_levels < 1:
             raise ShapeError("max_level must be at least 1")
         if len(self.levels) != n_levels:
@@ -123,6 +150,18 @@ class TemplicialModule:
                                    (self.level_quiver(k), self.level_quiver(l))).quiver
             if f.domain != self.level_quiver(k + l) or f.codomain != target:
                 raise ShapeError(f"comultiplication ({k},{l}) has wrong endpoints")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.ring, self.vertices, self.max_level, self.levels, self.faces,
+                 self.degeneracies, self.comults)
+                == (other.ring, other.vertices, other.max_level, other.levels, other.faces,
+                    other.degeneracies, other.comults))
+
+    def __hash__(self):
+        return hash((self.ring, self.vertices, self.max_level, self.levels, self.faces,
+                     self.degeneracies, self.comults))
 
     @staticmethod
     def build(ring, vertices, max_level, levels, faces, degeneracies, comults):
@@ -475,8 +514,8 @@ class NecklicialModule:
             return True
         if not isinstance(other, NecklicialModule):
             return NotImplemented
-        return (self.ring == other.ring and self.max_level == other.max_level
-                and self.values == other.values and self.actions == other.actions)
+        return ((self.ring, self.max_level, self.values, self.actions)
+                == (other.ring, other.max_level, other.values, other.actions))
 
     def __hash__(self):
         if self._hash is None:
