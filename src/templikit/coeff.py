@@ -48,15 +48,51 @@ _set = object.__setattr__
 class Frozen:
     """Base of the immutable value classes.
 
-    Each subclass writes its own ``__init__``, ``__eq__`` and ``__hash__``,
-    setting its fields with ``_set``, and names them in ``_fields``, in
-    order, for the repr.  Assigning or deleting an attribute raises
-    ``AttributeError``.  A class that keeps its hash stores it in ``_hash``
-    on the first call.
+    A subclass names its fields in ``_fields``, in order.  Two instances are
+    equal when they are of the same class and their fields are equal (else
+    ``NotImplemented``), and the hash is that of the tuple of the fields,
+    kept in ``_hash`` after the first call and left out of pickles, because
+    a ``str`` hashes differently in another process.  The repr is
+    ``Class(field=value, ...)`` and assigning or deleting an attribute
+    raises ``AttributeError``.  The default ``__init__`` takes the fields
+    positionally; a class that validates or has defaults writes its own,
+    setting the fields with ``_set``.
     """
 
     _fields = ()
     _hash = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the fields as one value, for one field, else as a tuple
+        cls._values = operator.attrgetter(*cls._fields)
+
+    def __init__(self, *values):
+        names = self._fields
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__qualname__}() takes {len(names)} "
+                            f"arguments ({', '.join(names)}), got {len(values)}")
+        for name, value in zip(names, values):
+            _set(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            values = self._values(self)
+            h = hash(values if len(self._fields) > 1 else (values,))
+            _set(self, "_hash", h)
+        return h
+
+    def __getstate__(self):
+        state = dict(vars(self))
+        state.pop("_hash", None)
+        return state
 
     def __repr__(self):
         args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -153,17 +189,13 @@ class Ring(Frozen):
         # Module.zero(self) returns this shared module
         _set(self, "_zero_module", Module(self, ()))
 
+    # written out, as the generic __eq__ takes about twice as long on this hot path
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.kind == other.kind and self.p == other.p and self.m == other.m
 
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.kind, self.p, self.m))
-            _set(self, "_hash", h)
-        return h
+    __hash__ = Frozen.__hash__
 
     # -- constructors -------------------------------------------------
 
@@ -829,17 +861,13 @@ class Module(Frozen):
         # the torsion generators come first: factors[:_ntorsion]
         _set(self, "_ntorsion", len(torsion))
 
+    # written out, as the generic __eq__ takes about twice as long on this hot path
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.ring, self.factors) == (other.ring, other.factors)
 
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.ring, self.factors))
-            _set(self, "_hash", h)
-        return h
+    __hash__ = Frozen.__hash__
 
     @staticmethod
     def free(ring, rank):
@@ -1021,6 +1049,8 @@ class Morphism(Frozen):
         _set(self, "rows", _reduce_torsion(codomain, _nonzero_rows(domain.ring, matrix)))
         self.__post_init__()
 
+    # named for perfbench/layers.py, whose ``METHODS`` times it as the
+    # ``coeff.Morphism`` span; test_public_surface.py guards the name
     def __post_init__(self):
         """Check that every entry is congruence-valid: pi^a x vanishes in the
         codomain for a domain generator of order pi^a (a over Z)."""
@@ -1060,11 +1090,7 @@ class Morphism(Frozen):
         _set(out, "rows", _reduce_torsion(codomain, rows))
         return out
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.domain, self.codomain, self.rows) == (other.domain, other.codomain, other.rows)
-
+    # its own hash, because its rows are dicts
     def __hash__(self):
         return hash((self.domain, self.codomain,
                      tuple(frozenset(row.items()) for row in self.rows)))
@@ -1209,21 +1235,6 @@ class DirectSum(Frozen):
     first read."""
 
     _fields = ("module", "summands", "to_norm", "from_norm")
-
-    def __init__(self, module, summands, to_norm, from_norm):
-        _set(self, "module", module)
-        _set(self, "summands", summands)
-        _set(self, "to_norm", to_norm)
-        _set(self, "from_norm", from_norm)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.module, self.summands, self.to_norm, self.from_norm)
-                == (other.module, other.summands, other.to_norm, other.from_norm))
-
-    def __hash__(self):
-        return hash((self.module, self.summands, self.to_norm, self.from_norm))
 
     def _blocks(self):
         starts, _ = _block_starts(self.summands)
@@ -1725,15 +1736,6 @@ class RingExtension(Frozen):
         _set(self, "kernel_exponent", -(-r.m // mt))
         _set(self, "small", self.kernel_exponent <= 2)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.source, self.target, self.kernel_exponent, self.small)
-                == (other.source, other.target, other.kernel_exponent, other.small))
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.kernel_exponent, self.small))
-
     @property
     def target_nilpotency(self):
         return self.target.m if self.target.is_chain_kind else 1
@@ -1854,61 +1856,28 @@ class ModuleDiagram(Frozen):
             if f.domain != nodes[src] or f.codomain != nodes[tgt]:
                 raise ShapeError(f"arrow {src}->{tgt} endpoints inconsistent with diagram")
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ring, self.nodes, self.arrows) == (other.ring, other.nodes, other.arrows)
-
-    def __hash__(self):
-        return hash((self.ring, self.nodes, self.arrows))
-
 
 class LimitResult(Frozen):
     """A limit as the kernel of the difference map of its forest equations.
 
-    ``inclusion`` embeds it into the direct sum of the free nodes of its
-    ``equations``; ``cone`` has one leg per node of the diagram.
+    ``cone`` holds the projections limit -> node_i, one per node of the
+    diagram; ``inclusion`` embeds the limit into the direct sum of the free
+    nodes of its ``equations``, the :class:`_LimitEquations`.
     """
 
     _fields = ("module", "cone", "inclusion", "equations")
 
-    def __init__(self, module, cone, inclusion, equations):
-        _set(self, "module", module)
-        _set(self, "cone", cone)            # projections limit -> node_i, for every node
-        _set(self, "inclusion", inclusion)  # into the direct sum of the free nodes
-        _set(self, "equations", equations)  # the _LimitEquations
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.module, self.cone, self.inclusion, self.equations)
-                == (other.module, other.cone, other.inclusion, other.equations))
-
-    def __hash__(self):
-        return hash((self.module, self.cone, self.inclusion, self.equations))
-
 
 class ColimitResult(Frozen):
     """A colimit presented on the free nodes (the sinks) of a spanning forest;
-    the dual of :class:`LimitResult`."""
+    the dual of :class:`LimitResult`.
+
+    ``cocone`` holds the injections node_i -> colimit, one per node;
+    ``projection`` maps onto the colimit from the direct sum of the ``free``
+    nodes, the :class:`DirectSum` ``nodes_sum``.
+    """
 
     _fields = ("module", "cocone", "projection", "nodes_sum", "free")
-
-    def __init__(self, module, cocone, projection, nodes_sum, free):
-        _set(self, "module", module)
-        _set(self, "cocone", cocone)          # injections node_i -> colimit, for every node
-        _set(self, "projection", projection)  # from the direct sum of the free nodes
-        _set(self, "nodes_sum", nodes_sum)    # the DirectSum of the free nodes
-        _set(self, "free", free)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.module, self.cocone, self.projection, self.nodes_sum, self.free)
-                == (other.module, other.cocone, other.projection, other.nodes_sum, other.free))
-
-    def __hash__(self):
-        return hash((self.module, self.cocone, self.projection, self.nodes_sum, self.free))
 
 
 def _block_starts(modules):
@@ -2010,29 +1979,6 @@ class _LimitEquations(Frozen):
 
     _fields = ("ring", "nodes", "free", "root", "path", "at", "rows", "free_orders",
                "target_orders")
-
-    def __init__(self, ring, nodes, free, root, path, at, rows, free_orders, target_orders):
-        _set(self, "ring", ring)
-        _set(self, "nodes", nodes)
-        _set(self, "free", free)
-        _set(self, "root", root)
-        _set(self, "path", path)
-        _set(self, "at", at)
-        _set(self, "rows", rows)
-        _set(self, "free_orders", free_orders)
-        _set(self, "target_orders", target_orders)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.ring, self.nodes, self.free, self.root, self.path, self.at, self.rows,
-                 self.free_orders, self.target_orders)
-                == (other.ring, other.nodes, other.free, other.root, other.path, other.at,
-                    other.rows, other.free_orders, other.target_orders))
-
-    def __hash__(self):
-        return hash((self.ring, self.nodes, self.free, self.root, self.path, self.at, self.rows,
-                     self.free_orders, self.target_orders))
 
     @cached_property
     def free_sum(self):

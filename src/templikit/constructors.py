@@ -62,15 +62,6 @@ class SimplicialSetTrunc(Frozen):
         _set(self, "degen_lookup", dict(degens))
         self._check_identities()
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.max_level, self.simplices, self.faces, self.degens)
-                == (other.max_level, other.simplices, other.faces, other.degens))
-
-    def __hash__(self):
-        return hash((self.max_level, self.simplices, self.faces, self.degens))
-
     def _check_identities(self):
         face, degen = self.face_lookup, self.degen_lookup
         n_max = self.max_level
@@ -436,15 +427,6 @@ class LinearCategory(Frozen):
             raise ShapeError("composition endpoints wrong")
         if units.domain != unit_quiver(ring, vertices) or units.codomain != quiver:
             raise ShapeError("unit endpoints wrong")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.quiver, self.composition, self.units)
-                == (other.quiver, other.composition, other.units))
-
-    def __hash__(self):
-        return hash((self.quiver, self.composition, self.units))
 
     @property
     def ring(self):

@@ -112,15 +112,6 @@ class DeformationPair(Frozen):
         _set(self, "special_fiber", special_fiber)
         _set(self, "witness", witness)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.extension, self.deformed, self.special_fiber, self.witness)
-                == (other.extension, other.deformed, other.special_fiber, other.witness))
-
-    def __hash__(self):
-        return hash((self.extension, self.deformed, self.special_fiber, self.witness))
-
 
 def _invert_quiver_morphism(f):
     """The inverse of a quiver morphism, checked invertible at every pair
@@ -224,15 +215,6 @@ class NecklicialExtension(Frozen):
             if not image_equals_kernel(i, p):
                 raise ShapeError(f"extension sequence at {t} not exact")
             checked.add((i, p))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.sub, self.total, self.quotient, self.inclusions, self.projections)
-                == (other.sub, other.total, other.quotient, other.inclusions, other.projections))
-
-    def __hash__(self):
-        return hash((self.sub, self.total, self.quotient, self.inclusions, self.projections))
 
     def verify_naturality(self):
         """Inclusion/projection naturality for every action of the total term.

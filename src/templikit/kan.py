@@ -73,15 +73,6 @@ class CheckItem(Frozen):
         _set(self, "detail", detail)
         _set(self, "cokernel", cokernel)  # a Module, or None
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.indices, self.passed, self.detail, self.cokernel)
-                == (other.indices, other.passed, other.detail, other.cokernel))
-
-    def __hash__(self):
-        return hash((self.indices, self.passed, self.detail, self.cokernel))
-
     def __str__(self):
         mark = "pass" if self.passed else "FAIL"
         extra = f" [{self.detail}]" if self.detail else ""
@@ -99,16 +90,6 @@ class CheckReport(Frozen):
         _set(self, "status", status)  # checked | hypothesis-failure | not-applicable
         _set(self, "note", note)
         _set(self, "children", children)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.prop, self.passed, self.items, self.status, self.note, self.children)
-                == (other.prop, other.passed, other.items, other.status, other.note,
-                    other.children))
-
-    def __hash__(self):
-        return hash((self.prop, self.passed, self.items, self.status, self.note, self.children))
 
     @staticmethod
     def from_items(prop, items, note="", children=()):
@@ -204,21 +185,6 @@ def wing_object(y, n):
 
 class TruncatedWing(Frozen):
     _fields = ("module", "canonical", "limit", "diagram")
-
-    def __init__(self, module, canonical, limit, diagram):
-        _set(self, "module", module)
-        _set(self, "canonical", canonical)
-        _set(self, "limit", limit)
-        _set(self, "diagram", diagram)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.module, self.canonical, self.limit, self.diagram)
-                == (other.module, other.canonical, other.limit, other.diagram))
-
-    def __hash__(self):
-        return hash((self.module, self.canonical, self.limit, self.diagram))
 
 
 def truncated_wing_object(y, n, i):

@@ -26,17 +26,13 @@ class FintMap(Frozen):
         if any(a > b for a, b in zip(values, values[1:])):
             raise ShapeError(f"fint map not monotone: {values}")
 
+    # written out, as the generic __eq__ takes about twice as long on this hot path
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.values == other.values
 
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.values,))
-            _set(self, "_hash", h)
-        return h
+    __hash__ = Frozen.__hash__
 
     @property
     def source_dim(self):
@@ -159,17 +155,13 @@ class Necklace(Frozen):
         if not points or points[0] != 0 or list(points) != sorted(set(points)):
             raise ShapeError(f"invalid necklace point set {points}")
 
+    # written out, as the generic __eq__ takes about twice as long on this hot path
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.points == other.points
 
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.points,))
-            _set(self, "_hash", h)
-        return h
+    __hash__ = Frozen.__hash__
 
     @property
     def dim(self):
@@ -223,17 +215,13 @@ class NecklaceMap(Frozen):
         if not set(target.points) <= image:
             raise ShapeError(f"target points not contained in image of source points")
 
+    # written out, as the generic __eq__ takes about twice as long on this hot path
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.source, self.target, self.fint) == (other.source, other.target, other.fint)
 
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.source, self.target, self.fint))
-            _set(self, "_hash", h)
-        return h
+    __hash__ = Frozen.__hash__
 
     @property
     def is_inert(self):
@@ -378,19 +366,6 @@ class IndexDiagram(Frozen):
     """
 
     _fields = ("kind", "objects", "arrows")
-
-    def __init__(self, kind, objects, arrows):
-        _set(self, "kind", kind)
-        _set(self, "objects", objects)
-        _set(self, "arrows", arrows)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.objects, self.arrows) == (other.kind, other.objects, other.arrows)
-
-    def __hash__(self):
-        return hash((self.kind, self.objects, self.arrows))
 
 
 def _name(f):

@@ -66,14 +66,6 @@ class Quiver(Frozen):
             raise ShapeError("homs not in canonical order")
         _set(self, "_hom", dict(homs))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ring, self.vertices, self.homs) == (other.ring, other.vertices, other.homs)
-
-    def __hash__(self):
-        return hash((self.ring, self.vertices, self.homs))
-
     @staticmethod
     def build(ring, vertices, mapping):
         """Quiver from a {(a,b): Module} mapping, dropping zero modules."""
@@ -130,15 +122,6 @@ class QuiverMorphism(Frozen):
         _set(self, "codomain", codomain)
         _set(self, "components", tuple(cleaned))
         _set(self, "_comp", dict(cleaned))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.domain, self.codomain, self.components)
-                == (other.domain, other.codomain, other.components))
-
-    def __hash__(self):
-        return hash((self.domain, self.codomain, self.components))
 
     @staticmethod
     def build(domain, codomain, mapping):
@@ -386,58 +369,23 @@ def tensor_quiver_morphisms(ring, vertices, fs, sources=None, targets=None):
 
 
 class QuiverDiagram(Frozen):
+    """Finite diagram of quivers: nodes and arrows (src_index, tgt_index,
+    QuiverMorphism)."""
+
     _fields = ("ring", "vertices", "nodes", "arrows")
-
-    def __init__(self, ring, vertices, nodes, arrows):
-        _set(self, "ring", ring)
-        _set(self, "vertices", vertices)
-        _set(self, "nodes", nodes)
-        _set(self, "arrows", arrows)  # (src_index, tgt_index, QuiverMorphism)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.ring, self.vertices, self.nodes, self.arrows)
-                == (other.ring, other.vertices, other.nodes, other.arrows))
-
-    def __hash__(self):
-        return hash((self.ring, self.vertices, self.nodes, self.arrows))
 
 
 class QuiverLimitResult(Frozen):
+    """A vertex-pairwise limit: ``hom_limits`` holds ((a, b), LimitResult)."""
+
     _fields = ("quiver", "cone", "hom_limits")
-
-    def __init__(self, quiver, cone, hom_limits):
-        _set(self, "quiver", quiver)
-        _set(self, "cone", cone)
-        _set(self, "hom_limits", hom_limits)  # ((a,b), LimitResult)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.quiver, self.cone, self.hom_limits)
-                == (other.quiver, other.cone, other.hom_limits))
-
-    def __hash__(self):
-        return hash((self.quiver, self.cone, self.hom_limits))
 
 
 class QuiverColimitResult(Frozen):
+    """A vertex-pairwise colimit: ``hom_colimits`` holds ((a, b),
+    ColimitResult)."""
+
     _fields = ("quiver", "cocone", "hom_colimits")
-
-    def __init__(self, quiver, cocone, hom_colimits):
-        _set(self, "quiver", quiver)
-        _set(self, "cocone", cocone)
-        _set(self, "hom_colimits", hom_colimits)  # ((a,b), ColimitResult)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.quiver, self.cocone, self.hom_colimits)
-                == (other.quiver, other.cocone, other.hom_colimits))
-
-    def __hash__(self):
-        return hash((self.quiver, self.cocone, self.hom_colimits))
 
 
 def _solve_homwise(diagram, solve):

@@ -43,37 +43,12 @@ from .quiver import QuiverMorphism, tensor_layout, tensor_quiver_morphisms, unit
 class ValidationFailure(Frozen):
     _fields = ("check", "indices", "detail")
 
-    def __init__(self, check, indices, detail):
-        _set(self, "check", check)
-        _set(self, "indices", indices)
-        _set(self, "detail", detail)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.check, self.indices, self.detail) == (other.check, other.indices, other.detail)
-
-    def __hash__(self):
-        return hash((self.check, self.indices, self.detail))
-
     def __str__(self):
         return f"{self.check}{self.indices}: {self.detail}"
 
 
 class ValidationReport(Frozen):
     _fields = ("subject", "failures")
-
-    def __init__(self, subject, failures):
-        _set(self, "subject", subject)
-        _set(self, "failures", failures)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.subject, self.failures) == (other.subject, other.failures)
-
-    def __hash__(self):
-        return hash((self.subject, self.failures))
 
     @property
     def ok(self):
@@ -150,18 +125,6 @@ class TemplicialModule(Frozen):
                                    (self.level_quiver(k), self.level_quiver(l))).quiver
             if f.domain != self.level_quiver(k + l) or f.codomain != target:
                 raise ShapeError(f"comultiplication ({k},{l}) has wrong endpoints")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.ring, self.vertices, self.max_level, self.levels, self.faces,
-                 self.degeneracies, self.comults)
-                == (other.ring, other.vertices, other.max_level, other.levels, other.faces,
-                    other.degeneracies, other.comults))
-
-    def __hash__(self):
-        return hash((self.ring, self.vertices, self.max_level, self.levels, self.faces,
-                     self.degeneracies, self.comults))
 
     @staticmethod
     def build(ring, vertices, max_level, levels, faces, degeneracies, comults):

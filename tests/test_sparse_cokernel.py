@@ -311,6 +311,35 @@ def test_torsion_cokernel_over_the_quotient_ring_equals_dense_reference(data):
     assert rings == [_quotient_by_largest_order(ring, orders)]
 
 
+@st.composite
+def permuted_rows(draw):
+    """Sparse rows of a matrix over F3, Z/2^3, F3[e]/(e^2) or Q, and the same
+    matrix with its rows and columns renumbered by random permutations and
+    listed in the new order."""
+    ring = draw(st.sampled_from([F3, Ring.chain(2, 3), D32, Q]))
+    n, width = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    entries, zero = _elements(ring), ring.zero()
+    rows = {}
+    for i in range(n):
+        row = {j: x for j in range(width) if (x := draw(entries)) != zero}
+        if row:
+            rows[i] = row
+    to_row = draw(st.permutations(range(n)))
+    to_col = draw(st.permutations(range(width)))
+    permuted = {to_row[i]: dict(sorted((to_col[j], x) for j, x in row.items()))
+                for i, row in rows.items()}
+    return ring, rows, dict(sorted(permuted.items()))
+
+
+@settings(max_examples=150)
+@given(permuted_rows())
+def test_pivot_valuations_do_not_depend_on_the_pivot_order(data):
+    # the pivot search breaks ties by position, so a permuted input takes
+    # other pivots; the Smith diagonal, and so its valuations, must not move
+    ring, rows, permuted = data
+    assert coeff._pivot_valuations(ring, permuted) == coeff._pivot_valuations(ring, rows), rows
+
+
 def _entries(rows):
     return [x for row in rows for x in row.values()]
 

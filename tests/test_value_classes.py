@@ -1,11 +1,15 @@
-"""The value classes are plain classes with hand-written ``__init__``,
-``__eq__`` and ``__hash__``.  These tests pin what callers rely on: equality
-and hashing on the listed fields, ``NotImplemented`` against other classes,
-immutability, the constructor defaults, the computed and excluded fields, and
-a ``Class(field=value, ...)`` repr.  Importing the CLI must not import
-``dataclasses`` or ``inspect``."""
+"""The value classes are plain classes that take ``__eq__``, ``__hash__``
+and a positional fields-only ``__init__`` from ``coeff.Frozen``; only the
+classes listed here write their own.  These tests pin what callers rely on:
+equality and hashing on the listed fields, ``NotImplemented`` against other
+classes, immutability, the constructor defaults and arity, the computed and
+excluded fields, a ``Class(field=value, ...)`` repr, and hashes that follow
+a pickled value into a process with another hash seed.  Importing the CLI
+must not import ``dataclasses`` or ``inspect``."""
 
+import json
 import os
+import pickle
 import subprocess
 import sys
 from functools import cache
@@ -149,10 +153,29 @@ CLASSES = [
     (LinearCategory, ("quiver", "composition", "units"),
      lambda: _copy(_category())),
 ]
-IDS = [cls.__name__ for cls, _, _ in CLASSES]
+
+
+def _ids(entries):
+    return [cls.__name__ for cls, _, _ in entries]
+
+
+IDS = _ids(CLASSES)
 # hashing reads a tuple of the fields, except for Morphism, whose rows are
 # dicts; SmithResult is mutable and so unhashable
 FIELD_HASHED = [entry for entry in CLASSES if entry[0] not in (Morphism, SmithResult)]
+
+# the classes that write their own methods rather than take Frozen's: an
+# __eq__ by hand on the five hot paths, Morphism's hash over its dict rows,
+# and the constructors that validate, compute fields or take defaults
+OWN_EQ = {Ring, Module, FintMap, Necklace, NecklaceMap}
+OWN_HASH = {Morphism}
+OWN_INIT = {Ring, Module, Morphism, RingExtension, ModuleDiagram, FintMap, Necklace,
+            NecklaceMap, Quiver, QuiverMorphism, TemplicialModule, CheckItem, CheckReport,
+            DeformationPair, NecklicialExtension, SimplicialSetTrunc, LinearCategory}
+GENERIC_INIT = [entry for entry in CLASSES if entry[0] not in OWN_INIT | {SmithResult}]
+# a NecklicialExtension holds necklicial modules, whose actions come from a
+# local function, so it does not pickle
+PICKLED = [entry for entry in FIELD_HASHED if entry[0] is not NecklicialExtension]
 
 
 def test_every_value_class_is_listed():
@@ -263,19 +286,84 @@ def test_smith_result_is_mutable_and_unhashable():
         hash(res)
 
 
-@pytest.mark.parametrize("build", [
-    lambda: Ring("chain", 3, 2),
-    lambda: Module(Z, (2, 0)),
-    lambda: FintMap((0, 1, 1, 2)),
-    lambda: Necklace((0, 1, 3)),
-    lambda: NecklaceMap(Necklace((0, 1, 2)), Necklace((0, 2)), FintMap((0, 1, 2))),
-], ids=["Ring", "Module", "FintMap", "Necklace", "NecklaceMap"])
-def test_hash_is_kept_after_the_first_call(build):
+@pytest.mark.parametrize("cls,fields,build", FIELD_HASHED, ids=_ids(FIELD_HASHED))
+def test_hash_is_kept_after_the_first_call(cls, fields, build):
     x = build()
     assert "_hash" not in vars(x)
     h = hash(x)
     assert vars(x)["_hash"] == h == hash(x)
     assert x == build() and "_hash" not in repr(x)
+
+
+def test_only_the_listed_classes_write_their_own_methods():
+    # a new value class takes Frozen's methods unless it is added here
+    for cls in Frozen.__subclasses__():
+        own = vars(cls)
+        assert ("__eq__" in own) == (cls in OWN_EQ), cls.__name__
+        assert (own.get("__hash__", Frozen.__hash__) is not Frozen.__hash__) == (
+            cls in OWN_HASH), cls.__name__
+        assert ("__init__" in own) == (cls in OWN_INIT), cls.__name__
+
+
+@pytest.mark.parametrize("cls,fields,build", GENERIC_INIT, ids=_ids(GENERIC_INIT))
+def test_generic_init_takes_exactly_the_fields(cls, fields, build):
+    x = build()
+    values = [getattr(x, name) for name in fields]
+    assert cls(*values) == x
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
+    with pytest.raises(TypeError):
+        cls(*values, None)
+    with pytest.raises(TypeError):
+        cls(**dict(zip(fields, values)))
+
+
+@pytest.mark.parametrize("cls,fields,build", PICKLED, ids=_ids(PICKLED))
+def test_pickles_leave_out_the_kept_hash(cls, fields, build):
+    x = build()
+    hash(x)
+    y = pickle.loads(pickle.dumps(x))
+    assert "_hash" not in vars(y) and "_hash" in vars(x)
+    assert y == x and hash(y) == hash(x)
+
+
+# builds the values of the cross-seed test; "dump" hashes and pickles them to
+# stdout, "load" reads them from stdin and compares them with fresh copies
+_ROUND_TRIP = """
+import json, pickle, sys
+from templikit.coeff import Module, Ring
+from templikit.constructors import nerve, truncated_polynomial_category
+from templikit.kan import check_quasicategory
+
+def build():
+    ring = Ring.chain(3, 2)
+    category = truncated_polynomial_category(Ring.prime_field(3), (1, 2))
+    return ring, Module(ring, (1, 0)), nerve(category, 3)
+
+if sys.argv[1] == "dump":
+    values = build()
+    for x in values:
+        hash(x)
+    sys.stdout.buffer.write(pickle.dumps(values))
+else:
+    stored, fresh = pickle.loads(sys.stdin.buffer.read()), build()
+    out = [[a == b, hash(a) == hash(b), {b: 1}.get(a) == 1] for a, b in zip(stored, fresh)]
+    out.append(check_quasicategory(stored[2], 3) == check_quasicategory(fresh[2], 3))
+    print(json.dumps(out))
+"""
+
+
+def test_hashes_survive_a_pickle_into_another_hash_seed():
+    # Ring hashes read its str kind, so they differ between hash seeds; a
+    # value pickled in one process must still hash like a fresh copy in
+    # another, or the caches keyed on it miss
+    def run(step, seed, data=None):
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=str(seed))
+        return subprocess.run([sys.executable, "-c", _ROUND_TRIP, step], input=data, env=env,
+                              capture_output=True, check=True).stdout
+
+    out = json.loads(run("load", 2, run("dump", 1)))
+    assert out == [[True, True, True]] * 3 + [True]
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
