@@ -219,10 +219,12 @@ def _dec_quiver(ring, vertices, obj, path):
 
 def _enc_qmorphism(f):
     ring = f.domain.ring
+    zero = _enc_elt(ring, ring.zero())
     return [
         {"source": _enc_label(a), "target": _enc_label(b),
-         "rows": len(mor.matrix), "cols": mor.domain.ngens,
-         "entries": [[_enc_elt(ring, x) for x in row] for row in mor.matrix]}
+         "rows": len(mor.rows), "cols": mor.domain.ngens,
+         "entries": [[_enc_elt(ring, row[j]) if j in row else zero
+                      for j in range(mor.domain.ngens)] for row in mor.rows]}
         for (a, b), mor in f.components
     ]
 

@@ -519,53 +519,41 @@ def change_basis(ring, left, rows, right):
 
 
 class SmithResult:
-    """U*A*V = diag(d);  A = L*diag(d)*R with L = U^-1, R = V^-1.
+    """U*A*V = diag(d);  A = L*diag(d)*V^-1 with L = U^-1.
 
     ``d`` lists the min(rows, cols) diagonal entries.  Each transform asked
     for is a list of sparse rows, one {column: entry} dict of nonzeros per
     row; one not asked for is None.  Mutable, so unhashable."""
 
-    _fields = ("d", "left", "right", "row_transform", "col_transform", "aug")
+    _fields = ("d", "left", "row_transform", "col_transform")
+    _values = operator.attrgetter(*_fields)
 
-    def __init__(self, d, left=None, right=None, row_transform=None, col_transform=None,
-                 aug=None):
+    def __init__(self, d, left=None, row_transform=None, col_transform=None):
         self.d = d
         self.left = left                    # L = U^-1
-        self.right = right                  # R = V^-1
         self.row_transform = row_transform  # U
         self.col_transform = col_transform  # V
-        self.aug = aug                      # U*B for an augmented block B
 
     __repr__ = Frozen.__repr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.d, self.left, self.right, self.row_transform, self.col_transform, self.aug)
-                == (other.d, other.left, other.right, other.row_transform, other.col_transform,
-                    other.aug))
-
+    __eq__ = Frozen.__eq__
     __hash__ = None
 
 
-def smith(ring, matrix, *, left=False, right=False, row_t=False, col_t=False, aug=None):
+def smith(ring, matrix, *, left=False, row_t=False, col_t=False):
     """Diagonalize the dense ``matrix``, of canonical ring elements, by
-    invertible row and column operations; ``aug`` is an augmented block B,
-    sparse rows with one row per row of the matrix.
+    invertible row and column operations.
 
     Deterministic pivoting: smallest nonzero valuation (absolute value over
     the integers), ties broken by lowest row then column index.  Diagonal
     entries come out as canonical associates in successive-divisibility
     order.
 
-    One augmented elimination carries every transform.  U (``row_t``) and
-    the ``aug`` block B extend the rows of A as [A | U | B], so a row
-    operation is one pass over one row; V (``col_t``) is stacked below A, so
-    a column operation is one pass down the stacked rows.  L^T (``left``)
-    and R (``right``) take the inverse operations as row operations: row
-    i += c*row k on A is row k -= c*row i on L^T, and column j += c*column k
-    on A is row k -= c*row j on R.  A transform nobody asked for has no
-    entries, so it costs no arithmetic.
+    One elimination carries every transform.  U (``row_t``) extends the rows
+    of A as [A | U], so a row operation is one pass over one row; V
+    (``col_t``) is stacked below A, so a column operation is one pass down
+    the stacked rows.  L^T (``left``) takes the inverse row operations as
+    row operations: row i += c*row k on A is row k -= c*row i on L^T.  A
+    transform nobody asked for has no entries, so it costs no arithmetic.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
@@ -578,13 +566,10 @@ def smith(ring, matrix, *, left=False, right=False, row_t=False, col_t=False, au
         return [[one if j == i else zero for j in range(n)] for i in range(n)] if keep else [[]] * n
 
     u = unit_rows(rows, row_t)
-    # B ends at its last nonzero column: zero columns would stay zero
-    b = ((),) * rows if aug is None else _dense(
-        ring, enumerate(aug), rows, max((j + 1 for row in aug for j in row), default=0))
-    a = [list(matrix[i]) + u[i] + list(b[i]) for i in range(rows)]
+    a = [list(matrix[i]) + u[i] for i in range(rows)]
     if col_t:
         a += unit_rows(cols, True)
-    inv = unit_rows(rows, left) + unit_rows(cols, right)  # L^T above R
+    linv = unit_rows(rows, left)  # L^T
 
     # y += c*x over each nonzero x: ring arithmetic on tuples, inline
     # arithmetic elsewhere (zero tests by truthiness, reduced mod q over F_p
@@ -595,7 +580,7 @@ def smith(ring, matrix, *, left=False, right=False, row_t=False, col_t=False, au
                 if x != zero:
                     dst[j] = add(dst[j], mul(c, x))
 
-        def col_axpy(j, k, c):
+        def col_op(j, k, c):
             for r in a:
                 x = r[k]
                 if x != zero:
@@ -606,7 +591,7 @@ def smith(ring, matrix, *, left=False, right=False, row_t=False, col_t=False, au
                 if x:
                     dst[j] = dst[j] + c * x
 
-        def col_axpy(j, k, c):
+        def col_op(j, k, c):
             for r in a:
                 x = r[k]
                 if x:
@@ -619,7 +604,7 @@ def smith(ring, matrix, *, left=False, right=False, row_t=False, col_t=False, au
                 if x:
                     dst[j] = (dst[j] + c * x) % q
 
-        def col_axpy(j, k, c):
+        def col_op(j, k, c):
             for r in a:
                 x = r[k]
                 if x:
@@ -627,16 +612,16 @@ def smith(ring, matrix, *, left=False, right=False, row_t=False, col_t=False, au
 
     def row_swap(i, k):
         a[i], a[k] = a[k], a[i]
-        inv[i], inv[k] = inv[k], inv[i]
+        linv[i], linv[k] = linv[k], linv[i]
 
     def row_op(i, k, c):
         # row i += c * row k; on L^T, row k -= c * row i
         axpy(a[i], a[k], c)
-        axpy(inv[k], inv[i], neg(c))
+        axpy(linv[k], linv[i], neg(c))
 
     def row_scale(i, w):
         # row i *= w; on L^T, row i *= w^-1
-        for row, s in ((a[i], w), (inv[i], ring.inv(w))):
+        for row, s in ((a[i], w), (linv[i], ring.inv(w))):
             for j, x in enumerate(row):
                 if x != zero:
                     row[j] = mul(s, x)
@@ -644,12 +629,6 @@ def smith(ring, matrix, *, left=False, right=False, row_t=False, col_t=False, au
     def col_swap(j, k):
         for r in a:
             r[j], r[k] = r[k], r[j]
-        inv[rows + j], inv[rows + k] = inv[rows + k], inv[rows + j]
-
-    def col_op(j, k, c):
-        # column j += c * column k; on R, row k -= c * row j
-        col_axpy(j, k, c)
-        axpy(inv[rows + k], inv[rows + j], neg(c))
 
     euclid = ring.kind == INTEGERS
     # over chain kinds and fields the minimal valuation of the remaining
@@ -732,18 +711,15 @@ def smith(ring, matrix, *, left=False, right=False, row_t=False, col_t=False, au
                 row_scale(i, w)
         d.append(a[i][i] if x != zero else zero)
 
-    def sparse(lines, start=0, stop=None):
-        # the nonzeros of columns start..stop of each row, renumbered from 0
-        return [{j: x for j, x in enumerate(r[start:stop]) if x != zero} for r in lines]
+    def sparse(lines, start=0):
+        # the nonzeros of columns start.. of each row, renumbered from 0
+        return [{j: x for j, x in enumerate(r[start:]) if x != zero} for r in lines]
 
-    bstart = cols + (rows if row_t else 0)
     return SmithResult(
         d=d,
-        left=sparse(zip(*inv[:rows])) if left else None,
-        right=sparse(inv[rows:]) if right else None,
-        row_transform=sparse(a[:rows], cols, bstart) if row_t else None,
+        left=sparse(zip(*linv)) if left else None,
+        row_transform=sparse(a[:rows], cols) if row_t else None,
         col_transform=sparse(a[rows:]) if col_t else None,
-        aug=sparse(a[:rows], bstart) if aug is not None else None,
     )
 
 
@@ -756,9 +732,13 @@ def normal_form(ring, matrix):
     """
     if not isinstance(ring, Ring):
         raise UnsupportedRingError(f"not a supported ring: {ring!r}")
-    res = smith(ring, matrix, left=True, right=True)
+    res = smith(ring, matrix, left=True, col_t=True)
+    v = res.col_transform
+    # R = V^-1, the unique solution of V*R = I
+    right = solve_linear(ring, _dense(ring, enumerate(v), len(v), len(v)),
+                         [{i: ring.one()} for i in range(len(v))])
     return tuple(res.d), *(_dense(ring, enumerate(t), len(t), len(t))
-                           for t in (res.left, res.right))
+                           for t in (res.left, right))
 
 
 def invariant_factors(ring, matrix):
@@ -771,10 +751,10 @@ def solve_linear(ring, a, b):
     no solution exists."""
     if len(b) != len(a):
         raise ShapeError("solve_linear: row count mismatch")
-    res = smith(ring, a, col_t=True, aug=b)
+    res = smith(ring, a, row_t=True, col_t=True)
     d = res.d
     z = [{} for _ in res.col_transform]
-    for i, row in enumerate(res.aug):
+    for i, row in enumerate(mat_mul(ring, res.row_transform, b)):
         di = d[i] if i < len(d) else None
         for j, rhs in row.items():
             if di is None or ring.is_zero(di) or not ring.divides(di, rhs):
@@ -1005,10 +985,10 @@ class Morphism(Frozen):
     codomain generator i in the image of domain generator j.  Entries are
     canonical ring elements, reduced modulo the codomain generator orders,
     and no row stores a zero.  ``matrix`` is the dense view, a tuple of row
-    tuples built on first read, for the instance encoder and the public
-    surface; Smith's inputs are densified from ``rows`` directly
-    (:func:`_presentation_matrix`).  Two maps are equal, and hash equal,
-    exactly when their domains, codomains and entries agree.
+    tuples built on first read, for the public surface only: the instance
+    encoder and Smith's inputs (:func:`_presentation_matrix`) read ``rows``.
+    Two maps are equal, and hash equal, exactly when their domains,
+    codomains and entries agree.
 
     Invariants are checked once, at the trust boundary.  ``Morphism(domain,
     codomain, matrix)`` takes a dense matrix and validates: it checks that

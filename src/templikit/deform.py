@@ -9,6 +9,8 @@ extensions are handled through their chain of small quotients.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .coeff import (
     Frozen,
     InvalidInstanceError,
@@ -18,6 +20,7 @@ from .coeff import (
     RingMismatchError,
     ShapeError,
     UnsupportedRingError,
+    _factor_order_elt,
     _set,
     analyze,
     direct_sum,
@@ -37,6 +40,7 @@ from .kan import (
     _limit_over_diagram,
     _module_diagram,
     _require_valid,
+    _top_level,
     check_deg_projective,
     check_levelwise,
     check_quasicategory,
@@ -155,7 +159,7 @@ def validate_deformation(pair, max_level=None):
         report = validation_report(inst)
         if not report.ok:
             raise InvalidInstanceError(f"{name} instance failed validation", report)
-    n_max = min(max_level or xbar.max_level, xbar.max_level)
+    n_max = _top_level(xbar, max_level)
     items = []
     flat = check_levelwise(xbar, "flat", n_max)
     for item in flat.items:
@@ -258,8 +262,7 @@ def extension_sequence(theta, ybar):
     ring = theta.source
     mt = theta.target_nilpotency
     e_i = ring.m - mt
-    pi_mt = ring.reduce(ring.p ** mt) if ring.kind == "chain" else ring.reduce(
-        tuple(1 if t == mt else 0 for t in range(ring.m)))
+    pi_mt = _factor_order_elt(ring, mt)
     one = ring.one()
 
     sub_values = {}
@@ -275,16 +278,8 @@ def extension_sequence(theta, ybar):
         inclusions[t] = Morphism._trusted(sub_values[t], mod, [{i: pi_mt} for i in range(r)])
         projections[t] = Morphism._trusted(mod, quot_values[t], [{i: one} for i in range(r)])
 
-    def reread(values):
-        # every value is a sum of copies of one cyclic module (R/pi^e_i for
-        # the sub term, R/pi^mt for the quotient), so any matrix over R is
-        # congruence-valid between them
-        return lambda f: Morphism._trusted(values[f.target], values[f.source],
-                                           ybar.action(f).rows)
-
-    sub = NecklicialModule(ring, ybar.max_level, sub_values, reread(sub_values), ybar._maps)
-    quotient = NecklicialModule(ring, ybar.max_level, quot_values, reread(quot_values),
-                                ybar._maps)
+    sub, quotient = (NecklicialModule(ring, ybar.max_level, vals, partial(_reread, vals, ybar),
+                                      ybar._maps) for vals in (sub_values, quot_values))
     sub.origin = quotient.origin = ybar
     ext = NecklicialExtension(sub, ybar, quotient,
                               tuple(sorted(inclusions.items(), key=lambda kv: kv[0].points)),
@@ -302,6 +297,13 @@ def extension_sequence(theta, ybar):
         if viewed != sub.action(f):
             raise ShapeError(f"ideal tensor comparison map not natural at {f}")
     return ext
+
+
+def _reread(values, ybar, f):
+    # every value is a sum of copies of one cyclic module (R/pi^e_i for the
+    # sub term, R/pi^mt for the quotient), so any matrix over R is
+    # congruence-valid between them
+    return Morphism._trusted(values[f.target], values[f.source], ybar.action(f).rows)
 
 
 def build_extension(sub, quotient, cocycle=None):
@@ -370,7 +372,7 @@ def _fiber_chain(theta, xbar):
 def verify_thm_main(pair, max_level=None):
     """Quasi-category preservation under levelwise flat deformation."""
     theta, xbar, x = pair.extension, pair.deformed, pair.special_fiber
-    n_max = min(max_level or xbar.max_level, xbar.max_level)
+    n_max = _top_level(xbar, max_level)
     hyp = validate_deformation(pair, n_max)
     if not hyp.passed:
         return CheckReport.hypothesis_failure(
@@ -453,7 +455,7 @@ def verify_wings_tensor(x, module, max_level=None):
     the wedge intersections, whose cones the pullback squares read, are
     built as limits.
     """
-    n_max = min(max_level or x.max_level, x.max_level)
+    n_max = _top_level(x, max_level)
     _require_valid(x)
     if module.ring != x.ring:
         raise RingMismatchError("coefficient module over the wrong ring")
@@ -515,7 +517,7 @@ def verify_wings_tensor(x, module, max_level=None):
 def verify_degproj_lift(pair, max_level=None):
     """Deg-projectivity lift under levelwise flat deformation."""
     theta, xbar, x = pair.extension, pair.deformed, pair.special_fiber
-    n_max = min(max_level or xbar.max_level, xbar.max_level)
+    n_max = _top_level(xbar, max_level)
     hyp = validate_deformation(pair, n_max)
     if not hyp.passed:
         return CheckReport.hypothesis_failure(

@@ -198,13 +198,18 @@ def truncated_wing_object(y, n, i):
 # ---------------------------------------------------------------------------
 
 
+def _top_level(x, max_level):
+    """``max_level``, at most the truncation of ``x``; None is the truncation."""
+    return x.max_level if max_level is None else min(max_level, x.max_level)
+
+
 def _surjectivity_report(prop, y, max_level, label, kind, extras):
     """Whether Y_n maps onto the limit object of the ``kind`` index diagram,
     at every 2 <= n <= max_level and every ``extra`` in ``extras(n)``.  The
     limit is taken over the diagram's meet skeleton, which gives the same
     limit and cokernel once Y is validated functorial."""
     _require_valid(y)
-    n_max = min(max_level or y.max_level, y.max_level)
+    n_max = _top_level(y, max_level)
     items = []
     for n in range(2, n_max + 1):
         for extra in extras(n):
@@ -316,7 +321,7 @@ def check_deg_projective(x, max_level=None):
     kernel is computed."""
     _require_valid(x)
     items = []
-    for n in range(1, min(max_level or x.max_level, x.max_level) + 1):
+    for n in range(1, _top_level(x, max_level) + 1):
         _, _, can, nd, _ = _degenerate_parts(x, n)
         for a in x.vertices:
             for b in x.vertices:
@@ -339,7 +344,7 @@ def ez_check(x, max_level=None):
     if not dp.passed:
         return CheckReport("eilenberg-zilber", False, (), "not-applicable",
                            "instance is not deg-projective", (dp,))
-    n_max = min(max_level or x.max_level, x.max_level)
+    n_max = _top_level(x, max_level)
     items = []
     for n in range(1, n_max + 1):
         surjections = fint_surjections(n)
@@ -371,7 +376,7 @@ def check_levelwise(x, which="flat", max_level=None):
     if which not in ("flat", "projective"):
         raise InvalidInstanceError(f"unknown levelwise property {which!r}")
     _require_valid(x)
-    n_max = min(max_level or x.max_level, x.max_level)
+    n_max = _top_level(x, max_level)
     items = []
     for n in range(1, n_max + 1):
         for a in x.vertices:

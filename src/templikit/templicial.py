@@ -16,6 +16,8 @@ then and kept on the module, so a check evaluates only the maps it reads.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .coeff import (
     Frozen,
     Module,
@@ -433,8 +435,11 @@ class NecklicialModule:
     ``actions``, ``==`` and ``hash`` read every action.
 
     ``origin``, set by the constructors that derive a module from another
-    object, is that object: the module is valid when it is.
+    object, is that object: the module is valid when it is.  The library's
+    sources, partials of module-level functions or dict lookups, pickle.
     """
+
+    _hash = None
 
     def __init__(self, ring, max_level, values, source, maps=None):
         vals = dict(values)
@@ -452,7 +457,6 @@ class NecklicialModule:
         self._maps = maps
         self._memo = {}
         self._actions = None
-        self._hash = None
         self.origin = None
 
     @staticmethod
@@ -484,6 +488,8 @@ class NecklicialModule:
         if self._hash is None:
             self._hash = hash((self.ring, self.max_level, self.values, self.actions))
         return self._hash
+
+    __getstate__ = Frozen.__getstate__
 
     def value(self, necklace):
         return self._values_dict[necklace]
@@ -523,8 +529,13 @@ def hom_necklicial(x, a, b):
     ev = evaluator(x)
     values = {t: ev.layout(t).hom(a, b)
               for p in range(x.max_level + 1) for t in necklaces(p)}
-    return _derived(NecklicialModule(x.ring, x.max_level, values,
-                                     lambda f: ev.eval_map(f).comp(a, b)), x)
+    source = partial(_composite, partial(QuiverMorphism.comp, a=a, b=b), ev.eval_map)
+    return _derived(NecklicialModule(x.ring, x.max_level, values, source), x)
+
+
+def _composite(g, h, f):
+    """g(h(f)): a source of two picklable callables."""
+    return g(h(f))
 
 
 def validate_necklicial(y):
@@ -577,12 +588,11 @@ def tensor_external(y, module):
         raise RingMismatchError("tensor_external over mixed rings")
     ident = Morphism.identity(module)
     values = {t: tensor(mod, module) for t, mod in y.values}
-    return _derived(NecklicialModule(y.ring, y.max_level, values,
-                                     lambda f: tensor_morphisms(y.action(f), ident), y._maps), y)
+    source = partial(_composite, partial(tensor_morphisms, g=ident), y.action)
+    return _derived(NecklicialModule(y.ring, y.max_level, values, source, y._maps), y)
 
 
 def base_change_necklicial(theta, y):
     values = {t: theta.base_change(mod) for t, mod in y.values}
-    return _derived(NecklicialModule(theta.target, y.max_level, values,
-                                     lambda f: theta.base_change_morphism(y.action(f)),
-                                     y._maps), y)
+    source = partial(_composite, theta.base_change_morphism, y.action)
+    return _derived(NecklicialModule(theta.target, y.max_level, values, source, y._maps), y)

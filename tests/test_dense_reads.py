@@ -1,17 +1,20 @@
 """No dense view is read on the library's paths.
 
 A morphism keeps its sparse rows; ``Morphism.matrix``, the dense view, is
-for the instance encoder and the public surface only.  Smith's inputs are
-densified from the rows directly (``coeff._presentation_matrix``), and its
-transforms come back as sparse rows.  Every test here runs with the dense
-view patched to raise: the benchmark's library workloads, every part of an
-analysis, and the factorizations through monos, epis, limits and colimits.
+for the public surface only.  Smith's inputs are densified from the rows
+directly (``coeff._presentation_matrix``), its transforms come back as
+sparse rows, and the instance encoder writes the rows with the zeros filled
+in.  Every test here runs with the dense view patched to raise: the
+benchmark's library workloads, every part of an analysis, the
+factorizations through monos, epis, limits and colimits, and the encoding of
+the built-in examples.
 """
 
 import random
 
 import pytest
 
+from templikit import cli
 from templikit.coeff import (
     FREE,
     Module,
@@ -27,6 +30,7 @@ from templikit.coeff import (
     finite_limit,
 )
 from templikit.constructors import (
+    builtin,
     free_templicial,
     nerve,
     s0_times_2,
@@ -112,3 +116,22 @@ def test_integer_maps_with_free_factors():
     ana = analyze(f)
     assert ana.injective and not ana.surjective
     assert ana.cokernel == Module(Z, (6, FREE))
+
+
+def _dense_qmorphism(f):
+    # the encoding of a quiver morphism read off the dense views
+    ring = f.domain.ring
+    return [{"source": cli._enc_label(a), "target": cli._enc_label(b),
+             "rows": len(mor.matrix), "cols": mor.domain.ngens,
+             "entries": [[cli._enc_elt(ring, x) for x in row] for row in mor.matrix]}
+            for (a, b), mor in f.components]
+
+
+@pytest.mark.parametrize("name,level", [("s0_times_2", None), ("paper_P", None),
+                                        ("paper_P_deformed", 4)])
+def test_encoding_the_built_in_examples(monkeypatch, name, level):
+    blob = cli.canonical_json(cli.serialize_instance(builtin(name, level)))
+    # the reference run reads the dense views, so they are let through
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "_enc_qmorphism", _dense_qmorphism)
+    assert cli.canonical_json(cli.serialize_instance(builtin(name, level))) == blob

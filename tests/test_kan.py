@@ -16,6 +16,7 @@ from templikit.coeff import (
 )
 from templikit.constructors import (
     _constant_templicial,
+    builtin,
     free_templicial,
     nerve,
     paper_p,
@@ -28,6 +29,8 @@ from templikit.deform import (
     DeformationPair,
     build_extension,
     check_extension_weak_kan,
+    validate_deformation,
+    verify_degproj_lift,
     verify_thm_main,
     verify_wings_tensor,
 )
@@ -373,3 +376,34 @@ def test_eval_map_truncation_guard():
     x = dual_numbers_nerve(2)
     with pytest.raises(ShapeError):
         evaluator(x).eval_map(necklace_identity(simplex_necklace(3)))
+
+
+def _items_by_prop(report):
+    """(prop, indices) of every item in the report and its children."""
+    yield from ((report.prop, item.indices) for item in report.items)
+    for child in report.children:
+        yield from _items_by_prop(child)
+
+
+# max_level=0 reads no level, so only items that name no level remain: the
+# special-fiber condition of a deformation and the exact sequence of each
+# hom in the main theorem's proof skeleton
+MAX_LEVEL_ZERO = {
+    "quasi-category": (lambda x, pair: check_quasicategory(x, 0), set()),
+    "templicial-wings": (lambda x, pair: check_templicial_wings(x, 0), set()),
+    "deg-projective": (lambda x, pair: check_deg_projective(x, 0), set()),
+    "eilenberg-zilber": (lambda x, pair: ez_check(x, 0), set()),
+    "levelwise-flat": (lambda x, pair: check_levelwise(x, "flat", 0), set()),
+    "wings-tensor": (lambda x, pair: verify_wings_tensor(x, Module(F2, (0,)), 0), set()),
+    "deformation": (lambda x, pair: validate_deformation(pair, 0), {"deformation"}),
+    "main-theorem": (lambda x, pair: verify_thm_main(pair, 0), {"proof-skeleton"}),
+    "degproj-lift": (lambda x, pair: verify_degproj_lift(pair, 0), set()),
+}
+
+
+@pytest.mark.parametrize("name", MAX_LEVEL_ZERO)
+def test_max_level_zero_checks_no_level(name):
+    check, props = MAX_LEVEL_ZERO[name]
+    items = list(_items_by_prop(check(paper_p(3), builtin("paper_P_deformed", 3))))
+    assert {prop for prop, _ in items} <= props
+    assert all(indices[0] in ("fiber-condition", 0) for _, indices in items)

@@ -87,3 +87,9 @@ def test_smith_reads_a_dense_matrix_second():
     coeff = importlib.import_module("templikit.coeff")
     assert tuple(inspect.signature(coeff.smith).parameters)[:2] == ("ring", "matrix")
     assert coeff.smith(coeff.Ring.integers(), ((2, 4), (6, 8))).d == [2, 4]
+
+
+def test_smith_takes_three_transform_flags():
+    coeff = importlib.import_module("templikit.coeff")
+    assert str(inspect.signature(coeff.smith)) == \
+        "(ring, matrix, *, left=False, row_t=False, col_t=False)"

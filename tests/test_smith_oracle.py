@@ -8,14 +8,18 @@ matrix (L*diag(d)*R == A), the recorded transforms must diagonalize it
 give back the invariant factors of D.
 
 ``reference_smith`` is the elimination ``smith`` replaced, which kept each
-transform apart and returned it dense; ``smith`` returns its transforms as
-sparse rows, which densified must give the same ``SmithResult``, field for
-field and with the same entry types, for every combination of transforms.
+transform apart, also R = V^-1 and U*B for an augmented block B, and returned
+them dense; ``smith`` returns its transforms as sparse rows, which densified
+must give the same fields, with the same entry types, for every combination
+of transforms.  ``solve_linear`` and ``normal_form`` derive U*B and R from
+the transforms ``smith`` keeps, and must give what the reference's
+augmented block and R give.
 """
 
 import itertools
 import random
 import time
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +36,7 @@ from templikit.coeff import (
     invariant_factors,
     normal_form,
     smith,
+    solve_linear,
 )
 
 Z = Ring.integers()
@@ -146,13 +151,14 @@ def test_integer_euclid_on_large_entries(a):
     rows = len(a)
     cols = len(a[0]) if rows else 0
     start = time.perf_counter()
-    res = smith(Z, a, left=True, right=True, row_t=True, col_t=True)
+    res = smith(Z, a, left=True, row_t=True, col_t=True)
+    right = normal_form(Z, a)[2]
     assert time.perf_counter() - start < 5
     expected = normalforms.invariant_factors(Matrix(rows, cols, [x for r in a for x in r]),
                                              domain=ZZ) if rows and cols else ()
     assert tuple(res.d) == tuple(abs(int(x)) for x in expected)
     u, left = densify(Z, res.row_transform, rows), densify(Z, res.left, rows)
-    v, right = densify(Z, res.col_transform, cols), densify(Z, res.right, cols)
+    v = densify(Z, res.col_transform, cols)
     assert dense_mat_mul(Z, dense_mat_mul(Z, u, a, cols), v, cols) == _diag(Z, res.d, rows, cols)
     assert dense_mat_mul(Z, left, u, rows) == mat_identity(Z, rows)
     assert dense_mat_mul(Z, right, v, cols) == mat_identity(Z, cols)
@@ -186,8 +192,14 @@ def test_invariant_factors_of_a_disguised_diagonal(ring):
 
 
 # ---------------------------------------------------------------------------
-# the augmented elimination against the one it replaced
+# smith, solve_linear and normal_form against the elimination smith replaced
 # ---------------------------------------------------------------------------
+
+
+# what ``reference_smith`` returns: d and each transform asked for, dense
+# (None for the others)
+ReferenceSmith = namedtuple("ReferenceSmith",
+                            ("d", "left", "right", "row_transform", "col_transform", "aug"))
 
 
 def reference_smith(ring, matrix, *, left=False, right=False, row_t=False, col_t=False, aug=None):
@@ -448,7 +460,7 @@ def reference_smith(ring, matrix, *, left=False, right=False, row_t=False, col_t
             row_scale(i, w)
         d.append(a[i][i])
 
-    return SmithResult(
+    return ReferenceSmith(
         d=d,
         left=tuple(tuple(r) for r in linv) if linv is not None else None,
         right=tuple(tuple(r) for r in rinv) if rinv is not None else None,
@@ -458,7 +470,7 @@ def reference_smith(ring, matrix, *, left=False, right=False, row_t=False, col_t
     )
 
 
-FLAGS = ("left", "right", "row_t", "col_t", "aug")
+FLAGS = ("left", "row_t", "col_t")
 ORACLE_RINGS = [Z, Ring.rationals(), Ring.prime_field(3), Ring.chain(2, 3),
                 Ring.dual_chain(3, 2), Ring.dual_chain(2, 3)]
 
@@ -493,24 +505,23 @@ def _typed(x):
     return type(x), x
 
 
-def _densified(ring, res, rows, cols, width):
+def _densified(ring, res, rows, cols):
     """The fields of ``smith``'s result with each sparse transform made
     dense, in the shape ``reference_smith`` returns it."""
-    shapes = {"left": rows, "right": cols, "row_transform": rows, "col_transform": cols,
-              "aug": width}
+    shapes = {"left": rows, "row_transform": rows, "col_transform": cols}
     return {k: v if k == "d" or v is None else densify(ring, v, shapes[k])
             for k, v in vars(res).items()}
 
 
-def _assert_matches_reference(ring, a, b, flags):
-    kwargs = dict(zip(FLAGS[:4], flags[:4]))
-    got = smith(ring, a, **kwargs, aug=sparsify(ring, b) if flags[4] else None)
-    want = reference_smith(ring, a, **kwargs, aug=b if flags[4] else None)
+def _assert_matches_reference(ring, a, flags):
+    kwargs = dict(zip(FLAGS, flags))
+    got = smith(ring, a, **kwargs)
+    want = reference_smith(ring, a, **kwargs)
     assert isinstance(got, SmithResult)
     rows = len(a)
-    cols, width = (len(a[0]), len(b[0])) if rows else (0, 0)
-    assert {k: _typed(v) for k, v in _densified(ring, got, rows, cols, width).items()} == \
-        {k: _typed(v) for k, v in vars(want).items()}, (ring, a, b, kwargs)
+    cols = len(a[0]) if rows else 0
+    assert {k: _typed(v) for k, v in _densified(ring, got, rows, cols).items()} == \
+        {k: _typed(getattr(want, k)) for k in SmithResult._fields}, (ring, a, kwargs)
 
 
 ALL_FLAGS = list(itertools.product((False, True), repeat=len(FLAGS)))
@@ -524,14 +535,54 @@ def _flag_id(flags):
 @settings(max_examples=30)
 @given(smith_inputs())
 def test_smith_equals_reference(flags, data):
-    _assert_matches_reference(*data, flags)
+    ring, a, _ = data
+    _assert_matches_reference(ring, a, flags)
 
 
 @pytest.mark.parametrize("ring", ORACLE_RINGS, ids=str)
 def test_smith_equals_reference_on_empty_shapes(ring):
-    # no rows, no columns, and an augmented block without columns
+    # no rows, and no columns
     one = ring.one()
-    shapes = [((), ()), (((),) * 3, ((one,),) * 3), (((one, one),), ((),)),
-              (((one, ring.zero()), (one, one)), ((),) * 2)]
-    for (a, b), flags in itertools.product(shapes, ALL_FLAGS):
-        _assert_matches_reference(ring, a, b, flags)
+    shapes = [(), ((),) * 3, ((one, one),), ((one, ring.zero()), (one, one))]
+    for a, flags in itertools.product(shapes, ALL_FLAGS):
+        _assert_matches_reference(ring, a, flags)
+
+
+def _reference_solution(ring, a, b):
+    """X = V*Z, where D*Z = U*B for D = diag(d) is solved entry by entry, from
+    the reference's augmented block U*B and V; None when some entry of U*B
+    is not a multiple of its diagonal entry (0 past the diagonal)."""
+    ref = reference_smith(ring, a, col_t=True, aug=b)
+    width = len(b[0]) if b else 0
+    z = [[ring.zero()] * width for _ in ref.col_transform]
+    for i, row in enumerate(ref.aug):
+        di = ref.d[i] if i < len(ref.d) else ring.zero()
+        for j, rhs in enumerate(row):
+            if not ring.is_zero(rhs):
+                if ring.is_zero(di) or not ring.divides(di, rhs):
+                    return None
+                z[i][j] = ring.divide(rhs, di)
+    return dense_mat_mul(ring, ref.col_transform, z, width)
+
+
+@settings(max_examples=200)
+@given(smith_inputs())
+def test_solve_linear_equals_reference(data):
+    ring, a, b = data
+    got = solve_linear(ring, a, sparsify(ring, b))
+    want = _reference_solution(ring, a, b)
+    if want is None:
+        assert got is None, (ring, a, b)
+    else:
+        assert got is not None, (ring, a, b)
+        width = len(b[0]) if b else 0
+        assert _typed(densify(ring, got, width)) == _typed(want), (ring, a, b)
+
+
+@settings(max_examples=200)
+@given(smith_inputs())
+def test_normal_form_equals_reference(data):
+    ring, a, _ = data
+    want = reference_smith(ring, a, left=True, right=True)
+    assert _typed(normal_form(ring, a)) == _typed((tuple(want.d), want.left, want.right)), \
+        (ring, a)
