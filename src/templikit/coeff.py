@@ -287,13 +287,17 @@ class Ring(Frozen):
     def add(self, a, b):
         if self.kind == DUAL_CHAIN:
             p = self.p
-            return tuple((x + y) % p for x, y in zip(a, b))
+            if self.m == 2:
+                return ((a[0] + b[0]) % p, (a[1] + b[1]) % p)
+            return tuple([(x + y) % p for x, y in zip(a, b)])
         return self.reduce(a + b)
 
     def neg(self, a):
         if self.kind == DUAL_CHAIN:
             p = self.p
-            return tuple((-x) % p for x in a)
+            if self.m == 2:
+                return (-a[0] % p, -a[1] % p)
+            return tuple([-x % p for x in a])
         return self.reduce(-a)
 
     def sub(self, a, b):
@@ -471,22 +475,44 @@ def mat_mul(ring, a, b):
     """a * b on sparse rows, as a list of sparse rows.
 
     Row-sparse (Gustavson): each row of a accumulates the products of its
-    nonzeros with the nonzeros of the matching rows of b.  Products are
-    summed as integers (over F_p[e]/(e^m), packed one coordinate per digit)
-    and each output entry is reduced once; entries that vanish are left
-    out."""
-    zero = ring.zero()
+    nonzeros with the nonzeros of the matching rows of b, in one loop per
+    ring kind.  Over Z, Q, F_p and Z/p^k the products are summed as
+    numbers, and over F_p and Z/p^k each output entry is reduced once by
+    one ``% q`` (over Z and Q a sum of canonical products is canonical).
+    Over F_p[e]/(e^2) they are summed as two integer coordinates, x0*y0 and
+    x0*y1 + x1*y0, each reduced once ``% p``; over F_p[e]/(e^m) for other
+    m, packed one coordinate per digit (:func:`_kronecker`).  Entries that
+    vanish are left out."""
+    kind = ring.kind
     out = []
-    if ring.kind != DUAL_CHAIN:
-        reduce = ring.reduce
+    if kind != DUAL_CHAIN:
+        q = ring._modulus if kind == CHAIN else ring.p if kind == PRIME_FIELD else None
         for arow in a:
             acc = {}
             for k, x in arow.items():
                 for j, y in b[k].items():
                     acc[j] = acc.get(j, 0) + x * y
-            out.append({j: z for j, t in acc.items() if (z := reduce(t)) != zero})
+            if q is None:
+                out.append({j: t for j, t in acc.items() if t})
+            else:
+                out.append({j: z for j, t in acc.items() if (z := t % q)})
         return out
     p = ring.p
+    if ring.m == 2:
+        for arow in a:
+            acc = {}
+            for k, (x0, x1) in arow.items():
+                for j, (y0, y1) in b[k].items():
+                    s = acc.get(j)
+                    if s is None:
+                        acc[j] = [x0 * y0, x0 * y1 + x1 * y0]
+                    else:
+                        s[0] += x0 * y0
+                        s[1] += x0 * y1 + x1 * y0
+            out.append({j: z for j, (t0, t1) in acc.items()
+                        if (z := (t0 % p, t1 % p)) != (0, 0)})
+        return out
+    zero = ring.zero()
     mask, offsets, weights = _kronecker(ring, len(b))
     packed = [None] * len(b)
     for arow in a:
@@ -745,12 +771,15 @@ def invariant_factors(ring, matrix):
     return tuple(smith(ring, matrix).d)
 
 
-def solve_linear(ring, a, b):
+def solve_linear(ring, a, b, cols=None):
     """One X with A*X = B over the ring, for a dense A and B given as sparse
     rows (one per row of A); X as sparse rows (one per unknown), or None if
-    no solution exists."""
+    no solution exists.  ``cols``, the number of unknowns, is read only
+    when A has no rows to show it (default: 0)."""
     if len(b) != len(a):
         raise ShapeError("solve_linear: row count mismatch")
+    if not a:
+        return [{} for _ in range(cols or 0)]
     res = smith(ring, a, row_t=True, col_t=True)
     d = res.d
     z = [{} for _ in res.col_transform]
@@ -943,26 +972,22 @@ def _presentation_matrix(ring, rows, orders, width):
                   width + ntors)
 
 
-def _residue(ring, f):
-    """The map of canonical entries onto their residues modulo the order
-    of a torsion generator of order ``f``."""
-    if ring.kind == INTEGERS:
-        return lambda x: x % f
-    if ring.kind == CHAIN:
-        q = ring.p ** f
-        return lambda x: x % q
-    pad = (0,) * (ring.m - f)
-    return lambda x: x[:f] + pad if any(x[f:]) else x
-
-
 def _reduce_row(ring, f, row):
-    """A sparse ``row`` of a generator of order ``f`` (0: free) reduced
-    modulo that order, without its zero entries."""
-    zero = ring.zero()
+    """A sparse ``row`` of a generator of order ``f`` (0: free), of
+    canonical entries, reduced modulo that order, without its zero entries:
+    x % f over Z, x % p^f over Z/p^m, and over F_p[e]/(e^m) the truncation
+    to the coordinates below e^f (x0 alone when f = 1)."""
     if f == FREE:
+        zero = ring.zero()
         return {j: x for j, x in row.items() if x != zero}
-    residue = _residue(ring, f)
-    return {j: y for j, x in row.items() if (y := residue(x)) != zero}
+    kind = ring.kind
+    if kind != DUAL_CHAIN:
+        q = f if kind == INTEGERS else ring.p ** f
+        return {j: y for j, x in row.items() if (y := x % q)}
+    pad = (0,) * (ring.m - f)
+    if f == 1:
+        return {j: (x[0],) + pad for j, x in row.items() if x[0]}
+    return {j: x[:f] + pad for j, x in row.items() if any(x[:f])}
 
 
 def _reduce_torsion(codomain, rows):
@@ -1467,7 +1492,7 @@ def _pivot_valuations(ring, rows):
     kind = ring.kind
     zero = ring.zero()
     if kind == DUAL_CHAIN:
-        p, mul = ring.p, ring.mul
+        add, mul = ring.add, ring.mul
     elif kind != RATIONALS:
         p = ring.p
         q = ring._modulus if kind == CHAIN else p
@@ -1530,7 +1555,7 @@ def _pivot_valuations(ring, rows):
                 if kind == DUAL_CHAIN:
                     z = mul(x, w)
                     if j in row:
-                        z = tuple([(a + b) % p for a, b in zip(row[j], z)])
+                        z = add(row[j], z)
                     nonzero = z != zero
                 elif kind == RATIONALS:
                     z = nonzero = row.get(j, 0) + x * w
@@ -1721,21 +1746,26 @@ class RingExtension(Frozen):
         return self.target.m if self.target.is_chain_kind else 1
 
     def reduce_element(self, x):
+        """theta(x) for a canonical source element x: x % p^mt from
+        Z/p^m, and from F_p[e]/(e^m) the first mt coordinates (x0 alone
+        onto F_p), each already canonical."""
         r, k = self.source, self.target
         if r.kind == CHAIN:
-            return k.reduce(x)
+            return x % (k._modulus if k.kind == CHAIN else k.p)
         if k.kind == PRIME_FIELD:
-            return x[0] % k.p
-        return k.reduce(x[: k.m])
+            return x[0]
+        return x[:k.m]
 
     def lift_element(self, x):
-        """Canonical-representative lift k -> R of a target element."""
+        """Canonical-representative lift k -> R of a canonical target
+        element: the same integer in Z/p^m, and in F_p[e]/(e^m) its
+        coordinates padded with zeros."""
         r, k = self.source, self.target
         if r.kind == CHAIN:
-            return r.reduce(x)
+            return x
         if k.kind == PRIME_FIELD:
-            return r.reduce((x,))
-        return r.reduce(tuple(x))
+            return (x,) + (0,) * (r.m - 1)
+        return x + (0,) * (r.m - k.m)
 
     def base_change_factor(self, f):
         if f == FREE:
@@ -2146,12 +2176,12 @@ def factor_through_epi(projection, given):
         raise ShapeError("factor_through_epi: domain mismatch")
     mid = projection.codomain
     amat = _presentation_matrix(ring, projection.rows, mid.factors, projection.domain.ngens)
-    x = solve_linear(ring, amat, [{i: ring.one()} for i in range(mid.ngens)])
+    n = projection.domain.ngens
+    x = solve_linear(ring, amat, [{i: ring.one()} for i in range(mid.ngens)],
+                     n + mid._ntorsion)
     if x is None:
         raise ShapeError("factor_through_epi: the projection is not surjective")
-    n = projection.domain.ngens
-    section = x[:n] if mid.ngens else [{} for _ in range(n)]
-    u = Morphism._checked(mid, given.codomain, mat_mul(ring, given.rows, section))
+    u = Morphism._checked(mid, given.codomain, mat_mul(ring, given.rows, x[:n]))
     if u.compose(projection) != given:
         raise ShapeError("map does not factor through the projection")
     return u

@@ -150,6 +150,12 @@ def _transport_by_witness(bc, witness):
 
 def validate_deformation(pair, max_level=None):
     """Levelwise flatness over R plus the special-fiber condition."""
+    return _validated(pair, max_level)[0]
+
+
+def _validated(pair, max_level):
+    """The report of :func:`validate_deformation` and the base change of
+    the deformed instance along theta, before any witness transport."""
     theta, xbar, x = pair.extension, pair.deformed, pair.special_fiber
     if xbar.ring != theta.source or x.ring != theta.target:
         raise RingMismatchError("deformation pair rings inconsistent with the extension")
@@ -165,13 +171,12 @@ def validate_deformation(pair, max_level=None):
     for item in flat.items:
         items.append(CheckItem(("levelwise-flat",) + item.indices, item.passed, item.detail))
     bc = base_change_templicial(theta, xbar)
-    if pair.witness is not None:
-        bc = _transport_by_witness(bc, pair.witness)
-    fiber_ok = (bc.levels == x.levels and bc.faces == x.faces
-                and bc.degeneracies == x.degeneracies and bc.comults == x.comults)
+    fiber = bc if pair.witness is None else _transport_by_witness(bc, pair.witness)
+    fiber_ok = (fiber.levels == x.levels and fiber.faces == x.faces
+                and fiber.degeneracies == x.degeneracies and fiber.comults == x.comults)
     items.append(CheckItem(("fiber-condition",), fiber_ok,
                            "" if fiber_ok else "base change does not reproduce the fiber"))
-    return CheckReport.from_items("deformation", items)
+    return CheckReport.from_items("deformation", items), bc
 
 
 # ---------------------------------------------------------------------------
@@ -360,20 +365,21 @@ def check_extension_weak_kan(ext, max_level=None):
 # ---------------------------------------------------------------------------
 
 
-def _fiber_chain(theta, xbar):
-    """Instances along the small factorization, deformed side first."""
+def _fiber_chain(theta, xbar, bc):
+    """Instances along the small factorization, deformed side first; the
+    last is ``bc``, the base change of xbar along theta."""
     steps = theta.small_factorization()
     chain = [xbar]
-    for step in steps:
+    for step in steps[:-1]:
         chain.append(base_change_templicial(step, chain[-1]))
-    return steps, chain
+    return steps, chain + [bc]
 
 
 def verify_thm_main(pair, max_level=None):
     """Quasi-category preservation under levelwise flat deformation."""
     theta, xbar, x = pair.extension, pair.deformed, pair.special_fiber
     n_max = _top_level(xbar, max_level)
-    hyp = validate_deformation(pair, n_max)
+    hyp, bc = _validated(pair, n_max)
     if not hyp.passed:
         return CheckReport.hypothesis_failure(
             "main-theorem", "deformation hypotheses fail", (hyp,))
@@ -383,7 +389,7 @@ def verify_thm_main(pair, max_level=None):
             "main-theorem", "special fiber is not a quasi-category", (fiber_kan,))
     conclusion = check_quasicategory(xbar, n_max)
     children = [conclusion]
-    steps, chain = _fiber_chain(theta, xbar)
+    steps, chain = _fiber_chain(theta, xbar, bc)
     for idx, step in enumerate(steps):
         upper = chain[idx]
         for a in upper.vertices:
@@ -518,7 +524,7 @@ def verify_degproj_lift(pair, max_level=None):
     """Deg-projectivity lift under levelwise flat deformation."""
     theta, xbar, x = pair.extension, pair.deformed, pair.special_fiber
     n_max = _top_level(xbar, max_level)
-    hyp = validate_deformation(pair, n_max)
+    hyp, bc = _validated(pair, n_max)
     if not hyp.passed:
         return CheckReport.hypothesis_failure(
             "degproj-lift", "deformation hypotheses fail", (hyp,))
@@ -528,7 +534,7 @@ def verify_degproj_lift(pair, max_level=None):
             "degproj-lift", "special fiber is not deg-projective", (fiber_dp,))
     conclusion = check_deg_projective(xbar, n_max)
     children = [conclusion]
-    steps, chain = _fiber_chain(theta, xbar)
+    steps, chain = _fiber_chain(theta, xbar, bc)
     if chain[-1] == x:
         # the fiber already keeps the degenerate parts its
         # deg-projectivity check built; an equal copy would build them again

@@ -286,15 +286,6 @@ def all_necklace_maps(max_dim):
     return tuple(out)
 
 
-def _is_generator(f):
-    if f.is_inert:
-        return len(f.source.points) == len(f.target.points) + 1
-    if not f.is_active:
-        return False
-    collapsed, missed = fint_factorize(f.fint)
-    return len(collapsed) + len(missed) == 1
-
-
 @lru_cache(maxsize=None)
 def necklace_generators(max_dim):
     """Necklace maps of dimension <= max_dim that generate all of them under
@@ -308,8 +299,28 @@ def necklace_generators(max_dim):
     map (T,p) -> (U,q) has a dimension above max(p, q).  Two functors on the
     truncated necklace category that agree on these maps therefore agree on
     every map.
+
+    They are built directly: from each source (T,p), the inert maps onto T
+    less one interior point, and the active maps along each codegeneracy
+    [p] -> [p-1] and each inner coface [p] -> [p+1] onto the image of T,
+    listed by target and then by fint values, as ``all_necklace_maps`` has
+    them.
     """
-    return tuple(f for f in all_necklace_maps(max_dim) if _is_generator(f))
+    out = []
+    for p in range(max_dim + 1):
+        fints = [fint_sigma(p - 1, i) for i in range(p)]
+        if p < max_dim:
+            fints += [fint_delta(p + 1, j) for j in range(1, p + 1)]
+        ident = fint_identity(p)
+        for t in necklaces(p):
+            pts = t.points
+            maps = [NecklaceMap(t, Necklace(pts[:k] + pts[k + 1:]), ident)
+                    for k in range(1, len(pts) - 1)]
+            maps += [NecklaceMap(t, Necklace(tuple(sorted({f(x) for x in pts}))), f)
+                     for f in fints]
+            maps.sort(key=lambda g: (g.target.dim, g.target.points, g.fint.values))
+            out += maps
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

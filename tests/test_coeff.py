@@ -300,6 +300,10 @@ def test_solve_linear():
             assert x2 is not None
             assert dense_mat_mul(ring, a, densify(ring, x2, 2)) == b
     assert solve_linear(Z, ((2,),), [{0: 1}]) is None
+    # no equations: every X solves them, and the zero one has a row per unknown
+    for ring in ALL_RINGS:
+        assert solve_linear(ring, (), [], 3) == [{}, {}, {}]
+        assert solve_linear(ring, (), []) == []
 
 
 # ---------------------------------------------------------------------------

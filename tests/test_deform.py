@@ -522,6 +522,41 @@ def test_degproj_lift_3x3_report_reads_the_fiber_instance(monkeypatch):
     assert str(real_report(theta, upper, copy, n_max, step_idx)) == str(report.children[1])
 
 
+def _thm_main_dual_pair():
+    """The pair of the benchmark's thm-main-dual workload, c = (2, 0, 0) and
+    d = (2, 1, 1)."""
+    c, d = (2, 0, 0), (2, 1, 1)
+    lifted = tuple(D32.reduce(pair) for pair in zip(c, d))
+    return DeformationPair(
+        RingExtension(D32, F3), nerve(truncated_polynomial_category(D32, lifted), 3),
+        nerve(truncated_polynomial_category(F3, tuple(F3.from_int(x) for x in c)), 3))
+
+
+@pytest.mark.parametrize("harness", [verify_thm_main, verify_degproj_lift],
+                         ids=lambda h: h.__name__)
+@pytest.mark.parametrize("name", ["thm-main-dual", "paper-P-deformed", "free-chain-z8"])
+def test_harnesses_base_change_once_per_step(monkeypatch, harness, name):
+    # the validation's base change along theta is the chain's last instance;
+    # only the steps before the last small one base-change again
+    pair = {"thm-main-dual": _thm_main_dual_pair,
+            "paper-P-deformed": lambda: builtin("paper_P_deformed"),
+            "free-chain-z8": _free_chain_z8_pair}[name]()
+    real = deform.base_change_templicial
+    calls = []
+
+    def counting(theta, x):
+        calls.append(theta)
+        return real(theta, x)
+
+    monkeypatch.setattr(deform, "base_change_templicial", counting)
+    report = harness(pair, 3)
+    theta = pair.extension
+    if report.status == "hypothesis-failure":
+        assert calls == [theta]
+    else:
+        assert calls == [theta] + list(theta.small_factorization()[:-1])
+
+
 def _free_chain_z8_pair():
     """Free Z/8 -> F_2 pair on a<b<c: two small steps."""
     k = sset_nerve_of_poset(("a", "b", "c"), (("a", "b"), ("b", "c")), 3)
@@ -544,7 +579,8 @@ def test_3x3_exactness_given_by_construction(name):
     are exact where can is injective; and each entrywise reduction is onto,
     so a row is exact where its kernel is I (x) -."""
     pair = THREE_BY_THREE_PAIRS[name]()
-    steps, chain = deform._fiber_chain(pair.extension, pair.deformed)
+    theta, xbar = pair.extension, pair.deformed
+    steps, chain = deform._fiber_chain(theta, xbar, base_change_templicial(theta, xbar))
     for idx, step in enumerate(steps):
         upper, lower = chain[idx], chain[idx + 1]
         for n in range(1, upper.max_level + 1):

@@ -170,6 +170,29 @@ def test_necklace_generators_generate_every_map(n, count):
     assert closure == set(all_necklace_maps(n))
 
 
+def filtered_generators(n):
+    """The generators found by filtering every necklace map of dimension
+    <= n: the inert maps that drop one point and the active maps whose fint
+    word has one letter (the reference for the closed form)."""
+    def is_generator(f):
+        if f.is_inert:
+            return len(f.source.points) == len(f.target.points) + 1
+        if not f.is_active:
+            return False
+        collapsed, missed = fint_factorize(f.fint)
+        return len(collapsed) + len(missed) == 1
+    return tuple(f for f in all_necklace_maps(n) if is_generator(f))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_necklace_generators_equal_the_filter(n):
+    assert necklace_generators(n) == filtered_generators(n)
+
+
+def test_necklace_generator_counts():
+    assert [len(necklace_generators(n)) for n in range(6)] == [0, 1, 7, 27, 83, 227]
+
+
 def test_necklace_generators_kinds():
     for f in necklace_generators(4):
         if f.is_inert:

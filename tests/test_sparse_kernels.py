@@ -2,7 +2,8 @@
 
 A ``Morphism`` stores one {column: entry} dict of nonzeros per codomain
 generator, and every operation writes those rows directly: ``mat_mul``
-multiplies row-sparse and reduces each output entry once;
+multiplies row-sparse, in one loop per ring kind, and reduces each output
+entry once;
 ``tensor_morphisms`` and ``tensor_quiver_morphisms`` build each raw row from
 the nonzero entries of the factors; identities, zero maps, composites, sums,
 differences, multiples, base changes and views over the source keep only
@@ -11,10 +12,14 @@ rows.  Each is compared here with dense or per-entry references kept in
 the tests (``dense.py`` and below), on the dense view ``.matrix``: equal
 matrices, with equal entry types and no zero in any stored row, over Z, Q,
 F_3, Z/2^3, F_3[e]/(e^2) and F_3[e]/(e^3), zero modules (0-row and 0-column
-shapes, and products with an inner dimension of 0) included.
+shapes, and products with an inner dimension of 0) included.  The ring
+arithmetic under them (``Ring.add``, ``neg`` and ``mul`` on tuples, the
+reduction of a torsion row and the entry maps of a ring change) is checked
+against componentwise formulas written out here.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -40,6 +45,7 @@ from templikit.coeff import (
     Ring,
     RingExtension,
     _presentation_matrix,
+    _reduce_row,
     _reduce_torsion,
     _tensor_layout,
     mat_mul,
@@ -175,13 +181,111 @@ def test_mat_mul_equals_dense_product(data):
 def test_dual_chain_sums_at_the_digit_bound():
     # every coordinate p - 1: each coordinate sum of the product reaches its
     # largest value, inner * m * (p - 1)^2 at most, with no carry between them
-    for p, m, inner in ((3, 2, 9), (5, 3, 7), (2, 4, 1), (7, 1, 5)):
+    for p, m, inner in ((3, 2, 9), (5, 3, 7), (2, 4, 1), (7, 1, 5), (3, 3, 150)):
         ring = Ring.dual_chain(p, m)
         full = (p - 1,) * m
         a = ((full,) * inner,) * 2
         b = ((full,) * 3,) * inner
         got = mat_mul(ring, sparsify(ring, a), sparsify(ring, b))
         assert_same_rows(ring, got, dense_mat_mul(ring, a, b), 3)
+
+
+@pytest.mark.parametrize("inner", [1, 2, 5, 150, 400])
+def test_dual_pairs_sum_past_p_squared(inner):
+    # over F3[e]/(e^2) with every coordinate 2 the pair accumulators reach
+    # 4 * inner and 8 * inner before their one reduction; the other rows
+    # and columns mix the coordinates, so some sums vanish in one of them
+    full = ((2, 2),) * inner
+    a = (full, tuple((i % 3, i * i % 3) for i in range(inner)),
+         tuple((i % 3, (inner - i) % 3) for i in range(inner)))
+    b = tuple(((2, 2), (i % 3, 0), (0, i % 3), (i * j % 3, (i + j) % 3))
+              for i, j in enumerate(range(inner, 0, -1)))
+    got = mat_mul(D32, sparsify(D32, a), sparsify(D32, b))
+    assert_same_rows(D32, got, dense_mat_mul(D32, a, b, 4), 4)
+
+
+@pytest.mark.parametrize("ring", [F3, Z8, Ring.chain(3, 1)], ids=str)
+@pytest.mark.parametrize("inner", [1, 7, 300])
+def test_modular_sums_reduce_once(ring, inner):
+    # over F3, Z/2^3 and Z/3^1 the products are summed as integers, far
+    # past q when every entry is q - 1, and reduced once per output entry
+    q = ring.p ** (ring.m or 1)
+    a = ((q - 1,) * inner, tuple(i % q for i in range(inner)))
+    b = tuple((q - 1, (i + 1) % q, (q - i) % q) for i in range(inner))
+    got = mat_mul(ring, sparsify(ring, a), sparsify(ring, b))
+    assert_same_rows(ring, got, dense_mat_mul(ring, a, b, 3), 3)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_dual_arithmetic_is_componentwise(m):
+    # every pair of elements of F3[e]/(e^m)
+    ring, p = Ring.dual_chain(3, m), 3
+    elements = list(product(range(p), repeat=m))
+    for a in elements:
+        assert ring.neg(a) == tuple((-x) % p for x in a)
+        assert type(ring.neg(a)) is tuple
+        for b in elements:
+            assert ring.add(a, b) == tuple((x + y) % p for x, y in zip(a, b))
+            assert ring.mul(a, b) == tuple(
+                sum(a[i] * b[k - i] for i in range(k + 1)) % p for k in range(m))
+            assert ring.sub(a, b) == tuple((x - y) % p for x, y in zip(a, b))
+
+
+def _canonical_elements(ring):
+    if ring.kind == "dual-chain":
+        return list(product(range(ring.p), repeat=ring.m))
+    return list(range(ring.p ** (ring.m or 1)))
+
+
+# every order of each kind, with the per-entry residue modulo it
+RESIDUES = [(Z, f, lambda x, f=f: x % f) for f in (2, 3, 4, 6, 9, 12)] + [
+    (ring, f, lambda x, q=ring.p ** f: x % q)
+    for ring in (Z8, Ring.chain(3, 3)) for f in range(1, ring.m)] + [
+    (ring, f, lambda x, f=f, m=ring.m: x[:f] + (0,) * (m - f))
+    for ring in (D32, D33, Ring.dual_chain(2, 4)) for f in range(1, ring.m)]
+
+
+@pytest.mark.parametrize("ring,f,residue", RESIDUES, ids=str)
+def test_reduce_row_equals_per_entry_residues(ring, f, residue):
+    values = range(-40, 41) if ring.kind == "integers" else _canonical_elements(ring)
+    row = {j: x for j, x in enumerate(values) if not ring.is_zero(x)}
+    got = _reduce_row(ring, f, row)
+    want = {j: y for j, x in row.items() if not ring.is_zero(y := residue(x))}
+    assert got == want
+    assert all(type(y) is type(ring.zero()) for y in got.values())
+    if ring.kind == "dual-chain":
+        assert all(len(y) == ring.m for y in got.values())
+    assert _reduce_row(ring, FREE, row) == row
+
+
+@pytest.mark.parametrize("theta", [
+    RingExtension(Ring.chain(3, 3), Ring.chain(3, 2)),
+    RingExtension(Ring.chain(3, 3), F3),
+    RingExtension(D33, D32),
+    RingExtension(D33, F3),
+    RingExtension(D32, F3),
+], ids=lambda t: f"{t.source}->{t.target}")
+def test_ring_change_equals_the_reduce_round_trip(theta):
+    # the entry maps of a ring change against Ring.reduce on every
+    # canonical element: reduction slices, the lift pads
+    r, k = theta.source, theta.target
+    for x in _canonical_elements(r):
+        if r.kind == "chain":
+            want = k.reduce(x)
+        elif k.kind == "prime-field":
+            want = x[0] % k.p
+        else:
+            want = k.reduce(x[:k.m])
+        got = theta.reduce_element(x)
+        assert got == want and type(got) is type(want)
+    for x in _canonical_elements(k):
+        want = r.reduce(x if r.kind == "chain" else (x,) if k.kind == "prime-field"
+                        else tuple(x))
+        got = theta.lift_element(x)
+        assert got == want and type(got) is type(want)
+        if r.kind == "dual-chain":
+            assert len(got) == r.m
+        assert theta.reduce_element(got) == x
 
 
 def test_mat_mul_with_empty_inner_dimension():
