@@ -45,6 +45,10 @@ class InvalidInstanceError(TemplikitError):
 _set = object.__setattr__
 
 
+# the hash and a templicial module's caches, kept on the instance
+_UNPICKLED = frozenset(("_hash", "_evaluator", "_validation", "_degenerate_parts"))
+
+
 class Frozen:
     """Base of the immutable value classes.
 
@@ -52,7 +56,8 @@ class Frozen:
     equal when they are of the same class and their fields are equal (else
     ``NotImplemented``), and the hash is that of the tuple of the fields,
     kept in ``_hash`` after the first call and left out of pickles, because
-    a ``str`` hashes differently in another process.  The repr is
+    a ``str`` hashes differently in another process; so are the caches in
+    ``_UNPICKLED``, computed again on demand.  The repr is
     ``Class(field=value, ...)`` and assigning or deleting an attribute
     raises ``AttributeError``.  The default ``__init__`` takes the fields
     positionally; a class that validates or has defaults writes its own,
@@ -90,9 +95,8 @@ class Frozen:
         return h
 
     def __getstate__(self):
-        state = dict(vars(self))
-        state.pop("_hash", None)
-        return state
+        return {name: value for name, value in vars(self).items()
+                if name not in _UNPICKLED}
 
     def __repr__(self):
         args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -2242,54 +2246,6 @@ def _size(ring, factors):
     return sum(ring.m if f == FREE else f for f in factors)
 
 
-def _over_quotient(diagram, legs, domain):
-    """``diagram``, ``legs`` and ``domain`` over R/(pi^e), when R is a chain
-    ring and pi^e, for some e < m, kills every node and the domain; None
-    otherwise (a free factor anywhere, or no generator at all).
-
-    These are R/(pi^e)-modules, and their maps, limits and cokernels are the
-    same over R and over R/(pi^e).  A generator of order pi^e is free over
-    R/(pi^e); every other order carries over, and every entry becomes its
-    residue (:func:`_onto_quotient`), nonzero because it is reduced modulo
-    an order dividing pi^e.  Each module, arrow and leg is converted once.
-    Legs of the wrong number or with the wrong endpoints are left to the
-    cone check over R, which refuses them.
-    """
-    ring = diagram.ring
-    modules = diagram.nodes + (domain,)
-    if not ring.is_chain_kind or any(module.rank for module in modules):
-        return None
-    if len(legs) != len(diagram.nodes) or any(
-            leg.domain != domain or leg.codomain != node for leg, node in zip(legs, diagram.nodes)):
-        return None
-    e = max((module.factors[-1] for module in modules if module.factors), default=None)
-    if e is None:
-        return None
-    local = _quotient_ring(ring, ring.p, e)
-    residue = _onto_quotient(ring, local)
-    over = {}
-
-    def module(m):
-        if m not in over:
-            over[m] = Module(local, tuple(FREE if f == e else f for f in m.factors))
-        return over[m]
-
-    def morphism(f):
-        return Morphism._trusted(module(f.domain), module(f.codomain), [
-            {j: residue(x) for j, x in row.items()} for row in f.rows])
-
-    nodes = tuple(map(module, diagram.nodes))
-    arrows = tuple((src, tgt, morphism(f)) for src, tgt, f in diagram.arrows)
-    return ModuleDiagram(local, nodes, arrows), list(map(morphism, legs)), module(domain)
-
-
-def _cone_equations(diagram, legs, domain):
-    """The limit equations of ``diagram`` and the legs to their free nodes,
-    once checked to be a cone (:func:`_cone_on_forest`)."""
-    eq = _limit_equations(diagram)
-    return eq, _cone_on_forest(eq, legs, domain)
-
-
 def _rank_over_q(rows):
     """The rank over Q of an integer matrix given by its sparse ``rows``,
     from an exact elimination over Q (:func:`_pivot_valuations`)."""
@@ -2321,50 +2277,32 @@ def _free_integer_counts(eq, s, domain):
     return onto, injective
 
 
-def _counted_cone(diagram, legs, domain):
-    """(onto, injective, witness) for the map from ``domain`` into the limit
-    of ``diagram`` given by the cone ``legs``; ``witness()`` is that map
-    into ker delta as a morphism over the diagram's ring, for the cases
-    that counting does not decide.
+def _counted_cone(eq, s, domain):
+    """(onto, injective) for the map from ``domain`` into the limit whose
+    forest equations are ``eq`` (:func:`_limit_equations`), given by the
+    sparse rows ``s``: domain -> F of legs to the free nodes that are
+    trusted to extend to a cone; None for what counting does not decide.
 
-    With s: domain -> F the legs to the free nodes (sparse rows, see
-    :func:`_cone_on_forest`) and delta: F -> T the difference map of
-    :func:`_limit_equations`, the limit is ker delta and contains im s.  So
-    the map is onto iff im s = ker delta, that is iff coker s and coker
-    delta together have the size of T; and, ker delta -> F being mono, it is
-    injective iff s is, that is iff the domain and coker s together have
-    the size of F.  A size (:func:`_size`) is a length over a field or a
-    chain ring and an order over the integers with torsion nodes: two
-    sparse eliminations on the rows of s and delta that read only the
-    diagonal (:func:`_cokernel_of_rows`).
-
-    The regime is read off the orders.  Over a chain ring whose nodes and
-    domain are killed by pi^e with e < m, everything is computed over
-    R/(pi^e) (:func:`_over_quotient`): over Z/p when e = 1, not on packed
-    tuples.  A length over R/(pi^e) counts a free factor as e, which is its
-    length over R.  Over the integers with a free node, sizes do not
-    decide; :func:`_free_integer_counts` decides when T is free, and
-    otherwise ``onto`` and ``injective`` are None.  A family that is not a
-    cone raises ShapeError, in every regime.
+    With delta: F -> T the difference map, the limit is ker delta and
+    contains im s.  So the map is onto iff im s = ker delta, that is iff
+    coker s and coker delta together have the size of T; and, ker delta -> F
+    being mono, it is injective iff s is, that is iff the domain and
+    coker s together have the size of F.  A size (:func:`_size`) is a length
+    over a field or a chain ring and an order over the integers with
+    torsion nodes: two sparse eliminations on the rows of s and delta that
+    read only the diagonal (:func:`_cokernel_of_rows`, which runs over
+    R/(pi^e) when pi^e kills the orders).  Over the integers with a free
+    node, sizes do not decide; :func:`_free_integer_counts` decides when T
+    is free, and otherwise both are None.
     """
-    quotient = _over_quotient(diagram, legs, domain)
-    counted = quotient or (diagram, legs, domain)
-    eq, s = _cone_equations(*counted)
-    ring, count_domain = counted[0].ring, counted[2]
-
-    def witness():
-        # over the diagram's ring, as on finite_limit
-        over_ring = (eq, s) if quotient is None else _cone_equations(diagram, legs, domain)
-        return _witness(*over_ring, domain)
-
-    if ring.kind == INTEGERS and any(node.rank for node in diagram.nodes):
-        return (*_free_integer_counts(eq, s, domain), witness)
-    coker_s = _cokernel_of_rows(ring, s, eq.free_orders, count_domain.ngens)
+    ring = eq.ring
+    if ring.kind == INTEGERS and any(node.rank for node in eq.nodes):
+        return _free_integer_counts(eq, s, domain)
+    coker_s = _cokernel_of_rows(ring, s, eq.free_orders, domain.ngens)
     coker_delta = _cokernel_of_rows(ring, eq.rows, eq.target_orders, len(eq.free_orders))
     onto = _size(ring, coker_s.factors + coker_delta.factors) == _size(ring, eq.target_orders)
-    injective = (_size(ring, count_domain.factors + coker_s.factors)
-                 == _size(ring, eq.free_orders))
-    return onto, injective, witness
+    injective = _size(ring, domain.factors + coker_s.factors) == _size(ring, eq.free_orders)
+    return onto, injective
 
 
 def _witness(eq, s, domain):
@@ -2373,44 +2311,54 @@ def _witness(eq, s, domain):
     return factor_through_mono(kernel_data(eq.delta)[1], _free_legs(eq, s, domain))
 
 
+def _limit_cokernel(eq, s, domain):
+    """:func:`limit_cokernel` on the forest equations ``eq`` and the legs
+    ``s`` to their free nodes, trusted to extend to a cone."""
+    if _counted_cone(eq, s, domain)[0]:
+        return Module.zero(eq.ring)
+    return cokernel_module(_witness(eq, s, domain))
+
+
 def limit_cokernel(diagram, legs, domain):
     """The cokernel of the map from ``domain`` into the limit of ``diagram``
     given by the cone ``legs``: zero iff that map is onto.
 
-    An onto map is recognized by counting (:func:`_counted_cone`): by sizes
-    over a field, a chain ring (over R/(pi^e) when pi^e kills every node
-    and the domain) or the integers with torsion nodes; and over the
-    integers with a free node and a free T, by C = coker s being
-    torsion-free of rank rank_Q(delta), since ker delta / im s is the kernel
-    of C -> T and T torsion-free kills the torsion of C.  Otherwise (a map
-    that is not onto, or Z with a free node and torsion in T) the cokernel
-    is that of s as a map into ker delta over the diagram's ring, as on
-    :func:`finite_limit`.
+    The legs are checked to be a cone on the limit's forest equations
+    (:func:`_cone_on_forest`); a family that is not one raises ShapeError.
+    An onto map is then recognized by counting (:func:`_counted_cone`): by
+    sizes over a field, a chain ring or the integers with torsion nodes;
+    and over the integers with a free node and a free T, by C = coker s
+    being torsion-free of rank rank_Q(delta), since ker delta / im s is the
+    kernel of C -> T and T torsion-free kills the torsion of C.  Otherwise
+    (a map that is not onto, or Z with a free node and torsion in T) the
+    cokernel is that of s as a map into ker delta over the diagram's ring,
+    as on :func:`finite_limit`.
     """
-    onto, _, witness = _counted_cone(diagram, legs, domain)
-    if onto:
-        return Module.zero(diagram.ring)
-    return cokernel_module(witness())
+    eq = _limit_equations(diagram)
+    return _limit_cokernel(eq, _cone_on_forest(eq, legs, domain), domain)
 
 
 def limit_is_iso(diagram, legs, domain):
     """Whether the map from ``domain`` into the limit of ``diagram`` given
     by the cone ``legs`` is an isomorphism, without building the limit.
 
-    It is iff it is onto and injective, both counted (:func:`_counted_cone`).
+    The legs are checked to be a cone as in :func:`limit_cokernel`, and a
+    family that is not one raises ShapeError.  The map is an isomorphism
+    iff it is onto and injective, both counted (:func:`_counted_cone`).
     Injectivity is that of s, since ker delta -> F is mono: by sizes where
     sizes decide, and over Z with a free node and a free T, for a free
     domain, by rank F - rank coker s = rank domain, as im s is free of
     rank rank F - rank coker s.  Over Z with a free node, a map onto the
     limit whose domain has torsion, or any map when T has torsion, is
-    analyzed as a map into ker delta instead.  A family that is not a cone
-    raises ShapeError.
+    analyzed as a map into ker delta instead.
     """
-    onto, injective, witness = _counted_cone(diagram, legs, domain)
+    eq = _limit_equations(diagram)
+    s = _cone_on_forest(eq, legs, domain)
+    onto, injective = _counted_cone(eq, s, domain)
     if onto is False:
         return False
     if injective is None:
-        return analyze(witness()).is_iso
+        return analyze(_witness(eq, s, domain)).is_iso
     return injective
 
 

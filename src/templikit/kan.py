@@ -22,21 +22,24 @@ validity is established once per instance and kept on it
 (:func:`validation_report`), so checking an instance again costs nothing.
 A checker establishes it before it reads any diagram.
 
-Each horn or wings item is one call to :func:`coeff.limit_cokernel`, the
-cokernel of Y_n -> lim read off the limit's forest equations without
-building the limit.  The equations are sparse rows of the difference map
-delta, written from nonzeros; the cone is checked on them, and an onto map
-costs two sparse eliminations on the rows of s and delta that read only
-the diagonal (no direct sum, no delta morphism and no dense Smith run).
-When pi^e with e < m kills every value, they run over R/(pi^e).  Over Z
-with free values and a free T, an onto map costs one diagonal-only
-cokernel of s and a rank of delta over Q.  A failing item reads the
-cokernel off the kernel of delta, built as a morphism over the instance's
-ring, and its report carries it.
-Its sibling :func:`coeff.limit_is_iso`, which the wings-tensor harness
-asks, counts injectivity on the same two eliminations.  A limit is built only where its
-cone is read: the limit objects below, and the truncated wings and wedge
-intersections of that harness.
+Each horn or wings item reads the cokernel of Y_n -> lim off the limit's
+forest equations without building the limit (:func:`coeff._limit_cokernel`,
+the part of :func:`coeff.limit_cokernel` after its cone check).  The
+equations are sparse rows of the difference map delta, written from
+nonzeros.  The item reads Y's actions only at the free nodes of the forest,
+the maximal objects of the skeleton, and checks no cone: Y is a validated
+functor, so those legs extend to one.  An onto map costs two sparse
+eliminations on the rows of s and delta that read only the diagonal (no
+direct sum, no delta morphism and no dense Smith run), each over R/(pi^e)
+when pi^e kills its orders.  Over Z with free values and a free T, an onto
+map costs one diagonal-only cokernel of s and a rank of delta over Q.  A
+failing item reads the cokernel off the kernel of delta, built as a
+morphism over the instance's ring, and its report carries it.
+The wings-tensor harness asks the public :func:`coeff.limit_is_iso`, which
+checks its cone (the legs of a wedge square form one only when the square
+commutes) and counts injectivity on the same two eliminations.  A limit is
+built only where its cone is read: the limit objects below, and the
+truncated wings and wedge intersections of that harness.
 """
 
 from __future__ import annotations
@@ -45,13 +48,14 @@ from .coeff import (
     Frozen,
     InvalidInstanceError,
     ModuleDiagram,
+    _limit_cokernel,
+    _limit_equations,
     _set,
     analyze,
     factor_through_colimit,
     factor_through_limit,
     finite_colimit,
     finite_limit,
-    limit_cokernel,
 )
 from .necklace import build_diagram, fint_surjections, meet_skeleton
 from .quiver import Quiver, QuiverDiagram, QuiverMorphism, _solve_homwise
@@ -207,15 +211,18 @@ def _surjectivity_report(prop, y, max_level, label, kind, extras):
     """Whether Y_n maps onto the limit object of the ``kind`` index diagram,
     at every 2 <= n <= max_level and every ``extra`` in ``extras(n)``.  The
     limit is taken over the diagram's meet skeleton, which gives the same
-    limit and cokernel once Y is validated functorial."""
+    limit and cokernel once Y is validated functorial.  Y's actions at the
+    skeleton's maximal objects, the free nodes of the limit's equations,
+    then extend to a cone, so an item reads only those and checks no cone."""
     _require_valid(y)
     n_max = _top_level(y, max_level)
     items = []
     for n in range(2, n_max + 1):
         for extra in extras(n):
             diagram = meet_skeleton(kind, n, *extra)
-            legs = [y.action(obj) for obj in diagram.objects]
-            coker = limit_cokernel(_module_diagram(y, diagram), legs, y.level(n))
+            eq = _limit_equations(_module_diagram(y, diagram))
+            s = [row for i in eq.free for row in y.action(diagram.objects[i]).rows]
+            coker = _limit_cokernel(eq, s, y.level(n))
             if coker.is_zero:
                 items.append(CheckItem(label + (n,) + extra, True))
             else:

@@ -436,7 +436,8 @@ class NecklicialModule:
 
     ``origin``, set by the constructors that derive a module from another
     object, is that object: the module is valid when it is.  The library's
-    sources, partials of module-level functions or dict lookups, pickle.
+    sources, partials of module-level functions or dict lookups, pickle;
+    a pickle leaves out the actions computed so far.
     """
 
     _hash = None
@@ -489,7 +490,8 @@ class NecklicialModule:
             self._hash = hash((self.ring, self.max_level, self.values, self.actions))
         return self._hash
 
-    __getstate__ = Frozen.__getstate__
+    def __getstate__(self):
+        return {**Frozen.__getstate__(self), "_memo": {}, "_actions": None}
 
     def value(self, necklace):
         return self._values_dict[necklace]
@@ -529,7 +531,8 @@ def hom_necklicial(x, a, b):
     ev = evaluator(x)
     values = {t: ev.layout(t).hom(a, b)
               for p in range(x.max_level + 1) for t in necklaces(p)}
-    source = partial(_composite, partial(QuiverMorphism.comp, a=a, b=b), ev.eval_map)
+    # through x, not the evaluator: a pickle of the module then holds no cache
+    source = partial(_composite, partial(QuiverMorphism.comp, a=a, b=b), partial(eval_map, x))
     return _derived(NecklicialModule(x.ring, x.max_level, values, source), x)
 
 

@@ -6,16 +6,17 @@ each maximal object down to each kept object below it.  The checkers take
 their limits over it, which is right only for a functor.  These tests check
 its objects and arrows against the order of the full diagram, worked out
 here from the covering arrows alone; check that the limit and the cokernel
-of Y_n -> lim are the same on both diagrams over a corpus of valid modules;
-and check that a module that is not functorial is refused before a
-skeleton is read.
+of Y_n -> lim are the same on both diagrams over a corpus of valid modules,
+and that the checkers, which trust the validated functor and check no cone,
+report the cokernel of the public ``limit_cokernel``; and check that a
+module that is not functorial is refused before a skeleton is read.
 """
 
 from itertools import combinations
 
 import pytest
 
-from templikit import kan
+from templikit import coeff, kan
 from templikit.coeff import (
     InvalidInstanceError,
     Module,
@@ -35,7 +36,12 @@ from templikit.constructors import (
     truncated_polynomial_category,
 )
 from templikit.deform import build_extension, extension_sequence
-from templikit.kan import _module_diagram, check_lifts_wings, check_weak_kan
+from templikit.kan import (
+    _module_diagram,
+    check_lifts_wings,
+    check_quasicategory,
+    check_weak_kan,
+)
 from templikit.necklace import build_diagram, meet_skeleton
 from templikit.templicial import NecklicialModule, hom_necklicial, tensor_external
 
@@ -189,17 +195,38 @@ def _both(y, kind, n, extra):
     return out
 
 
+def _reported(y, n_max):
+    """{(kind, indices): cokernel} of every item of the weak Kan and
+    lifts-wings checks, the cokernel None for a passing item."""
+    return {(kind, item.indices): item.cokernel
+            for kind, check in (("horn", check_weak_kan), ("wings", check_lifts_wings))
+            for item in check(y, n_max).items}
+
+
 @pytest.mark.parametrize("perturb", [False, True], ids=["instance", "perturbed"])
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_skeleton_limits_equal_full_limits(name, perturb):
+    """Over the skeleton and the full diagram, the limit and the cokernel
+    of Y_n -> lim agree; and each checker item, which reads only the legs
+    at the skeleton's maximal objects and checks no cone, reports the
+    cokernel of the public, cone-checking ``limit_cokernel`` over the
+    skeleton with every leg."""
     failing = 0
     for seed, y in enumerate(CORPUS[name]()):
         if perturb:
             y = _perturbed(y, seed)
         kan._require_valid(y)
-        for kind, n, extra in _items(y, min(y.max_level, 4)):
+        n_max = min(y.max_level, 4)
+        reported = _reported(y, n_max)
+        items = list(_items(y, n_max))
+        assert len(reported) == len(items)
+        for kind, n, extra in items:
             skeleton, full = _both(y, kind, n, extra)
             assert skeleton == full, (kind, n, extra)
+            coker = skeleton[0]
+            indices = (n,) if extra is None else (n, extra)
+            assert reported[kind, indices] == (None if coker.is_zero else coker), (
+                kind, n, extra)
             failing += not full[0].is_zero
     # paper_P and s0_times_2 fail items; the others pass every one
     assert bool(failing) == (name in ("paper-P", "s0-times-2", "s0-times-2-Z6"))
@@ -211,6 +238,39 @@ def test_skeleton_limits_equal_full_limits_on_the_f3_nerve_at_5():
         if n == 5:
             skeleton, full = _both(y, kind, n, extra)
             assert skeleton == full and full[0].is_zero, (kind, n, extra)
+
+
+def test_checker_items_read_free_legs_and_check_no_cone(monkeypatch):
+    """A weak Kan pass on a valid instance makes no cone check and reads no
+    action at a meet, the leg of an object that is not maximal; one public
+    ``limit_cokernel`` call makes exactly one cone check."""
+    x = _nerve(F3, (F3.from_int(1), F3.from_int(2)), 4)
+    kan._require_valid(x)
+    cones, read = [], []
+    cone_on_forest, action = coeff._cone_on_forest, NecklicialModule.action
+
+    def spied_cone(*args):
+        cones.append(args)
+        return cone_on_forest(*args)
+
+    def spied_action(self, f):
+        read.append(f)
+        return action(self, f)
+
+    monkeypatch.setattr(coeff, "_cone_on_forest", spied_cone)
+    monkeypatch.setattr(NecklicialModule, "action", spied_action)
+    assert check_quasicategory(x, 4).passed
+    assert cones == [] and read
+    meets = {obj for n in range(2, 5) for j in range(1, n)
+             for diagram in [meet_skeleton("horn", n, j)]
+             for i, obj in enumerate(diagram.objects)
+             if any(i == t for t, _, _ in diagram.arrows)}
+    assert meets and meets.isdisjoint(read)
+    y = hom_necklicial(x, "*", "*")
+    diagram = meet_skeleton("horn", 4, 2)
+    legs = [y.action(obj) for obj in diagram.objects]
+    assert limit_cokernel(_module_diagram(y, diagram), legs, y.level(4)).is_zero
+    assert len(cones) == 1
 
 
 # ---------------------------------------------------------------------------

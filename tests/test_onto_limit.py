@@ -332,6 +332,7 @@ def _limit_builds(monkeypatch):
     monkeypatch.setattr(kan, "_module_diagram", tagged)
     monkeypatch.setattr(deform, "_module_diagram", tagged)
     monkeypatch.setattr(coeff, "_limit_equations", recorded)
+    monkeypatch.setattr(kan, "_limit_equations", recorded)
     return builds
 
 

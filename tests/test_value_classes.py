@@ -34,6 +34,7 @@ from templikit.constructors import (
     LinearCategory,
     SimplicialSetTrunc,
     free_templicial,
+    paper_p,
     sset_simplex,
     truncated_polynomial_category,
 )
@@ -44,7 +45,14 @@ from templikit.deform import (
     check_extension_weak_kan,
     extension_sequence,
 )
-from templikit.kan import CheckItem, CheckReport, TruncatedWing, check_weak_kan
+from templikit.kan import (
+    CheckItem,
+    CheckReport,
+    TruncatedWing,
+    check_deg_projective,
+    check_quasicategory,
+    check_weak_kan,
+)
 from templikit.necklace import FintMap, IndexDiagram, Necklace, NecklaceMap
 from templikit.quiver import (
     Quiver,
@@ -407,6 +415,29 @@ def test_necklicial_extensions_pickle():
     copy = pickle.loads(pickle.dumps(ext))
     assert check_extension_weak_kan(copy, 2) == check_extension_weak_kan(ext, 2)
     assert copy == ext and hash(copy) == hash(ext)
+
+
+def test_pickles_leave_out_the_kept_caches():
+    """A hom necklicial module pickles to the same size fresh, after a check
+    and after its hash: its pickle holds neither its kept actions nor the
+    evaluator, validation report or degenerate parts kept on its templicial
+    module, and neither does a used templicial module's.  The copy equals
+    the module, hashes like it and gives the same report, byte for byte."""
+    y = hom_necklicial(paper_p(3), "a", "c")
+    fresh = len(pickle.dumps(y))
+    report = str(check_weak_kan(y, 3))
+    checked = len(pickle.dumps(y))
+    hashed = hash(y)
+    assert fresh == checked == len(pickle.dumps(y))
+    copy = pickle.loads(pickle.dumps(y))
+    assert copy == y and hash(copy) == hashed
+    assert str(check_weak_kan(copy, 3)) == report
+    x = paper_p(3)
+    check_quasicategory(x, 3)
+    check_deg_projective(x, 3)
+    hash(x)
+    assert set(vars(x)) >= {"_evaluator", "_validation", "_degenerate_parts", "_hash"}
+    assert len(pickle.dumps(x)) == len(pickle.dumps(paper_p(3)))
 
 
 # the necklicial values of the cross-seed test, as _ROUND_TRIP's
