@@ -847,6 +847,11 @@ class Module(Frozen):
     integers a value d >= 2 means Z/d, over chain kinds an exponent
     1 <= e < m means R/(pi^e).  Torsion factors come first in ascending
     divisibility order, free factors last.
+
+    ``Module(ring, factors)`` is the trust boundary, as for :class:`Morphism`:
+    it checks the factors' orders and normal form.  ``_trusted`` skips that
+    for base change and the view over the source, Smith diagonals
+    (``_diagonal_factors``), counted cokernels and extension sub values.
     """
 
     _fields = ("ring", "factors")
@@ -854,25 +859,35 @@ class Module(Frozen):
     def __init__(self, ring, factors):
         _set(self, "ring", ring)
         _set(self, "factors", factors)
-        for f in self.factors:
+        field, integers, m = ring.is_field, ring.kind == INTEGERS, ring.m
+        for f in factors:
             if f == FREE:
                 continue
-            if self.ring.is_field:
-                raise UnsupportedRingError(f"torsion factor over field {self.ring}")
-            if self.ring.kind == INTEGERS and f < 2:
+            if field:
+                raise UnsupportedRingError(f"torsion factor over field {ring}")
+            if integers and f < 2:
                 raise ShapeError(f"invalid integer torsion order {f}")
-            if self.ring.is_chain_kind and not 1 <= f < self.ring.m:
-                raise ShapeError(f"invalid chain exponent {f} for {self.ring}")
-        torsion = [f for f in self.factors if f != FREE]
-        frees = len(self.factors) - len(torsion)
-        if list(self.factors) != torsion + [FREE] * frees or torsion != sorted(torsion):
-            raise ShapeError(f"factors not in normal form: {self.factors}")
-        if self.ring.kind == INTEGERS:
+            if not integers and not 1 <= f < m:
+                raise ShapeError(f"invalid chain exponent {f} for {ring}")
+        torsion = [f for f in factors if f != FREE]
+        ntors = len(torsion)
+        if ntors and (list(factors[:ntors]) != torsion or torsion != sorted(torsion)):
+            raise ShapeError(f"factors not in normal form: {factors}")
+        if integers:
             for a, b in zip(torsion, torsion[1:]):
                 if b % a:
-                    raise ShapeError(f"integer factors lack divisibility chain: {self.factors}")
+                    raise ShapeError(f"integer factors lack divisibility chain: {factors}")
         # the torsion generators come first: factors[:_ntorsion]
-        _set(self, "_ntorsion", len(torsion))
+        _set(self, "_ntorsion", ntors)
+
+    @staticmethod
+    def _trusted(ring, factors, ntorsion):
+        """Unchecked: ``factors`` in normal form, the first ``ntorsion`` torsion."""
+        out = object.__new__(Module)
+        _set(out, "ring", ring)
+        _set(out, "factors", factors)
+        _set(out, "_ntorsion", ntorsion)
+        return out
 
     # written out, as the generic __eq__ takes about twice as long on this hot path
     def __eq__(self, other):
@@ -1182,7 +1197,8 @@ def _diagonal_factors(ring, d, n):
             factors.append(abs(di) if ring.kind == INTEGERS else ring.valuation(di))
         kept.append(i)
     order = sorted(range(len(factors)), key=lambda k: _factor_sort_key(factors[k]))
-    module = Module(ring, tuple(factors[k] for k in order)) if factors else Module.zero(ring)
+    module = Module._trusted(ring, tuple(factors[k] for k in order),
+                             len(factors) - factors.count(FREE)) if factors else Module.zero(ring)
     return [kept[k] for k in order], module
 
 
@@ -1634,7 +1650,8 @@ def _cokernel_of_rows(ring, rows, orders, width):
         length = max(len(e) for _, e in exponents)
         factors = tuple(prod(p ** e[i] for p, e in exponents if i < len(e))
                         for i in reversed(range(length)))
-    return Module(ring, factors) if factors else Module.zero(ring)
+    return Module._trusted(ring, factors, len(factors) - factors.count(FREE)) \
+        if factors else Module.zero(ring)
 
 
 def cokernel_module(f):
@@ -1782,7 +1799,8 @@ class RingExtension(Frozen):
             raise RingMismatchError(f"module over {module.ring}, extension from {self.source}")
         if module.is_zero:
             return Module.zero(self.target)
-        return Module(self.target, tuple(self.base_change_factor(f) for f in module.factors))
+        factors = tuple(map(self.base_change_factor, module.factors))
+        return Module._trusted(self.target, factors, len(factors) - factors.count(FREE))
 
     def base_change_morphism(self, f):
         """k (x) f, entrywise.  Congruence-valid when f is: reduction cuts
@@ -1814,7 +1832,8 @@ class RingExtension(Frozen):
         if module.is_zero:
             return Module.zero(self.source)
         mt = self.target_nilpotency
-        return Module(self.source, tuple(mt if f == FREE else f for f in module.factors))
+        return Module._trusted(self.source, tuple(mt if f == FREE else f for f in module.factors),
+                               module.ngens)
 
     def view_morphism_over_source(self, f):
         """A k-linear f regarded as an R-linear map, by lifted entries.

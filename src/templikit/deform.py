@@ -58,7 +58,6 @@ from .quiver import Quiver, QuiverMorphism, tensor_quiver_morphisms
 from .templicial import (
     NecklicialModule,
     TemplicialModule,
-    base_change_necklicial,
     hom_necklicial,
     tensor_external,
 )
@@ -249,14 +248,15 @@ def extension_sequence(theta, ybar):
 
     The sub and quotient terms reread the rows of Ybar's action when one
     of their own actions is first asked for, so later checks evaluate only
-    the maps they read.  The sub term is identified with the ideal tensor
-    of the special fiber: invariant factors are compared at every necklace
-    and the canonical comparison map is verified to be natural on the
-    generating maps (``necklace_generators``; this is where smallness
-    enters).  Both sides are functors, so naturality on generators gives it
-    on every composite.  The inclusions (pi^mt on each generator, into a
-    free module, where pi^e_i pi^mt = pi^m = 0) and the projections (the
-    identity out of a free module) are congruence-valid by construction.
+    the maps they read; necklaces of equal rank share one value, inclusion
+    and projection.  The sub term is identified with the ideal tensor of the
+    special fiber: invariant factors are compared at every necklace, and the
+    canonical comparison map is compared one generator at a time, nothing
+    kept, on the generating maps (``necklace_generators``; this is where
+    smallness enters).  Both sides are functors, so naturality on generators
+    gives it on every composite.  The inclusions (pi^mt on each generator,
+    into a free module, where pi^e_i pi^mt = pi^m = 0) and the projections
+    (the identity out of a free module) are congruence-valid by construction.
     """
     if not theta.small:
         raise UnsupportedRingError(
@@ -270,18 +270,18 @@ def extension_sequence(theta, ybar):
     pi_mt = _factor_order_elt(ring, mt)
     one = ring.one()
 
-    sub_values = {}
-    quot_values = {}
-    inclusions = {}
-    projections = {}
+    sub_values, quot_values, inclusions, projections, by_rank = {}, {}, {}, {}, {}
     for t, mod in ybar.values:
         if not mod.is_flat():
             raise ShapeError(f"extension_sequence requires levelwise flat values ({t})")
         r = mod.ngens
-        sub_values[t] = Module(ring, (e_i,) * r)
-        quot_values[t] = theta.view_module_over_source(theta.base_change(mod))
-        inclusions[t] = Morphism._trusted(sub_values[t], mod, [{i: pi_mt} for i in range(r)])
-        projections[t] = Morphism._trusted(mod, quot_values[t], [{i: one} for i in range(r)])
+        if r not in by_rank:
+            sub_t = Module._trusted(ring, (e_i,) * r, r)
+            quot_t = theta.view_module_over_source(theta.base_change(mod))
+            by_rank[r] = (sub_t, quot_t,
+                          Morphism._trusted(sub_t, mod, [{i: pi_mt} for i in range(r)]),
+                          Morphism._trusted(mod, quot_t, [{i: one} for i in range(r)]))
+        sub_values[t], quot_values[t], inclusions[t], projections[t] = by_rank[r]
 
     sub, quotient = (NecklicialModule(ring, ybar.max_level, vals, partial(_reread, vals, ybar),
                                       ybar._maps) for vals in (sub_values, quot_values))
@@ -291,17 +291,23 @@ def extension_sequence(theta, ybar):
                               tuple(sorted(projections.items(), key=lambda kv: kv[0].points)))
 
     # identification sub = I (x)_k (k (x)_R Ybar), natural in the necklace
-    ideal = ideal_tensor(theta, base_change_necklicial(theta, ybar))
-    for t, mod in ideal.values:
-        viewed = theta.view_module_over_source(mod)
+    ideal = theta.kernel_as_target_module()
+    for t, mod in ybar.values:
+        viewed = theta.view_module_over_source(tensor(theta.base_change(mod), ideal))
         if viewed.factors != sub_values[t].factors:
             raise ShapeError(f"ideal tensor mismatch at {t}: "
                              f"{viewed.factors} != {sub_values[t].factors}")
+    ident = Morphism.identity(ideal)
     for f in necklace_generators(ybar.max_level):
-        viewed = theta.view_morphism_over_source(ideal.action(f))
-        if viewed != sub.action(f):
+        if _ideal_tensor_action(theta, ident, ybar, f) != _reread(sub_values, ybar, f):
             raise ShapeError(f"ideal tensor comparison map not natural at {f}")
     return ext
+
+
+def _ideal_tensor_action(theta, ident, ybar, f):
+    """I (x)_k (k (x)_R Ybar)(f) over R, ``ident`` the identity of I."""
+    return theta.view_morphism_over_source(
+        tensor_morphisms(theta.base_change_morphism(ybar.action(f)), ident))
 
 
 def _reread(values, ybar, f):

@@ -1,18 +1,20 @@
-"""Suite-wide cross-check of the trusted internal Morphism path.
+"""Suite-wide cross-check of the trusted internal Morphism and Module paths.
 
 Internal results that are valid by construction skip the full checks of
 ``Morphism(...)`` (see the ``Morphism`` docstring) and are written as sparse
 rows.  Every test runs with that trusted constructor wrapped: each morphism
 it builds is also built by the validating constructor from the dense matrix
 of its rows, which must accept it and store the same entries, of the same
-types, with the same hash; and no stored row may hold a zero.
+types, with the same hash; and no stored row may hold a zero.  Likewise each
+module built by ``Module._trusted`` must be accepted by ``Module(...)``,
+equal to it and with the same torsion count.
 """
 
 import pytest
 from hypothesis import settings
 
 from dense import densify
-from templikit.coeff import Morphism
+from templikit.coeff import Module, Morphism
 
 # every property test replays the same examples: seeds derived from the test
 # itself, no example database and no deadline.  Tests set only max_examples.
@@ -39,3 +41,17 @@ def cross_check_trusted_morphisms(monkeypatch):
         return fast
 
     monkeypatch.setattr(Morphism, "_trusted", staticmethod(checked))
+
+
+@pytest.fixture(autouse=True)
+def cross_check_trusted_modules(monkeypatch):
+    trusted = Module._trusted
+
+    def checked(ring, factors, ntorsion):
+        fast = trusted(ring, factors, ntorsion)
+        full = Module(ring, factors)
+        assert fast == full and type(fast.factors) is tuple
+        assert fast._ntorsion == full._ntorsion
+        return fast
+
+    monkeypatch.setattr(Module, "_trusted", staticmethod(checked))

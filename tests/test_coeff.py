@@ -322,6 +322,47 @@ def test_module_normal_form_enforced():
     Module(Z8, (1, 2, FREE))
 
 
+# every factor tuple the public constructor refuses, with its error; the
+# order checks run factor by factor before the normal-form checks, so the
+# first failing factor names the error
+MALFORMED_FACTORS = [
+    (Q, (FREE, 2), UnsupportedRingError, "torsion factor over field Q"),
+    (F5, (3, FREE), UnsupportedRingError, "torsion factor over field F5"),
+    (F5, (FREE, -1, 7), UnsupportedRingError, "torsion factor over field F5"),
+    (Z, (2, 1), ShapeError, "invalid integer torsion order 1"),
+    (Z, (FREE, -3, 1), ShapeError, "invalid integer torsion order -3"),
+    (Z, (4, 1, 2), ShapeError, "invalid integer torsion order 1"),
+    (Z4, (1, 2), ShapeError, "invalid chain exponent 2 for Z/2^2"),
+    (Z8, (FREE, 5, -1), ShapeError, "invalid chain exponent 5 for Z/2^3"),
+    (D2, (1, 2), ShapeError, "invalid chain exponent 2 for F3[e]/(e^2)"),
+    (Ring.dual_chain(3, 1), (1,), ShapeError, "invalid chain exponent 1 for F3[e]/(e^1)"),
+    (Z, (4, 2), ShapeError, "factors not in normal form: (4, 2)"),
+    (Z, (FREE, 2), ShapeError, "factors not in normal form: (0, 2)"),
+    (Z4, (FREE, 1), ShapeError, "factors not in normal form: (0, 1)"),
+    (Z8, (2, 1, FREE), ShapeError, "factors not in normal form: (2, 1, 0)"),
+    (D2, (1, FREE, 1), ShapeError, "factors not in normal form: (1, 0, 1)"),
+    (Z, [6, FREE, 6], ShapeError, "factors not in normal form: [6, 0, 6]"),
+    (Z, (2, 3), ShapeError, "integer factors lack divisibility chain: (2, 3)"),
+    (Z, (2, 4, 6, FREE), ShapeError, "integer factors lack divisibility chain: (2, 4, 6, 0)"),
+]
+
+
+@pytest.mark.parametrize("ring,factors,error,message", MALFORMED_FACTORS)
+def test_module_constructor_rejects_each_malformed_factor_tuple(ring, factors, error, message):
+    with pytest.raises(error) as exc:
+        Module(ring, factors)
+    assert str(exc.value) == message
+
+
+def test_module_constructor_keeps_factors_and_counts_torsion():
+    for ring, factors, ntorsion in ((Z, (2, 4, FREE), 2), (Z8, (1, 2, 2, FREE, FREE), 3),
+                                    (D2, (FREE,), 0), (Q, (FREE, FREE), 0), (F5, (), 0),
+                                    (Z, [3, 6], 2)):
+        module = Module(ring, factors)
+        assert module.factors is factors
+        assert module._ntorsion == ntorsion
+
+
 def test_morphism_congruence():
     # x2 : Z/2 -> Z/4 is well defined, x1 is not
     dom = Module(Z, (2,))

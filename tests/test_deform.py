@@ -1,6 +1,8 @@
 """Deformation harnesses: base change, extensions, theorem verification."""
 
+import gc
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -343,31 +345,90 @@ def test_extension_sequence_matches_full_map_comparison(name):
         assert ext.verify_naturality()
 
 
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_generator_comparison_reads_the_ideal_tensor_action(name):
+    """The helper the comparison calls gives, at every map, the action of
+    the public ``ideal_tensor`` of the base change, viewed over R."""
+    for theta, ybar in ORACLE_CASES[name]():
+        ideal = ideal_tensor(theta, base_change_necklicial(theta, ybar))
+        ident = Morphism.identity(theta.kernel_as_target_module())
+        for f, act in ideal.actions:
+            assert deform._ideal_tensor_action(theta, ident, ybar, f) == \
+                theta.view_morphism_over_source(act)
+
+
 def test_ideal_tensor_mutant_at_one_generator_is_rejected(monkeypatch):
     pair = nerve_pair(3)
     theta, ybar = pair.extension, hom_necklicial(pair.deformed, "*", "*")
     gens = necklace_generators(3)
     target = next(f for f in gens[len(gens) // 2:]
                   if ybar.value(f.source).ngens and ybar.value(f.target).ngens)
-    real_ideal_tensor = deform.ideal_tensor
+    # the comparison computes the ideal tensor's action one generator at a
+    # time through this helper
+    real_action = deform._ideal_tensor_action
 
-    def mutated(theta, y_k):
-        ideal = real_ideal_tensor(theta, y_k)
+    def mutated(theta, ident, y, f):
+        act = real_action(theta, ident, y, f)
+        if f != target:
+            return act
+        rows = [list(row) for row in act.matrix]
+        rows[0][0] = act.ring.add(rows[0][0], act.ring.one())
+        return Morphism(act.domain, act.codomain, tuple(map(tuple, rows)))
 
-        def source(f):
-            act = ideal.action(f)
-            if f != target:
-                return act
-            rows = [list(row) for row in act.matrix]
-            rows[0][0] = act.ring.add(rows[0][0], act.ring.one())
-            return Morphism(act.domain, act.codomain, tuple(map(tuple, rows)))
-
-        return NecklicialModule(ideal.ring, ideal.max_level, dict(ideal.values), source)
-
-    monkeypatch.setattr(deform, "ideal_tensor", mutated)
+    monkeypatch.setattr(deform, "_ideal_tensor_action", mutated)
     with pytest.raises(ShapeError) as exc:
         extension_sequence(theta, ybar)
     assert str(exc.value) == f"ideal tensor comparison map not natural at {target}"
+
+
+def _traced():
+    gc.collect()
+    return tracemalloc.get_traced_memory()[0]
+
+
+def test_extension_sequence_keeps_nothing_but_its_values():
+    """After the call the sub and quotient terms hold no computed action,
+    necklaces of equal rank share their values, inclusions and projections,
+    and the call holds no more memory than the two terms' values and
+    Ybar's actions at the generators."""
+    theta = nerve_pair(4).extension
+
+    def ybar():
+        return hom_necklicial(nerve_pair(4).deformed, "*", "*")
+
+    y = ybar()
+    ext = extension_sequence(theta, y)
+    assert ext.sub._memo == {} and ext.quotient._memo == {}
+    assert set(y._memo) <= set(necklace_generators(4))
+    by_rank = {}
+    terms = zip(ext.sub.values, ext.quotient.values, ext.inclusions, ext.projections)
+    for (t, sub), (_, quot), (_, incl), (_, proj) in terms:
+        shared = by_rank.setdefault(y.value(t).ngens, (sub, quot, incl, proj))
+        assert all(a is b for a, b in zip(shared, (sub, quot, incl, proj)))
+        assert Module(sub.ring, sub.factors) == sub
+        assert Module(sub.ring, sub.factors)._ntorsion == sub._ntorsion
+    assert len(by_rank) < len(y.values)
+
+    # the library's shared caches are filled now; two equal fresh modules
+    first, second = ybar(), ybar()
+    tracemalloc.start()
+    try:
+        start = _traced()
+        for f in necklace_generators(4):
+            first.action(f)
+        actions = _traced() - start
+        start = _traced()
+        ext = extension_sequence(theta, second)
+        held = _traced() - start
+        del ext
+        left = _traced() - start
+    finally:
+        tracemalloc.stop()
+    # without the extension only Ybar's actions at the generators remain
+    assert left <= actions + 4096
+    # and the extension's values take a small part of that: a memo of the
+    # sub term's actions at the generators alone would be about as large
+    assert held - left < actions / 4
 
 
 def test_extension_sequence_evaluates_only_the_maps_it_reads():

@@ -11,7 +11,9 @@ the sparse rows of a limit's difference map are compared with the dense
 construction they replaced, and the factorizations through a limit accept
 exactly the families of legs that are cones by definition.  Index diagrams,
 which keep only covering arrows, are compared with their full order
-relation.
+relation.  Modules built without the checks of ``Module(...)`` (base
+change, the view over the source, Smith diagonals and counted cokernels)
+are rebuilt through the validating constructor.
 """
 
 from fractions import Fraction
@@ -38,9 +40,12 @@ from templikit.coeff import (
     ModuleDiagram,
     Morphism,
     Ring,
+    RingExtension,
     ShapeError,
     _block_starts,
+    _diagonal_factors,
     _limit_equations,
+    _presentation_matrix,
     _spanning_forest,
     _tensor_layout,
     analyze,
@@ -55,6 +60,7 @@ from templikit.coeff import (
     limit_cokernel,
     limit_is_iso,
     normalize_orders,
+    smith,
     tensor_morphisms,
 )
 from templikit.constructors import (
@@ -187,6 +193,50 @@ def test_tensor_morphisms_equal_dense_tensor(data):
     _, f, g, h, _ = data
     assert_same(tensor_morphisms(f, h), dense_tensor(f, h))
     assert_same(tensor_morphisms(h, g), dense_tensor(h, g))
+
+
+# extensions among the chain kinds of RINGS and onto prime fields: the
+# sources and targets of base change and of the view over the source
+EXTENSIONS = [RingExtension(Ring.chain(2, 3), Ring.chain(2, 2)),
+              RingExtension(Ring.chain(2, 3), Ring.chain(2, 1)),
+              RingExtension(Ring.chain(2, 3), Ring.prime_field(2)),
+              RingExtension(Ring.chain(3, 2), F3),
+              RingExtension(Ring.dual_chain(3, 2), F3),
+              RingExtension(Ring.dual_chain(2, 3), Ring.dual_chain(2, 2)),
+              RingExtension(Ring.dual_chain(2, 3), Ring.prime_field(2))]
+
+
+def assert_canonical(module):
+    """A module built without checks (``Module._trusted``) is one the public
+    constructor accepts, equal to it and with the same torsion count."""
+    checked = Module(module.ring, module.factors)
+    assert checked == module and module == checked
+    assert type(module.factors) is tuple
+    assert checked._ntorsion == module._ntorsion
+
+
+@PROPERTY
+@given(st.sampled_from(EXTENSIONS).flatmap(
+    lambda theta: st.tuples(st.just(theta), modules(theta.source), modules(theta.target))))
+def test_base_change_and_view_build_canonical_modules(data):
+    theta, upper, lower = data
+    assert_canonical(theta.base_change(upper))
+    assert_canonical(theta.view_module_over_source(lower))
+    assert_canonical(theta.view_module_over_source(theta.base_change(upper)))
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+@PROPERTY
+@given(data=st.data())
+def test_smith_diagonals_and_cokernels_build_canonical_modules(ring, data):
+    a, b, c = (data.draw(modules(ring)) for _ in range(3))
+    f, g, h = data.draw(morphisms(a, b)), data.draw(morphisms(a, b)), data.draw(morphisms(b, c))
+    for mor in (f, h, f + g, h.compose(f)):
+        assert_canonical(cokernel_module(mor))
+        orders, width = mor.codomain.factors, mor.domain.ngens
+        if orders:
+            diagonal = smith(ring, _presentation_matrix(ring, mor.rows, orders, width)).d
+            assert_canonical(_diagonal_factors(ring, diagonal, len(orders))[1])
 
 
 # shapes every diagram strategy draws from, on top of random arrows: the
